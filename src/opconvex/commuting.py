@@ -1,4 +1,4 @@
-"""Commuting positive pairs and their superoperator realizations.
+"""Commuting positive pairs and the left/right multiplication pair.
 
 A perspective g(L, R) = f(L/R) R only makes sense when L and R commute, so
 the pair is stored in diagonalized form: one unitary basis plus two strictly
@@ -7,8 +7,12 @@ L/R is unambiguous.
 
 The pairs that matter in practice are superoperators: left multiplication
 by sigma and right multiplication by rho on the Hilbert-Schmidt space of
-n x n matrices always commute. ``realize_multiplication_pair`` builds that
-pair explicitly in its joint eigenbasis of vectorized rank-one matrices.
+n x n matrices always commute. ``MultiplicationPair`` keeps them as the
+spectral factors of sigma and rho, whose rank-one products u_i v_j* are a
+joint eigenbasis; the perspective module evaluates quadratic forms from
+those factors in O(n^3). ``realize_multiplication_pair`` builds the same
+pair as an explicit n^2 x n^2 ``CommutingPair``, the reference realization
+that tests compare the factored evaluation against.
 """
 from __future__ import annotations
 
@@ -100,11 +104,6 @@ class CommutingPair:
         U = self._basis
         return HermitianMatrix((U * spectrum) @ U.conj().T)
 
-    def swapped(self) -> "CommutingPair":
-        """The same pair with the roles of left and right exchanged."""
-        return CommutingPair(self._basis, self._mu, self._lam,
-                             floor=float(min(self._lam.min(), self._mu.min())))
-
     def __repr__(self):
         return f"CommutingPair(dim={self.dim})"
 
@@ -189,22 +188,34 @@ def pair_from_matrices(L, R, floor: float = DEFAULT_FLOOR,
 
 
 class MultiplicationPair:
-    """Strictly positive sigma and rho defining L(X) = sigma X, R(X) = X rho."""
+    """Strictly positive sigma and rho defining L(X) = sigma X, R(X) = X rho.
 
-    __slots__ = ("_sigma", "_rho")
+    Both operands are eigendecomposed once, at construction: ``factors`` is
+    ``(U_sigma, s, U_rho, r)`` with ``sigma = U_sigma diag(s) U_sigma*`` and
+    ``rho = U_rho diag(r) U_rho*``, eigenvalues ascending. The positivity
+    floor is checked on the least entries of ``s`` and ``r``.
+    """
+
+    __slots__ = ("_sigma", "_rho", "_factors")
 
     def __init__(self, sigma, rho, floor: float = DEFAULT_FLOOR):
         s, r = as_hermitian(sigma), as_hermitian(rho)
         if s.dim != r.dim:
             raise ValueError(f"dimension mismatch: {s.dim} vs {r.dim}")
+        factors = []
         for name, H in (("sigma", s), ("rho", r)):
-            low = float(np.linalg.eigvalsh(H.mat)[0])
+            dec = spectral_decompose(H)
+            low = float(dec.eigenvalues[0])
             if low < floor:
                 raise DomainViolation(
                     f"{name} has eigenvalue {low:.3e} below the positivity "
                     f"floor {floor:g}")
+            for a in (dec.eigenvectors, dec.eigenvalues):
+                a.flags.writeable = False
+            factors += [dec.eigenvectors, dec.eigenvalues]
         object.__setattr__(self, "_sigma", s)
         object.__setattr__(self, "_rho", r)
+        object.__setattr__(self, "_factors", tuple(factors))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiplicationPair is immutable")
@@ -218,12 +229,17 @@ class MultiplicationPair:
         return self._rho
 
     @property
+    def factors(self) -> tuple:
+        """``(U_sigma, s, U_rho, r)``, the eigendecompositions."""
+        return self._factors
+
+    @property
     def dim(self) -> int:
         return self._sigma.dim
 
 
 def realize_multiplication_pair(mp: MultiplicationPair) -> CommutingPair:
-    """Joint eigenform of left multiplication by sigma and right by rho.
+    """Reference n^2 x n^2 realization of left-by-sigma and right-by-rho.
 
     Under column-stacking vectorization the two superoperators have
     matrices kron(I, sigma) and kron(rho^T, I); the rank-one matrices
@@ -231,17 +247,20 @@ def realize_multiplication_pair(mp: MultiplicationPair) -> CommutingPair:
     rho v_j = r_j v_j are a joint eigenbasis. Basis column i*n + j is
     vec(u_i v_j*) with eigenvalue pair (s_i, r_j), i.e. the left spectrum
     is indexed by sigma's eigenvalues and the right one by rho's.
+
+    This costs O(n^4) memory and an O(n^6) unitarity check. The library's
+    quadratic forms never build it: they evaluate the same pair from
+    ``mp.factors`` in O(n^3), and tests compare the two.
     """
     n = mp.dim
-    decs = spectral_decompose(mp.sigma)
-    decr = spectral_decompose(mp.rho)
+    Us, s, Ur, r = mp.factors
     # kron(conj(Ur), Us) holds vec(u_i v_j*) at column j*n + i; permute to
     # the (i outer, j inner) order the spectra below are laid out in.
-    raw = np.kron(decr.eigenvectors.conj(), decs.eigenvectors)
+    raw = np.kron(Ur.conj(), Us)
     k = np.arange(n * n)
     basis = raw[:, (k % n) * n + k // n]
-    lam = np.repeat(decs.eigenvalues, n)
-    mu = np.tile(decr.eigenvalues, n)
+    lam = np.repeat(s, n)
+    mu = np.tile(r, n)
     floor = float(min(lam.min(), mu.min()))
     return make_commuting_pair(basis, lam, mu, floor=floor)
 

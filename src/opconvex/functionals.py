@@ -8,12 +8,11 @@ from __future__ import annotations
 import numpy as np
 
 from .atoms import ScalarAtom, lookup_atom
-from .commuting import DEFAULT_FLOOR, MultiplicationPair, \
-    realize_multiplication_pair
+from .commuting import DEFAULT_FLOOR, MultiplicationPair
 from .errors import DomainViolation, HypothesisViolation
 from .linalg import HermitianMatrix, apply_scalar_function, as_hermitian, \
     as_matrix, spectral_decompose
-from .perspective import perspective_eigen
+from .perspective import perspective_quadratic_form
 
 # Strict positivity floor used when wrapping caller matrices into
 # multiplication pairs: anything > 0 is admissible here, the theorem-level
@@ -129,31 +128,25 @@ def quantum_relative_entropy_direct(rho, sigma) -> float:
 def quantum_relative_entropy_perspective(rho, sigma) -> float:
     """The same quantity as the quadratic form of a superoperator perspective.
 
-    Realize left multiplication by sigma and right multiplication by rho,
-    take the perspective of x log x with the rho side as numerator and the
-    sigma side as denominator, and evaluate at the vectorized identity:
+    Take left multiplication by rho and right multiplication by sigma, and
+    evaluate the perspective of x log x at K = I:
 
-        sum_{i,j} r_j log(r_j / s_i) |<u_i, v_j>|^2.
+        sum_{i,j} p_i log(p_i / q_j) |<u_i, v_j>|^2
 
-    Agreement with the direct formula is an end-to-end check of the
-    realization.
+    for rho u_i = p_i u_i and sigma v_j = q_j v_j. Agreement with the direct
+    formula is an end-to-end check of the perspective machinery.
     """
     r = _as_positive_operand(rho)
     s = _as_positive_operand(sigma)
-    if r.dim != s.dim:
-        raise ValueError(f"dimension mismatch: {r.dim} vs {s.dim}")
-    mp = MultiplicationPair(s, r, floor=_TINY)
-    pair = realize_multiplication_pair(mp).swapped()
-    g = perspective_eigen(lookup_atom("xlogx"), pair)
-    iden = np.eye(r.dim, dtype=np.complex128).flatten(order="F")
-    return float(np.real(np.vdot(iden, g.mat @ iden)))
+    mp = MultiplicationPair(r, s, floor=_TINY)
+    return perspective_quadratic_form(lookup_atom("xlogx"), mp, np.eye(r.dim))
 
 
 def lieb_functional(A, B, K, s: float) -> float:
     """Tr(A^s K* B^(1-s) K) by functional-calculus powers, 0 < s < 1.
 
     Jointly concave in (A, B); equals the negated quadratic form of the
-    perspective of -x^s on the realized multiplication pair.
+    perspective of -x^s on the multiplication pair (A, B).
     """
     s = float(s)
     if not 0.0 < s < 1.0:

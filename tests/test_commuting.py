@@ -39,14 +39,6 @@ class TestCommutingPair:
         with pytest.raises((ValueError, RuntimeError)):
             pair.lam[0] = 7.0
 
-    def test_swapped_exchanges_factors(self):
-        pair = random_commuting_pair(4, 2)
-        sw = pair.swapped()
-        assert np.array_equal(sw.left.mat, pair.right.mat)
-        assert np.array_equal(sw.right.mat, pair.left.mat)
-        back = sw.swapped()
-        assert np.array_equal(back.left.mat, pair.left.mat)
-
 
 class TestQuotient:
     def test_diagonal_quotient(self):

@@ -144,6 +144,29 @@ class TestLiebFunctional:
             lieb_functional(np.diag([1.0, 0.0]), np.eye(2), np.eye(2), 0.5)
 
 
+class TestLargeDimension:
+    # n = 128 puts the superoperators at 16384 x 16384; only the factored
+    # quadratic form can evaluate them
+    N = 128
+
+    def test_relative_entropy_paths_agree(self):
+        rho = random_density(self.N, 700)
+        sigma = random_density(self.N, 701)
+        ref = quantum_relative_entropy_direct(rho, sigma)
+        val = quantum_relative_entropy_perspective(rho, sigma)
+        assert abs(val - ref) <= 1e-10 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_lieb_matches_negated_quadratic_form(self, s):
+        A = random_positive_matrix(self.N, 702).mat
+        B = random_positive_matrix(self.N, 703).mat
+        K = rand_complex(self.N, 704) / math.sqrt(self.N)
+        ref = lieb_functional(A, B, K, s)
+        qf = perspective_quadratic_form(lookup_atom("neg_power", s),
+                                        MultiplicationPair(A, B), K)
+        assert abs(qf + ref) <= 1e-10 * (1.0 + abs(ref))
+
+
 class TestLiebPqFunctional:
     def test_reduces_to_single_exponent_on_the_sum_one_line(self):
         A = random_positive_matrix(3, 8).mat

@@ -133,16 +133,29 @@ class TestQuadraticForms:
         val = perspective_quadratic_form(NEG_SQRT, mp, np.eye(2))
         assert val == pytest.approx(-2.0, abs=1e-14)
 
-    def test_matches_dense_superoperator_form(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("f, h", [
+        pytest.param(XLOGX, None, id="xlogx"),
+        pytest.param(lookup_atom("neg_log"), None, id="neg_log"),
+        pytest.param(NEG_SQRT, None, id="neg_power"),
+        pytest.param(NEG_SQRT, lookup_atom("power", 0.5),
+                     id="extended-power"),
+    ])
+    def test_matches_dense_superoperator_form(self, f, h, n):
+        # the n^2 x n^2 Kronecker realization is the oracle for the
+        # factored sum
         rng = np.random.default_rng(14)
-        sigma = random_density(3, 15).matrix.mat
-        rho = random_density(3, 16).matrix.mat
+        sigma = random_density(n, 15).matrix.mat
+        rho = random_density(n, 16).matrix.mat
         mp = MultiplicationPair(sigma, rho)
-        K = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        val = perspective_quadratic_form(XLOGX, mp, K)
-
+        K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         pair = realize_multiplication_pair(mp)
-        G = perspective_eigen(XLOGX, pair).mat
+        if h is None:
+            val = perspective_quadratic_form(f, mp, K)
+            G = perspective_eigen(f, pair).mat
+        else:
+            val = extended_perspective_quadratic_form(f, h, mp, K)
+            G = extended_perspective_eigen(f, h, pair).mat
         v = K.conj().T.reshape(-1, order="F")
         dense = float(np.real(v.conj() @ G @ v))
         assert val == pytest.approx(dense, rel=1e-12)
