@@ -163,6 +163,22 @@ def lieb_functional(A, B, K, s: float) -> float:
     return float(np.real(np.trace(As @ Km.conj().T @ Bs @ Km)))
 
 
+def _require_pq_exponents(p: float, q: float) -> tuple[float, float]:
+    """The exponent range of ``lieb_pq_functional``, as floats."""
+    p, q = float(p), float(q)
+    if not 0.0 < q <= 1.0:
+        raise HypothesisViolation(f"q must satisfy 0 < q <= 1, got {q}")
+    if q == 1.0 and p != 0.0:
+        raise HypothesisViolation(
+            f"p + q <= 1 with q = 1 forces p = 0, got p = {p}")
+    if q < 1.0 and p <= 0.0:
+        raise HypothesisViolation(f"p must be positive, got {p}")
+    if p + q > 1.0 + 1e-12:
+        raise HypothesisViolation(
+            f"exponents must satisfy p + q <= 1, got {p} + {q}")
+    return p, q
+
+
 def lieb_pq_functional(A, B, X, p: float, q: float) -> float:
     """Tr(A^q X* B^p X) for exponents p, q > 0 with p + q <= 1.
 
@@ -170,19 +186,7 @@ def lieb_pq_functional(A, B, X, p: float, q: float) -> float:
     forces p = 0 and is evaluated directly as the linear functional
     Tr(A X* X).
     """
-    p, q = float(p), float(q)
-    if not 0.0 < q <= 1.0:
-        raise HypothesisViolation(f"q must satisfy 0 < q <= 1, got {q}")
-    if q == 1.0:
-        if p != 0.0:
-            raise HypothesisViolation(
-                f"p + q <= 1 with q = 1 forces p = 0, got p = {p}")
-    else:
-        if p <= 0.0:
-            raise HypothesisViolation(f"p must be positive, got {p}")
-        if p + q > 1.0 + 1e-12:
-            raise HypothesisViolation(
-                f"exponents must satisfy p + q <= 1, got {p} + {q}")
+    p, q = _require_pq_exponents(p, q)
     Ah = _as_positive_operand(A)
     Bh = _as_positive_operand(B)
     Xm = as_matrix(X)

@@ -12,8 +12,8 @@ must agree to ``PATH_AGREEMENT_RTOL`` relative to the output size.
 
 The extended variant substitutes h(R) for R: f(L / h(R)) h(R) for a
 strictly positive concave h. With h = identity it degenerates to the plain
-perspective, and the code short-circuits that case so the reduction is
-exact.
+perspective: both share one eigen core and one quasi-entropy core, which
+take the base R itself when h is identity, so the reduction is exact.
 
 The quadratic-form entry points evaluate ``<g(L,R)(K*), K*>`` for the
 superoperator pair L(X) = sigma X, R(X) = X rho; they are the bridge
@@ -50,9 +50,13 @@ def _require_convexity_flag(f: ScalarAtom) -> None:
             f"its perspective carries no convexity structure")
 
 
-def _require_extended_hypotheses(f: ScalarAtom, h: ScalarAtom) -> None:
+def _require_matrix_convex(f: ScalarAtom) -> None:
     if not f.operator_convex:
         raise HypothesisViolation(f"atom {f.label} is not matrix convex")
+
+
+def _require_extended_hypotheses(f: ScalarAtom, h: ScalarAtom) -> None:
+    _require_matrix_convex(f)
     if not f.f0_nonpositive:
         raise HypothesisViolation(
             f"atom {f.label} lacks f(0) <= 0, required for the extended "
@@ -61,13 +65,30 @@ def _require_extended_hypotheses(f: ScalarAtom, h: ScalarAtom) -> None:
         raise HypothesisViolation(f"atom {h.label} is not matrix concave")
 
 
+def _base(h, r: np.ndarray) -> np.ndarray:
+    """The perspective's base on the right spectrum r: r itself when h is
+    None or the identity, else h(r), which must be strictly positive."""
+    if h is None or h.name == "identity":
+        return r
+    hr = h(h.domain.clamp(r))
+    if np.min(hr) <= 0.0:
+        raise DomainViolation(
+            f"h must be strictly positive on the right spectrum, found "
+            f"h value {float(np.min(hr)):.3e}")
+    return hr
+
+
+def _eigen(f: ScalarAtom, h, pair: CommutingPair) -> HermitianMatrix:
+    base = _base(h, pair.mu)
+    vals = f(f.domain.clamp(pair.lam / base)) * base
+    U = pair.basis
+    return HermitianMatrix((U * vals) @ U.conj().T)
+
+
 def perspective_eigen(f: ScalarAtom, pair: CommutingPair) -> HermitianMatrix:
     """Perspective of f on a commuting pair, via the joint eigenbasis."""
     _require_convexity_flag(f)
-    ratios = f.domain.clamp(pair.lam / pair.mu)
-    vals = f(ratios) * pair.mu
-    U = pair.basis
-    return HermitianMatrix((U * vals) @ U.conj().T)
+    return _eigen(f, None, pair)
 
 
 def perspective_symmetrized(f: ScalarAtom, L, R,
@@ -122,17 +143,7 @@ def extended_perspective_eigen(f: ScalarAtom, h: ScalarAtom,
                                pair: CommutingPair) -> HermitianMatrix:
     """Extended perspective f(L / h(R)) h(R) on a commuting pair."""
     _require_extended_hypotheses(f, h)
-    if h.name == "identity":
-        return perspective_eigen(f, pair)
-    hmu = h(h.domain.clamp(pair.mu))
-    if np.min(hmu) <= 0.0:
-        raise DomainViolation(
-            f"h must be strictly positive on the right spectrum, found "
-            f"h value {float(np.min(hmu)):.3e}")
-    ratios = f.domain.clamp(pair.lam / hmu)
-    vals = f(ratios) * hmu
-    U = pair.basis
-    return HermitianMatrix((U * vals) @ U.conj().T)
+    return _eigen(f, h, pair)
 
 
 def extended_perspective_symmetrized(f: ScalarAtom, h: ScalarAtom, L, R,
@@ -154,20 +165,15 @@ def extended_perspective_symmetrized(f: ScalarAtom, h: ScalarAtom, L, R,
 def _quasi_entropy(f: ScalarAtom, h, mp: MultiplicationPair, K) -> float:
     """sum_ij g(s_i, r_j) |(U_sigma* K* U_rho)_ij|^2 with g(s, r) = f(s/b) b.
 
-    The base b is h(r), or r itself when ``h`` is None. Weights and g values
-    are real, so the sum is real by construction.
+    The base b is ``_base(h, r)``. Weights and g values are real, so the sum
+    is real by construction.
     """
     Km = as_matrix(K)
     n = mp.dim
     if Km.shape != (n, n):
         raise ValueError(f"K must be {n}x{n}, got shape {Km.shape}")
-    Us, s, Ur, base = mp.factors
-    if h is not None:
-        base = h(h.domain.clamp(base))
-        if np.min(base) <= 0.0:
-            raise DomainViolation(
-                f"h must be strictly positive on the right spectrum, found "
-                f"h value {float(np.min(base)):.3e}")
+    Us, s, Ur, r = mp.factors
+    base = _base(h, r)
     weights = np.abs(Us.conj().T @ Km.conj().T @ Ur) ** 2
     g = f(f.domain.clamp(s[:, None] / base)) * base
     return float(np.sum(g * weights))
@@ -184,4 +190,4 @@ def extended_perspective_quadratic_form(f: ScalarAtom, h: ScalarAtom,
                                         mp: MultiplicationPair, K) -> float:
     """<(f(L/h(R))h(R))(K*), K*> for L(X) = sigma X, R(X) = X rho."""
     _require_extended_hypotheses(f, h)
-    return _quasi_entropy(f, None if h.name == "identity" else h, mp, K)
+    return _quasi_entropy(f, h, mp, K)

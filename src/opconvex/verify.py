@@ -1,11 +1,11 @@
 """Seeded randomized verification of the inequality zoo.
 
-Each theorem tag pairs an instance generator with a checker. Generators
-draw from a per-trial ``numpy`` Generator seeded by a stable hash of
-(campaign seed, theorem tag, trial index, redraw counter), so campaigns
-are reproducible trial-by-trial, parallel execution matches serial
-execution exactly, and any reported witness can be replayed from its
-recorded coordinates alone.
+One table maps each theorem tag to a draw of operands, a checker, and the
+configuration gates its hypotheses impose. Draws come from a per-trial
+``numpy`` Generator seeded by a stable hash of (campaign seed, theorem
+tag, trial index, redraw counter), so campaigns are reproducible
+trial-by-trial and any reported witness can be replayed from its recorded
+coordinates alone.
 
 Checkers validate the theorem's hypotheses before evaluating the
 inequality: a hypothesis defect is a generator bug and raises
@@ -16,21 +16,22 @@ trials and trigger a redraw with the next sub-seed.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .atoms import ScalarAtom, atom_names, lookup_atom
+from .atoms import ScalarAtom, lookup_atom
 from .commuting import CommutingPair, DEFAULT_FLOOR, make_commuting_pair
 from .errors import DomainViolation, HypothesisViolation
 from .functionals import (DensityMatrix, ProbabilityVector,
-                          classical_perspective, lieb_functional,
-                          lieb_pq_functional,
+                          _require_pq_exponents, classical_perspective,
+                          lieb_functional, lieb_pq_functional,
                           quantum_relative_entropy_direct)
 from .linalg import (HermitianMatrix, LoewnerVerdict, apply_scalar_function,
                      as_hermitian, as_matrix, loewner_leq, matrix_to_json)
-from .perspective import (extended_perspective_eigen,
+from .perspective import (_require_extended_hypotheses,
+                          _require_matrix_convex, extended_perspective_eigen,
                           extended_perspective_symmetrized,
                           perspective_eigen, perspective_symmetrized)
 
@@ -98,8 +99,6 @@ class TrialConfig:
             raise ValueError(f"floor must be positive, got {self.floor}")
         if not 0.0 < self.shrink <= 1.0:
             raise ValueError(f"shrink must be in (0, 1], got {self.shrink}")
-        if self.atom not in atom_names():
-            raise ValueError(f"unknown atom {self.atom!r}")
         self.resolve_atom()
         lookup_atom("neg_power", self.s)
         lookup_atom("power", self.t)
@@ -142,10 +141,6 @@ def scalar_geq(lhs: float, rhs: float, tol: float) -> LoewnerVerdict:
 # ---------------------------------------------------------------------------
 # instance generators
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _complex_gaussian(rng, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal(
         (rows, cols))
@@ -153,7 +148,7 @@ def _complex_gaussian(rng, rows: int, cols: int) -> np.ndarray:
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed n x n unitary (QR with phase-fixed diagonal)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     Q, R = np.linalg.qr(_complex_gaussian(rng, n, n))
     d = np.diagonal(R)
     phases = np.where(np.abs(d) > 0.0, d / np.abs(np.where(d == 0, 1, d)), 1.0)
@@ -164,7 +159,7 @@ def random_density(n: int, seed, floor: float = DEFAULT_FLOOR) -> DensityMatrix:
     """Wishart density G G* + floor I, trace-normalized."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     G = _complex_gaussian(rng, n, n)
     M = G @ G.conj().T + floor * np.eye(n)
     tr = float(np.real(np.trace(M)))
@@ -174,9 +169,15 @@ def random_density(n: int, seed, floor: float = DEFAULT_FLOOR) -> DensityMatrix:
 def random_positive_matrix(n: int, seed,
                            floor: float = DEFAULT_FLOOR) -> HermitianMatrix:
     """Wishart positive matrix G G* + floor I (no normalization)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     G = _complex_gaussian(rng, n, n)
     return HermitianMatrix(G @ G.conj().T + floor * np.eye(n))
+
+
+def _require_isometry_dims(m: int, n: int) -> None:
+    if 2 * m < n:
+        raise ValueError(
+            f"no isometry pair exists for m={m}, n={n}: need 2m >= n")
 
 
 def random_isometry_pair(m: int, n: int, seed):
@@ -185,10 +186,8 @@ def random_isometry_pair(m: int, n: int, seed):
     Stacks them as the orthonormalization of a 2m x n complex Gaussian,
     so the pair exists exactly when 2m >= n.
     """
-    if 2 * m < n:
-        raise ValueError(
-            f"no isometry pair exists for m={m}, n={n}: need 2m >= n")
-    rng = _rng(seed)
+    _require_isometry_dims(m, n)
+    rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(_complex_gaussian(rng, 2 * m, n))
     return Q[:m, :], Q[m:, :]
 
@@ -197,7 +196,7 @@ def random_contraction_pair(m: int, n: int, seed, shrink: float = 1.0):
     """Isometry pair scaled by a uniform factor in (0, shrink]."""
     if not 0.0 < shrink <= 1.0:
         raise ValueError(f"shrink must be in (0, 1], got {shrink}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     A, B = random_isometry_pair(m, n, rng)
     gamma = shrink * (1.0 - rng.random())
     return A * gamma, B * gamma
@@ -207,12 +206,22 @@ def random_commuting_pair(n: int, seed, floor: float = DEFAULT_FLOOR,
                           lo: float = SPECTRUM_LO,
                           hi: float = SPECTRUM_HI) -> CommutingPair:
     """Random basis with two independent log-uniform spectra on [lo, hi]."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     lo = max(lo, floor)
     U = random_unitary(n, rng)
     lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
     mu = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
     return make_commuting_pair(U, lam, mu, floor=floor)
+
+
+def _log_uniform(rng, size=None):
+    return np.exp(rng.uniform(np.log(SPECTRUM_LO), np.log(SPECTRUM_HI), size))
+
+
+def _in_domain(f: ScalarAtom, rng, size=None):
+    if f.domain.lo >= 0.0:
+        return _log_uniform(rng, size)
+    return rng.uniform(-REAL_BOUND, REAL_BOUND, size)
 
 
 def random_hermitian_in_domain(f: ScalarAtom, n: int, seed) -> HermitianMatrix:
@@ -222,18 +231,14 @@ def random_hermitian_in_domain(f: ScalarAtom, n: int, seed) -> HermitianMatrix:
     SPECTRUM_HI]; real-line atoms get uniform spectra on
     [-REAL_BOUND, REAL_BOUND].
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     U = random_unitary(n, rng)
-    if f.domain.lo >= 0.0:
-        w = np.exp(rng.uniform(np.log(SPECTRUM_LO), np.log(SPECTRUM_HI),
-                               size=n))
-    else:
-        w = rng.uniform(-REAL_BOUND, REAL_BOUND, size=n)
+    w = _in_domain(f, rng, n)
     return HermitianMatrix((U * w) @ U.conj().T)
 
 
 def random_probability_vector(n: int, seed) -> ProbabilityVector:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     v = rng.random(n) + 0.05
     return ProbabilityVector(v / v.sum())
 
@@ -252,6 +257,7 @@ def _jensen_verdict(f: ScalarAtom, Am, Bm, Th: HermitianMatrix,
 
 
 def _jensen_operands(A, B, T):
+    """The operands as arrays, plus I - (A*A + B*B)."""
     Am, Bm = as_matrix(A), as_matrix(B)
     if Am.shape != Bm.shape or Am.ndim != 2:
         raise ValueError(
@@ -260,20 +266,27 @@ def _jensen_operands(A, B, T):
     if Th.dim != Am.shape[0]:
         raise ValueError(
             f"T must be {Am.shape[0]} square to match the pair, got {Th.dim}")
-    return Am, Bm, Th
+    gap = np.eye(Am.shape[1]) - (Am.conj().T @ Am + Bm.conj().T @ Bm)
+    return Am, Bm, Th, gap
 
 
 def check_jensen_isometry(f: ScalarAtom, A, B, T,
                           tol: float = 1e-8) -> LoewnerVerdict:
     """f(A*TA + B*TB) <= A*f(T)A + B*f(T)B for an isometry column pair."""
-    Am, Bm, Th = _jensen_operands(A, B, T)
-    n = Am.shape[1]
-    gram = Am.conj().T @ Am + Bm.conj().T @ Bm
-    defect = float(np.max(np.abs(gram - np.eye(n))))
+    Am, Bm, Th, gap = _jensen_operands(A, B, T)
+    defect = float(np.max(np.abs(gap)))
     if defect > HYPOTHESIS_TOL:
         raise HypothesisViolation(
             f"A*A + B*B deviates from the identity by {defect:.3e}")
     return _jensen_verdict(f, Am, Bm, Th, tol)
+
+
+def _require_f0_nonpositive(f: ScalarAtom) -> None:
+    if not f.f0_nonpositive:
+        raise HypothesisViolation(
+            f"atom {f.label} lacks f(0) <= 0; the contractive inequality "
+            f"needs it because dilating A, B to an isometry pads with zero "
+            f"blocks whose contribution is f(0)")
 
 
 def check_jensen_contractive(f: ScalarAtom, A, B, T,
@@ -284,15 +297,9 @@ def check_jensen_contractive(f: ScalarAtom, A, B, T,
     blocks, which inject f(0) into the right-hand side; without f(0) <= 0
     the inequality is simply false (constant atoms break it).
     """
-    if not f.f0_nonpositive:
-        raise HypothesisViolation(
-            f"atom {f.label} lacks f(0) <= 0; the contractive inequality "
-            f"needs it because dilating A, B to an isometry pads with zero "
-            f"blocks whose contribution is f(0)")
-    Am, Bm, Th = _jensen_operands(A, B, T)
-    n = Am.shape[1]
-    gram = Am.conj().T @ Am + Bm.conj().T @ Bm
-    slack = float(np.linalg.eigvalsh(np.eye(n) - gram)[0])
+    _require_f0_nonpositive(f)
+    Am, Bm, Th, gap = _jensen_operands(A, B, T)
+    slack = float(np.linalg.eigvalsh(gap)[0])
     if slack < -HYPOTHESIS_TOL:
         raise HypothesisViolation(
             f"A*A + B*B exceeds the identity by {-slack:.3e}")
@@ -306,6 +313,22 @@ def _check_c(c: float) -> float:
     return c
 
 
+def _perspective_convexity(g, g_sym, pair1: CommutingPair,
+                           pair2: CommutingPair, c: float,
+                           tol: float) -> LoewnerVerdict:
+    """g_sym(cL1+(1-c)L2, cR1+(1-c)R2) <= c g(pair1) + (1-c) g(pair2)."""
+    c = _check_c(c)
+    if pair1.dim != pair2.dim:
+        raise ValueError(f"dimension mismatch: {pair1.dim} vs {pair2.dim}")
+    g1 = g(pair1)
+    g2 = g(pair2)
+    L = c * pair1.left.mat + (1.0 - c) * pair2.left.mat
+    R = c * pair1.right.mat + (1.0 - c) * pair2.right.mat
+    combo = g_sym(L, R)
+    mix = HermitianMatrix(c * g1.mat + (1.0 - c) * g2.mat)
+    return loewner_leq(combo, mix, tol)
+
+
 def check_perspective_joint_convexity(f: ScalarAtom, pair1: CommutingPair,
                                       pair2: CommutingPair, c: float,
                                       tol: float = 1e-8,
@@ -316,18 +339,11 @@ def check_perspective_joint_convexity(f: ScalarAtom, pair1: CommutingPair,
     Endpoints go through the eigen path; the combination generally fails
     to commute and goes through the symmetrized path.
     """
-    c = _check_c(c)
-    if pair1.dim != pair2.dim:
-        raise ValueError(f"dimension mismatch: {pair1.dim} vs {pair2.dim}")
-    if not f.operator_convex:
-        raise HypothesisViolation(f"atom {f.label} is not matrix convex")
-    g1 = perspective_eigen(f, pair1)
-    g2 = perspective_eigen(f, pair2)
-    L = c * pair1.left.mat + (1.0 - c) * pair2.left.mat
-    R = c * pair1.right.mat + (1.0 - c) * pair2.right.mat
-    combo = perspective_symmetrized(f, L, R, floor=floor)
-    mix = HermitianMatrix(c * g1.mat + (1.0 - c) * g2.mat)
-    return loewner_leq(combo, mix, tol)
+    _require_matrix_convex(f)
+    return _perspective_convexity(
+        lambda pair: perspective_eigen(f, pair),
+        lambda L, R: perspective_symmetrized(f, L, R, floor=floor),
+        pair1, pair2, c, tol)
 
 
 def check_extended_perspective_joint_convexity(f: ScalarAtom, h: ScalarAtom,
@@ -336,16 +352,11 @@ def check_extended_perspective_joint_convexity(f: ScalarAtom, h: ScalarAtom,
                                    floor: float = DEFAULT_FLOOR
                                    ) -> LoewnerVerdict:
     """Joint convexity of the extended perspective f(L/h(R))h(R)."""
-    c = _check_c(c)
-    if pair1.dim != pair2.dim:
-        raise ValueError(f"dimension mismatch: {pair1.dim} vs {pair2.dim}")
-    g1 = extended_perspective_eigen(f, h, pair1)
-    g2 = extended_perspective_eigen(f, h, pair2)
-    L = c * pair1.left.mat + (1.0 - c) * pair2.left.mat
-    R = c * pair1.right.mat + (1.0 - c) * pair2.right.mat
-    combo = extended_perspective_symmetrized(f, h, L, R, floor=floor)
-    mix = HermitianMatrix(c * g1.mat + (1.0 - c) * g2.mat)
-    return loewner_leq(combo, mix, tol)
+    return _perspective_convexity(
+        lambda pair: extended_perspective_eigen(f, h, pair),
+        lambda L, R: extended_perspective_symmetrized(f, h, L, R,
+                                                      floor=floor),
+        pair1, pair2, c, tol)
 
 
 def _density_operand(name: str, x) -> HermitianMatrix:
@@ -373,35 +384,44 @@ def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
     return scalar_geq(mixture, combo, tol)
 
 
+def _trace_concavity(functional, A1, B1, A2, B2, c: float,
+                     tol: float) -> LoewnerVerdict:
+    """functional(cA1+(1-c)A2, cB1+(1-c)B2) >= c v1 + (1-c) v2."""
+    c = _check_c(c)
+    v1 = functional(A1, B1)
+    v2 = functional(A2, B2)
+    Am = c * as_hermitian(A1).mat + (1.0 - c) * as_hermitian(A2).mat
+    Bm = c * as_hermitian(B1).mat + (1.0 - c) * as_hermitian(B2).mat
+    combo = functional(HermitianMatrix(Am), HermitianMatrix(Bm))
+    return scalar_geq(combo, c * v1 + (1.0 - c) * v2, tol)
+
+
 def check_lieb_concavity(A1, B1, A2, B2, K, s: float, c: float,
                          tol: float = 1e-8) -> LoewnerVerdict:
     """Joint concavity of Tr(A^s K* B^(1-s) K) in (A, B)."""
-    c = _check_c(c)
-    v1 = lieb_functional(A1, B1, K, s)
-    v2 = lieb_functional(A2, B2, K, s)
-    Am = c * as_hermitian(A1).mat + (1.0 - c) * as_hermitian(A2).mat
-    Bm = c * as_hermitian(B1).mat + (1.0 - c) * as_hermitian(B2).mat
-    combo = lieb_functional(HermitianMatrix(Am), HermitianMatrix(Bm), K, s)
-    return scalar_geq(combo, c * v1 + (1.0 - c) * v2, tol)
+    return _trace_concavity(lambda A, B: lieb_functional(A, B, K, s),
+                            A1, B1, A2, B2, c, tol)
 
 
 def check_lieb_pq_concavity(A1, B1, A2, B2, X, p: float, q: float, c: float,
                             tol: float = 1e-8) -> LoewnerVerdict:
     """Joint concavity of Tr(A^q X* B^p X) for p, q > 0, p + q <= 1."""
-    c = _check_c(c)
-    v1 = lieb_pq_functional(A1, B1, X, p, q)
-    v2 = lieb_pq_functional(A2, B2, X, p, q)
-    Am = c * as_hermitian(A1).mat + (1.0 - c) * as_hermitian(A2).mat
-    Bm = c * as_hermitian(B1).mat + (1.0 - c) * as_hermitian(B2).mat
-    combo = lieb_pq_functional(HermitianMatrix(Am), HermitianMatrix(Bm),
-                               X, p, q)
-    return scalar_geq(combo, c * v1 + (1.0 - c) * v2, tol)
+    return _trace_concavity(lambda A, B: lieb_pq_functional(A, B, X, p, q),
+                            A1, B1, A2, B2, c, tol)
+
+
+def _require_not_concave(f: ScalarAtom) -> None:
+    if f.operator_concave and not f.operator_convex:
+        raise HypothesisViolation(
+            f"atom {f.label} is concave; its scalar perspective is "
+            f"jointly concave, not convex")
 
 
 def check_classical_perspective_convexity(f: ScalarAtom, x1: float, t1: float,
                                           x2: float, t2: float, c: float,
                                           tol: float = 1e-8) -> LoewnerVerdict:
     """Scalar joint convexity of g(x, t) = f(x/t) t."""
+    _require_not_concave(f)
     c = _check_c(c)
     if t1 <= 0.0 or t2 <= 0.0:
         raise HypothesisViolation(
@@ -414,136 +434,121 @@ def check_classical_perspective_convexity(f: ScalarAtom, x1: float, t1: float,
 
 
 # ---------------------------------------------------------------------------
-# per-theorem trials
+# the theorem table
 
-def _scalar_in_domain(f: ScalarAtom, rng) -> float:
-    if f.domain.lo >= 0.0:
-        return float(np.exp(rng.uniform(np.log(SPECTRUM_LO),
-                                        np.log(SPECTRUM_HI))))
-    return float(rng.uniform(-REAL_BOUND, REAL_BOUND))
-
-
-def _pair_witness(tag: str, pair: CommutingPair) -> dict:
-    return {f"L{tag}": matrix_to_json(pair.left.mat),
-            f"R{tag}": matrix_to_json(pair.right.mat)}
-
-
-def _trial_hp(cfg: TrialConfig, rng, c):
+def _draw_jensen(cfg: TrialConfig, rng, A, B) -> dict:
     f = cfg.resolve_atom()
-    A, B = random_isometry_pair(cfg.dim_m, cfg.dim_n, rng)
-    T = random_hermitian_in_domain(f, cfg.dim_m, rng)
-    verdict = check_jensen_isometry(f, A, B, T, cfg.tol)
-    witness = {"atom": f.label, "A": matrix_to_json(A),
-               "B": matrix_to_json(B), "T": matrix_to_json(T.mat)}
-    return verdict, witness
+    return {"atom": f.label, "A": A, "B": B,
+            "T": random_hermitian_in_domain(f, cfg.dim_m, rng)}
 
 
-def _trial_hp_contractive(cfg: TrialConfig, rng, c):
+def _draw_pairs(cfg: TrialConfig, rng) -> dict:
+    return {"1": random_commuting_pair(cfg.dim_n, rng, cfg.floor),
+            "2": random_commuting_pair(cfg.dim_n, rng, cfg.floor)}
+
+
+def _draw_lieb(cfg: TrialConfig, rng, exponents: dict, key: str) -> dict:
+    w = dict(exponents)
+    for name in ("A1", "B1", "A2", "B2"):
+        w[name] = random_positive_matrix(cfg.dim_n, rng, cfg.floor)
+    w[key] = _complex_gaussian(rng, cfg.dim_n, cfg.dim_n)
+    return w
+
+
+def _draw_classical(cfg: TrialConfig, rng) -> dict:
     f = cfg.resolve_atom()
-    A, B = random_contraction_pair(cfg.dim_m, cfg.dim_n, rng, cfg.shrink)
-    T = random_hermitian_in_domain(f, cfg.dim_m, rng)
-    verdict = check_jensen_contractive(f, A, B, T, cfg.tol)
-    witness = {"atom": f.label, "A": matrix_to_json(A),
-               "B": matrix_to_json(B), "T": matrix_to_json(T.mat)}
-    return verdict, witness
+    w = {"atom": f.label}
+    for i in ("1", "2"):
+        w["x" + i] = float(_in_domain(f, rng))
+        w["t" + i] = float(_log_uniform(rng))
+    return w
 
 
-def _trial_perspective(cfg: TrialConfig, rng, c):
-    f = cfg.resolve_atom()
-    pair1 = random_commuting_pair(cfg.dim_n, rng, cfg.floor)
-    pair2 = random_commuting_pair(cfg.dim_n, rng, cfg.floor)
-    verdict = check_perspective_joint_convexity(f, pair1, pair2, c, cfg.tol,
-                                                floor=cfg.floor)
-    witness = {"atom": f.label}
-    witness.update(_pair_witness("1", pair1))
-    witness.update(_pair_witness("2", pair2))
-    return verdict, witness
+class _Theorem(NamedTuple):
+    """One theorem tag: ``draw(cfg, rng)`` returns the witness operands in
+    the tag's fixed RNG order, ``check(cfg, operands, c)`` decides the
+    inequality, and ``gate(cfg)`` rejects up front what the checker's
+    hypothesis gate would. Entries name generators and checkers at call
+    time, so rebinding a module-level name (as a tracer does) reaches them."""
+
+    draw: Callable
+    check: Callable
+    uses_c: bool
+    gate: Callable = lambda cfg: None
 
 
-def _trial_marechal(cfg: TrialConfig, rng, c):
-    f = cfg.resolve_atom()
-    h = lookup_atom("power", cfg.t)
-    pair1 = random_commuting_pair(cfg.dim_n, rng, cfg.floor)
-    pair2 = random_commuting_pair(cfg.dim_n, rng, cfg.floor)
-    verdict = check_extended_perspective_joint_convexity(f, h, pair1, pair2, c, cfg.tol,
-                                             floor=cfg.floor)
-    witness = {"atom": f.label, "h": h.label}
-    witness.update(_pair_witness("1", pair1))
-    witness.update(_pair_witness("2", pair2))
-    return verdict, witness
+def _contractive_gate(cfg: TrialConfig) -> None:
+    _require_isometry_dims(cfg.dim_m, cfg.dim_n)
+    _require_f0_nonpositive(cfg.resolve_atom())
 
 
-def _trial_rel_entropy(cfg: TrialConfig, rng, c):
-    rho1 = random_density(cfg.dim_n, rng, cfg.floor)
-    sigma1 = random_density(cfg.dim_n, rng, cfg.floor)
-    rho2 = random_density(cfg.dim_n, rng, cfg.floor)
-    sigma2 = random_density(cfg.dim_n, rng, cfg.floor)
-    verdict = check_relative_entropy_joint_convexity(
-        rho1, sigma1, rho2, sigma2, c, cfg.tol)
-    witness = {"rho1": matrix_to_json(rho1.mat),
-               "sigma1": matrix_to_json(sigma1.mat),
-               "rho2": matrix_to_json(rho2.mat),
-               "sigma2": matrix_to_json(sigma2.mat)}
-    return verdict, witness
-
-
-def _trial_lieb_s(cfg: TrialConfig, rng, c):
-    n = cfg.dim_n
-    A1 = random_positive_matrix(n, rng, cfg.floor)
-    B1 = random_positive_matrix(n, rng, cfg.floor)
-    A2 = random_positive_matrix(n, rng, cfg.floor)
-    B2 = random_positive_matrix(n, rng, cfg.floor)
-    K = _complex_gaussian(rng, n, n)
-    verdict = check_lieb_concavity(A1, B1, A2, B2, K, cfg.s, c, cfg.tol)
-    witness = {"s": cfg.s,
-               "A1": matrix_to_json(A1.mat), "B1": matrix_to_json(B1.mat),
-               "A2": matrix_to_json(A2.mat), "B2": matrix_to_json(B2.mat),
-               "K": matrix_to_json(K)}
-    return verdict, witness
-
-
-def _trial_lieb_pq(cfg: TrialConfig, rng, c):
-    n = cfg.dim_n
-    A1 = random_positive_matrix(n, rng, cfg.floor)
-    B1 = random_positive_matrix(n, rng, cfg.floor)
-    A2 = random_positive_matrix(n, rng, cfg.floor)
-    B2 = random_positive_matrix(n, rng, cfg.floor)
-    X = _complex_gaussian(rng, n, n)
-    verdict = check_lieb_pq_concavity(A1, B1, A2, B2, X, cfg.p, cfg.q, c,
-                                      cfg.tol)
-    witness = {"p": cfg.p, "q": cfg.q,
-               "A1": matrix_to_json(A1.mat), "B1": matrix_to_json(B1.mat),
-               "A2": matrix_to_json(A2.mat), "B2": matrix_to_json(B2.mat),
-               "X": matrix_to_json(X)}
-    return verdict, witness
-
-
-def _trial_classical(cfg: TrialConfig, rng, c):
-    f = cfg.resolve_atom()
-    x1 = _scalar_in_domain(f, rng)
-    t1 = float(np.exp(rng.uniform(np.log(SPECTRUM_LO), np.log(SPECTRUM_HI))))
-    x2 = _scalar_in_domain(f, rng)
-    t2 = float(np.exp(rng.uniform(np.log(SPECTRUM_LO), np.log(SPECTRUM_HI))))
-    verdict = check_classical_perspective_convexity(f, x1, t1, x2, t2, c,
-                                                    cfg.tol)
-    witness = {"atom": f.label, "x1": x1, "t1": t1, "x2": x2, "t2": t2}
-    return verdict, witness
-
-
-_TRIALS = {
-    "hp": _trial_hp,
-    "hp-contractive": _trial_hp_contractive,
-    "perspective": _trial_perspective,
-    "marechal": _trial_marechal,
-    "rel-entropy-convexity": _trial_rel_entropy,
-    "lieb-s": _trial_lieb_s,
-    "lieb-pq": _trial_lieb_pq,
-    "classical": _trial_classical,
+_THEOREMS = {
+    "hp": _Theorem(
+        lambda cfg, rng: _draw_jensen(
+            cfg, rng, *random_isometry_pair(cfg.dim_m, cfg.dim_n, rng)),
+        lambda cfg, w, c: check_jensen_isometry(
+            cfg.resolve_atom(), w["A"], w["B"], w["T"], cfg.tol),
+        False, lambda cfg: _require_isometry_dims(cfg.dim_m, cfg.dim_n)),
+    "hp-contractive": _Theorem(
+        lambda cfg, rng: _draw_jensen(cfg, rng, *random_contraction_pair(
+            cfg.dim_m, cfg.dim_n, rng, cfg.shrink)),
+        lambda cfg, w, c: check_jensen_contractive(
+            cfg.resolve_atom(), w["A"], w["B"], w["T"], cfg.tol),
+        False, _contractive_gate),
+    "perspective": _Theorem(
+        lambda cfg, rng: {"atom": cfg.resolve_atom().label,
+                          **_draw_pairs(cfg, rng)},
+        lambda cfg, w, c: check_perspective_joint_convexity(
+            cfg.resolve_atom(), w["1"], w["2"], c, cfg.tol, floor=cfg.floor),
+        True, lambda cfg: _require_matrix_convex(cfg.resolve_atom())),
+    "marechal": _Theorem(
+        lambda cfg, rng: {"atom": cfg.resolve_atom().label,
+                          "h": lookup_atom("power", cfg.t).label,
+                          **_draw_pairs(cfg, rng)},
+        lambda cfg, w, c: check_extended_perspective_joint_convexity(
+            cfg.resolve_atom(), lookup_atom("power", cfg.t), w["1"], w["2"],
+            c, cfg.tol, floor=cfg.floor),
+        True, lambda cfg: _require_extended_hypotheses(
+            cfg.resolve_atom(), lookup_atom("power", cfg.t))),
+    "rel-entropy-convexity": _Theorem(
+        lambda cfg, rng: {name: random_density(cfg.dim_n, rng, cfg.floor)
+                          for name in ("rho1", "sigma1", "rho2", "sigma2")},
+        lambda cfg, w, c: check_relative_entropy_joint_convexity(
+            w["rho1"], w["sigma1"], w["rho2"], w["sigma2"], c, cfg.tol),
+        True),
+    "lieb-s": _Theorem(
+        lambda cfg, rng: _draw_lieb(cfg, rng, {"s": cfg.s}, "K"),
+        lambda cfg, w, c: check_lieb_concavity(
+            w["A1"], w["B1"], w["A2"], w["B2"], w["K"], cfg.s, c, cfg.tol),
+        True),
+    "lieb-pq": _Theorem(
+        lambda cfg, rng: _draw_lieb(cfg, rng, {"p": cfg.p, "q": cfg.q}, "X"),
+        lambda cfg, w, c: check_lieb_pq_concavity(
+            w["A1"], w["B1"], w["A2"], w["B2"], w["X"], cfg.p, cfg.q, c,
+            cfg.tol),
+        True, lambda cfg: _require_pq_exponents(cfg.p, cfg.q)),
+    "classical": _Theorem(
+        _draw_classical,
+        lambda cfg, w, c: check_classical_perspective_convexity(
+            cfg.resolve_atom(), w["x1"], w["t1"], w["x2"], w["t2"], c,
+            cfg.tol),
+        True, lambda cfg: _require_not_concave(cfg.resolve_atom())),
 }
 
-# Tags whose inequality involves a mixing weight c.
-_USES_C = frozenset(("perspective", "marechal", "rel-entropy-convexity",
-                     "lieb-s", "lieb-pq", "classical"))
+
+def _encode_witness(witness: dict) -> dict:
+    """Matrix JSON for a raw witness; a CommutingPair under key k becomes
+    its two factors under Lk and Rk."""
+    doc = {}
+    for key, value in witness.items():
+        if isinstance(value, CommutingPair):
+            doc["L" + key] = matrix_to_json(value.left.mat)
+            doc["R" + key] = matrix_to_json(value.right.mat)
+        elif isinstance(value, (np.ndarray, HermitianMatrix, DensityMatrix)):
+            doc[key] = matrix_to_json(getattr(value, "mat", value))
+        else:
+            doc[key] = value
+    return doc
 
 
 def trial_seed(seed: int, theorem: str, index: int, redraw: int = 0) -> int:
@@ -552,23 +557,32 @@ def trial_seed(seed: int, theorem: str, index: int, redraw: int = 0) -> int:
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "little")
 
 
+def _entry(tag: str) -> _Theorem:
+    if tag not in _THEOREMS:
+        raise ValueError(f"unknown theorem tag {tag!r}")
+    return _THEOREMS[tag]
+
+
 def run_single(theorem: str, cfg: TrialConfig, index: int, redraw: int = 0):
     """One trial at explicit (index, redraw) coordinates.
 
-    Domain violations propagate to the caller; this is the replay entry
-    point, so a witness's recorded coordinates reproduce its slack exactly.
+    Returns the verdict and the raw witness: the drawn operands (arrays,
+    commuting pairs, scalars), the mixing weight ``c`` where the theorem
+    has one, and the replay coordinates. Domain violations propagate to
+    the caller; this is the replay entry point, so a witness's recorded
+    coordinates reproduce its slack exactly.
     """
-    if theorem not in _TRIALS:
-        raise ValueError(f"unknown theorem tag {theorem!r}")
+    entry = _entry(theorem)
     ts = trial_seed(cfg.seed, theorem, index, redraw)
     rng = np.random.default_rng(ts)
     c = None
-    if theorem in _USES_C:
+    if entry.uses_c:
         if cfg.force_endpoints and index < 3:
             c = (0.0, 0.5, 1.0)[index]
         else:
             c = float(rng.random())
-    verdict, witness = _TRIALS[theorem](cfg, rng, c)
+    witness = entry.draw(cfg, rng)
+    verdict = entry.check(cfg, witness, c)
     if c is not None:
         witness["c"] = c
     witness.update({"trial_index": index, "redraw": redraw, "trial_seed": ts,
@@ -589,51 +603,12 @@ def run_trial(theorem: str, cfg: TrialConfig, index: int):
         f"the generator cannot satisfy the theorem's domain")
 
 
-def _validate_for_tag(cfg: TrialConfig, tag: str) -> None:
-    if tag not in _TRIALS:
-        raise ValueError(f"unknown theorem tag {tag!r}")
-    if tag in ("hp", "hp-contractive") and 2 * cfg.dim_m < cfg.dim_n:
-        raise ValueError(
-            f"no isometry pair exists for dim_m={cfg.dim_m}, "
-            f"dim_n={cfg.dim_n}: need 2m >= n")
-    atom = cfg.resolve_atom()
-    if tag == "hp-contractive" and not atom.f0_nonpositive:
-        raise HypothesisViolation(
-            f"atom {atom.label} lacks f(0) <= 0 and cannot satisfy the "
-            f"contractive inequality's hypothesis")
-    if tag in ("perspective", "marechal") and not atom.operator_convex:
-        raise HypothesisViolation(
-            f"atom {atom.label} is not matrix convex; its perspective is "
-            f"not jointly convex")
-    if tag == "marechal" and not atom.f0_nonpositive:
-        raise HypothesisViolation(
-            f"atom {atom.label} lacks f(0) <= 0, required for the extended "
-            f"perspective")
-    if tag == "classical" and atom.operator_concave and not atom.operator_convex:
-        raise HypothesisViolation(
-            f"atom {atom.label} is concave; its scalar perspective is "
-            f"jointly concave, not convex")
-    if tag == "lieb-pq":
-        # Exercise the exponent validation before any trial runs.
-        if not (0.0 < cfg.q <= 1.0):
-            raise HypothesisViolation(
-                f"q must satisfy 0 < q <= 1, got {cfg.q}")
-        if cfg.q == 1.0:
-            if cfg.p != 0.0:
-                raise HypothesisViolation(
-                    f"p + q <= 1 with q = 1 forces p = 0, got p = {cfg.p}")
-        elif cfg.p <= 0.0 or cfg.p + cfg.q > 1.0 + 1e-12:
-            raise HypothesisViolation(
-                f"exponents must satisfy p, q > 0 and p + q <= 1, "
-                f"got ({cfg.p}, {cfg.q})")
-
-
-def run_campaign(cfg: TrialConfig, theorems, workers: int = 1) -> list:
+def run_campaign(cfg: TrialConfig, theorems) -> list:
     """Run the selected theorem campaigns and aggregate reports.
 
     The worst witness is the trial with the most negative slack, ties
-    broken by the lower trial index, so parallel and serial execution
-    produce identical reports.
+    broken by the lower trial index. Only that trial's operands are
+    encoded as matrix JSON.
     """
     if isinstance(theorems, str):
         theorems = (theorems,)
@@ -642,24 +617,19 @@ def run_campaign(cfg: TrialConfig, theorems, workers: int = 1) -> list:
         raise ValueError("duplicate theorem tags in selection")
     cfg.validate()
     for tag in tags:
-        _validate_for_tag(cfg, tag)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        _entry(tag).gate(cfg)
 
     reports = []
     for tag in tags:
-        if workers == 1:
-            outcomes = [run_trial(tag, cfg, i) for i in range(cfg.trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(
-                    lambda i: run_trial(tag, cfg, i), range(cfg.trials)))
-        failures = sum(1 for verdict, _ in outcomes if not verdict.holds)
-        worst_index = min(range(len(outcomes)),
-                          key=lambda i: (outcomes[i][0].slack, i))
-        worst_verdict, worst_witness = outcomes[worst_index]
+        failures, worst, worst_witness = 0, None, None
+        for i in range(cfg.trials):
+            verdict, witness = run_trial(tag, cfg, i)
+            failures += not verdict.holds
+            if worst is None or (verdict.slack, i) < worst:
+                worst, worst_witness = (verdict.slack, i), witness
         reports.append(CheckReport(
             theorem=tag, trials=cfg.trials, failures=failures,
-            worst_slack=float(worst_verdict.slack), tolerance=cfg.tol,
-            witness=worst_witness, config=cfg.fingerprint()))
+            worst_slack=float(worst[0]), tolerance=cfg.tol,
+            witness=_encode_witness(worst_witness),
+            config=cfg.fingerprint()))
     return reports

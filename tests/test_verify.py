@@ -12,7 +12,8 @@ from opconvex import (DomainViolation, HypothesisViolation, THEOREM_TAGS,
                       random_isometry_pair, random_positive_matrix,
                       random_probability_vector, random_unitary, run_campaign,
                       run_single, run_trial, scalar_geq, trial_seed)
-from opconvex.verify import _TRIALS, MAX_REDRAWS
+from opconvex.verify import (_THEOREMS, MAX_REDRAWS, _encode_witness,
+                             _Theorem)
 
 
 class TestTrialSeed:
@@ -156,6 +157,11 @@ class TestCheckerHypothesisGates:
         with pytest.raises(HypothesisViolation):
             check_lieb_concavity(A, A, A, A, np.eye(3), 1.5, 0.5)
 
+    def test_classical_rejects_concave_atom(self):
+        with pytest.raises(HypothesisViolation, match="concave"):
+            check_classical_perspective_convexity(lookup_atom("power", 0.5),
+                                                  1.0, 1.0, 9.0, 1.0, 0.5)
+
     def test_classical_base_gate(self):
         with pytest.raises(HypothesisViolation, match="positive"):
             check_classical_perspective_convexity(lookup_atom("square"),
@@ -168,7 +174,8 @@ class TestRunSingle:
         v1, w1 = run_single("perspective", cfg, 4)
         v2, w2 = run_single("perspective", cfg, 4)
         assert v1 == v2
-        assert w1 == w2
+        # raw witnesses hold commuting pairs; compare their encodings
+        assert _encode_witness(w1) == _encode_witness(w2)
 
     def test_forced_endpoints(self):
         cfg = TrialConfig(trials=10)
@@ -202,15 +209,16 @@ class TestRedrawMachinery:
     @pytest.fixture
     def flaky_tag(self):
         # draws that land below 0.6 are rejected as out-of-domain
-        def _trial(cfg, rng, c):
+        def _draw(cfg, rng):
             u = float(rng.random())
             if u < 0.6:
                 raise DomainViolation(f"rejected draw {u:.3f}")
-            return scalar_geq(u, 0.0, cfg.tol), {"u": u}
+            return {"u": u}
 
-        _TRIALS["flaky"] = _trial
+        _THEOREMS["flaky"] = _Theorem(
+            _draw, lambda cfg, w, c: scalar_geq(w["u"], 0.0, cfg.tol), False)
         yield "flaky"
-        del _TRIALS["flaky"]
+        del _THEOREMS["flaky"]
 
     def test_redraws_advance_until_accepted(self, flaky_tag):
         cfg = TrialConfig(trials=1)
@@ -227,12 +235,12 @@ class TestRedrawMachinery:
 
     @pytest.fixture
     def hopeless_tag(self):
-        def _trial(cfg, rng, c):
+        def _draw(cfg, rng):
             raise DomainViolation("never admissible")
 
-        _TRIALS["hopeless"] = _trial
+        _THEOREMS["hopeless"] = _Theorem(_draw, None, False)
         yield "hopeless"
-        del _TRIALS["hopeless"]
+        del _THEOREMS["hopeless"]
 
     def test_redraw_budget_exhaustion(self, hopeless_tag):
         with pytest.raises(HypothesisViolation,
@@ -254,20 +262,20 @@ class TestRunCampaign:
         assert set(doc) == {"theorem", "trials", "failures", "worst_slack",
                             "tolerance", "witness", "config"}
 
-    def test_worst_witness_replays_to_worst_slack(self):
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_worst_witness_replays_to_worst_slack(self, tag):
         cfg = TrialConfig(trials=40, seed=5)
-        for tag in ("hp", "marechal", "lieb-pq"):
-            r = run_campaign(cfg, (tag,))[0]
-            v, _ = run_single(tag, cfg, r.witness["trial_index"],
-                              r.witness["redraw"])
-            assert v.slack == r.worst_slack
+        r = run_campaign(cfg, (tag,))[0]
+        v, w = run_single(tag, cfg, r.witness["trial_index"],
+                          r.witness["redraw"])
+        assert v.slack == r.worst_slack
+        assert r.witness == _encode_witness(w)
 
-    def test_parallel_matches_serial(self):
+    def test_campaign_matches_per_tag_campaigns(self):
         cfg = TrialConfig(trials=30, seed=9)
         tags = ("perspective", "rel-entropy-convexity", "classical")
-        serial = run_campaign(cfg, tags, workers=1)
-        parallel = run_campaign(cfg, tags, workers=4)
-        assert serial == parallel
+        assert run_campaign(cfg, tags) == [run_campaign(cfg, (t,))[0]
+                                           for t in tags]
 
     def test_worst_slack_monotone_in_trial_count(self):
         small = run_campaign(TrialConfig(trials=20, seed=2), ("lieb-s",))[0]
