@@ -15,6 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+
+import numpy as np
 
 from .atoms import list_atoms
 from .errors import DomainViolation, HypothesisViolation
@@ -99,7 +102,96 @@ def _atom_parameter(args) -> float | None:
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The stdlib encodes through pure Python whenever ``indent`` is set, one
+    call per number; matrix ``entries`` dominate a report, so they are
+    printed a row at a time by C-level ``map``/``join`` instead.
+    """
+    out = []
+    _emit(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(x, level: int, out: list) -> None:
+    if isinstance(x, dict):
+        # int, float, bool and None keys are spelled the way json does
+        items = [(json.dumps(k if isinstance(k, str) else json.dumps(k))
+                  + ": ", v) for k, v in sorted(x.items())]
+        brackets = "{}"
+    elif isinstance(x, (list, tuple)):
+        if x and _emit_pair_block(x, level, out):
+            return
+        items = [("", v) for v in x]
+        brackets = "[]"
+    else:
+        out.append(json.dumps(x))
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = brackets[0] + inner
+    for prefix, value in items:
+        out.append(sep + prefix)
+        _emit(value, level + 1, out)
+        sep = "," + inner
+    out.append("\n" + "  " * level + brackets[1])
+
+
+def _emit_pair_block(rows, level: int, out: list) -> bool:
+    """Print ``rows`` if it is a matrix's entries: a list of non-empty rows
+    of ``[float, float]`` pairs, every number finite.
+
+    Returns False, with ``out`` untouched, for anything else; the generic
+    path then prints it (json spells NaN and infinities unlike ``repr``).
+    """
+    if (type(rows) is not list or type(rows[0]) is not list or not rows[0]
+            or type(rows[0][0]) is not list):
+        return False
+    i1, i2, i3 = ("\n" + "  " * (level + d) for d in (1, 2, 3))
+    num_sep = "," + i3
+    pair_sep = i2 + "]," + i2 + "[" + i3
+    row_sep = i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3
+    start = len(out)
+    sep = "[" + i1 + "[" + i2 + "[" + i3
+    for row in rows:
+        text = _pair_row(row, num_sep, pair_sep)
+        if text is None:
+            del out[start:]
+            return False
+        out.append(sep)
+        out.append(text)
+        sep = row_sep
+    out.append(i2 + "]" + i1 + "]\n" + "  " * level + "]")
+    return True
+
+
+def _pair_row(row, num_sep: str, pair_sep: str) -> str | None:
+    """The numbers of one row of finite ``[float, float]`` pairs, joined by
+    the separators, or None if the row is anything else."""
+    if (type(row) is not list or not row or set(map(type, row)) != {list}
+            or set(map(len, row)) != {2}):
+        return None
+    nums = map(float.__repr__, chain.from_iterable(row))
+    try:
+        text = pair_sep.join(map(num_sep.join, zip(nums, nums)))
+    except TypeError:  # a value that is not a float
+        return None
+    return None if "n" in text else text  # "n" spells nan, inf, -inf
+
+
+def _render(args, payload) -> str | None:
+    """Render ``payload`` once if ``--out`` or ``--json`` asks for it, and
+    write it to the ``--out`` file."""
+    if not (args.out or args.json):
+        return None
+    text = _dump(payload)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    return text
 
 
 def _cmd_verify(args) -> int:
@@ -116,14 +208,12 @@ def _cmd_verify(args) -> int:
 
     payload = ([r.to_json() for r in reports] if len(reports) > 1
                else reports[0].to_json())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_dump(payload))
+    text = _render(args, payload)
     total_failures = sum(r.failures for r in reports)
     if args.negative_control:
         r = reports[0]
         if args.json:
-            sys.stdout.write(_dump(payload))
+            sys.stdout.write(text)
         elif total_failures > 0:
             w = r.witness
             print(f"negative control {r.theorem}: violation found in "
@@ -135,7 +225,7 @@ def _cmd_verify(args) -> int:
         return 0 if total_failures > 0 else 1
 
     if args.json:
-        sys.stdout.write(_dump(payload))
+        sys.stdout.write(text)
     else:
         for r in reports:
             status = "PASS" if r.failures == 0 else "FAIL"
@@ -158,8 +248,7 @@ def _cmd_eval(args) -> int:
         rho = _load_hermitian("rho", args.rho)
         sigma = _load_hermitian("sigma", args.sigma)
         value = quantum_relative_entropy_direct(rho, sigma)
-        inputs = {"rho": matrix_to_json(rho.mat),
-                  "sigma": matrix_to_json(sigma.mat)}
+        inputs = {"rho": rho.mat, "sigma": sigma.mat}
     elif args.functional == "lieb-s":
         if args.s is None:
             raise ValueError("--s is required for lieb-s")
@@ -170,8 +259,7 @@ def _cmd_eval(args) -> int:
         with open(args.k) as fh:
             K = matrix_from_json(json.load(fh))
         value = lieb_functional(A, B, K, args.s)
-        inputs = {"a": matrix_to_json(A.mat), "b": matrix_to_json(B.mat),
-                  "k": matrix_to_json(K), "s": args.s}
+        inputs = {"a": A.mat, "b": B.mat, "k": K, "s": args.s}
     else:
         if args.p is None or args.q is None:
             raise ValueError("--p and --q are required for lieb-pq")
@@ -182,16 +270,15 @@ def _cmd_eval(args) -> int:
         with open(args.k) as fh:
             X = matrix_from_json(json.load(fh))
         value = lieb_pq_functional(A, B, X, args.p, args.q)
-        inputs = {"a": matrix_to_json(A.mat), "b": matrix_to_json(B.mat),
-                  "k": matrix_to_json(X), "p": args.p, "q": args.q}
+        inputs = {"a": A.mat, "b": B.mat, "k": X, "p": args.p, "q": args.q}
 
-    payload = {"functional": args.functional, "value": value,
-               "inputs": inputs}
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_dump(payload))
+    if args.out or args.json:  # the plain-text output echoes no inputs
+        inputs = {name: matrix_to_json(x) if isinstance(x, np.ndarray) else x
+                  for name, x in inputs.items()}
+    text = _render(args, {"functional": args.functional, "value": value,
+                             "inputs": inputs})
     if args.json:
-        sys.stdout.write(_dump(payload))
+        sys.stdout.write(text)
     else:
         print(f"{value:.17g}")
     return 0

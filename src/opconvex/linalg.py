@@ -183,36 +183,53 @@ def matrix_to_json(M) -> dict:
     A = as_matrix(M)
     if A.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {A.shape}")
-    entries = [[[float(z.real), float(z.imag)] for z in row] for row in A]
-    if A.shape[0] == A.shape[1]:
-        return {"dim": int(A.shape[0]), "entries": entries}
-    return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "entries": entries}
+    rows, cols = A.shape
+    entries = np.ascontiguousarray(A).view(np.float64).reshape(
+        rows, cols, 2).tolist()
+    if rows == cols:
+        return {"dim": rows, "entries": entries}
+    return {"rows": rows, "cols": cols, "entries": entries}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode the wire format back into a complex ndarray (no hermiticity gate)."""
+    """Decode the wire format back into a complex ndarray (no hermiticity gate).
+
+    Entries must be JSON numbers: ``null``, strings and objects are rejected
+    rather than coerced.
+    """
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")
-    if "dim" in obj:
-        rows = cols = int(obj["dim"])
-    elif "rows" in obj and "cols" in obj:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-    else:
-        raise ValueError("matrix JSON must carry 'dim' or 'rows'/'cols'")
+    try:
+        if "dim" in obj:
+            rows = cols = int(obj["dim"])
+        elif "rows" in obj and "cols" in obj:
+            rows, cols = int(obj["rows"]), int(obj["cols"])
+        else:
+            raise ValueError("matrix JSON must carry 'dim' or 'rows'/'cols'")
+    except TypeError:
+        raise ValueError("matrix dimensions must be integers") from None
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be at least 1")
     entries = obj["entries"]
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    try:
+        shaped = len(entries) == rows and all(len(r) == cols for r in entries)
+    except TypeError:
+        shaped = False
+    if not shaped:
         raise ValueError(f"entries shape does not match {rows}x{cols}")
-    M = np.empty((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(entries):
-        for j, pair in enumerate(row):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError("each entry must be a [re, im] pair")
-            M[i, j] = complex(float(pair[0]), float(pair[1]))
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    try:
+        E = np.array(entries)
+    except ValueError:  # ragged below the row level
+        E = None
+    if E is None or E.shape != (rows, cols, 2):
+        raise ValueError("each entry must be a [re, im] pair")
+    if E.dtype.kind not in "fi":
+        raise ValueError("matrix entries must be numbers")
+    E = E.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(E)):
         raise ValueError("matrix entries must be finite")
-    return M
+    # a view, not re + 1j*im, which would turn an imaginary -0.0 into +0.0
+    return E.view(np.complex128).reshape(rows, cols)
 
 
 def hermitian_from_json(obj: dict) -> HermitianMatrix:

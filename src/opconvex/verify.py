@@ -270,9 +270,20 @@ def _jensen_operands(A, B, T):
     return Am, Bm, Th, gap
 
 
+def _require_not_concave(f: ScalarAtom) -> None:
+    """Reject a strictly concave atom, for which the Jensen and scalar
+    perspective inequalities hold reversed. An atom that is neither convex
+    nor concave (the quartic negative control) passes."""
+    if f.operator_concave and not f.operator_convex:
+        raise HypothesisViolation(
+            f"atom {f.label} is concave; the inequality holds reversed "
+            f"for it")
+
+
 def check_jensen_isometry(f: ScalarAtom, A, B, T,
                           tol: float = 1e-8) -> LoewnerVerdict:
     """f(A*TA + B*TB) <= A*f(T)A + B*f(T)B for an isometry column pair."""
+    _require_not_concave(f)
     Am, Bm, Th, gap = _jensen_operands(A, B, T)
     defect = float(np.max(np.abs(gap)))
     if defect > HYPOTHESIS_TOL:
@@ -297,6 +308,7 @@ def check_jensen_contractive(f: ScalarAtom, A, B, T,
     blocks, which inject f(0) into the right-hand side; without f(0) <= 0
     the inequality is simply false (constant atoms break it).
     """
+    _require_not_concave(f)
     _require_f0_nonpositive(f)
     Am, Bm, Th, gap = _jensen_operands(A, B, T)
     slack = float(np.linalg.eigvalsh(gap)[0])
@@ -410,13 +422,6 @@ def check_lieb_pq_concavity(A1, B1, A2, B2, X, p: float, q: float, c: float,
                             A1, B1, A2, B2, c, tol)
 
 
-def _require_not_concave(f: ScalarAtom) -> None:
-    if f.operator_concave and not f.operator_convex:
-        raise HypothesisViolation(
-            f"atom {f.label} is concave; its scalar perspective is "
-            f"jointly concave, not convex")
-
-
 def check_classical_perspective_convexity(f: ScalarAtom, x1: float, t1: float,
                                           x2: float, t2: float, c: float,
                                           tol: float = 1e-8) -> LoewnerVerdict:
@@ -477,8 +482,13 @@ class _Theorem(NamedTuple):
     gate: Callable = lambda cfg: None
 
 
-def _contractive_gate(cfg: TrialConfig) -> None:
+def _jensen_gate(cfg: TrialConfig) -> None:
     _require_isometry_dims(cfg.dim_m, cfg.dim_n)
+    _require_not_concave(cfg.resolve_atom())
+
+
+def _contractive_gate(cfg: TrialConfig) -> None:
+    _jensen_gate(cfg)
     _require_f0_nonpositive(cfg.resolve_atom())
 
 
@@ -488,7 +498,7 @@ _THEOREMS = {
             cfg, rng, *random_isometry_pair(cfg.dim_m, cfg.dim_n, rng)),
         lambda cfg, w, c: check_jensen_isometry(
             cfg.resolve_atom(), w["A"], w["B"], w["T"], cfg.tol),
-        False, lambda cfg: _require_isometry_dims(cfg.dim_m, cfg.dim_n)),
+        False, _jensen_gate),
     "hp-contractive": _Theorem(
         lambda cfg, rng: _draw_jensen(cfg, rng, *random_contraction_pair(
             cfg.dim_m, cfg.dim_n, rng, cfg.shrink)),

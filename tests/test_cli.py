@@ -5,9 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opconvex import THEOREM_TAGS, matrix_from_json, matrix_to_json
-from opconvex.cli import main
+from opconvex.cli import _dump, main
 
 
 def write_matrix(path, M):
@@ -78,6 +80,15 @@ class TestVerifyCommand:
                      "neg_log", "--trials", "5"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tag", ["hp", "hp-contractive"])
+    def test_concave_atom_under_jensen_tag_exits_two(self, tag, capsys):
+        code = main(["verify", "--theorem", tag, "--atom", "power",
+                     "--trials", "5", "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "concave" in captured.err
 
     def test_witness_matrices_round_trip(self, tmp_path):
         out = tmp_path / "r.json"
@@ -195,6 +206,76 @@ class TestEvalCommand:
         main(["eval", "--functional", "lieb-s", "--a", eye2, "--b", eye2,
               "--k", eye2, "--s", "0.5", "--out", str(out)])
         assert json.loads(out.read_text())["value"] == 2.0
+
+    def test_out_and_json_write_the_same_text(self, tmp_path, eye2, capsys):
+        out = tmp_path / "v.json"
+        main(["eval", "--functional", "lieb-s", "--a", eye2, "--b", eye2,
+              "--k", eye2, "--s", "0.5", "--out", str(out), "--json"])
+        assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("bad", [None, "1.5", {"re": 1.0}],
+                             ids=["null", "string", "object"])
+    def test_non_numeric_entry_exits_two(self, tmp_path, eye2, bad, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]],
+                                   [[0.0, 0.0], [bad, 0.0]]]}))
+        code = main(["eval", "--functional", "rel-entropy", "--rho",
+                     str(path), "--sigma", eye2])
+        assert code == 2
+        assert "numbers" in capsys.readouterr().err
+
+
+# JSON trees for the printer property: matrix-shaped float blocks (NaN,
+# infinities, -0.0), ragged and rectangular ones, blocks of other scalars,
+# empty lists and dicts, and dicts with integer keys
+FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16,
+     1e-5, 1.0 / 3.0])
+SCALARS = (st.none() | st.booleans() | st.integers() | FLOATS
+           | st.text(max_size=4))
+PAIR_BLOCKS = st.lists(st.lists(st.lists(FLOATS, min_size=2, max_size=2),
+                                min_size=1, max_size=4),
+                       min_size=1, max_size=4)
+RECT_BLOCKS = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda rc: st.lists(
+        st.lists(st.lists(FLOATS, min_size=2, max_size=2),
+                 min_size=rc[1], max_size=rc[1]),
+        min_size=rc[0], max_size=rc[0]))
+ODD_BLOCKS = st.lists(st.lists(st.lists(SCALARS, max_size=3),
+                               max_size=3), max_size=3)
+JSON_TREES = st.recursive(
+    SCALARS | PAIR_BLOCKS | RECT_BLOCKS | ODD_BLOCKS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=4)
+                      | st.dictionaries(st.integers(), children,
+                                        max_size=3)),
+    max_leaves=12)
+
+
+class TestReportPrinter:
+    """``_dump`` must print exactly what the stdlib's indented encoder does."""
+
+    @staticmethod
+    def oracle(x):
+        return json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+    @given(JSON_TREES)
+    def test_matches_stdlib_indented_encoder(self, tree):
+        assert _dump(tree) == self.oracle(tree)
+
+    def test_matrix_payload(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        M[0, 0] = complex(-0.0, -0.0)
+        payload = {"value": 1.5, "inputs": {"k": matrix_to_json(M)}}
+        assert _dump(payload) == self.oracle(payload)
+
+    def test_non_finite_block_falls_back(self):
+        payload = {"entries": [[[1.0, 2.0]], [[float("nan"), -float("inf")]]]}
+        assert "NaN" in _dump(payload)
+        assert _dump(payload) == self.oracle(payload)
 
 
 class TestAtomsCommand:

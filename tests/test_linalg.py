@@ -164,6 +164,20 @@ class TestJsonWire:
         assert doc["rows"] == 2 and doc["cols"] == 5
         assert np.array_equal(matrix_from_json(doc), M)
 
+    def test_round_trip_keeps_signed_zeros(self):
+        M = np.array([[complex(-0.0, 1.0), complex(2.0, -0.0)],
+                      [complex(-0.0, -0.0), complex(0.0, 0.0)]])
+        doc = json.loads(json.dumps(matrix_to_json(M)))
+        assert doc["entries"][0][0] == [-0.0, 1.0]
+        back = matrix_from_json(doc)
+        assert np.array_equal(np.signbit(back.real), np.signbit(M.real))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(M.imag))
+        assert np.array_equal(back, M)
+
+    def test_integer_entries_accepted(self):
+        back = matrix_from_json({"dim": 1, "entries": [[[2, -1]]]})
+        assert back.dtype == np.complex128 and back[0, 0] == 2 - 1j
+
     def test_hermitian_gate_reports_defect(self):
         doc = matrix_to_json(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="2.000e\\+00"):
@@ -182,6 +196,14 @@ class TestJsonWire:
         {"dim": 1, "entries": [[[np.inf, 0.0]]]},
         {"dim": 1, "entries": [[[1.0]]]},
         {"dim": 0, "entries": []},
+        {"dim": None, "entries": [[[1.0, 0.0]]]},
+        {"dim": 1, "entries": 5},
+        {"dim": 1, "entries": [[[1.0, 0.0, 0.0]]]},
+        {"dim": 2, "entries": [[[1.0, 0.0], [1.0]],
+                               [[0.0, 0.0], [1.0, 0.0]]]},
+        {"dim": 1, "entries": [[[None, 0.0]]]},
+        {"dim": 1, "entries": [[["1.5", 0.0]]]},
+        {"dim": 1, "entries": [[[{"re": 1.0}, 0.0]]]},
     ])
     def test_malformed_rejected(self, doc):
         with pytest.raises(ValueError):

@@ -132,6 +132,15 @@ class TestCheckerHypothesisGates:
         with pytest.raises(HypothesisViolation, match="exceeds"):
             check_jensen_contractive(f, 1.1 * A, 1.1 * B, T)
 
+    @pytest.mark.parametrize("check", [check_jensen_isometry,
+                                       check_jensen_contractive])
+    def test_jensen_rejects_concave_atom(self, check):
+        f = lookup_atom("power", 0.5)
+        A, B = random_isometry_pair(3, 3, 6)
+        T = random_hermitian_in_domain(f, 3, 7)
+        with pytest.raises(HypothesisViolation, match="concave"):
+            check(f, A, B, T)
+
     def test_perspective_needs_matrix_convexity(self):
         p1 = random_commuting_pair(3, 12)
         p2 = random_commuting_pair(3, 13)
@@ -310,6 +319,14 @@ class TestRunCampaign:
         cfg = TrialConfig(trials=1, atom="power", atom_parameter=0.5)
         with pytest.raises(HypothesisViolation, match="concave"):
             run_campaign(cfg, ("classical",))
+
+    @pytest.mark.parametrize("tag", ["hp", "hp-contractive"])
+    def test_concave_atom_rejected_for_jensen_tags(self, tag):
+        cfg = TrialConfig(trials=1, atom="power", atom_parameter=0.5)
+        with pytest.raises(HypothesisViolation, match="concave"):
+            _THEOREMS[tag].gate(cfg)
+        with pytest.raises(HypothesisViolation, match="concave"):
+            run_campaign(cfg, (tag,))
 
     def test_negative_control_finds_quartic_violation(self):
         cfg = TrialConfig(trials=5000, seed=7, atom="quartic",
