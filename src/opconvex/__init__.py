@@ -32,18 +32,18 @@ from .perspective import (check_path_agreement, extended_perspective_eigen,
                           perspective_agreement_defect, perspective_eigen,
                           perspective_quadratic_form,
                           perspective_symmetrized)
-from .verify import (CheckReport, THEOREM_TAGS, TrialConfig,
-                     check_classical_perspective_convexity,
+from .checks import (check_classical_perspective_convexity,
                      check_extended_perspective_joint_convexity,
                      check_jensen_contractive, check_jensen_isometry,
                      check_lieb_concavity, check_lieb_pq_concavity,
                      check_perspective_joint_convexity,
-                     check_relative_entropy_joint_convexity,
+                     check_relative_entropy_joint_convexity, scalar_geq)
+from .verify import (CheckReport, THEOREM_TAGS, TrialConfig,
                      random_commuting_pair, random_contraction_pair,
                      random_density, random_hermitian_in_domain,
                      random_isometry_pair, random_positive_matrix,
                      random_probability_vector, random_unitary, run_campaign,
-                     run_single, run_trial, scalar_geq, trial_seed)
+                     run_single, run_trial, trial_seed)
 
 __version__ = "0.1.0"
 

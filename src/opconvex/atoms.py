@@ -38,6 +38,22 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
+    def admit(self, values, tol: float = ENDPOINT_TOL):
+        """Elementwise domain check for arrays of any shape.
+
+        Returns ``(clamped, bad)``: the values with endpoint noise (within
+        ``tol`` of a closed endpoint) moved onto the endpoint, and the mask
+        of values beyond that, or at/past an open endpoint.
+        """
+        x = np.asarray(values, dtype=float)
+        bad = x < self.lo - tol if self.lo_closed else x <= self.lo
+        bad |= x > self.hi + tol if self.hi_closed else x >= self.hi
+        if self.lo_closed and np.isfinite(self.lo):
+            x = np.where(x < self.lo, self.lo, x)
+        if self.hi_closed and np.isfinite(self.hi):
+            x = np.where(x > self.hi, self.hi, x)
+        return x, bad
+
     def clamp(self, values, tol: float = ENDPOINT_TOL) -> np.ndarray:
         """Validate ``values`` against the interval and clamp endpoint noise.
 
@@ -45,24 +61,23 @@ class Interval:
         beyond that, or at/past an open endpoint, raise ``DomainViolation``
         naming the offending value.
         """
-        x = np.atleast_1d(np.asarray(values, dtype=float)).copy()
-        if self.lo_closed:
-            bad = x < self.lo - tol
-        else:
-            bad = x <= self.lo
-        if self.hi_closed:
-            bad |= x > self.hi + tol
-        else:
-            bad |= x >= self.hi
+        x = np.atleast_1d(np.asarray(values, dtype=float))
+        out, bad = self.admit(x, tol)
         if np.any(bad):
-            offender = float(x[bad][0])
-            raise DomainViolation(
-                f"value {offender!r} outside domain {self.describe()}")
-        if self.lo_closed and np.isfinite(self.lo):
-            x[x < self.lo] = self.lo
-        if self.hi_closed and np.isfinite(self.hi):
-            x[x > self.hi] = self.hi
-        return x
+            raise self.violation(x[bad][0])
+        return x.copy() if out is x else out
+
+    def violation(self, value) -> DomainViolation:
+        return DomainViolation(
+            f"value {float(value)!r} outside domain {self.describe()}")
+
+    def interior_point(self) -> float:
+        """A point inside the interval, to stand in for rejected values."""
+        if self.lo < 1.0 < self.hi:
+            return 1.0
+        if np.isfinite(self.lo) and np.isfinite(self.hi):
+            return (self.lo + self.hi) / 2.0
+        return self.lo + 1.0 if np.isfinite(self.lo) else self.hi - 1.0
 
     def describe(self) -> str:
         left = "[" if self.lo_closed else "("

@@ -21,8 +21,9 @@ import math
 import numpy as np
 
 from .errors import DomainViolation
-from .linalg import (HermitianMatrix, UNITARY_TOL, as_hermitian, as_matrix,
-                     op_norm, spectral_decompose)
+from .linalg import (HermitianMatrix, RowErrors, UNITARY_TOL, _adj,
+                     _materialize, as_hermitian, as_matrix, op_norm,
+                     spectral_decompose)
 
 # Default strict-positivity floor for spectra.
 DEFAULT_FLOOR = 1e-8
@@ -51,18 +52,8 @@ class CommutingPair:
         n = U.shape[0]
         if lam.shape != (n,) or mu.shape != (n,):
             raise ValueError("spectra must match the basis dimension")
-        gram_defect = np.max(np.abs(U.conj().T @ U - np.eye(n)))
-        if gram_defect > UNITARY_TOL:
-            raise ValueError(
-                f"basis is not unitary: defect {gram_defect:.3e} exceeds "
-                f"{UNITARY_TOL:g}")
-        for name, v in (("lam", lam), ("mu", mu)):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
-            if np.min(v) < floor:
-                raise DomainViolation(
-                    f"{name} entry {float(np.min(v)):.3e} below the "
-                    f"positivity floor {floor:g}")
+        RowErrors.one(lambda errs: _pair_gates(U[None], lam[None], mu[None],
+                                               floor, errs))
         U = U.copy()
         U.flags.writeable = False
         lam = lam.copy()
@@ -101,11 +92,26 @@ class CommutingPair:
         return self._materialize(self._mu)
 
     def _materialize(self, spectrum) -> HermitianMatrix:
-        U = self._basis
-        return HermitianMatrix((U * spectrum) @ U.conj().T)
+        return HermitianMatrix(_materialize(self._basis, spectrum))
 
     def __repr__(self):
         return f"CommutingPair(dim={self.dim})"
+
+
+def _pair_gates(U, lam, mu, floor: float, errs: RowErrors):
+    """The ``CommutingPair`` checks on stacks of bases and spectra: a row
+    fails on a non-unitary basis, a non-finite spectrum or a spectrum entry
+    below ``floor``. Returns the rows' ``(U, lam, mu)``."""
+    gram = np.max(np.abs(_adj(U) @ U - np.eye(U.shape[-1])), axis=(-2, -1))
+    errs.fail(gram > UNITARY_TOL, lambda k: ValueError(
+        f"basis is not unitary: defect {gram[k]:.3e} exceeds {UNITARY_TOL:g}"))
+    for name, v in (("lam", lam), ("mu", mu)):
+        errs.fail(~np.all(np.isfinite(v), axis=-1),
+                  lambda k: ValueError(f"{name} must be finite"))
+        low = np.min(v, axis=-1)
+        errs.fail(low < floor, lambda k: DomainViolation(
+            f"{name} entry {low[k]:.3e} below the positivity floor {floor:g}"))
+    return U, lam, mu
 
 
 def make_commuting_pair(basis, lam, mu, floor: float = DEFAULT_FLOOR) -> CommutingPair:

@@ -10,8 +10,8 @@ import numpy as np
 from .atoms import ScalarAtom, lookup_atom
 from .commuting import DEFAULT_FLOOR, MultiplicationPair
 from .errors import DomainViolation, HypothesisViolation
-from .linalg import HermitianMatrix, apply_scalar_function, as_hermitian, \
-    as_matrix, spectral_decompose
+from .linalg import (HermitianMatrix, RowErrors, _adj, _calculus, _dot_rows,
+                     _eigh, _materialize, _sym, as_hermitian, as_matrix)
 from .perspective import perspective_quadratic_form
 
 # Strict positivity floor used when wrapping caller matrices into
@@ -69,17 +69,9 @@ class DensityMatrix:
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix, floor: float = DEFAULT_FLOOR):
-        H = as_hermitian(matrix)
-        tr = float(np.real(np.trace(H.mat)))
-        if tr <= 0.0:
-            raise DomainViolation(f"trace must be positive, got {tr:g}")
-        M = HermitianMatrix(H.mat / tr)
-        low = float(np.linalg.eigvalsh(M.mat)[0])
-        if low < floor:
-            raise DomainViolation(
-                f"density matrix has eigenvalue {low:.3e} below the "
-                f"positivity floor {floor:g}")
-        object.__setattr__(self, "_matrix", M)
+        H = as_hermitian(matrix).mat
+        M = RowErrors.one(lambda errs: _normalize(H[None], floor, errs))
+        object.__setattr__(self, "_matrix", HermitianMatrix(M))
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -100,10 +92,43 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def _normalize(H, floor, errs: RowErrors) -> np.ndarray:
+    """H / Tr H for a stack of Hermitian H, not yet symmetrized. A row fails
+    unless its trace is positive and the least eigenvalue of the result is
+    at least ``floor`` (a scalar, or one floor per row)."""
+    tr = np.trace(H, axis1=-2, axis2=-1).real
+    bad = tr <= 0.0
+    errs.fail(bad, lambda k: DomainViolation(
+        f"trace must be positive, got {tr[k]:g}"))
+    M = H / np.where(bad, 1.0, tr)[..., None, None]
+    low = np.linalg.eigvalsh(_sym(M))[..., 0]
+    floor = np.broadcast_to(floor, low.shape)
+    errs.fail(low < floor, lambda k: DomainViolation(
+        f"density matrix has eigenvalue {low[k]:.3e} below the "
+        f"positivity floor {floor[k]:g}"))
+    return M
+
+
 def _as_positive_operand(x) -> HermitianMatrix:
     if isinstance(x, DensityMatrix):
         return x.matrix
     return as_hermitian(x)
+
+
+def _relative_entropy(r, s, errs: RowErrors) -> np.ndarray:
+    """Tr r (log r - log s) for stacks of Hermitian r and s; a row fails
+    unless both are strictly positive."""
+    wr, _ = _eigh(r)
+    ws, Us = _eigh(s)
+    for name, w in (("rho", wr), ("sigma", ws)):
+        low = w[..., 0]
+        errs.fail(low <= 0.0, lambda k: DomainViolation(
+            f"{name} must be strictly positive, found eigenvalue "
+            f"{low[k]:.3e}"))
+    wr, ws = (np.where(w[..., :1] <= 0.0, 1.0, w) for w in (wr, ws))
+    ent = _dot_rows(wr, np.log(wr))
+    log_sigma = _materialize(Us, np.log(ws))
+    return ent - np.trace(r @ log_sigma, axis1=-2, axis2=-1).real
 
 
 def quantum_relative_entropy_direct(rho, sigma) -> float:
@@ -112,17 +137,8 @@ def quantum_relative_entropy_direct(rho, sigma) -> float:
     s = _as_positive_operand(sigma)
     if r.dim != s.dim:
         raise ValueError(f"dimension mismatch: {r.dim} vs {s.dim}")
-    dr, ds = spectral_decompose(r), spectral_decompose(s)
-    for name, dec in (("rho", dr), ("sigma", ds)):
-        if dec.eigenvalues[0] <= 0.0:
-            raise DomainViolation(
-                f"{name} must be strictly positive, found eigenvalue "
-                f"{dec.eigenvalues[0]:.3e}")
-    ent = float(np.dot(dr.eigenvalues, np.log(dr.eigenvalues)))
-    Us = ds.eigenvectors
-    log_sigma = (Us * np.log(ds.eigenvalues)) @ Us.conj().T
-    cross = float(np.real(np.trace(r.mat @ log_sigma)))
-    return ent - cross
+    return float(RowErrors.one(
+        lambda errs: _relative_entropy(r.mat[None], s.mat[None], errs)))
 
 
 def quantum_relative_entropy_perspective(rho, sigma) -> float:
@@ -142,25 +158,56 @@ def quantum_relative_entropy_perspective(rho, sigma) -> float:
     return perspective_quadratic_form(lookup_atom("xlogx"), mp, np.eye(r.dim))
 
 
-def lieb_functional(A, B, K, s: float) -> float:
-    """Tr(A^s K* B^(1-s) K) by functional-calculus powers, 0 < s < 1.
+def _trace_form(fa: ScalarAtom, fb, A, B, K, errs: RowErrors) -> np.ndarray:
+    """Tr(fa(A) K* fb(B) K) for stacks of positive A, B and square K; fb
+    None stands for B -> I."""
+    Af = _sym(_calculus(fa, A, errs))
+    Bf = (np.eye(A.shape[-1], dtype=np.complex128) if fb is None
+          else _sym(_calculus(fb, B, errs)))
+    return np.trace(Af @ _adj(K) @ Bf @ K, axis1=-2, axis2=-1).real
 
-    Jointly concave in (A, B); equals the negated quadratic form of the
-    perspective of -x^s on the multiplication pair (A, B).
-    """
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise HypothesisViolation(f"s must satisfy 0 < s < 1, got {s}")
+
+def _power_atoms(a: float, b: float) -> tuple:
+    """The atoms x^a and x^b of ``_trace_form``, x^0 as None."""
+    fb = None if b == 0.0 else lookup_atom("power", b)
+    return lookup_atom("power", a), fb
+
+
+def _trace_operands(A, B, K, name: str) -> tuple:
+    """A, B and K of a trace form as arrays, checked for matching shapes;
+    ``name`` is K's name in the error message."""
     Ah = _as_positive_operand(A)
     Bh = _as_positive_operand(B)
     Km = as_matrix(K)
     if Ah.dim != Bh.dim:
         raise ValueError(f"dimension mismatch: {Ah.dim} vs {Bh.dim}")
     if Km.shape != (Ah.dim, Ah.dim):
-        raise ValueError(f"K must be {Ah.dim}x{Ah.dim}, got shape {Km.shape}")
-    As = apply_scalar_function(lookup_atom("power", s), Ah).mat
-    Bs = apply_scalar_function(lookup_atom("power", 1.0 - s), Bh).mat
-    return float(np.real(np.trace(As @ Km.conj().T @ Bs @ Km)))
+        raise ValueError(
+            f"{name} must be {Ah.dim}x{Ah.dim}, got shape {Km.shape}")
+    return Ah.mat, Bh.mat, Km
+
+
+def _trace_form_one(fa: ScalarAtom, fb, A, B, K, name: str) -> float:
+    ops = _trace_operands(A, B, K, name)
+    return float(RowErrors.one(
+        lambda errs: _trace_form(fa, fb, *(x[None] for x in ops), errs)))
+
+
+def _require_lieb_exponent(s: float) -> float:
+    s = float(s)
+    if not 0.0 < s < 1.0:
+        raise HypothesisViolation(f"s must satisfy 0 < s < 1, got {s}")
+    return s
+
+
+def lieb_functional(A, B, K, s: float) -> float:
+    """Tr(A^s K* B^(1-s) K) by functional-calculus powers, 0 < s < 1.
+
+    Jointly concave in (A, B); equals the negated quadratic form of the
+    perspective of -x^s on the multiplication pair (A, B).
+    """
+    s = _require_lieb_exponent(s)
+    return _trace_form_one(*_power_atoms(s, 1.0 - s), A, B, K, "K")
 
 
 def _require_pq_exponents(p: float, q: float) -> tuple[float, float]:
@@ -187,28 +234,24 @@ def lieb_pq_functional(A, B, X, p: float, q: float) -> float:
     Tr(A X* X).
     """
     p, q = _require_pq_exponents(p, q)
-    Ah = _as_positive_operand(A)
-    Bh = _as_positive_operand(B)
-    Xm = as_matrix(X)
-    if Ah.dim != Bh.dim:
-        raise ValueError(f"dimension mismatch: {Ah.dim} vs {Bh.dim}")
-    if Xm.shape != (Ah.dim, Ah.dim):
-        raise ValueError(f"X must be {Ah.dim}x{Ah.dim}, got shape {Xm.shape}")
-    Aq = apply_scalar_function(lookup_atom("power", q), Ah).mat
-    if p == 0.0:
-        Bp = np.eye(Bh.dim, dtype=np.complex128)
-    else:
-        Bp = apply_scalar_function(lookup_atom("power", p), Bh).mat
-    return float(np.real(np.trace(Aq @ Xm.conj().T @ Bp @ Xm)))
+    return _trace_form_one(*_power_atoms(q, p), A, B, X, "X")
+
+
+def _classical(f: ScalarAtom, x, t, errs: RowErrors) -> np.ndarray:
+    """f(x / t) t for stacked rows x of shape (batch, k) and bases t of
+    shape (batch,); a row fails unless its base is positive."""
+    bad = t <= 0.0
+    errs.fail(bad, lambda k: DomainViolation(
+        f"perspective base must be positive, got {float(t[k])}"))
+    t = np.where(bad, 1.0, t)[:, None]
+    return f(errs.clamp(f.domain, x / t)) * t
 
 
 def classical_perspective(f: ScalarAtom, x, t: float) -> np.ndarray:
     """Componentwise scalar perspective f(x_i / t) t for a single t > 0."""
-    t = float(t)
-    if t <= 0.0:
-        raise DomainViolation(f"perspective base must be positive, got {t}")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    return f(f.domain.clamp(xv / t)) * t
+    return RowErrors.one(lambda errs: _classical(
+        f, xv.reshape(1, -1), np.array([float(t)]), errs)).reshape(xv.shape)
 
 
 def _as_weights(name: str, p) -> np.ndarray:

@@ -5,6 +5,14 @@ Hermitian matrix, push a scalar function through its spectrum, and decide
 A <= B in the positive semidefinite order with an explicit, relative
 tolerance. This module owns those primitives plus the JSON wire format for
 matrices used by the command line and by verification witness records.
+
+The primitives come as kernels on stacks of matrices, shape (batch, n, n),
+which the verifier uses to decide many trials at once. A kernel never
+raises for one row: a gate that fails records the row's exception in a
+``RowErrors`` and the other rows go on. The public functions run the same
+kernels on a batch of one and raise that row's exception. Stacked LAPACK
+and matmul calls give bit-identical results to per-matrix calls
+(``tests/test_linalg.py`` guards this), so both paths agree exactly.
 """
 from __future__ import annotations
 
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import ScalarAtom
+from .atoms import Interval, ScalarAtom
 from .errors import EigendecompositionError
 
 # Readers of Hermitian operands reject anything further from Hermitian
@@ -68,6 +76,75 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim}, defect={self._defect:.3g})"
 
 
+def _adj(M) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return M.conj().swapaxes(-1, -2)
+
+
+def _sym(M) -> np.ndarray:
+    """Hermitian part (M + M*)/2 of each matrix in a stack: what
+    ``HermitianMatrix`` stores."""
+    return (M + _adj(M)) / 2.0
+
+
+def _materialize(U, spectrum) -> np.ndarray:
+    """U diag(spectrum) U* for stacks of bases and spectra."""
+    return (U * spectrum[..., None, :]) @ _adj(U)
+
+
+def _dot_rows(x, y) -> np.ndarray:
+    """Row-wise inner products of real stacks, through matmul's dot kernel
+    (the one ``np.dot`` uses), so each equals ``np.dot(x[k], y[k])``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+class RowErrors:
+    """The first exception each row of a stacked batch raised.
+
+    Batched kernels decide many trials at once. A gate that fails on some
+    rows records an exception for each of them instead of raising, so the
+    other rows go on; a row keeps only its first exception, which is the
+    one the same computation on that row alone would have raised.
+    """
+
+    __slots__ = ("errors",)
+
+    def __init__(self, rows: int):
+        self.errors = [None] * rows
+
+    def fail(self, mask, make) -> None:
+        """Record ``make(k)`` for every row k where ``mask`` holds."""
+        for k in np.flatnonzero(mask):
+            if self.errors[k] is None:
+                self.errors[k] = make(k)
+
+    def clamp(self, domain: Interval, x) -> np.ndarray:
+        """``domain.clamp`` on every row of the stack ``x``.
+
+        A row holding a value outside the domain fails with the
+        ``DomainViolation`` naming its first such value; those values are
+        replaced by an interior point, so the row stays finite downstream.
+        """
+        out, bad = domain.admit(x)
+        rows = bad.reshape(len(bad), -1).any(axis=1)
+        if rows.any():
+            self.fail(rows, lambda k: domain.violation(x[k][bad[k]][0]))
+            out = np.where(bad, domain.interior_point(), out)
+        return out
+
+    @classmethod
+    def one(cls, kernel):
+        """Run ``kernel(errors)`` on a batch of one; raise the row's
+        exception, else return row 0 of the result (of each, for a tuple)."""
+        errs = cls(1)
+        out = kernel(errs)
+        if errs.errors[0] is not None:
+            raise errs.errors[0]
+        if isinstance(out, tuple):
+            return tuple(x[0] for x in out)
+        return out[0]
+
+
 def as_matrix(x) -> np.ndarray:
     """Coerce a HermitianMatrix or array-like to a complex ndarray."""
     if isinstance(x, HermitianMatrix):
@@ -113,16 +190,32 @@ class LoewnerVerdict:
     slack: float
     tolerance_used: float
 
+    @classmethod
+    def of(cls, slack, tolerance_used) -> "LoewnerVerdict":
+        return cls(holds=bool(slack >= -tolerance_used), slack=float(slack),
+                   tolerance_used=float(tolerance_used))
+
+
+def _eigh(H):
+    """``eigh`` of a stack of Hermitian matrices; a LAPACK failure raises
+    ``EigendecompositionError``."""
+    try:
+        return np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionError(H.shape[-1], float(np.max(np.abs(H))),
+                                      str(exc)) from exc
+
 
 def spectral_decompose(T) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix with ascending eigenvalues."""
-    H = as_hermitian(T)
-    try:
-        w, U = np.linalg.eigh(H.mat)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(H.dim, float(np.max(np.abs(H.mat))),
-                                      str(exc)) from exc
-    return SpectralDecomposition(w, U)
+    return SpectralDecomposition(*_eigh(as_hermitian(T).mat))
+
+
+def _calculus(f: ScalarAtom, H, errs: RowErrors) -> np.ndarray:
+    """U f(w) U* for each H = U diag(w) U* of a stack, not yet symmetrized.
+    A row with an eigenvalue outside f's domain fails."""
+    w, U = _eigh(H)
+    return _materialize(U, f(errs.clamp(f.domain, w)))
 
 
 def apply_scalar_function(f: ScalarAtom, T) -> HermitianMatrix:
@@ -132,10 +225,9 @@ def apply_scalar_function(f: ScalarAtom, T) -> HermitianMatrix:
     of floating-point noise at closed endpoints) before evaluation; an
     eigenvalue outside the domain raises ``DomainViolation`` naming it.
     """
-    dec = spectral_decompose(T)
-    vals = f(f.domain.clamp(dec.eigenvalues))
-    U = dec.eigenvectors
-    return HermitianMatrix((U * vals) @ U.conj().T)
+    H = as_hermitian(T).mat
+    return HermitianMatrix(RowErrors.one(
+        lambda errs: _calculus(f, H[None], errs)))
 
 
 def op_norm(M) -> float:
@@ -145,6 +237,13 @@ def op_norm(M) -> float:
         w = np.linalg.eigvalsh(A)
         return float(max(abs(w[0]), abs(w[-1])))
     return float(np.linalg.norm(A, 2))
+
+
+def _loewner(A, B, tol: float):
+    """(slack, tolerance_used) of A <= B for stacks of Hermitian A, B."""
+    w = np.linalg.eigvalsh(B - A)
+    slack = w[..., 0]
+    return slack, tol * (1.0 + np.maximum(np.abs(slack), np.abs(w[..., -1])))
 
 
 def loewner_leq(A, B, tol: float = 1e-8) -> LoewnerVerdict:
@@ -157,12 +256,7 @@ def loewner_leq(A, B, tol: float = 1e-8) -> LoewnerVerdict:
     Am, Bm = as_hermitian(A), as_hermitian(B)
     if Am.dim != Bm.dim:
         raise ValueError(f"dimension mismatch: {Am.dim} vs {Bm.dim}")
-    w = np.linalg.eigvalsh(Bm.mat - Am.mat)
-    slack = float(w[0])
-    scale = 1.0 + max(abs(float(w[0])), abs(float(w[-1])))
-    tolerance_used = tol * scale
-    return LoewnerVerdict(holds=slack >= -tolerance_used, slack=slack,
-                          tolerance_used=tolerance_used)
+    return LoewnerVerdict.of(*_loewner(Am.mat, Bm.mat, tol))
 
 
 def hs_inner(X, Y) -> complex:
@@ -194,8 +288,8 @@ def matrix_to_json(M) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the wire format back into a complex ndarray (no hermiticity gate).
 
-    Entries must be JSON numbers: ``null``, strings and objects are rejected
-    rather than coerced.
+    Entries must be JSON numbers: ``null``, booleans, strings and objects
+    are rejected rather than coerced.
     """
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")
@@ -225,6 +319,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError("each entry must be a [re, im] pair")
     if E.dtype.kind not in "fi":
         raise ValueError("matrix entries must be numbers")
+    # np.array turns a boolean among numbers into 0 or 1, so only entries
+    # equal to one of those can have been a boolean
+    for i, j, p in zip(*(a.tolist() for a in np.nonzero((E == 0) | (E == 1)))):
+        if type(entries[i][j][p]) is bool:
+            raise ValueError("matrix entries must be numbers")
     E = E.astype(np.float64, copy=False)
     if not np.all(np.isfinite(E)):
         raise ValueError("matrix entries must be finite")

@@ -35,8 +35,8 @@ import numpy as np
 from .atoms import ScalarAtom
 from .commuting import CommutingPair, DEFAULT_FLOOR, MultiplicationPair
 from .errors import DomainViolation, HypothesisViolation
-from .linalg import (HermitianMatrix, apply_scalar_function, as_hermitian,
-                     as_matrix, op_norm, spectral_decompose)
+from .linalg import (HermitianMatrix, RowErrors, _calculus, _eigh,
+                     _materialize, _sym, as_hermitian, as_matrix, op_norm)
 
 # Required agreement between the eigen and symmetrized paths on commuting
 # inputs, relative to 1 + ||output||.
@@ -65,30 +65,70 @@ def _require_extended_hypotheses(f: ScalarAtom, h: ScalarAtom) -> None:
         raise HypothesisViolation(f"atom {h.label} is not matrix concave")
 
 
-def _base(h, r: np.ndarray) -> np.ndarray:
-    """The perspective's base on the right spectrum r: r itself when h is
-    None or the identity, else h(r), which must be strictly positive."""
+def _base(h, r, errs: RowErrors) -> np.ndarray:
+    """The perspective's base on stacked right spectra r: r itself when h
+    is None or the identity, else h(r); a row where h(r) is not strictly
+    positive fails."""
     if h is None or h.name == "identity":
         return r
-    hr = h(h.domain.clamp(r))
-    if np.min(hr) <= 0.0:
-        raise DomainViolation(
+    hr = h(errs.clamp(h.domain, r))
+    low = np.min(hr, axis=-1)
+    bad = low <= 0.0
+    if bad.any():
+        errs.fail(bad, lambda k: DomainViolation(
             f"h must be strictly positive on the right spectrum, found "
-            f"h value {float(np.min(hr)):.3e}")
+            f"h value {low[k]:.3e}"))
+        hr = np.where(bad[..., None], 1.0, hr)
     return hr
 
 
-def _eigen(f: ScalarAtom, h, pair: CommutingPair) -> HermitianMatrix:
-    base = _base(h, pair.mu)
-    vals = f(f.domain.clamp(pair.lam / base)) * base
-    U = pair.basis
-    return HermitianMatrix((U * vals) @ U.conj().T)
+def _eigen(f: ScalarAtom, h, U, lam, mu, errs: RowErrors) -> np.ndarray:
+    """U diag(f(lam/b) b) U* for stacked commuting pairs (U, lam, mu), with
+    base b = ``_base(h, mu)``; not yet symmetrized."""
+    base = _base(h, mu, errs)
+    return _materialize(U, f(errs.clamp(f.domain, lam / base)) * base)
+
+
+def _eigen_one(f: ScalarAtom, h, pair: CommutingPair) -> HermitianMatrix:
+    return HermitianMatrix(RowErrors.one(lambda errs: _eigen(
+        f, h, pair.basis[None], pair.lam[None], pair.mu[None], errs)))
 
 
 def perspective_eigen(f: ScalarAtom, pair: CommutingPair) -> HermitianMatrix:
     """Perspective of f on a commuting pair, via the joint eigenbasis."""
     _require_convexity_flag(f)
-    return _eigen(f, None, pair)
+    return _eigen_one(f, None, pair)
+
+
+def _symmetrized(f: ScalarAtom, h, L, R, floor: float,
+                 errs: RowErrors) -> np.ndarray:
+    """R'^{1/2} f(R'^{-1/2} L R'^{-1/2}) R'^{1/2} for stacks of Hermitian L
+    and R, with R' = h(R) (R itself when h is None or the identity); not
+    yet symmetrized. A row fails where R' has an eigenvalue below
+    ``floor``."""
+    if h is not None and h.name != "identity":
+        R = _sym(_calculus(h, R, errs))
+    w, U = _eigh(R)
+    low = w[..., 0]
+    bad = low < floor
+    if bad.any():
+        errs.fail(bad, lambda k: DomainViolation(
+            f"perspective base has eigenvalue {low[k]:.3e} below the "
+            f"invertibility floor {floor:g}"))
+        w = np.where(bad[..., None], 1.0, w)
+    sq = np.sqrt(w)
+    half = _materialize(U, sq)
+    inv_half = _materialize(U, 1.0 / sq)
+    inner = _sym(inv_half @ L @ inv_half)
+    return half @ _sym(_calculus(f, inner, errs)) @ half
+
+
+def _symmetrized_one(f: ScalarAtom, h, L, R, floor: float) -> HermitianMatrix:
+    Lh, Rh = as_hermitian(L), as_hermitian(R)
+    if Lh.dim != Rh.dim:
+        raise ValueError(f"dimension mismatch: {Lh.dim} vs {Rh.dim}")
+    return HermitianMatrix(RowErrors.one(lambda errs: _symmetrized(
+        f, h, Lh.mat[None], Rh.mat[None], floor, errs)))
 
 
 def perspective_symmetrized(f: ScalarAtom, L, R,
@@ -100,21 +140,7 @@ def perspective_symmetrized(f: ScalarAtom, L, R,
     violations downstream.
     """
     _require_convexity_flag(f)
-    Lh, Rh = as_hermitian(L), as_hermitian(R)
-    if Lh.dim != Rh.dim:
-        raise ValueError(f"dimension mismatch: {Lh.dim} vs {Rh.dim}")
-    dec = spectral_decompose(Rh)
-    if dec.eigenvalues[0] < floor:
-        raise DomainViolation(
-            f"perspective base has eigenvalue {dec.eigenvalues[0]:.3e} below "
-            f"the invertibility floor {floor:g}")
-    U = dec.eigenvectors
-    sq = np.sqrt(dec.eigenvalues)
-    half = (U * sq) @ U.conj().T
-    inv_half = (U * (1.0 / sq)) @ U.conj().T
-    inner = HermitianMatrix(inv_half @ Lh.mat @ inv_half)
-    f_inner = apply_scalar_function(f, inner)
-    return HermitianMatrix(half @ f_inner.mat @ half)
+    return _symmetrized_one(f, None, L, R, floor)
 
 
 def perspective_agreement_defect(f: ScalarAtom, pair: CommutingPair) -> float:
@@ -143,7 +169,7 @@ def extended_perspective_eigen(f: ScalarAtom, h: ScalarAtom,
                                pair: CommutingPair) -> HermitianMatrix:
     """Extended perspective f(L / h(R)) h(R) on a commuting pair."""
     _require_extended_hypotheses(f, h)
-    return _eigen(f, h, pair)
+    return _eigen_one(f, h, pair)
 
 
 def extended_perspective_symmetrized(f: ScalarAtom, h: ScalarAtom, L, R,
@@ -151,15 +177,13 @@ def extended_perspective_symmetrized(f: ScalarAtom, h: ScalarAtom, L, R,
                                      ) -> HermitianMatrix:
     """Extended perspective on possibly non-commuting arguments.
 
-    Computes h(R) by functional calculus and hands it to the symmetrized
-    plain perspective, which is exactly the composition the definition
+    Computes h(R) by functional calculus and takes the symmetrized plain
+    perspective on it, which is exactly the composition the definition
     prescribes; the invertibility floor applies to h(R), the matrix whose
     inverse square root is taken.
     """
     _require_extended_hypotheses(f, h)
-    Rh = as_hermitian(R)
-    hR = Rh if h.name == "identity" else apply_scalar_function(h, Rh)
-    return perspective_symmetrized(f, L, hR, floor=floor)
+    return _symmetrized_one(f, h, L, R, floor)
 
 
 def _quasi_entropy(f: ScalarAtom, h, mp: MultiplicationPair, K) -> float:
@@ -173,7 +197,8 @@ def _quasi_entropy(f: ScalarAtom, h, mp: MultiplicationPair, K) -> float:
     if Km.shape != (n, n):
         raise ValueError(f"K must be {n}x{n}, got shape {Km.shape}")
     Us, s, Ur, r = mp.factors
-    base = _base(h, r)
+    base = r if h is None else RowErrors.one(
+        lambda errs: _base(h, r[None], errs))
     weights = np.abs(Us.conj().T @ Km.conj().T @ Ur) ** 2
     g = f(f.domain.clamp(s[:, None] / base)) * base
     return float(np.sum(g * weights))

@@ -1,17 +1,34 @@
 """Seeded randomized verification of the inequality zoo.
 
-One table maps each theorem tag to a draw of operands, a checker, and the
-configuration gates its hypotheses impose. Draws come from a per-trial
-``numpy`` Generator seeded by a stable hash of (campaign seed, theorem
-tag, trial index, redraw counter), so campaigns are reproducible
-trial-by-trial and any reported witness can be replayed from its recorded
-coordinates alone.
+One table maps each theorem tag to its draws, the construction of its
+operands, its checker kernel (from ``checks``), and the configuration
+gates its hypotheses impose. Each trial draws from its own ``numpy`` Generator, seeded by a
+stable hash of (campaign seed, theorem tag, trial index, redraw counter),
+so campaigns are reproducible trial by trial and any reported witness can
+be replayed from its recorded coordinates alone.
 
-Checkers validate the theorem's hypotheses before evaluating the
-inequality: a hypothesis defect is a generator bug and raises
-``HypothesisViolation``, never counts as an inequality failure. Domain
+The engine decides a tag's trials together, ``CHUNK`` at a time, in three
+steps:
+
+1. Draw: each trial makes its RNG calls in the tag's fixed order. The
+   draws are random numbers only, with no linear algebra.
+2. Stack and decide: the draws are stacked along a leading batch axis, and
+   every QR, Wishart product, eigendecomposition, functional-calculus map,
+   trace and Loewner slack runs once on the (batch, n, n) arrays.
+3. Encode: only the worst trial's operands are built, from its slice of
+   the stacks, and encoded as matrix JSON.
+
+Stacked LAPACK and matmul calls give bit-identical results to per-matrix
+calls, and ``run_single`` is the same engine on a batch of one, so a
+witness replays to exactly its reported slack. The public ``check_*``
+functions run the same checker kernels on a batch of one.
+
+In a campaign a hypothesis defect is a generator bug: it raises
+``HypothesisViolation`` and never counts as an inequality failure. Domain
 violations (an instance wandering out of an atom's domain) are rejected
-trials and trigger a redraw with the next sub-seed.
+trials: they are marked without stopping their batch and redrawn with the
+next sub-seed. A campaign raises the exception of the lowest trial index
+whose trial ends in one, as a trial-by-trial loop would.
 """
 from __future__ import annotations
 
@@ -22,30 +39,40 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .atoms import ScalarAtom, lookup_atom
-from .commuting import CommutingPair, DEFAULT_FLOOR, make_commuting_pair
+from .checks import (_DENSITIES, _classical_convexity, _jensen,
+                     _perspective_convexity,
+                     _relative_entropy_convexity, _require_f0_nonpositive,
+                     _require_not_concave, _trace_concavity)
+from .commuting import (CommutingPair, DEFAULT_FLOOR, _pair_gates,
+                        make_commuting_pair)
 from .errors import DomainViolation, HypothesisViolation
-from .functionals import (DensityMatrix, ProbabilityVector,
-                          _require_pq_exponents, classical_perspective,
-                          lieb_functional, lieb_pq_functional,
-                          quantum_relative_entropy_direct)
-from .linalg import (HermitianMatrix, LoewnerVerdict, apply_scalar_function,
-                     as_hermitian, as_matrix, loewner_leq, matrix_to_json)
-from .perspective import (_require_extended_hypotheses,
-                          _require_matrix_convex, extended_perspective_eigen,
-                          extended_perspective_symmetrized,
-                          perspective_eigen, perspective_symmetrized)
+from .functionals import (DensityMatrix, ProbabilityVector, _normalize,
+                          _power_atoms, _require_pq_exponents)
+from .linalg import (HermitianMatrix, LoewnerVerdict, RowErrors, _adj,
+                     _materialize, _sym, matrix_to_json)
+from .perspective import _require_extended_hypotheses, _require_matrix_convex
+
+# The checkers, and the Loewner test they reduce to, are also looked up
+# under this module's name, the verifier's public face.
+from .checks import (  # noqa: F401
+    check_classical_perspective_convexity,
+    check_extended_perspective_joint_convexity, check_jensen_contractive,
+    check_jensen_isometry, check_lieb_concavity, check_lieb_pq_concavity,
+    check_perspective_joint_convexity, check_relative_entropy_joint_convexity,
+    scalar_geq)
+from .linalg import loewner_leq  # noqa: F401
 
 # Theorem tags in canonical order; "all" in the CLI expands to this.
 THEOREM_TAGS = ("hp", "hp-contractive", "perspective", "marechal",
                 "rel-entropy-convexity", "lieb-s", "lieb-pq", "classical")
 
-# Hypothesis fidelity bound: generated instances must satisfy their
-# theorem's hypotheses (isometry defect, contraction slack, unit trace)
-# this tightly before the inequality is evaluated.
-HYPOTHESIS_TOL = 1e-10
-
 # Redraw budget per trial before we call the generator broken.
 MAX_REDRAWS = 100
+
+# Trials decided together in one batch: memory stays bounded whatever the
+# trial count, while batches stay long enough to amortize numpy's per-call
+# overhead at small n.
+CHUNK = 64
 
 # Random spectra are log-uniform on [SPECTRUM_LO, SPECTRUM_HI]: four
 # orders of magnitude of quotient conditioning without leaving any
@@ -129,39 +156,48 @@ class CheckReport:
                 "config": self.config}
 
 
-def scalar_geq(lhs: float, rhs: float, tol: float) -> LoewnerVerdict:
-    """Scalar analogue of the Loewner check: lhs >= rhs up to tol*scale."""
-    lhs, rhs = float(lhs), float(rhs)
-    slack = lhs - rhs
-    used = tol * (1.0 + max(abs(lhs), abs(rhs)))
-    return LoewnerVerdict(holds=bool(slack >= -used), slack=slack,
-                          tolerance_used=used)
-
-
 # ---------------------------------------------------------------------------
-# instance generators
+# instance generators; the helpers take stacks as well as single matrices
+
+def _complex(G) -> np.ndarray:
+    """re + 1j*im from standard normals shaped (..., 2, rows, cols)."""
+    return G[..., 0, :, :] + 1j * G[..., 1, :, :]
+
 
 def _complex_gaussian(rng, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal(
-        (rows, cols))
+    return _complex(rng.standard_normal((2, rows, cols)))
+
+
+def _haar(G) -> np.ndarray:
+    """Haar unitaries from square complex Gaussians: QR with the phases of
+    R's diagonal moved into Q."""
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    phases = np.where(np.abs(d) > 0.0, d / np.abs(np.where(d == 0, 1, d)), 1.0)
+    return Q * phases[..., None, :]
+
+
+def _wishart(G, floor: float) -> np.ndarray:
+    """G G* + floor I."""
+    return G @ _adj(G) + floor * np.eye(G.shape[-1])
+
+
+def _isometry_pair(G, m: int):
+    """(A, B) from the orthonormalized columns of 2m x n Gaussians."""
+    Q = np.linalg.qr(G)[0]
+    return Q[..., :m, :], Q[..., m:, :]
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed n x n unitary (QR with phase-fixed diagonal)."""
-    rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(_complex_gaussian(rng, n, n))
-    d = np.diagonal(R)
-    phases = np.where(np.abs(d) > 0.0, d / np.abs(np.where(d == 0, 1, d)), 1.0)
-    return Q * phases
+    return _haar(_complex_gaussian(np.random.default_rng(seed), n, n))
 
 
 def random_density(n: int, seed, floor: float = DEFAULT_FLOOR) -> DensityMatrix:
     """Wishart density G G* + floor I, trace-normalized."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    G = _complex_gaussian(rng, n, n)
-    M = G @ G.conj().T + floor * np.eye(n)
+    M = _wishart(_complex_gaussian(np.random.default_rng(seed), n, n), floor)
     tr = float(np.real(np.trace(M)))
     return DensityMatrix(M, floor=floor / tr)
 
@@ -169,9 +205,8 @@ def random_density(n: int, seed, floor: float = DEFAULT_FLOOR) -> DensityMatrix:
 def random_positive_matrix(n: int, seed,
                            floor: float = DEFAULT_FLOOR) -> HermitianMatrix:
     """Wishart positive matrix G G* + floor I (no normalization)."""
-    rng = np.random.default_rng(seed)
-    G = _complex_gaussian(rng, n, n)
-    return HermitianMatrix(G @ G.conj().T + floor * np.eye(n))
+    return HermitianMatrix(
+        _wishart(_complex_gaussian(np.random.default_rng(seed), n, n), floor))
 
 
 def _require_isometry_dims(m: int, n: int) -> None:
@@ -188,8 +223,7 @@ def random_isometry_pair(m: int, n: int, seed):
     """
     _require_isometry_dims(m, n)
     rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(_complex_gaussian(rng, 2 * m, n))
-    return Q[:m, :], Q[m:, :]
+    return _isometry_pair(_complex_gaussian(rng, 2 * m, n), m)
 
 
 def random_contraction_pair(m: int, n: int, seed, shrink: float = 1.0):
@@ -214,8 +248,11 @@ def random_commuting_pair(n: int, seed, floor: float = DEFAULT_FLOOR,
     return make_commuting_pair(U, lam, mu, floor=floor)
 
 
+_LOG_SPECTRUM = (np.log(SPECTRUM_LO), np.log(SPECTRUM_HI))
+
+
 def _log_uniform(rng, size=None):
-    return np.exp(rng.uniform(np.log(SPECTRUM_LO), np.log(SPECTRUM_HI), size))
+    return np.exp(rng.uniform(*_LOG_SPECTRUM, size))
 
 
 def _in_domain(f: ScalarAtom, rng, size=None):
@@ -233,8 +270,7 @@ def random_hermitian_in_domain(f: ScalarAtom, n: int, seed) -> HermitianMatrix:
     """
     rng = np.random.default_rng(seed)
     U = random_unitary(n, rng)
-    w = _in_domain(f, rng, n)
-    return HermitianMatrix((U * w) @ U.conj().T)
+    return HermitianMatrix(_materialize(U, _in_domain(f, rng, n)))
 
 
 def random_probability_vector(n: int, seed) -> ProbabilityVector:
@@ -244,240 +280,142 @@ def random_probability_vector(n: int, seed) -> ProbabilityVector:
 
 
 # ---------------------------------------------------------------------------
-# checkers, one per inequality
+# the theorem table: per family, one trial's draws, the stacked operands
+# built from a batch of them, and one trial's witness operands
 
-def _jensen_verdict(f: ScalarAtom, Am, Bm, Th: HermitianMatrix,
-                    tol: float) -> LoewnerVerdict:
-    fT = apply_scalar_function(f, Th).mat
-    compressed = HermitianMatrix(
-        Am.conj().T @ Th.mat @ Am + Bm.conj().T @ Th.mat @ Bm)
-    lhs = apply_scalar_function(f, compressed)
-    rhs = HermitianMatrix(Am.conj().T @ fT @ Am + Bm.conj().T @ fT @ Bm)
-    return loewner_leq(lhs, rhs, tol)
-
-
-def _jensen_operands(A, B, T):
-    """The operands as arrays, plus I - (A*A + B*B)."""
-    Am, Bm = as_matrix(A), as_matrix(B)
-    if Am.shape != Bm.shape or Am.ndim != 2:
-        raise ValueError(
-            f"A and B must share an m x n shape, got {Am.shape} and {Bm.shape}")
-    Th = as_hermitian(T)
-    if Th.dim != Am.shape[0]:
-        raise ValueError(
-            f"T must be {Am.shape[0]} square to match the pair, got {Th.dim}")
-    gap = np.eye(Am.shape[1]) - (Am.conj().T @ Am + Bm.conj().T @ Bm)
-    return Am, Bm, Th, gap
+def _draw_jensen(cfg: TrialConfig, f: ScalarAtom, rng,
+                 contractive: bool) -> dict:
+    d = {"AB": rng.standard_normal((2, 2 * cfg.dim_m, cfg.dim_n))}
+    if contractive:
+        d["gamma"] = cfg.shrink * (1.0 - rng.random())
+    d["U"] = rng.standard_normal((2, cfg.dim_m, cfg.dim_m))
+    d["w"] = _in_domain(f, rng, cfg.dim_m)
+    return d
 
 
-def _require_not_concave(f: ScalarAtom) -> None:
-    """Reject a strictly concave atom, for which the Jensen and scalar
-    perspective inequalities hold reversed. An atom that is neither convex
-    nor concave (the quartic negative control) passes."""
-    if f.operator_concave and not f.operator_convex:
-        raise HypothesisViolation(
-            f"atom {f.label} is concave; the inequality holds reversed "
-            f"for it")
+def _build_jensen(cfg: TrialConfig, f: ScalarAtom, S: dict,
+                  errs: RowErrors) -> dict:
+    A, B = _isometry_pair(_complex(S["AB"]), cfg.dim_m)
+    if "gamma" in S:
+        gamma = S["gamma"][:, None, None]
+        A, B = A * gamma, B * gamma
+    T = _sym(_materialize(_haar(_complex(S["U"])), S["w"]))
+    return {"A": A, "B": B, "T": T}
 
 
-def check_jensen_isometry(f: ScalarAtom, A, B, T,
-                          tol: float = 1e-8) -> LoewnerVerdict:
-    """f(A*TA + B*TB) <= A*f(T)A + B*f(T)B for an isometry column pair."""
-    _require_not_concave(f)
-    Am, Bm, Th, gap = _jensen_operands(A, B, T)
-    defect = float(np.max(np.abs(gap)))
-    if defect > HYPOTHESIS_TOL:
-        raise HypothesisViolation(
-            f"A*A + B*B deviates from the identity by {defect:.3e}")
-    return _jensen_verdict(f, Am, Bm, Th, tol)
+def _jensen_witness(cfg: TrialConfig, f: ScalarAtom, ops: dict, k: int):
+    return {"atom": f.label, "A": ops["A"][k], "B": ops["B"][k],
+            "T": HermitianMatrix(ops["T"][k])}
 
 
-def _require_f0_nonpositive(f: ScalarAtom) -> None:
-    if not f.f0_nonpositive:
-        raise HypothesisViolation(
-            f"atom {f.label} lacks f(0) <= 0; the contractive inequality "
-            f"needs it because dilating A, B to an isometry pads with zero "
-            f"blocks whose contribution is f(0)")
+def _draw_pairs(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
+    n = cfg.dim_n
+    bounds = (np.log(max(SPECTRUM_LO, cfg.floor)), _LOG_SPECTRUM[1])
+    d = {}
+    for i in "12":
+        d["U" + i] = rng.standard_normal((2, n, n))
+        # log lam then log mu, as two draws of n would give them
+        d["spec" + i] = rng.uniform(*bounds, 2 * n)
+    return d
 
 
-def check_jensen_contractive(f: ScalarAtom, A, B, T,
-                             tol: float = 1e-8) -> LoewnerVerdict:
-    """The same inequality under A*A + B*B <= I, for atoms with f(0) <= 0.
-
-    The contraction dilates to an isometry only by padding with zero
-    blocks, which inject f(0) into the right-hand side; without f(0) <= 0
-    the inequality is simply false (constant atoms break it).
-    """
-    _require_not_concave(f)
-    _require_f0_nonpositive(f)
-    Am, Bm, Th, gap = _jensen_operands(A, B, T)
-    slack = float(np.linalg.eigvalsh(gap)[0])
-    if slack < -HYPOTHESIS_TOL:
-        raise HypothesisViolation(
-            f"A*A + B*B exceeds the identity by {-slack:.3e}")
-    return _jensen_verdict(f, Am, Bm, Th, tol)
+def _build_pairs(cfg: TrialConfig, f: ScalarAtom, S: dict,
+                 errs: RowErrors) -> dict:
+    n, pairs = cfg.dim_n, {}
+    for i in "12":
+        spec = np.exp(S["spec" + i])
+        pairs[i] = _pair_gates(_haar(_complex(S["U" + i])), spec[:, :n],
+                               spec[:, n:], cfg.floor, errs)
+    return pairs
 
 
-def _check_c(c: float) -> float:
-    c = float(c)
-    if not 0.0 <= c <= 1.0:
-        raise HypothesisViolation(f"mixing weight must be in [0, 1], got {c}")
-    return c
+def _pairs_witness(cfg: TrialConfig, ops: dict, k: int) -> dict:
+    return {i: CommutingPair(*(x[k] for x in ops[i]), floor=cfg.floor)
+            for i in "12"}
 
 
-def _perspective_convexity(g, g_sym, pair1: CommutingPair,
-                           pair2: CommutingPair, c: float,
-                           tol: float) -> LoewnerVerdict:
-    """g_sym(cL1+(1-c)L2, cR1+(1-c)R2) <= c g(pair1) + (1-c) g(pair2)."""
-    c = _check_c(c)
-    if pair1.dim != pair2.dim:
-        raise ValueError(f"dimension mismatch: {pair1.dim} vs {pair2.dim}")
-    g1 = g(pair1)
-    g2 = g(pair2)
-    L = c * pair1.left.mat + (1.0 - c) * pair2.left.mat
-    R = c * pair1.right.mat + (1.0 - c) * pair2.right.mat
-    combo = g_sym(L, R)
-    mix = HermitianMatrix(c * g1.mat + (1.0 - c) * g2.mat)
-    return loewner_leq(combo, mix, tol)
+def _draw_densities(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
+    return {"G": rng.standard_normal((len(_DENSITIES), 2, cfg.dim_n,
+                                      cfg.dim_n))}
 
 
-def check_perspective_joint_convexity(f: ScalarAtom, pair1: CommutingPair,
-                                      pair2: CommutingPair, c: float,
-                                      tol: float = 1e-8,
-                                      floor: float = DEFAULT_FLOOR
-                                      ) -> LoewnerVerdict:
-    """g(cL1+(1-c)L2, cR1+(1-c)R2) <= c g(L1,R1) + (1-c) g(L2,R2).
-
-    Endpoints go through the eigen path; the combination generally fails
-    to commute and goes through the symmetrized path.
-    """
-    _require_matrix_convex(f)
-    return _perspective_convexity(
-        lambda pair: perspective_eigen(f, pair),
-        lambda L, R: perspective_symmetrized(f, L, R, floor=floor),
-        pair1, pair2, c, tol)
+def _build_densities(cfg: TrialConfig, f: ScalarAtom, S: dict,
+                     errs: RowErrors) -> dict:
+    """Per name: the Wishart matrix M, its trace, and the density, checked
+    as ``random_density`` checks it."""
+    ops = {}
+    for j, name in enumerate(_DENSITIES):
+        M = _wishart(_complex(S["G"][:, j]), cfg.floor)
+        tr = np.trace(M, axis1=-2, axis2=-1).real
+        ops[name] = (M, tr, _sym(_normalize(_sym(M), cfg.floor / tr, errs)))
+    return ops
 
 
-def check_extended_perspective_joint_convexity(f: ScalarAtom, h: ScalarAtom,
-                                   pair1: CommutingPair, pair2: CommutingPair,
-                                   c: float, tol: float = 1e-8,
-                                   floor: float = DEFAULT_FLOOR
-                                   ) -> LoewnerVerdict:
-    """Joint convexity of the extended perspective f(L/h(R))h(R)."""
-    return _perspective_convexity(
-        lambda pair: extended_perspective_eigen(f, h, pair),
-        lambda L, R: extended_perspective_symmetrized(f, h, L, R,
-                                                      floor=floor),
-        pair1, pair2, c, tol)
+def _densities_witness(cfg: TrialConfig, f: ScalarAtom, ops: dict, k: int):
+    return {name: DensityMatrix(M[k], floor=cfg.floor / tr[k])
+            for name, (M, tr, _) in ops.items()}
 
 
-def _density_operand(name: str, x) -> HermitianMatrix:
-    H = x.matrix if isinstance(x, DensityMatrix) else as_hermitian(x)
-    tr = float(np.real(np.trace(H.mat)))
-    if abs(tr - 1.0) > HYPOTHESIS_TOL:
-        raise HypothesisViolation(f"{name} must have unit trace, got {tr!r}")
-    return H
+_LIEB = ("A1", "B1", "A2", "B2")
 
 
-def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
-                                           c: float, tol: float = 1e-8
-                                           ) -> LoewnerVerdict:
-    """c S(r1||s1) + (1-c) S(r2||s2) >= S(c r1+(1-c)r2 || c s1+(1-c)s2)."""
-    c = _check_c(c)
-    r1 = _density_operand("rho1", rho1)
-    s1 = _density_operand("sigma1", sigma1)
-    r2 = _density_operand("rho2", rho2)
-    s2 = _density_operand("sigma2", sigma2)
-    mixture = (c * quantum_relative_entropy_direct(r1, s1)
-               + (1.0 - c) * quantum_relative_entropy_direct(r2, s2))
-    combo = quantum_relative_entropy_direct(
-        HermitianMatrix(c * r1.mat + (1.0 - c) * r2.mat),
-        HermitianMatrix(c * s1.mat + (1.0 - c) * s2.mat))
-    return scalar_geq(mixture, combo, tol)
+def _draw_lieb(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
+    # the four Wishart factors, then K
+    return {"G": rng.standard_normal((len(_LIEB) + 1, 2, cfg.dim_n,
+                                      cfg.dim_n))}
 
 
-def _trace_concavity(functional, A1, B1, A2, B2, c: float,
-                     tol: float) -> LoewnerVerdict:
-    """functional(cA1+(1-c)A2, cB1+(1-c)B2) >= c v1 + (1-c) v2."""
-    c = _check_c(c)
-    v1 = functional(A1, B1)
-    v2 = functional(A2, B2)
-    Am = c * as_hermitian(A1).mat + (1.0 - c) * as_hermitian(A2).mat
-    Bm = c * as_hermitian(B1).mat + (1.0 - c) * as_hermitian(B2).mat
-    combo = functional(HermitianMatrix(Am), HermitianMatrix(Bm))
-    return scalar_geq(combo, c * v1 + (1.0 - c) * v2, tol)
+def _build_lieb(cfg: TrialConfig, f: ScalarAtom, S: dict,
+                errs: RowErrors) -> dict:
+    ops = {name: _sym(_wishart(_complex(S["G"][:, j]), cfg.floor))
+           for j, name in enumerate(_LIEB)}
+    ops["K"] = _complex(S["G"][:, len(_LIEB)])
+    return ops
 
 
-def check_lieb_concavity(A1, B1, A2, B2, K, s: float, c: float,
-                         tol: float = 1e-8) -> LoewnerVerdict:
-    """Joint concavity of Tr(A^s K* B^(1-s) K) in (A, B)."""
-    return _trace_concavity(lambda A, B: lieb_functional(A, B, K, s),
-                            A1, B1, A2, B2, c, tol)
-
-
-def check_lieb_pq_concavity(A1, B1, A2, B2, X, p: float, q: float, c: float,
-                            tol: float = 1e-8) -> LoewnerVerdict:
-    """Joint concavity of Tr(A^q X* B^p X) for p, q > 0, p + q <= 1."""
-    return _trace_concavity(lambda A, B: lieb_pq_functional(A, B, X, p, q),
-                            A1, B1, A2, B2, c, tol)
-
-
-def check_classical_perspective_convexity(f: ScalarAtom, x1: float, t1: float,
-                                          x2: float, t2: float, c: float,
-                                          tol: float = 1e-8) -> LoewnerVerdict:
-    """Scalar joint convexity of g(x, t) = f(x/t) t."""
-    _require_not_concave(f)
-    c = _check_c(c)
-    if t1 <= 0.0 or t2 <= 0.0:
-        raise HypothesisViolation(
-            f"perspective bases must be positive, got {t1} and {t2}")
-    g1 = float(classical_perspective(f, x1, t1)[0])
-    g2 = float(classical_perspective(f, x2, t2)[0])
-    combo = float(classical_perspective(
-        f, c * x1 + (1.0 - c) * x2, c * t1 + (1.0 - c) * t2)[0])
-    return scalar_geq(c * g1 + (1.0 - c) * g2, combo, tol)
-
-
-# ---------------------------------------------------------------------------
-# the theorem table
-
-def _draw_jensen(cfg: TrialConfig, rng, A, B) -> dict:
-    f = cfg.resolve_atom()
-    return {"atom": f.label, "A": A, "B": B,
-            "T": random_hermitian_in_domain(f, cfg.dim_m, rng)}
-
-
-def _draw_pairs(cfg: TrialConfig, rng) -> dict:
-    return {"1": random_commuting_pair(cfg.dim_n, rng, cfg.floor),
-            "2": random_commuting_pair(cfg.dim_n, rng, cfg.floor)}
-
-
-def _draw_lieb(cfg: TrialConfig, rng, exponents: dict, key: str) -> dict:
+def _lieb_witness(ops: dict, k: int, exponents: dict, key: str) -> dict:
     w = dict(exponents)
-    for name in ("A1", "B1", "A2", "B2"):
-        w[name] = random_positive_matrix(cfg.dim_n, rng, cfg.floor)
-    w[key] = _complex_gaussian(rng, cfg.dim_n, cfg.dim_n)
+    for name in _LIEB:
+        w[name] = HermitianMatrix(ops[name][k])
+    w[key] = ops["K"][k]
     return w
 
 
-def _draw_classical(cfg: TrialConfig, rng) -> dict:
-    f = cfg.resolve_atom()
-    w = {"atom": f.label}
-    for i in ("1", "2"):
-        w["x" + i] = float(_in_domain(f, rng))
-        w["t" + i] = float(_log_uniform(rng))
-    return w
+def _lieb_check(cfg: TrialConfig, ops: dict, c, errs: RowErrors,
+                fa: ScalarAtom, fb):
+    return _trace_concavity(fa, fb, *(ops[name] for name in _LIEB), ops["K"],
+                            c, cfg.tol, errs)
+
+
+_SCALARS = ("x1", "t1", "x2", "t2")
+
+
+def _draw_classical(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
+    d = {}
+    for i in "12":
+        d["x" + i] = float(_in_domain(f, rng))
+        d["t" + i] = float(_log_uniform(rng))
+    return d
 
 
 class _Theorem(NamedTuple):
-    """One theorem tag: ``draw(cfg, rng)`` returns the witness operands in
-    the tag's fixed RNG order, ``check(cfg, operands, c)`` decides the
-    inequality, and ``gate(cfg)`` rejects up front what the checker's
-    hypothesis gate would. Entries name generators and checkers at call
-    time, so rebinding a module-level name (as a tracer does) reaches them."""
+    """One theorem tag.
+
+    ``draw(cfg, f, rng)`` makes one trial's RNG calls in the tag's fixed
+    order and returns its raw draws, with f the configured atom.
+    ``build(cfg, f, S, errs)`` takes a batch's draws stacked along a
+    leading axis and returns the stacked operands, ``check(cfg, f, ops, c,
+    errs)`` returns the stacked (slack, tolerance_used) of the inequality,
+    with ``c`` the stacked mixing weights, and ``witness(cfg, f, ops, k)``
+    builds row k's operands for the report. A gate that fails on a row
+    records the row's exception in ``errs``. ``gate(cfg)`` rejects up
+    front what the checker's hypothesis gate would.
+    """
 
     draw: Callable
+    build: Callable
     check: Callable
+    witness: Callable
     uses_c: bool
     gate: Callable = lambda cfg: None
 
@@ -494,54 +432,57 @@ def _contractive_gate(cfg: TrialConfig) -> None:
 
 _THEOREMS = {
     "hp": _Theorem(
-        lambda cfg, rng: _draw_jensen(
-            cfg, rng, *random_isometry_pair(cfg.dim_m, cfg.dim_n, rng)),
-        lambda cfg, w, c: check_jensen_isometry(
-            cfg.resolve_atom(), w["A"], w["B"], w["T"], cfg.tol),
-        False, _jensen_gate),
+        lambda cfg, f, rng: _draw_jensen(cfg, f, rng, False), _build_jensen,
+        lambda cfg, f, ops, c, errs: _jensen(
+            f, ops["A"], ops["B"], ops["T"], cfg.tol, errs, False),
+        _jensen_witness, False, _jensen_gate),
     "hp-contractive": _Theorem(
-        lambda cfg, rng: _draw_jensen(cfg, rng, *random_contraction_pair(
-            cfg.dim_m, cfg.dim_n, rng, cfg.shrink)),
-        lambda cfg, w, c: check_jensen_contractive(
-            cfg.resolve_atom(), w["A"], w["B"], w["T"], cfg.tol),
-        False, _contractive_gate),
+        lambda cfg, f, rng: _draw_jensen(cfg, f, rng, True), _build_jensen,
+        lambda cfg, f, ops, c, errs: _jensen(
+            f, ops["A"], ops["B"], ops["T"], cfg.tol, errs, True),
+        _jensen_witness, False, _contractive_gate),
     "perspective": _Theorem(
-        lambda cfg, rng: {"atom": cfg.resolve_atom().label,
-                          **_draw_pairs(cfg, rng)},
-        lambda cfg, w, c: check_perspective_joint_convexity(
-            cfg.resolve_atom(), w["1"], w["2"], c, cfg.tol, floor=cfg.floor),
+        _draw_pairs, _build_pairs,
+        lambda cfg, f, ops, c, errs: _perspective_convexity(
+            f, None, ops["1"], ops["2"], c, cfg.floor, cfg.tol, errs),
+        lambda cfg, f, ops, k: {"atom": f.label,
+                                **_pairs_witness(cfg, ops, k)},
         True, lambda cfg: _require_matrix_convex(cfg.resolve_atom())),
     "marechal": _Theorem(
-        lambda cfg, rng: {"atom": cfg.resolve_atom().label,
-                          "h": lookup_atom("power", cfg.t).label,
-                          **_draw_pairs(cfg, rng)},
-        lambda cfg, w, c: check_extended_perspective_joint_convexity(
-            cfg.resolve_atom(), lookup_atom("power", cfg.t), w["1"], w["2"],
-            c, cfg.tol, floor=cfg.floor),
+        _draw_pairs, _build_pairs,
+        lambda cfg, f, ops, c, errs: _perspective_convexity(
+            f, lookup_atom("power", cfg.t), ops["1"], ops["2"], c,
+            cfg.floor, cfg.tol, errs),
+        lambda cfg, f, ops, k: {"atom": f.label,
+                                "h": lookup_atom("power", cfg.t).label,
+                                **_pairs_witness(cfg, ops, k)},
         True, lambda cfg: _require_extended_hypotheses(
             cfg.resolve_atom(), lookup_atom("power", cfg.t))),
     "rel-entropy-convexity": _Theorem(
-        lambda cfg, rng: {name: random_density(cfg.dim_n, rng, cfg.floor)
-                          for name in ("rho1", "sigma1", "rho2", "sigma2")},
-        lambda cfg, w, c: check_relative_entropy_joint_convexity(
-            w["rho1"], w["sigma1"], w["rho2"], w["sigma2"], c, cfg.tol),
-        True),
+        _draw_densities, _build_densities,
+        lambda cfg, f, ops, c, errs: _relative_entropy_convexity(
+            *(ops[name][2] for name in _DENSITIES), c, cfg.tol, errs),
+        _densities_witness, True),
     "lieb-s": _Theorem(
-        lambda cfg, rng: _draw_lieb(cfg, rng, {"s": cfg.s}, "K"),
-        lambda cfg, w, c: check_lieb_concavity(
-            w["A1"], w["B1"], w["A2"], w["B2"], w["K"], cfg.s, c, cfg.tol),
+        _draw_lieb, _build_lieb,
+        lambda cfg, f, ops, c, errs: _lieb_check(
+            cfg, ops, c, errs, *_power_atoms(cfg.s, 1.0 - cfg.s)),
+        lambda cfg, f, ops, k: _lieb_witness(ops, k, {"s": cfg.s}, "K"),
         True),
     "lieb-pq": _Theorem(
-        lambda cfg, rng: _draw_lieb(cfg, rng, {"p": cfg.p, "q": cfg.q}, "X"),
-        lambda cfg, w, c: check_lieb_pq_concavity(
-            w["A1"], w["B1"], w["A2"], w["B2"], w["X"], cfg.p, cfg.q, c,
-            cfg.tol),
+        _draw_lieb, _build_lieb,
+        lambda cfg, f, ops, c, errs: _lieb_check(
+            cfg, ops, c, errs, *_power_atoms(cfg.q, cfg.p)),
+        lambda cfg, f, ops, k: _lieb_witness(
+            ops, k, {"p": cfg.p, "q": cfg.q}, "X"),
         True, lambda cfg: _require_pq_exponents(cfg.p, cfg.q)),
     "classical": _Theorem(
-        _draw_classical,
-        lambda cfg, w, c: check_classical_perspective_convexity(
-            cfg.resolve_atom(), w["x1"], w["t1"], w["x2"], w["t2"], c,
-            cfg.tol),
+        _draw_classical, lambda cfg, f, S, errs: S,
+        lambda cfg, f, ops, c, errs: _classical_convexity(
+            f, *(ops[key] for key in _SCALARS), c, cfg.tol, errs),
+        lambda cfg, f, ops, k: {"atom": f.label,
+                                **{key: float(ops[key][k])
+                                   for key in _SCALARS}},
         True, lambda cfg: _require_not_concave(cfg.resolve_atom())),
 }
 
@@ -561,6 +502,9 @@ def _encode_witness(witness: dict) -> dict:
     return doc
 
 
+# ---------------------------------------------------------------------------
+# the engine
+
 def trial_seed(seed: int, theorem: str, index: int, redraw: int = 0) -> int:
     """Stable per-trial sub-seed; see SEED_RULE."""
     msg = f"{seed}:{theorem}:{index}:{redraw}".encode()
@@ -573,52 +517,149 @@ def _entry(tag: str) -> _Theorem:
     return _THEOREMS[tag]
 
 
-def run_single(theorem: str, cfg: TrialConfig, index: int, redraw: int = 0):
-    """One trial at explicit (index, redraw) coordinates.
+class _Round(NamedTuple):
+    """A batch of trials at explicit (index, redraw) coordinates: stacked
+    slacks and tolerances, and per row the exception of the first gate the
+    row failed (None where it passed them all)."""
 
-    Returns the verdict and the raw witness: the drawn operands (arrays,
-    commuting pairs, scalars), the mixing weight ``c`` where the theorem
-    has one, and the replay coordinates. Domain violations propagate to
-    the caller; this is the replay entry point, so a witness's recorded
-    coordinates reproduce its slack exactly.
-    """
+    slack: np.ndarray
+    tolerance_used: np.ndarray
+    errors: list
+    witness: Callable  # witness(row) -> the row's raw witness
+
+
+def _decide(theorem: str, cfg: TrialConfig, indices: list,
+            redraws: list) -> _Round:
     entry = _entry(theorem)
-    ts = trial_seed(cfg.seed, theorem, index, redraw)
-    rng = np.random.default_rng(ts)
-    c = None
-    if entry.uses_c:
-        if cfg.force_endpoints and index < 3:
-            c = (0.0, 0.5, 1.0)[index]
-        else:
-            c = float(rng.random())
-    witness = entry.draw(cfg, rng)
-    verdict = entry.check(cfg, witness, c)
-    if c is not None:
-        witness["c"] = c
-    witness.update({"trial_index": index, "redraw": redraw, "trial_seed": ts,
-                    "seed_rule": SEED_RULE})
-    return verdict, witness
+    f = cfg.resolve_atom()
+    seeds, cs, draws = [], [], []
+    for index, redraw in zip(indices, redraws):
+        ts = trial_seed(cfg.seed, theorem, index, redraw)
+        rng = np.random.Generator(np.random.PCG64(ts))  # = default_rng(ts)
+        if entry.uses_c:
+            cs.append((0.0, 0.5, 1.0)[index]
+                      if cfg.force_endpoints and index < 3
+                      else float(rng.random()))
+        draws.append(entry.draw(cfg, f, rng))
+        seeds.append(ts)
+    S = {key: np.array([d[key] for d in draws]) for key in draws[0]}
+    errs = RowErrors(len(draws))
+    ops = entry.build(cfg, f, S, errs)
+    slack, used = entry.check(cfg, f, ops, np.array(cs), errs)
+
+    def witness(row: int) -> dict:
+        w = entry.witness(cfg, f, ops, row)
+        if entry.uses_c:
+            w["c"] = cs[row]
+        w.update({"trial_index": indices[row], "redraw": redraws[row],
+                  "trial_seed": seeds[row], "seed_rule": SEED_RULE})
+        return w
+
+    return _Round(slack, used, errs.errors, witness)
 
 
-def run_trial(theorem: str, cfg: TrialConfig, index: int):
-    """One trial with redraws: rejected (out-of-domain) draws advance the
-    redraw counter instead of counting as failures."""
+def run_single(theorem: str, cfg: TrialConfig, index, redraw=0):
+    """Trials at explicit (index, redraw) coordinates.
+
+    With an int ``index``, one trial (a batch of one): returns the verdict
+    and the raw witness, which holds the drawn operands (arrays, commuting
+    pairs, scalars), the mixing weight ``c`` where the theorem has one, and
+    the replay coordinates. Domain violations propagate to the caller; this
+    is the replay entry point, so a witness's recorded coordinates
+    reproduce its slack exactly.
+
+    With a sequence of indices (and a redraw counter for each, or one for
+    all), the trials are drawn and decided as one batch, and the result is
+    a ``_Round``; nothing is raised for a row that fails a gate.
+    """
+    if np.ndim(index):
+        redraws = np.broadcast_to(redraw, np.shape(index))
+        return _decide(theorem, cfg, [int(i) for i in index],
+                       [int(r) for r in redraws])
+    rnd = _decide(theorem, cfg, [index], [redraw])
+    if rnd.errors[0] is not None:
+        raise rnd.errors[0]
+    verdict = LoewnerVerdict.of(rnd.slack[0], rnd.tolerance_used[0])
+    return verdict, rnd.witness(0)
+
+
+class _Chunk(NamedTuple):
+    """A range of trials, each decided by the draw round that accepted it."""
+
+    slack: np.ndarray
+    tolerance_used: np.ndarray
+    redraw: np.ndarray
+    row: np.ndarray  # each trial's row in its accepting round
+    rounds: list  # the rounds, by redraw counter
+
+    def verdict(self, k: int) -> LoewnerVerdict:
+        return LoewnerVerdict.of(self.slack[k], self.tolerance_used[k])
+
+    def witness(self, k: int) -> dict:
+        return self.rounds[self.redraw[k]].witness(int(self.row[k]))
+
+
+def _run_chunk(theorem: str, cfg: TrialConfig, indices: range) -> _Chunk:
+    """The redraw loop over a range of trials, one batched ``run_single``
+    per draw round. Trials rejected in a round are drawn again in the next
+    one with the next redraw counter; a trial ending in any other exception
+    stops the redraws of the trials after it, and the exception of the
+    lowest such trial is raised."""
+    size = len(indices)
+    slack, used = np.empty(size), np.empty(size)
+    redraws, rows = np.zeros(size, dtype=int), np.zeros(size, dtype=int)
+    rounds, failed = [], {}
+    pending = np.arange(size)
     for redraw in range(MAX_REDRAWS + 1):
-        try:
-            return run_single(theorem, cfg, index, redraw)
-        except DomainViolation:
-            continue
-    raise HypothesisViolation(
-        f"trial {index} of {theorem!r} exceeded {MAX_REDRAWS} redraws; "
-        f"the generator cannot satisfy the theorem's domain")
+        if not pending.size:
+            break
+        rnd = run_single(theorem, cfg, [indices[k] for k in pending], redraw)
+        rounds.append(rnd)
+        ok = np.array([e is None for e in rnd.errors])
+        accepted = pending[ok]
+        slack[accepted] = rnd.slack[ok]
+        used[accepted] = rnd.tolerance_used[ok]
+        redraws[accepted] = redraw
+        rows[accepted] = np.flatnonzero(ok)
+        retry = []
+        for row in np.flatnonzero(~ok):
+            err, k = rnd.errors[row], int(pending[row])
+            if isinstance(err, DomainViolation):
+                retry.append(k)
+            else:
+                failed[k] = err
+        pending = np.array([k for k in retry if k < min(failed, default=size)],
+                           dtype=int)
+    for k in pending:
+        failed[int(k)] = HypothesisViolation(
+            f"trial {indices[k]} of {theorem!r} exceeded {MAX_REDRAWS} "
+            f"redraws; the generator cannot satisfy the theorem's domain")
+    if failed:
+        raise failed[min(failed)]
+    return _Chunk(slack, used, redraws, rows, rounds)
+
+
+def run_trial(theorem: str, cfg: TrialConfig, index):
+    """One trial with redraws: rejected (out-of-domain) draws advance the
+    redraw counter instead of counting as failures. Returns the verdict and
+    the raw witness.
+
+    A ``range`` of indices runs as one chunk, each draw round one batched
+    ``run_single`` over the trials still pending, and the result is a
+    ``_Chunk`` of their stacked slacks and redraw counters.
+    """
+    if isinstance(index, range):
+        return _run_chunk(theorem, cfg, index)
+    chunk = _run_chunk(theorem, cfg, range(index, index + 1))
+    return chunk.verdict(0), chunk.witness(0)
 
 
 def run_campaign(cfg: TrialConfig, theorems) -> list:
     """Run the selected theorem campaigns and aggregate reports.
 
-    The worst witness is the trial with the most negative slack, ties
-    broken by the lower trial index. Only that trial's operands are
-    encoded as matrix JSON.
+    Trials run ``CHUNK`` at a time through ``run_trial``. The worst witness
+    is the trial with the most negative slack, ties broken by the lower
+    trial index. Only that trial's operands are encoded as matrix JSON.
     """
     if isinstance(theorems, str):
         theorems = (theorems,)
@@ -632,14 +673,17 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
     reports = []
     for tag in tags:
         failures, worst, worst_witness = 0, None, None
-        for i in range(cfg.trials):
-            verdict, witness = run_trial(tag, cfg, i)
-            failures += not verdict.holds
-            if worst is None or (verdict.slack, i) < worst:
-                worst, worst_witness = (verdict.slack, i), witness
+        for lo in range(0, cfg.trials, CHUNK):
+            chunk = run_trial(tag, cfg, range(lo, min(lo + CHUNK, cfg.trials)))
+            failures += int(np.count_nonzero(
+                ~(chunk.slack >= -chunk.tolerance_used)))
+            k = int(np.argmin(chunk.slack))  # the first of equal minima
+            if worst is None or (chunk.slack[k], lo + k) < worst:
+                worst = (float(chunk.slack[k]), lo + k)
+                worst_witness = chunk.witness(k)
         reports.append(CheckReport(
             theorem=tag, trials=cfg.trials, failures=failures,
-            worst_slack=float(worst[0]), tolerance=cfg.tol,
+            worst_slack=worst[0], tolerance=cfg.tol,
             witness=_encode_witness(worst_witness),
             config=cfg.fingerprint()))
     return reports

@@ -213,8 +213,8 @@ class TestEvalCommand:
               "--k", eye2, "--s", "0.5", "--out", str(out), "--json"])
         assert capsys.readouterr().out == out.read_text()
 
-    @pytest.mark.parametrize("bad", [None, "1.5", {"re": 1.0}],
-                             ids=["null", "string", "object"])
+    @pytest.mark.parametrize("bad", [None, "1.5", {"re": 1.0}, True],
+                             ids=["null", "string", "object", "bool"])
     def test_non_numeric_entry_exits_two(self, tmp_path, eye2, bad, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
@@ -224,6 +224,17 @@ class TestEvalCommand:
                      str(path), "--sigma", eye2])
         assert code == 2
         assert "numbers" in capsys.readouterr().err
+
+    def test_boolean_among_numbers_exits_two_with_json(self, tmp_path, capsys):
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"dim": 1, "entries": [[[1.0, 0.0]]]}))
+        k = tmp_path / "k.json"
+        k.write_text('{"dim": 1, "entries": [[[true, 0.5]]]}')
+        code = main(["eval", "--functional", "lieb-s", "--s", "0.5", "--a",
+                     str(one), "--b", str(one), "--k", str(k), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "numbers" in captured.err
 
 
 # JSON trees for the printer property: matrix-shaped float blocks (NaN,

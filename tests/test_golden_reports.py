@@ -3,7 +3,9 @@
 Each case pins the exit code and the sha256 of stdout for one command line
 over a grid of seeds, dimensions, theorem tags and atoms, including the
 runs that exit 2 on a configuration error and a negative control whose
-report carries a FAIL witness. Any change to a verdict, the seed rule or
+report carries a FAIL witness. Further cases cover campaigns of one trial
+and of several batches of trials, and configurations whose draws are
+rejected and redrawn, one of them until the redraw budget runs out. Any change to a verdict, the seed rule or
 a witness's contents changes a hash.
 
 The hashes were taken with numpy 2.4.6; other numpy builds may round
@@ -35,6 +37,22 @@ def _grid():
     yield ["verify", "--theorem", "hp", "--atom", "quartic",
            "--negative-control", "--dim", "2", "--trials", "2000",
            "--seed", "7", "--json"]
+    # campaigns longer than one batch of trials, and a batch of one
+    yield ["verify", "--theorem", "all", "--dim", "2", "--trials", "600",
+           "--seed", "0", "--json"]
+    yield ["verify", "--theorem", "all", "--trials", "1", "--seed", "3",
+           "--json"]
+    yield ["verify", "--theorem", "hp", "--atom", "quartic", "--trials", "1",
+           "--json"]
+    # a floor of 2 makes h(R) = R^0.5 fall below it on part of the draws,
+    # so marechal trials are redrawn (the worst witness at seed 0 has
+    # redraw 4); a floor of 9 rejects every draw and exhausts the budget
+    yield ["verify", "--theorem", "marechal", "--floor", "2", "--dim", "3",
+           "--trials", "40", "--json"]
+    yield ["verify", "--theorem", "all", "--floor", "2", "--dim", "3",
+           "--trials", "40", "--seed", "5", "--json"]
+    yield ["verify", "--theorem", "marechal", "--floor", "9", "--trials", "3",
+           "--json"]
 
 
 GOLDEN = {
@@ -148,6 +166,18 @@ GOLDEN = {
         (0, '172573fe7f8f2628a45cf395a79a6d91ac9cb8e446aad195d08936c29de5d1c0'),
     'verify --theorem hp --atom quartic --negative-control --dim 2 --trials 2000 --seed 7 --json':
         (0, '258017c04bfea3e77318262b37baad036a8cd24111ced43a3651eba248b47f56'),
+    'verify --theorem all --dim 2 --trials 600 --seed 0 --json':
+        (0, '3af2792533453e3bac131760a14b2a9053a82389b0d55028d29d3d0cade5e2b2'),
+    'verify --theorem all --trials 1 --seed 3 --json':
+        (0, '9635f0c8692b133ff5bc1317ec9fb737aa5442abad5e0ec7cdee44f8811b1303'),
+    'verify --theorem hp --atom quartic --trials 1 --json':
+        (0, 'fe6ad402d68ed5d7554b0662bfb5e9810c78a5ec1489a70b3bb3c5bf4f6662c8'),
+    'verify --theorem marechal --floor 2 --dim 3 --trials 40 --json':
+        (0, 'd36a3200b7df0c39fa76fedb3830e72fdba8964bd6307b54b2c5231c6aa42ca7'),
+    'verify --theorem all --floor 2 --dim 3 --trials 40 --seed 5 --json':
+        (0, '28c872c130dba19c8c696e4638cb53bbdd9f0bac0007c38dd5c4c7e13b3a149a'),
+    'verify --theorem marechal --floor 9 --trials 3 --json':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 
 

@@ -10,7 +10,9 @@ from opconvex import (HermitianMatrix, apply_scalar_function, as_hermitian,
                       as_matrix, hermitian_from_json, hs_inner, loewner_leq,
                       lookup_atom, matrix_from_json, matrix_to_json, op_norm,
                       spectral_decompose)
-from opconvex.linalg import JSON_HERMITICITY_TOL
+from opconvex import DomainViolation, Interval
+from opconvex.linalg import (JSON_HERMITICITY_TOL, RowErrors, _calculus,
+                             _dot_rows)
 
 
 def rand_hermitian(n, seed):
@@ -178,6 +180,15 @@ class TestJsonWire:
         back = matrix_from_json({"dim": 1, "entries": [[[2, -1]]]})
         assert back.dtype == np.complex128 and back[0, 0] == 2 - 1j
 
+    def test_zero_and_one_numbers_accepted(self):
+        # the boolean check looks only at entries equal to 0 or 1; genuine
+        # floats and integers there must still decode
+        doc = {"dim": 2, "entries": [[[1.0, 0.0], [0, 1]],
+                                     [[1, 0.0], [0.0, -0.0]]]}
+        back = matrix_from_json(json.loads(json.dumps(doc)))
+        assert np.array_equal(back, np.array([[1.0, 1j], [1.0, 0.0]]))
+        assert np.signbit(back[1, 1].imag)
+
     def test_hermitian_gate_reports_defect(self):
         doc = matrix_to_json(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="2.000e\\+00"):
@@ -204,6 +215,9 @@ class TestJsonWire:
         {"dim": 1, "entries": [[[None, 0.0]]]},
         {"dim": 1, "entries": [[["1.5", 0.0]]]},
         {"dim": 1, "entries": [[[{"re": 1.0}, 0.0]]]},
+        {"dim": 1, "entries": [[[True, 0.5]]]},
+        {"dim": 1, "entries": [[[0.5, False]]]},
+        {"dim": 2, "entries": [[[1.0, 0.0], [2, 0]], [[2, 0], [True, 0.0]]]},
     ])
     def test_malformed_rejected(self, doc):
         with pytest.raises(ValueError):
@@ -211,3 +225,109 @@ class TestJsonWire:
 
     def test_as_matrix_accepts_nested_lists(self):
         assert np.array_equal(as_matrix([[1.0, 0.0], [0.0, 1.0]]), np.eye(2))
+
+
+class TestStackedLapackIsBitIdentical:
+    """The batched verifier and its batch-of-one replay agree exactly only
+    because stacked LAPACK, matmul and trace calls equal per-matrix calls
+    bit for bit. A numpy or BLAS build that breaks this fails here by name,
+    rather than through a golden report hash."""
+
+    BATCH = 25
+
+    @pytest.fixture(params=[1, 2, 3, 8, 32])
+    def stack(self, request):
+        n = request.param
+        rng = np.random.default_rng(n)
+        G = (rng.standard_normal((self.BATCH, 2 * n, n))
+             + 1j * rng.standard_normal((self.BATCH, 2 * n, n)))
+        H = G[:, :n] @ G[:, :n].conj().swapaxes(-1, -2)
+        return G, (H + H.conj().swapaxes(-1, -2)) / 2.0
+
+    def test_eigh_and_eigvalsh(self, stack):
+        _, H = stack
+        w, U = np.linalg.eigh(H)
+        wv = np.linalg.eigvalsh(H)
+        for k in range(self.BATCH):
+            w1, U1 = np.linalg.eigh(H[k])
+            assert np.array_equal(w1, w[k]) and np.array_equal(U1, U[k])
+            assert np.array_equal(np.linalg.eigvalsh(H[k]), wv[k])
+
+    @pytest.mark.parametrize("tall", [False, True])
+    def test_qr(self, stack, tall):
+        G, _ = stack
+        A = G if tall else G[:, :G.shape[-1]]
+        Q, R = np.linalg.qr(A)
+        for k in range(self.BATCH):
+            Q1, R1 = np.linalg.qr(A[k])
+            assert np.array_equal(Q1, Q[k]) and np.array_equal(R1, R[k])
+
+    def test_matmul_and_trace(self, stack):
+        G, H = stack
+        n = H.shape[-1]
+        A = G[:, n:]  # a non-contiguous view, as the isometry halves are
+        P = A.conj().swapaxes(-1, -2) @ H @ A
+        tr = np.trace(P, axis1=-2, axis2=-1)
+        for k in range(self.BATCH):
+            P1 = A[k].conj().T @ H[k] @ A[k]
+            assert np.array_equal(P1, P[k])
+            assert np.trace(P1) == tr[k]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128])
+    def test_dot_rows_is_np_dot(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.random((self.BATCH, n)) + 0.1
+        d = _dot_rows(x, np.log(x))
+        for k in range(self.BATCH):
+            assert np.dot(x[k], np.log(x[k])) == d[k]
+
+
+class TestRowErrors:
+    def test_clamp_rejects_only_offending_rows(self):
+        domain = Interval(0.0, np.inf, lo_closed=True, hi_closed=False)
+        x = np.array([[1.0, -1e-12, 2.0], [1.0, -0.5, -0.25], [3.0, 4.0, 5.0]])
+        errs = RowErrors(3)
+        out = errs.clamp(domain, x)
+        assert errs.errors[0] is None and errs.errors[2] is None
+        with pytest.raises(DomainViolation) as caught:
+            domain.clamp(x[1])
+        assert str(errs.errors[1]) == str(caught.value)
+        assert np.array_equal(out[0], domain.clamp(x[0]))
+        assert np.array_equal(out[2], x[2])
+        assert np.all(np.isfinite(out[1])) and np.all(out[1] >= 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejected_row_does_not_disturb_its_batch(self):
+        # row 1 has a negative eigenvalue, outside neg_log's domain; the
+        # other rows must come out as they would alone, with no NaN or
+        # warning leaking from the rejected row
+        f = lookup_atom("neg_log")
+        H = np.stack([rand_hermitian(3, s).mat for s in (1, 2, 3)])
+        w, U = np.linalg.eigh(H)
+        w = np.abs(w) + 0.5
+        w[1, 0] = -2.0
+        H = np.stack([HermitianMatrix(U[k] * w[k] @ U[k].conj().T).mat
+                      for k in range(3)])
+        errs = RowErrors(3)
+        out = _calculus(f, H, errs)
+        assert errs.errors[0] is None and errs.errors[2] is None
+        assert isinstance(errs.errors[1], DomainViolation)
+        assert np.all(np.isfinite(out))
+        for k in (0, 2):
+            single = apply_scalar_function(f, H[k])
+            assert np.array_equal(HermitianMatrix(out[k]).mat, single.mat)
+
+    def test_first_failure_wins(self):
+        errs = RowErrors(2)
+        errs.fail(np.array([True, False]), lambda k: ValueError("first"))
+        errs.fail(np.array([True, True]), lambda k: ValueError("second"))
+        assert [str(e) for e in errs.errors] == ["first", "second"]
+
+    def test_batch_of_one_raises_its_row_error(self):
+        def kernel(errs):
+            errs.fail(np.array([True]), lambda k: ValueError("row 0"))
+            return np.zeros(1)
+
+        with pytest.raises(ValueError, match="row 0"):
+            RowErrors.one(kernel)
+        assert RowErrors.one(lambda errs: (np.arange(2), np.ones(1))) == (0, 1)

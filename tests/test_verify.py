@@ -12,8 +12,40 @@ from opconvex import (DomainViolation, HypothesisViolation, THEOREM_TAGS,
                       random_isometry_pair, random_positive_matrix,
                       random_probability_vector, random_unitary, run_campaign,
                       run_single, run_trial, scalar_geq, trial_seed)
-from opconvex.verify import (_THEOREMS, MAX_REDRAWS, _encode_witness,
-                             _Theorem)
+from opconvex.checks import _geq
+from opconvex.verify import (_THEOREMS, CHUNK, MAX_REDRAWS, CheckReport,
+                             _encode_witness, _Theorem)
+
+
+def _register(tag, build, check=None):
+    """A test theorem: one uniform draw u per trial, the given per-row
+    gates in ``build``, and slack ``check(u)`` (u itself by default)."""
+    _THEOREMS[tag] = _Theorem(
+        lambda cfg, f, rng: {"u": float(rng.random())}, build,
+        lambda cfg, f, ops, c, errs: _geq(
+            ops["u"] if check is None else check(ops["u"]), 0.0, cfg.tol),
+        lambda cfg, f, ops, k: {"u": float(ops["u"][k])}, False)
+
+
+def _u(cfg, tag, index, redraw):
+    """The draw of the test theorems at (index, redraw), drawn directly."""
+    return np.random.default_rng(
+        trial_seed(cfg.seed, tag, index, redraw)).random()
+
+
+def _serial_report(cfg, tag):
+    """The report a trial-by-trial loop over ``run_trial`` gives: failures
+    counted one by one, the worst slack kept with ties to the lower index."""
+    failures, worst, witness = 0, None, None
+    for i in range(cfg.trials):
+        verdict, w = run_trial(tag, cfg, i)
+        failures += not verdict.holds
+        if worst is None or (verdict.slack, i) < worst:
+            worst, witness = (verdict.slack, i), w
+    return CheckReport(theorem=tag, trials=cfg.trials, failures=failures,
+                       worst_slack=float(worst[0]), tolerance=cfg.tol,
+                       witness=_encode_witness(witness),
+                       config=cfg.fingerprint())
 
 
 class TestTrialSeed:
@@ -213,21 +245,39 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="unknown theorem"):
             run_single("bogus", TrialConfig(), 0)
 
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_batch_rows_equal_single_trials(self, tag):
+        cfg = TrialConfig(trials=6, seed=2)
+        rnd = run_single(tag, cfg, range(6))
+        assert rnd.errors == [None] * 6
+        for i in range(6):
+            v, w = run_single(tag, cfg, i)
+            assert (v.slack, v.tolerance_used) == (rnd.slack[i],
+                                                   rnd.tolerance_used[i])
+            assert _encode_witness(rnd.witness(i)) == _encode_witness(w)
+
 
 class TestRedrawMachinery:
+    THRESHOLD = 0.6
+
     @pytest.fixture
     def flaky_tag(self):
-        # draws that land below 0.6 are rejected as out-of-domain
-        def _draw(cfg, rng):
-            u = float(rng.random())
-            if u < 0.6:
-                raise DomainViolation(f"rejected draw {u:.3f}")
-            return {"u": u}
+        # draws below 0.6 are rejected as out-of-domain by a per-row gate,
+        # so rejected and accepted trials share each batch
+        def build(cfg, f, S, errs):
+            errs.fail(S["u"] < self.THRESHOLD, lambda k: DomainViolation(
+                f"rejected draw {S['u'][k]:.3f}"))
+            return S
 
-        _THEOREMS["flaky"] = _Theorem(
-            _draw, lambda cfg, w, c: scalar_geq(w["u"], 0.0, cfg.tol), False)
+        _register("flaky", build)
         yield "flaky"
         del _THEOREMS["flaky"]
+
+    def _first_accepted(self, cfg, index):
+        for redraw in range(MAX_REDRAWS + 1):
+            u = _u(cfg, "flaky", index, redraw)
+            if u >= self.THRESHOLD:
+                return redraw, u
 
     def test_redraws_advance_until_accepted(self, flaky_tag):
         cfg = TrialConfig(trials=1)
@@ -242,12 +292,34 @@ class TestRedrawMachinery:
         _, replayed = run_single(flaky_tag, cfg, 11, redraw=w["redraw"])
         assert replayed == w
 
+    def test_batch_redraws_match_trial_by_trial(self, flaky_tag):
+        cfg = TrialConfig(trials=40, seed=3)
+        chunk = run_trial(flaky_tag, cfg, range(40))
+        expected = [self._first_accepted(cfg, i) for i in range(40)]
+        # the first round accepted some trials and rejected others
+        assert 0 in chunk.redraw and max(chunk.redraw) >= 2
+        assert [int(r) for r in chunk.redraw] == [r for r, _ in expected]
+        for i, (redraw, u) in enumerate(expected):
+            w = chunk.witness(i)
+            assert w["u"] == u and w["redraw"] == redraw
+            assert run_single(flaky_tag, cfg, i, redraw=redraw)[1] == w
+            assert run_trial(flaky_tag, cfg, i)[1] == w
+
+    def test_campaign_over_redrawn_trials(self, flaky_tag):
+        cfg = TrialConfig(trials=CHUNK + 9, seed=4)
+        r = run_campaign(cfg, (flaky_tag,))[0]
+        assert r == _serial_report(cfg, flaky_tag)
+        assert r.worst_slack == min(self._first_accepted(cfg, i)[1]
+                                    for i in range(cfg.trials))
+
     @pytest.fixture
     def hopeless_tag(self):
-        def _draw(cfg, rng):
-            raise DomainViolation("never admissible")
+        def build(cfg, f, S, errs):
+            errs.fail(np.ones(len(S["u"]), dtype=bool),
+                      lambda k: DomainViolation("never admissible"))
+            return S
 
-        _THEOREMS["hopeless"] = _Theorem(_draw, None, False)
+        _register("hopeless", build)
         yield "hopeless"
         del _THEOREMS["hopeless"]
 
@@ -255,6 +327,36 @@ class TestRedrawMachinery:
         with pytest.raises(HypothesisViolation,
                            match=f"{MAX_REDRAWS} redraws"):
             run_trial(hopeless_tag, TrialConfig(trials=1), 0)
+        with pytest.raises(HypothesisViolation, match="trial 0 of"):
+            run_campaign(TrialConfig(trials=5), (hopeless_tag,))
+
+    @pytest.fixture
+    def brittle_tag(self):
+        # draws below 0.3 are rejected; draws above 0.97 break a hypothesis
+        def build(cfg, f, S, errs):
+            u = S["u"]
+            errs.fail(u < 0.3, lambda k: DomainViolation("rejected"))
+            errs.fail(u > 0.97, lambda k: HypothesisViolation(
+                f"brittle draw {float(u[k])!r}"))
+            return S
+
+        _register("brittle", build)
+        yield "brittle"
+        del _THEOREMS["brittle"]
+
+    def test_violation_names_the_lowest_trial(self, brittle_tag):
+        # at seed 1, trial 7 breaks the hypothesis on its third draw, while
+        # trials 11 and 37 of the same batch break it on their first
+        cfg = TrialConfig(trials=50, seed=1)
+        assert [_u(cfg, "brittle", 7, r) > 0.97 for r in range(3)] == [
+            False, False, True]
+        assert _u(cfg, "brittle", 11, 0) > 0.97
+        for i in range(7):  # the trials before it are accepted
+            assert not any(_u(cfg, "brittle", i, r) > 0.97 for r in range(3))
+        with pytest.raises(HypothesisViolation) as caught:
+            run_campaign(cfg, (brittle_tag,))
+        u = _u(cfg, "brittle", 7, 2)
+        assert str(caught.value) == f"brittle draw {u!r}"
 
 
 class TestRunCampaign:
@@ -279,6 +381,40 @@ class TestRunCampaign:
                           r.witness["redraw"])
         assert v.slack == r.worst_slack
         assert r.witness == _encode_witness(w)
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    @pytest.mark.parametrize("seed, dim", [(0, 2), (11, 3), (4, 4)])
+    def test_matches_trial_by_trial_reference(self, tag, seed, dim):
+        cfg = TrialConfig(trials=10, seed=seed, dim_n=dim, dim_m=dim)
+        assert run_campaign(cfg, (tag,)) == [_serial_report(cfg, tag)]
+
+    @pytest.mark.parametrize("tag, kwargs", [
+        ("classical", {"trials": 2 * CHUNK + 5, "seed": 1}),
+        ("hp", {"trials": CHUNK + 3, "seed": 2, "dim_n": 2,
+                "atom": "quartic"}),
+        ("marechal", {"trials": 30, "floor": 2.0}),  # redraws trials
+    ])
+    def test_matches_reference_across_batches(self, tag, kwargs):
+        cfg = TrialConfig(**kwargs)
+        assert run_campaign(cfg, (tag,)) == [_serial_report(cfg, tag)]
+
+    @pytest.fixture
+    def tied_tag(self):
+        # slack takes three values only, so the minimum is tied many times
+        _register("tied", lambda cfg, f, S, errs: S,
+                  lambda u: np.floor(3.0 * u) / 3.0 - 0.5)
+        yield "tied"
+        del _THEOREMS["tied"]
+
+    def test_worst_slack_ties_go_to_the_lower_index(self, tied_tag):
+        cfg = TrialConfig(trials=2 * CHUNK + 7, seed=6)
+        r = run_campaign(cfg, (tied_tag,))[0]
+        u = [_u(cfg, "tied", i, 0) for i in range(cfg.trials)]
+        lows = [i for i in range(cfg.trials) if u[i] < 1 / 3]
+        assert len(lows) > 1 and r.worst_slack == -0.5
+        assert r.witness["trial_index"] == lows[0]
+        assert r.failures == sum(x < 2 / 3 for x in u)  # negative slacks
+        assert r == _serial_report(cfg, tied_tag)
 
     def test_campaign_matches_per_tag_campaigns(self):
         cfg = TrialConfig(trials=30, seed=9)
