@@ -9,8 +9,8 @@ two agree to rounding error.
 
 import numpy as np
 
-from opconvex import (check_perspective_joint_convexity, loewner_leq,
-                      lookup_atom, perspective_agreement_defect,
+from opconvex import (CommutingPair, check_perspective_joint_convexity,
+                      loewner_leq, lookup_atom, perspective_agreement_defect,
                       perspective_eigen, perspective_symmetrized,
                       random_commuting_pair)
 
@@ -43,9 +43,7 @@ print("Loewner gap eigenvalues:",
 print("(all nonnegative: the perspective lies below the average)")
 
 # homogeneity: scaling both arguments scales the perspective
-from opconvex import make_commuting_pair
-
 t = 3.0
-scaled = make_commuting_pair(pair.basis, t * pair.lam, t * pair.mu)
+scaled = CommutingPair(pair.basis, t * pair.lam, t * pair.mu)
 diff = np.max(np.abs(perspective_eigen(f, scaled).mat - t * g.mat))
 print("positive homogeneity defect at t=3:", diff)

@@ -106,8 +106,6 @@ class ScalarAtom:
         Whether f(0) <= 0, by continuous extension where 0 is not interior.
         Required by the contractive Jensen inequality and the extended
         perspective.
-    strictly_positive_required : bool
-        True when the domain excludes 0 from the left (open at 0).
     """
 
     name: str
@@ -116,12 +114,16 @@ class ScalarAtom:
     operator_convex: bool
     operator_concave: bool
     f0_nonpositive: bool
-    strictly_positive_required: bool
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     def __call__(self, x):
         """Evaluate without domain checks (callers clamp first)."""
         return self.fn(np.asarray(x, dtype=float))
+
+    @property
+    def strictly_positive_required(self) -> bool:
+        """True when the domain excludes 0 from the left (open at 0)."""
+        return self.domain.lo == 0.0 and not self.domain.lo_closed
 
     @property
     def label(self) -> str:
@@ -152,8 +154,7 @@ def _make_xlogx(parameter):
     _reject_parameter("xlogx", parameter)
     return ScalarAtom("xlogx", None, _HALF_OPEN,
                       operator_convex=True, operator_concave=False,
-                      f0_nonpositive=True, strictly_positive_required=False,
-                      fn=_xlogx)
+                      f0_nonpositive=True, fn=_xlogx)
 
 
 def _make_neg_power(parameter):
@@ -162,8 +163,7 @@ def _make_neg_power(parameter):
         raise ValueError(f"neg_power parameter must satisfy 0 < s < 1, got {s}")
     return ScalarAtom("neg_power", s, _HALF_OPEN,
                       operator_convex=True, operator_concave=False,
-                      f0_nonpositive=True, strictly_positive_required=False,
-                      fn=lambda x: -np.power(x, s))
+                      f0_nonpositive=True, fn=lambda x: -np.power(x, s))
 
 
 def _make_power(parameter):
@@ -173,40 +173,35 @@ def _make_power(parameter):
     # t = 1 is affine (the identity on the positive axis), hence also convex.
     return ScalarAtom("power", t, _POSITIVE,
                       operator_convex=(t == 1.0), operator_concave=True,
-                      f0_nonpositive=True, strictly_positive_required=True,
-                      fn=lambda x: np.power(x, t))
+                      f0_nonpositive=True, fn=lambda x: np.power(x, t))
 
 
 def _make_neg_log(parameter):
     _reject_parameter("neg_log", parameter)
     return ScalarAtom("neg_log", None, _POSITIVE,
                       operator_convex=True, operator_concave=False,
-                      f0_nonpositive=False, strictly_positive_required=True,
-                      fn=lambda x: -np.log(x))
+                      f0_nonpositive=False, fn=lambda x: -np.log(x))
 
 
 def _make_square(parameter):
     _reject_parameter("square", parameter)
     return ScalarAtom("square", None, _REAL_LINE,
                       operator_convex=True, operator_concave=False,
-                      f0_nonpositive=True, strictly_positive_required=False,
-                      fn=lambda x: x * x)
+                      f0_nonpositive=True, fn=lambda x: x * x)
 
 
 def _make_identity(parameter):
     _reject_parameter("identity", parameter)
     return ScalarAtom("identity", None, _REAL_LINE,
                       operator_convex=True, operator_concave=True,
-                      f0_nonpositive=True, strictly_positive_required=False,
-                      fn=lambda x: x)
+                      f0_nonpositive=True, fn=lambda x: x)
 
 
 def _make_constant(parameter):
     c = _require_parameter("constant", parameter)
     return ScalarAtom("constant", c, _REAL_LINE,
                       operator_convex=True, operator_concave=True,
-                      f0_nonpositive=(c <= 0.0), strictly_positive_required=False,
-                      fn=lambda x: np.full_like(x, c))
+                      f0_nonpositive=(c <= 0.0), fn=lambda x: np.full_like(x, c))
 
 
 def _make_quartic(parameter):
@@ -215,8 +210,7 @@ def _make_quartic(parameter):
     _reject_parameter("quartic", parameter)
     return ScalarAtom("quartic", None, _REAL_LINE,
                       operator_convex=False, operator_concave=False,
-                      f0_nonpositive=True, strictly_positive_required=False,
-                      fn=lambda x: x ** 4)
+                      f0_nonpositive=True, fn=lambda x: x ** 4)
 
 
 def _require_parameter(name, parameter):
@@ -230,34 +224,24 @@ def _reject_parameter(name, parameter):
         raise ValueError(f"atom {name!r} takes no parameter, got {parameter}")
 
 
-_REGISTRY: dict[str, Callable[[float | None], ScalarAtom]] = {
-    "xlogx": _make_xlogx,
-    "neg_power": _make_neg_power,
-    "power": _make_power,
-    "neg_log": _make_neg_log,
-    "square": _make_square,
-    "identity": _make_identity,
-    "constant": _make_constant,
-    "quartic": _make_quartic,
-}
-
-# Parameter range documentation for listings.
-_PARAM_DOC = {
-    "xlogx": None,
-    "neg_power": "0 < s < 1",
-    "power": "0 < t <= 1",
-    "neg_log": None,
-    "square": None,
-    "identity": None,
-    "constant": "any real c",
-    "quartic": None,
+# Per family: its factory, the parameter range shown in listings, and the
+# sample parameter a listing builds it with.
+_REGISTRY = {
+    "xlogx": (_make_xlogx, None, None),
+    "neg_power": (_make_neg_power, "0 < s < 1", 0.5),
+    "power": (_make_power, "0 < t <= 1", 0.5),
+    "neg_log": (_make_neg_log, None, None),
+    "square": (_make_square, None, None),
+    "identity": (_make_identity, None, None),
+    "constant": (_make_constant, "any real c", 1.0),
+    "quartic": (_make_quartic, None, None),
 }
 
 
 def lookup_atom(name: str, parameter: float | None = None) -> ScalarAtom:
     """Build the registered atom ``name``, validating its parameter."""
     try:
-        factory = _REGISTRY[name]
+        factory = _REGISTRY[name][0]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown atom {name!r}; known atoms: {known}") from None
@@ -270,13 +254,13 @@ def atom_names() -> tuple[str, ...]:
 
 def list_atoms() -> list[dict]:
     """Metadata rows for every registered family (sample parameters where needed)."""
-    samples = {"neg_power": 0.5, "power": 0.5, "constant": 1.0}
     rows = []
     for name in atom_names():
-        atom = lookup_atom(name, samples.get(name))
+        _, parameter_doc, sample = _REGISTRY[name]
+        atom = lookup_atom(name, sample)
         rows.append({
             "name": name,
-            "parameter": _PARAM_DOC[name],
+            "parameter": parameter_doc,
             "domain": atom.domain.describe(),
             "operator_convex": atom.operator_convex,
             "operator_concave": atom.operator_concave,

@@ -249,28 +249,21 @@ def _cmd_eval(args) -> int:
         sigma = _load_hermitian("sigma", args.sigma)
         value = quantum_relative_entropy_direct(rho, sigma)
         inputs = {"rho": rho.mat, "sigma": sigma.mat}
-    elif args.functional == "lieb-s":
-        if args.s is None:
-            raise ValueError("--s is required for lieb-s")
+    else:
+        lieb_s = args.functional == "lieb-s"
+        exponents = {"s": args.s} if lieb_s else {"p": args.p, "q": args.q}
+        if None in exponents.values():
+            raise ValueError(f"{'--s is' if lieb_s else '--p and --q are'} "
+                             f"required for {args.functional}")
         A = _load_hermitian("a", args.a)
         B = _load_hermitian("b", args.b)
         if args.k is None:
-            raise ValueError("--k is required for lieb-s")
+            raise ValueError(f"--k is required for {args.functional}")
         with open(args.k) as fh:
             K = matrix_from_json(json.load(fh))
-        value = lieb_functional(A, B, K, args.s)
-        inputs = {"a": A.mat, "b": B.mat, "k": K, "s": args.s}
-    else:
-        if args.p is None or args.q is None:
-            raise ValueError("--p and --q are required for lieb-pq")
-        A = _load_hermitian("a", args.a)
-        B = _load_hermitian("b", args.b)
-        if args.k is None:
-            raise ValueError("--k is required for lieb-pq")
-        with open(args.k) as fh:
-            X = matrix_from_json(json.load(fh))
-        value = lieb_pq_functional(A, B, X, args.p, args.q)
-        inputs = {"a": A.mat, "b": B.mat, "k": X, "p": args.p, "q": args.q}
+        functional = lieb_functional if lieb_s else lieb_pq_functional
+        value = functional(A, B, K, *exponents.values())
+        inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}
 
     if args.out or args.json:  # the plain-text output echoes no inputs
         inputs = {name: matrix_to_json(x) if isinstance(x, np.ndarray) else x

@@ -1,9 +1,9 @@
 """Commuting positive pairs and the left/right multiplication pair.
 
 A perspective g(L, R) = f(L/R) R only makes sense when L and R commute, so
-the pair is stored in diagonalized form: one unitary basis plus two strictly
-positive spectra. Commutation is then exact by construction and the quotient
-L/R is unambiguous.
+a pair is built in diagonalized form only, ``CommutingPair(basis, lam, mu)``:
+one unitary basis plus two strictly positive spectra. Commutation is then
+exact by construction and the quotient L/R is unambiguous.
 
 The pairs that matter in practice are superoperators: left multiplication
 by sigma and right multiplication by rho on the Hilbert-Schmidt space of
@@ -22,15 +22,10 @@ import numpy as np
 
 from .errors import DomainViolation
 from .linalg import (HermitianMatrix, RowErrors, UNITARY_TOL, _adj,
-                     _materialize, as_hermitian, as_matrix, op_norm,
-                     spectral_decompose)
+                     _materialize, as_hermitian, as_matrix, spectral_decompose)
 
 # Default strict-positivity floor for spectra.
 DEFAULT_FLOOR = 1e-8
-
-# Commutator rejection threshold for the raw-matrix diagnostic constructor,
-# relative to 1 + ||L|| ||R||.
-COMMUTATOR_TOL = 1e-8
 
 
 class CommutingPair:
@@ -114,85 +109,6 @@ def _pair_gates(U, lam, mu, floor: float, errs: RowErrors):
     return U, lam, mu
 
 
-def make_commuting_pair(basis, lam, mu, floor: float = DEFAULT_FLOOR) -> CommutingPair:
-    """Validate and build a commuting pair from a unitary and two spectra."""
-    return CommutingPair(basis, lam, mu, floor=floor)
-
-
-def quotient(pair: CommutingPair) -> HermitianMatrix:
-    """The quotient L/R = U diag(lam/mu) U*, exact on the joint eigenbasis."""
-    return pair._materialize(pair.lam / pair.mu)
-
-
-def log_quotient_identity_check(pair: CommutingPair) -> float:
-    """Operator-norm defect of log(L/R) = log L - log R.
-
-    All three logarithms are computed by functional calculus on the
-    materialized matrices, so this exercises the whole spectral pipeline
-    rather than the stored spectra.
-    """
-    def matlog(H):
-        dec = spectral_decompose(H)
-        if dec.eigenvalues[0] <= 0:
-            raise DomainViolation(
-                f"logarithm needs a positive matrix, found eigenvalue "
-                f"{dec.eigenvalues[0]:.3e}")
-        U = dec.eigenvectors
-        return (U * np.log(dec.eigenvalues)) @ U.conj().T
-
-    lhs = matlog(quotient(pair))
-    rhs = matlog(pair.left) - matlog(pair.right)
-    return op_norm(HermitianMatrix(lhs - rhs))
-
-
-def pair_from_matrices(L, R, floor: float = DEFAULT_FLOOR,
-                       tol: float = COMMUTATOR_TOL) -> CommutingPair:
-    """Diagnostic constructor from two raw matrices that should commute.
-
-    Rejects the input when the commutator norm exceeds
-    ``tol * (1 + ||L|| ||R||)``; otherwise runs a simultaneous
-    diagonalization (eigenspaces of L, then R within each eigenspace) and
-    validates the reconstruction.
-    """
-    Lh, Rh = as_hermitian(L), as_hermitian(R)
-    if Lh.dim != Rh.dim:
-        raise ValueError(f"dimension mismatch: {Lh.dim} vs {Rh.dim}")
-    scale = 1.0 + op_norm(Lh) * op_norm(Rh)
-    comm = op_norm(HermitianMatrix(1j * (Lh.mat @ Rh.mat - Rh.mat @ Lh.mat)))
-    if comm > tol * scale:
-        raise ValueError(
-            f"matrices do not commute: ||[L, R]|| = {comm:.3e} exceeds "
-            f"{tol:g} * (1 + ||L|| ||R||) = {tol * scale:.3e}")
-
-    decL = spectral_decompose(Lh)
-    w, UL = decL.eigenvalues, decL.eigenvectors
-    M = UL.conj().T @ Rh.mat @ UL
-    n = Lh.dim
-    cluster_tol = 1e-7 * (1.0 + float(np.max(np.abs(w))))
-    basis = np.zeros((n, n), dtype=np.complex128)
-    mu = np.zeros(n)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and w[stop] - w[stop - 1] <= cluster_tol:
-            stop += 1
-        block = (M[start:stop, start:stop] +
-                 M[start:stop, start:stop].conj().T) / 2.0
-        bw, bU = np.linalg.eigh(block)
-        basis[:, start:stop] = UL[:, start:stop] @ bU
-        mu[start:stop] = bw
-        start = stop
-
-    pair = make_commuting_pair(basis, w, mu, floor=floor)
-    recon_tol = tol * (1.0 + op_norm(Rh))
-    defect = op_norm(HermitianMatrix(pair.right.mat - Rh.mat))
-    if defect > recon_tol:
-        raise ValueError(
-            f"simultaneous diagonalization failed to reproduce R: defect "
-            f"{defect:.3e} exceeds {recon_tol:.3e}")
-    return pair
-
-
 class MultiplicationPair:
     """Strictly positive sigma and rho defining L(X) = sigma X, R(X) = X rho.
 
@@ -210,15 +126,14 @@ class MultiplicationPair:
             raise ValueError(f"dimension mismatch: {s.dim} vs {r.dim}")
         factors = []
         for name, H in (("sigma", s), ("rho", r)):
-            dec = spectral_decompose(H)
-            low = float(dec.eigenvalues[0])
-            if low < floor:
+            w, U = spectral_decompose(H)
+            if w[0] < floor:
                 raise DomainViolation(
-                    f"{name} has eigenvalue {low:.3e} below the positivity "
-                    f"floor {floor:g}")
-            for a in (dec.eigenvectors, dec.eigenvalues):
+                    f"{name} has eigenvalue {float(w[0]):.3e} below the "
+                    f"positivity floor {floor:g}")
+            for a in (U, w):
                 a.flags.writeable = False
-            factors += [dec.eigenvectors, dec.eigenvalues]
+            factors += [U, w]
         object.__setattr__(self, "_sigma", s)
         object.__setattr__(self, "_rho", r)
         object.__setattr__(self, "_factors", tuple(factors))
@@ -268,7 +183,7 @@ def realize_multiplication_pair(mp: MultiplicationPair) -> CommutingPair:
     lam = np.repeat(s, n)
     mu = np.tile(r, n)
     floor = float(min(lam.min(), mu.min()))
-    return make_commuting_pair(basis, lam, mu, floor=floor)
+    return CommutingPair(basis, lam, mu, floor=floor)
 
 
 def apply_superop(pair: CommutingPair, which: str, X) -> np.ndarray:

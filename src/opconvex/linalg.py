@@ -157,28 +157,6 @@ def as_hermitian(x) -> HermitianMatrix:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and a matching unitary of eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float)
-        U = np.asarray(self.eigenvectors, dtype=np.complex128)
-        if w.ndim != 1 or U.shape != (w.size, w.size):
-            raise ValueError("eigenvalues and eigenvectors have mismatched shapes")
-        if np.any(np.diff(w) < 0):
-            raise ValueError("eigenvalues must be ascending")
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", U)
-
-    def reconstruct(self) -> np.ndarray:
-        U = self.eigenvectors
-        return (U * self.eigenvalues) @ U.conj().T
-
-
-@dataclass(frozen=True)
 class LoewnerVerdict:
     """Outcome of a positive-semidefinite order comparison.
 
@@ -206,9 +184,10 @@ def _eigh(H):
                                       str(exc)) from exc
 
 
-def spectral_decompose(T) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix with ascending eigenvalues."""
-    return SpectralDecomposition(*_eigh(as_hermitian(T).mat))
+def spectral_decompose(T) -> tuple:
+    """Eigendecompose a Hermitian matrix: ``(eigenvalues, eigenvectors)``,
+    with the eigenvalues ascending and the eigenvectors a unitary."""
+    return _eigh(as_hermitian(T).mat)
 
 
 def _calculus(f: ScalarAtom, H, errs: RowErrors) -> np.ndarray:

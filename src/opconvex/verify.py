@@ -43,8 +43,7 @@ from .checks import (_DENSITIES, _classical_convexity, _jensen,
                      _perspective_convexity,
                      _relative_entropy_convexity, _require_f0_nonpositive,
                      _require_not_concave, _trace_concavity)
-from .commuting import (CommutingPair, DEFAULT_FLOOR, _pair_gates,
-                        make_commuting_pair)
+from .commuting import CommutingPair, DEFAULT_FLOOR, _pair_gates
 from .errors import DomainViolation, HypothesisViolation
 from .functionals import (DensityMatrix, ProbabilityVector, _normalize,
                           _power_atoms, _require_pq_exponents)
@@ -120,10 +119,10 @@ class TrialConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.floor > 0.0:
-            raise ValueError(f"floor must be positive, got {self.floor}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be in (0, inf), got {self.tol}")
+        if not 0.0 < self.floor < np.inf:
+            raise ValueError(f"floor must be in (0, inf), got {self.floor}")
         if not 0.0 < self.shrink <= 1.0:
             raise ValueError(f"shrink must be in (0, 1], got {self.shrink}")
         self.resolve_atom()
@@ -236,19 +235,26 @@ def random_contraction_pair(m: int, n: int, seed, shrink: float = 1.0):
     return A * gamma, B * gamma
 
 
-def random_commuting_pair(n: int, seed, floor: float = DEFAULT_FLOOR,
-                          lo: float = SPECTRUM_LO,
-                          hi: float = SPECTRUM_HI) -> CommutingPair:
-    """Random basis with two independent log-uniform spectra on [lo, hi]."""
-    rng = np.random.default_rng(seed)
-    lo = max(lo, floor)
-    U = random_unitary(n, rng)
-    lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    mu = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    return make_commuting_pair(U, lam, mu, floor=floor)
-
-
 _LOG_SPECTRUM = (np.log(SPECTRUM_LO), np.log(SPECTRUM_HI))
+
+
+def _log_pair_band(floor: float) -> tuple:
+    """Log bounds of generated pair spectra: the band, raised to ``floor``."""
+    if floor > SPECTRUM_HI:
+        raise ValueError(f"floor {floor:g} lies above the spectrum band "
+                         f"[{SPECTRUM_LO:g}, {SPECTRUM_HI:g}]")
+    return np.log(max(SPECTRUM_LO, floor)), _LOG_SPECTRUM[1]
+
+
+def random_commuting_pair(n: int, seed,
+                          floor: float = DEFAULT_FLOOR) -> CommutingPair:
+    """Random basis and two log-uniform spectra, drawn as the campaign's."""
+    band = _log_pair_band(floor)
+    rng = np.random.default_rng(seed)
+    U = random_unitary(n, rng)
+    lam = np.exp(rng.uniform(*band, size=n))
+    mu = np.exp(rng.uniform(*band, size=n))
+    return CommutingPair(U, lam, mu, floor=floor)
 
 
 def _log_uniform(rng, size=None):
@@ -310,12 +316,12 @@ def _jensen_witness(cfg: TrialConfig, f: ScalarAtom, ops: dict, k: int):
 
 def _draw_pairs(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
     n = cfg.dim_n
-    bounds = (np.log(max(SPECTRUM_LO, cfg.floor)), _LOG_SPECTRUM[1])
+    band = _log_pair_band(cfg.floor)
     d = {}
     for i in "12":
         d["U" + i] = rng.standard_normal((2, n, n))
         # log lam then log mu, as two draws of n would give them
-        d["spec" + i] = rng.uniform(*bounds, 2 * n)
+        d["spec" + i] = rng.uniform(*band, 2 * n)
     return d
 
 
@@ -430,6 +436,17 @@ def _contractive_gate(cfg: TrialConfig) -> None:
     _require_f0_nonpositive(cfg.resolve_atom())
 
 
+def _perspective_gate(cfg: TrialConfig) -> None:
+    _require_matrix_convex(cfg.resolve_atom())
+    _log_pair_band(cfg.floor)
+
+
+def _marechal_gate(cfg: TrialConfig) -> None:
+    _require_extended_hypotheses(cfg.resolve_atom(),
+                                 lookup_atom("power", cfg.t))
+    _log_pair_band(cfg.floor)
+
+
 _THEOREMS = {
     "hp": _Theorem(
         lambda cfg, f, rng: _draw_jensen(cfg, f, rng, False), _build_jensen,
@@ -447,7 +464,7 @@ _THEOREMS = {
             f, None, ops["1"], ops["2"], c, cfg.floor, cfg.tol, errs),
         lambda cfg, f, ops, k: {"atom": f.label,
                                 **_pairs_witness(cfg, ops, k)},
-        True, lambda cfg: _require_matrix_convex(cfg.resolve_atom())),
+        True, _perspective_gate),
     "marechal": _Theorem(
         _draw_pairs, _build_pairs,
         lambda cfg, f, ops, c, errs: _perspective_convexity(
@@ -456,8 +473,7 @@ _THEOREMS = {
         lambda cfg, f, ops, k: {"atom": f.label,
                                 "h": lookup_atom("power", cfg.t).label,
                                 **_pairs_witness(cfg, ops, k)},
-        True, lambda cfg: _require_extended_hypotheses(
-            cfg.resolve_atom(), lookup_atom("power", cfg.t))),
+        True, _marechal_gate),
     "rel-entropy-convexity": _Theorem(
         _draw_densities, _build_densities,
         lambda cfg, f, ops, c, errs: _relative_entropy_convexity(

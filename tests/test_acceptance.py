@@ -10,15 +10,18 @@ import numpy as np
 import pytest
 
 from opconvex import (THEOREM_TAGS, TrialConfig,
-                      check_extended_perspective_joint_convexity,
                       check_perspective_joint_convexity,
-                      classical_entropy, classical_relative_entropy,
-                      lieb_functional, lieb_pq_functional, lookup_atom,
-                      perspective_quadratic_form, quantum_relative_entropy_direct,
+                      classical_relative_entropy, lieb_functional,
+                      lieb_pq_functional, lookup_atom,
+                      perspective_quadratic_form,
+                      quantum_relative_entropy_direct,
                       quantum_relative_entropy_perspective,
                       random_commuting_pair, random_density,
-                      random_positive_matrix, random_probability_vector,
-                      run_campaign, run_single, scalar_geq)
+                      random_positive_matrix, run_campaign, run_single)
+from opconvex.checks import (check_extended_perspective_joint_convexity,
+                             scalar_geq)
+from opconvex.functionals import classical_entropy
+from opconvex.verify import random_probability_vector
 from opconvex.commuting import MultiplicationPair
 from opconvex.cli import main
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opconvex import DomainViolation, atom_names, eval_atom, list_atoms, lookup_atom
-from opconvex.atoms import ENDPOINT_TOL
+from opconvex import DomainViolation, list_atoms, lookup_atom
+from opconvex.atoms import ENDPOINT_TOL, atom_names, eval_atom
 
 
 class TestValues:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opconvex import THEOREM_TAGS, matrix_from_json, matrix_to_json
+from opconvex import THEOREM_TAGS
+from opconvex.linalg import matrix_from_json, matrix_to_json
 from opconvex.cli import _dump, main
 
 
@@ -80,6 +81,23 @@ class TestVerifyCommand:
                      "neg_log", "--trials", "5"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--floor"])
+    def test_non_finite_tolerance_or_floor_exits_two(self, flag, capsys):
+        code = main(["verify", "--theorem", "hp", flag, "inf", "--trials",
+                     "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag[2:]} must be in (0, inf), got inf" in captured.err
+
+    @pytest.mark.parametrize("tag", ["perspective", "marechal"])
+    def test_floor_above_spectrum_band_exits_two(self, tag, capsys):
+        code = main(["verify", "--theorem", tag, "--floor", "20",
+                     "--trials", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: floor 20 lies above the spectrum band [0.1, 10]\n")
 
     @pytest.mark.parametrize("tag", ["hp", "hp-contractive"])
     def test_concave_atom_under_jensen_tag_exits_two(self, tag, capsys):

@@ -3,14 +3,13 @@ import numpy as np
 import pytest
 
 from opconvex import (CommutingPair, DomainViolation, MultiplicationPair,
-                      apply_superop, log_quotient_identity_check,
-                      make_commuting_pair, pair_from_matrices, quotient,
-                      random_commuting_pair, random_density, random_unitary,
-                      realize_multiplication_pair)
+                      apply_scalar_function, lookup_atom,
+                      random_commuting_pair, random_density)
+from opconvex.commuting import apply_superop, realize_multiplication_pair
 
 
 def diag_pair(lam, mu):
-    return make_commuting_pair(np.eye(len(lam)), lam, mu)
+    return CommutingPair(np.eye(len(lam)), lam, mu)
 
 
 class TestCommutingPair:
@@ -26,60 +25,31 @@ class TestCommutingPair:
 
     def test_rejects_non_unitary_basis(self):
         with pytest.raises(ValueError, match="unitary"):
-            make_commuting_pair(np.eye(2) * 1.001, [1.0, 1.0], [1.0, 1.0])
+            CommutingPair(np.eye(2) * 1.001, [1.0, 1.0], [1.0, 1.0])
 
     def test_rejects_spectrum_below_floor(self):
         with pytest.raises(DomainViolation):
-            make_commuting_pair(np.eye(2), [1.0, 1e-12], [1.0, 1.0])
+            CommutingPair(np.eye(2), [1.0, 1e-12], [1.0, 1.0])
         with pytest.raises(DomainViolation):
-            make_commuting_pair(np.eye(2), [1.0, 1.0], [-1.0, 1.0])
+            CommutingPair(np.eye(2), [1.0, 1.0], [-1.0, 1.0])
 
     def test_spectra_immutable(self):
         pair = random_commuting_pair(3, 1)
         with pytest.raises((ValueError, RuntimeError)):
             pair.lam[0] = 7.0
 
-
-class TestQuotient:
-    def test_diagonal_quotient(self):
-        pair = diag_pair([2.0, 9.0], [4.0, 3.0])
-        assert np.allclose(quotient(pair).mat, np.diag([0.5, 3.0]))
-
-    def test_log_identity_holds(self):
+    def test_log_quotient_identity(self):
+        # log(L/R) = log L - log R, every logarithm taken by functional
+        # calculus on a materialized matrix: the whole spectral pipeline
         pair = random_commuting_pair(5, 3)
-        assert log_quotient_identity_check(pair) < 1e-12
+        quotient = CommutingPair(pair.basis, pair.lam / pair.mu, pair.mu).left
+        neg_log = lookup_atom("neg_log")
 
+        def log(H):
+            return -apply_scalar_function(neg_log, H).mat
 
-class TestPairFromMatrices:
-    def test_round_trip(self):
-        src = random_commuting_pair(5, 4)
-        pair = pair_from_matrices(src.left, src.right)
-        assert np.max(np.abs(pair.left.mat - src.left.mat)) < 1e-10
-        assert np.max(np.abs(pair.right.mat - src.right.mat)) < 1e-10
-
-    def test_degenerate_left_block(self):
-        # L = I forces the cluster logic to diagonalize R inside one block
-        rng = np.random.default_rng(5)
-        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        R = G @ G.conj().T + 0.1 * np.eye(4)
-        pair = pair_from_matrices(np.eye(4), R)
-        assert np.max(np.abs(pair.right.mat - R)) < 1e-10
-        assert np.allclose(pair.lam, 1.0)
-
-    def test_repeated_eigenvalues_both_sides(self):
-        basis = random_unitary(4, 6)
-        lam = np.array([2.0, 2.0, 5.0, 5.0])
-        mu = np.array([1.0, 3.0, 3.0, 7.0])
-        src = make_commuting_pair(basis, lam, mu)
-        pair = pair_from_matrices(src.left, src.right)
-        assert np.max(np.abs(pair.left.mat - src.left.mat)) < 1e-10
-        assert np.max(np.abs(pair.right.mat - src.right.mat)) < 1e-10
-
-    def test_rejects_non_commuting(self):
-        L = np.diag([1.0, 2.0])
-        R = np.array([[2.0, 1.0], [1.0, 2.0]])
-        with pytest.raises(ValueError, match="commute"):
-            pair_from_matrices(L, R)
+        defect = log(quotient) - (log(pair.left) - log(pair.right))
+        assert np.linalg.norm(defect, 2) < 1e-12
 
 
 class TestMultiplicationPair:
@@ -126,9 +96,14 @@ class TestMultiplicationPair:
 
 class TestGenerators:
     def test_random_commuting_pair_spectra_bounds(self):
-        pair = random_commuting_pair(6, 14, floor=1e-8, lo=0.1, hi=10.0)
+        pair = random_commuting_pair(6, 14, floor=1e-8)
         for spec in (pair.lam, pair.mu):
             assert np.all(spec >= 0.1) and np.all(spec <= 10.0)
+
+    def test_random_commuting_pair_rejects_floor_above_band(self):
+        with pytest.raises(ValueError, match=r"floor 20 lies above the "
+                                             r"spectrum band \[0.1, 10\]$"):
+            random_commuting_pair(3, 0, floor=20.0)
 
     def test_random_commuting_pair_deterministic(self):
         a = random_commuting_pair(4, 15)

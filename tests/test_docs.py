@@ -1,8 +1,12 @@
-"""The README quick start and the demo scripts run and agree with themselves."""
+"""The README quick start and the demo scripts run and agree with
+themselves, and the package exports what they and the benchmark use."""
+import ast
+import importlib.util
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,54 @@ def test_demo_runs_and_its_paths_agree(demo):
     for line in proc.stdout.splitlines():
         if line.startswith("difference"):
             assert float(line.split()[-1]) <= 1e-12, line
+
+
+def _names_taken_from_opconvex():
+    """Names the demos and the README's Python blocks import from
+    ``opconvex``, and the names ``bench/workloads.py`` reads as
+    ``opconvex.X`` that are not submodules, read statically."""
+    sources = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```",
+                          (ROOT / "README.md").read_text(), re.S)
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "opconvex":
+                names.update(alias.name for alias in node.names)
+    package = ROOT / "src" / "opconvex"
+    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    for node in ast.walk(workloads):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "opconvex"
+                and not (package / f"{node.attr}.py").exists()):
+            names.add(node.attr)
+    return names
+
+
+def test_names_callers_take_from_the_package_are_exported():
+    import opconvex
+    taken = _names_taken_from_opconvex()
+    assert "run_single" in taken  # the scan found the callers
+    assert taken <= set(opconvex.__all__), taken - set(opconvex.__all__)
+
+
+def test_all_is_the_package_namespace():
+    import opconvex
+    public = {name for name, value in vars(opconvex).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert sorted(opconvex.__all__) == sorted(public)
+    assert len(set(opconvex.__all__)) == len(opconvex.__all__)
+
+
+def test_bench_tracer_resolves_every_traced_name():
+    # the traced benchmark wraps library functions by name; a deleted or
+    # renamed one makes its Tracer fail to construct
+    import opconvex.cli  # noqa: F401  (the tracer wraps cli.main)
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    assert tracer.bindings()

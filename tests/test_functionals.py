@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from opconvex import (DensityMatrix, DomainViolation, HypothesisViolation,
-                      MultiplicationPair, ProbabilityVector, classical_entropy,
-                      classical_perspective, classical_relative_entropy,
+                      MultiplicationPair, classical_relative_entropy,
                       extended_perspective_quadratic_form, lieb_functional,
                       lieb_pq_functional, lookup_atom,
                       perspective_quadratic_form,
                       quantum_relative_entropy_direct,
                       quantum_relative_entropy_perspective, random_density,
                       random_positive_matrix)
+from opconvex.functionals import (ProbabilityVector, classical_entropy,
+                                  classical_perspective)
 
 
 def rand_complex(n, seed):

@@ -1,4 +1,5 @@
-"""Golden eval output: `opconvex eval --json` pinned byte for byte.
+"""Golden CLI output: `opconvex eval --json` and `opconvex atoms` pinned
+byte for byte.
 
 Each case writes small fixed matrices to files, runs one `eval --json`
 command line over them and pins the exit code and the sha256 of stdout.
@@ -8,7 +9,8 @@ cases cover all three functionals, n = 1, complex inputs and a K with
 signed-zero imaginary parts.
 
 The hashes were taken with numpy 2.4.6; other numpy builds may round
-differently in the last bit, so the test skips under them.
+differently in the last bit, so the test skips under them. The `atoms`
+listing does no arithmetic, so its pins hold under any numpy.
 """
 import contextlib
 import hashlib
@@ -145,3 +147,16 @@ def _run(argv):
 def test_eval_matches_golden_hash(case, matrix_files):
     argv = ["eval", "--json"] + [matrix_files.get(a, a) for a in CASES[case]]
     assert _run(argv) == GOLDEN[case]
+
+
+ATOMS_GOLDEN = {
+    "atoms":
+        (0, '11aad9158dee07ad79ba3c5741d299b87d33124355558d09de88666cd721c8c4'),
+    "atoms --json":
+        (0, 'cd0cd302a2c937ca2f435c1820dcef61b9eb3bb6c1f77ca67c41002afc03f306'),
+}
+
+
+@pytest.mark.parametrize("command", list(ATOMS_GOLDEN))
+def test_atoms_matches_golden_hash(command):
+    assert _run(command.split()) == ATOMS_GOLDEN[command]

@@ -2,21 +2,23 @@
 import numpy as np
 import pytest
 
-from opconvex import (DomainViolation, HypothesisViolation, MultiplicationPair,
-                      check_path_agreement, extended_perspective_eigen,
-                      extended_perspective_quadratic_form,
-                      extended_perspective_symmetrized, lookup_atom,
-                      make_commuting_pair, perspective_agreement_defect,
+from opconvex import (CommutingPair, DomainViolation, HypothesisViolation,
+                      MultiplicationPair, extended_perspective_quadratic_form,
+                      lookup_atom, perspective_agreement_defect,
                       perspective_eigen, perspective_quadratic_form,
                       perspective_symmetrized, random_commuting_pair,
-                      random_density, realize_multiplication_pair)
+                      random_density)
+from opconvex.perspective import (check_path_agreement,
+                                  extended_perspective_eigen,
+                                  extended_perspective_symmetrized)
+from opconvex.commuting import realize_multiplication_pair
 
 XLOGX = lookup_atom("xlogx")
 NEG_SQRT = lookup_atom("neg_power", 0.5)
 
 
 def diag_pair(lam, mu):
-    return make_commuting_pair(np.eye(len(lam)), lam, mu)
+    return CommutingPair(np.eye(len(lam)), lam, mu)
 
 
 class TestEigenPath:
@@ -40,7 +42,7 @@ class TestEigenPath:
     def test_positive_homogeneity(self):
         pair = random_commuting_pair(3, 2)
         t = 2.375
-        scaled = make_commuting_pair(pair.basis, t * pair.lam, t * pair.mu)
+        scaled = CommutingPair(pair.basis, t * pair.lam, t * pair.mu)
         g1 = perspective_eigen(XLOGX, scaled)
         g0 = perspective_eigen(XLOGX, pair)
         assert np.max(np.abs(g1.mat - t * g0.mat)) < 1e-12

@@ -2,19 +2,21 @@
 import numpy as np
 import pytest
 
-from opconvex import (DomainViolation, HypothesisViolation, THEOREM_TAGS,
-                      TrialConfig, check_classical_perspective_convexity,
-                      check_jensen_contractive, check_jensen_isometry,
-                      check_lieb_concavity, check_perspective_joint_convexity,
-                      check_relative_entropy_joint_convexity, lookup_atom,
-                      random_commuting_pair, random_contraction_pair,
-                      random_density, random_hermitian_in_domain,
-                      random_isometry_pair, random_positive_matrix,
-                      random_probability_vector, random_unitary, run_campaign,
-                      run_single, run_trial, scalar_geq, trial_seed)
-from opconvex.checks import _geq
-from opconvex.verify import (_THEOREMS, CHUNK, MAX_REDRAWS, CheckReport,
-                             _encode_witness, _Theorem)
+from opconvex import (CheckReport, DomainViolation, HypothesisViolation,
+                      THEOREM_TAGS, TrialConfig,
+                      check_perspective_joint_convexity, lookup_atom,
+                      random_commuting_pair, random_density,
+                      random_positive_matrix, random_unitary, run_campaign,
+                      run_single)
+from opconvex.checks import (_geq, check_classical_perspective_convexity,
+                             check_jensen_contractive, check_jensen_isometry,
+                             check_lieb_concavity,
+                             check_relative_entropy_joint_convexity,
+                             scalar_geq)
+from opconvex.verify import (_THEOREMS, CHUNK, MAX_REDRAWS, _encode_witness,
+                             _Theorem, random_contraction_pair,
+                             random_hermitian_in_domain, random_isometry_pair,
+                             random_probability_vector, run_trial, trial_seed)
 
 
 def _register(tag, build, check=None):
@@ -71,7 +73,10 @@ class TestTrialConfig:
         {"dim_n": 0},
         {"tol": 0.0},
         {"tol": -1e-8},
+        {"tol": float("inf")},
+        {"tol": float("nan")},
         {"floor": 0.0},
+        {"floor": float("inf")},
         {"seed": -1},
         {"shrink": 0.0},
         {"shrink": 1.5},
