@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from itertools import chain, repeat
+from operator import neg
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .atoms import list_atoms
 from .errors import DomainViolation, HypothesisViolation
 from .functionals import (lieb_functional, lieb_pq_functional,
                           quantum_relative_entropy_direct)
-from .linalg import hermitian_from_json, matrix_from_json, matrix_to_json
+from .linalg import hermitian_from_json, matrix_from_json, matrix_wire
 from .verify import THEOREM_TAGS, TrialConfig, run_campaign
 
 
@@ -61,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0,
                     help="campaign seed, 64-bit unsigned (default: 0)")
     pv.add_argument("--tol", type=float, default=1e-8,
-                    help="relative tolerance for each check (default: 1e-8)")
+                    help="relative tolerance for each check, in (0, 1) "
+                         "(default: 1e-8)")
     pv.add_argument("--floor", type=float, default=1e-8,
                     help="least admissible eigenvalue for generated "
                          "positive matrices (default: 1e-8)")
@@ -101,12 +103,23 @@ def _atom_parameter(args) -> float | None:
     return None
 
 
+# Square blocks at least this wide reuse mirrored strings
+# (``_mirrored_reprs``). Its per-row bookkeeping costs about what it saves
+# on 10 x 10 blocks; on 3 x 3 ones it would print ~40% slower.
+MIRROR_MIN_DIM = 12
+
+
 def _dump(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
+    A 2-D ndarray anywhere in ``payload`` is printed as the matrix JSON
+    ``matrix_to_json`` makes of it, without building its nested lists.
+
     The stdlib encodes through pure Python whenever ``indent`` is set, one
     call per number; matrix ``entries`` dominate a report, so they are
-    printed a row at a time by C-level ``map``/``join`` instead.
+    printed a row at a time by C-level ``map``/``join`` instead, and in a
+    Hermitian block the numbers below the diagonal reuse the strings of
+    their mirrors above it.
     """
     out = []
     _emit(payload, 0, out)
@@ -125,6 +138,15 @@ def _emit(x, level: int, out: list) -> None:
             return
         items = [("", v) for v in x]
         brackets = "[]"
+    elif type(x) is np.ndarray and x.ndim in (2, 3):
+        if x.ndim == 2:  # a matrix
+            _emit(matrix_wire(x), level, out)
+            return
+        rows, cols = x.shape[:2]  # a matrix's entries, from matrix_wire
+        if not _emit_block(map(np.ndarray.tolist, x.reshape(rows, 2 * cols)),
+                           rows, cols, level, out):
+            _emit(x.tolist(), level, out)
+        return
     else:
         out.append(json.dumps(x))
         return
@@ -141,45 +163,104 @@ def _emit(x, level: int, out: list) -> None:
 
 
 def _emit_pair_block(rows, level: int, out: list) -> bool:
-    """Print ``rows`` if it is a matrix's entries: a list of non-empty rows
-    of ``[float, float]`` pairs, every number finite.
+    """Print ``rows`` if it is a matrix's entries: a list of equally long,
+    non-empty rows of ``[float, float]`` pairs.
 
     Returns False, with ``out`` untouched, for anything else; the generic
-    path then prints it (json spells NaN and infinities unlike ``repr``).
+    path then prints it.
     """
     if (type(rows) is not list or type(rows[0]) is not list or not rows[0]
             or type(rows[0][0]) is not list):
         return False
-    i1, i2, i3 = ("\n" + "  " * (level + d) for d in (1, 2, 3))
+    cols = len(rows[0])
+    if (set(map(type, rows)) != {list} or set(map(len, rows)) != {cols}
+            or set(map(type, chain.from_iterable(rows))) != {list}
+            or set(map(len, chain.from_iterable(rows))) != {2}):
+        return False
+    return _emit_block(map(chain.from_iterable, rows), len(rows), cols,
+                       level, out)
+
+
+def _emit_block(numbers, rows: int, cols: int, level: int,
+                out: list) -> bool:
+    """Print a matrix's entries block of ``rows`` x ``cols`` entries;
+    ``numbers`` yields each row's numbers (floats, ``re`` before ``im``).
+
+    Returns False, with ``out`` untouched, if a number is not a finite
+    float (json spells NaN and infinities unlike ``repr``) or the block is
+    empty.
+    """
+    if not rows or not cols:
+        return False
+    i1 = "\n" + "  " * (level + 1)  # the indents one, two and three deeper
+    i2 = i1 + "  "
+    i3 = i2 + "  "
     num_sep = "," + i3
     pair_sep = i2 + "]," + i2 + "[" + i3
     row_sep = i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3
-    start = len(out)
     sep = "[" + i1 + "[" + i2 + "[" + i3
-    for row in rows:
-        text = _pair_row(row, num_sep, pair_sep)
-        if text is None:
-            del out[start:]
-            return False
-        out.append(sep)
-        out.append(text)
-        sep = row_sep
-    out.append(i2 + "]" + i1 + "]\n" + "  " * level + "]")
-    return True
-
-
-def _pair_row(row, num_sep: str, pair_sep: str) -> str | None:
-    """The numbers of one row of finite ``[float, float]`` pairs, joined by
-    the separators, or None if the row is anything else."""
-    if (type(row) is not list or not row or set(map(type, row)) != {list}
-            or set(map(len, row)) != {2}):
-        return None
-    nums = map(float.__repr__, chain.from_iterable(row))
+    start = len(out)
+    if rows == cols >= MIRROR_MIN_DIM:
+        row_strs = _mirrored_reprs(numbers)
+    else:
+        row_strs = map(map, repeat(float.__repr__), numbers)
     try:
-        text = pair_sep.join(map(num_sep.join, zip(nums, nums)))
-    except TypeError:  # a value that is not a float
-        return None
-    return None if "n" in text else text  # "n" spells nan, inf, -inf
+        for strs in map(iter, row_strs):
+            text = pair_sep.join(map(num_sep.join, zip(strs, strs)))
+            if "n" in text:  # "n" spells nan, inf, -inf
+                break
+            out += (sep, text)
+            sep = row_sep
+        else:
+            out.append(i2 + "]" + i1 + "]\n" + "  " * level + "]")
+            return True
+    except TypeError:  # a number that is not a float
+        pass
+    del out[start:]
+    return False
+
+
+def _mirrored_reprs(numbers):
+    """For each row of a square block's numbers that ``numbers`` yields,
+    the list of their ``float.__repr__`` strings.
+
+    The entries of row i left of the diagonal reuse the strings of column
+    i above it when they mirror it: the same real parts, negated imaginary
+    parts (reused with a leading "-" added or removed, as
+    ``repr(-x) == "-" + repr(x)`` for every finite x). A Hermitian block
+    mirrors everywhere, so about half of its numbers are not formatted. A
+    zero among them stops the reuse for that row: 0.0 == -0.0, but their
+    strings differ.
+    """
+    # per row before: its numbers and their strings right of the diagonal
+    # not reached yet, reversed, so that popping twice gives the next
+    # column's re and im
+    above, above_strs = [], []
+    for i, row in enumerate(numbers):
+        row = list(row)
+        if i and set(map(type, row[:2 * i])) != {float}:
+            # these are compared by value below: 1 == 1.0, but json
+            # prints them differently
+            raise TypeError("matrix entries must be floats")
+        re, im = row[0::2], row[1::2]
+        col_re = list(map(list.pop, above))
+        col_im = list(map(list.pop, above))
+        re_strs = list(map(list.pop, above_strs))
+        im_strs = list(map(list.pop, above_strs))
+        if re[:i] != col_re or 0.0 in col_re:
+            re_strs = list(map(float.__repr__, re[:i]))
+        if im[:i] != list(map(neg, col_im)) or 0.0 in col_im:
+            im_strs = list(map(float.__repr__, im[:i]))
+        elif i:
+            # one "-" before each string, then "--" cancels; a repr holds
+            # no ","
+            im_strs = ("-" + ",-".join(im_strs)).replace("--", "").split(",")
+        re_strs += map(float.__repr__, re[i:])
+        im_strs += map(float.__repr__, im[i:])
+        above.append(row[:2 * i + 1:-1])
+        row[0::2], row[1::2] = re_strs, im_strs
+        above_strs.append(row[:2 * i + 1:-1])
+        yield row
 
 
 def _render(args, payload) -> str | None:
@@ -265,9 +346,6 @@ def _cmd_eval(args) -> int:
         value = functional(A, B, K, *exponents.values())
         inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}
 
-    if args.out or args.json:  # the plain-text output echoes no inputs
-        inputs = {name: matrix_to_json(x) if isinstance(x, np.ndarray) else x
-                  for name, x in inputs.items()}
     text = _render(args, {"functional": args.functional, "value": value,
                              "inputs": inputs})
     if args.json:

@@ -34,13 +34,13 @@ UNITARY_TOL = 1e-10
 class HermitianMatrix:
     """An immutable Hermitian matrix.
 
-    Any finite square complex matrix is accepted: the stored matrix is the
-    Hermitian part ``(M + M*)/2`` and the size of what was discarded is kept
-    in ``defect`` (max-entry norm of ``M - M*``). Stored entries therefore
-    satisfy hermiticity exactly.
+    Any finite square complex matrix is accepted: the stored matrix is its
+    Hermitian part ``(M + M*)/2``, so stored entries satisfy hermiticity
+    exactly. Readers that must reject non-Hermitian input gate it first
+    (``hermitian_from_json``).
     """
 
-    __slots__ = ("_mat", "_defect")
+    __slots__ = ("_mat",)
 
     def __init__(self, mat):
         M = np.asarray(mat, dtype=np.complex128)
@@ -50,11 +50,9 @@ class HermitianMatrix:
             raise ValueError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
             raise ValueError("matrix entries must be finite")
-        adj = M.conj().T
-        H = (M + adj) / 2.0
+        H = (M + M.conj().T) / 2.0
         H.flags.writeable = False
         object.__setattr__(self, "_mat", H)
-        object.__setattr__(self, "_defect", float(np.max(np.abs(M - adj))))
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
@@ -64,16 +62,11 @@ class HermitianMatrix:
         return self._mat
 
     @property
-    def defect(self) -> float:
-        """Hermiticity defect of the original input, before symmetrization."""
-        return self._defect
-
-    @property
     def dim(self) -> int:
         return self._mat.shape[0]
 
     def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim}, defect={self._defect:.3g})"
+        return f"HermitianMatrix(dim={self.dim})"
 
 
 def _adj(M) -> np.ndarray:
@@ -246,22 +239,30 @@ def hs_inner(X, Y) -> complex:
     return complex(np.vdot(Ym, Xm))
 
 
-def matrix_to_json(M) -> dict:
-    """Encode a complex matrix as a JSON-ready dict.
+def matrix_wire(M) -> dict:
+    """The wire format of a complex matrix, its entries still an array.
 
-    Square matrices use ``{"dim": n, "entries": [[[re, im] x n] x n]}``
-    (row-major); rectangular ones carry ``"rows"``/``"cols"`` instead of
-    ``"dim"``.
+    Square matrices give ``{"dim": n, "entries": E}`` and rectangular ones
+    carry ``"rows"``/``"cols"`` instead of ``"dim"``; ``E`` is a float64
+    array of shape (rows, cols, 2) holding each entry as ``[re, im]``,
+    row-major.
     """
     A = as_matrix(M)
     if A.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {A.shape}")
     rows, cols = A.shape
-    entries = np.ascontiguousarray(A).view(np.float64).reshape(
-        rows, cols, 2).tolist()
+    entries = np.ascontiguousarray(A).view(np.float64).reshape(rows, cols, 2)
     if rows == cols:
         return {"dim": rows, "entries": entries}
     return {"rows": rows, "cols": cols, "entries": entries}
+
+
+def matrix_to_json(M) -> dict:
+    """Encode a complex matrix as a JSON-ready dict: ``matrix_wire`` with
+    the entries as nested lists, ``[[[re, im] x cols] x rows]``."""
+    doc = matrix_wire(M)
+    doc["entries"] = doc["entries"].tolist()
+    return doc
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

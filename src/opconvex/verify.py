@@ -121,6 +121,11 @@ class TrialConfig:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be in (0, inf), got {self.tol}")
+        if self.tol >= 1.0:
+            # tol * (1 + ||B - A||) would exceed |min eig(B - A)|
+            raise ValueError(f"tol must be below 1, got {self.tol:g}: a "
+                             f"relative tolerance of 1 or more passes "
+                             f"every Loewner-order check")
         if not 0.0 < self.floor < np.inf:
             raise ValueError(f"floor must be in (0, inf), got {self.floor}")
         if not 0.0 < self.shrink <= 1.0:

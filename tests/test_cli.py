@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from opconvex import THEOREM_TAGS
 from opconvex.linalg import matrix_from_json, matrix_to_json
-from opconvex.cli import _dump, main
+from opconvex.cli import MIRROR_MIN_DIM, _dump, _mirrored_reprs, main
 
 
 def write_matrix(path, M):
@@ -90,6 +90,17 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{flag[2:]} must be in (0, inf), got inf" in captured.err
+
+    def test_tolerance_of_one_exits_two(self, capsys):
+        # quartic hp fails this campaign at the default tol; tol >= 1 would
+        # turn it into a PASS, since tol * (1 + ||B - A||) > |slack|
+        code = main(["verify", "--theorem", "hp", "--atom", "quartic",
+                     "--dim-m", "3", "--dim", "2", "--trials", "5000",
+                     "--tol", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be below 1, got 1" in captured.err
 
     @pytest.mark.parametrize("tag", ["perspective", "marechal"])
     def test_floor_above_spectrum_band_exits_two(self, tag, capsys):
@@ -282,6 +293,64 @@ JSON_TREES = st.recursive(
                                         max_size=3)),
     max_leaves=12)
 
+# Magnitudes for the matrix property: the extremes, and values either side
+# of repr's switches to exponent notation
+MAGNITUDES = [0.0, 5e-324, 1.7976931348623157e308, 1e16, 9999999999999998.0,
+              1e-4, 9.999999999999999e-05]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+MIRROR_KINDS = ["hermitian", "complex-symmetric", "real-symmetric",
+                "signed-zeros"]
+
+
+def mirrored(E, kind, rng):
+    """Make the square block ``E`` (n, n, 2) mirror across its diagonal in
+    place: Hermitian, complex symmetric, real symmetric, or Hermitian but
+    for zeros of unmirrored sign (real parts +0.0/-0.0, imaginary parts
+    +0.0/+0.0) in about a third of its mirror pairs."""
+    re, im = E[..., 0], E[..., 1]
+    low = np.tril_indices(len(E), -1)
+    up = low[::-1]
+    re[low] = re[up]
+    im[low] = im[up] if kind == "complex-symmetric" else -im[up]
+    if kind == "real-symmetric":
+        im[...] = 0.0
+    elif kind == "signed-zeros":
+        pick = rng.random(len(low[0])) < 0.3
+        low, up = (low[0][pick], low[1][pick]), (up[0][pick], up[1][pick])
+        re[up], re[low], im[up], im[low] = 0.0, -0.0, 0.0, 0.0
+    return E
+
+
+def random_block(rng, rows, cols, pool):
+    """Entries drawn with either sign from ``pool``, so magnitudes repeat
+    across unrelated entries too."""
+    return (rng.choice(pool, size=(rows, cols, 2))
+            * rng.choice([-1.0, 1.0], size=(rows, cols, 2)))
+
+
+@st.composite
+def complex_matrices(draw):
+    """Square (on both sides of ``MIRROR_MIN_DIM``) and rectangular complex
+    matrices, general or mirrored, then a few entries overwritten (possibly
+    with NaN or an infinity)."""
+    rows = draw(st.sampled_from([1, 2, 3, MIRROR_MIN_DIM - 1, MIRROR_MIN_DIM,
+                                 MIRROR_MIN_DIM + 3]))
+    cols = draw(st.sampled_from([rows, rows, rows, draw(st.integers(1, 6))]))
+    pool = np.array(MAGNITUDES + draw(st.lists(FINITE, min_size=1,
+                                               max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    E = random_block(rng, rows, cols, pool)
+    kind = draw(st.sampled_from(["general"] + MIRROR_KINDS))
+    if kind != "general" and rows == cols:
+        mirrored(E, kind, rng)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        E[i, j, draw(st.integers(0, 1))] = draw(
+            FINITE | st.sampled_from([float("nan"), float("inf"),
+                                      -float("inf")]))
+    return E.view(np.complex128)[..., 0]
+
 
 class TestReportPrinter:
     """``_dump`` must print exactly what the stdlib's indented encoder does."""
@@ -300,6 +369,43 @@ class TestReportPrinter:
         M[0, 0] = complex(-0.0, -0.0)
         payload = {"value": 1.5, "inputs": {"k": matrix_to_json(M)}}
         assert _dump(payload) == self.oracle(payload)
+
+    @given(complex_matrices())
+    def test_matrix_leaf_and_lists_match_stdlib(self, M):
+        doc = matrix_to_json(M)
+        expected = self.oracle({"value": 0.5, "m": doc})
+        assert _dump({"value": 0.5, "m": M}) == expected
+        assert _dump({"value": 0.5, "m": doc}) == expected
+
+    @pytest.mark.parametrize("kind", MIRROR_KINDS)
+    def test_mirrored_block_matches_stdlib(self, kind):
+        rng = np.random.default_rng(11)
+        E = random_block(rng, MIRROR_MIN_DIM, MIRROR_MIN_DIM,
+                         np.array(MAGNITUDES + [0.1, 1.5, 2.0 / 3.0]))
+        M = mirrored(E, kind, rng).view(np.complex128)[..., 0]
+        expected = self.oracle({"m": matrix_to_json(M)})
+        assert _dump({"m": M}) == expected
+        assert _dump({"m": matrix_to_json(M)}) == expected
+
+    def test_mirrored_strings_are_reused(self):
+        # below the diagonal of a Hermitian block, real parts share their
+        # mirror's string object and imaginary parts are built from it
+        n = MIRROR_MIN_DIM
+        rng = np.random.default_rng(5)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rows = (G + G.conj().T).view(np.float64).reshape(n, 2 * n).tolist()
+        strs = list(_mirrored_reprs(rows))
+        assert strs == [list(map(repr, row)) for row in rows]
+        assert all(strs[i][2 * j] is strs[j][2 * i]
+                   for i in range(n) for j in range(i))
+
+    def test_int_mirroring_a_float_falls_back(self):
+        n = MIRROR_MIN_DIM
+        M = np.diag(np.arange(1.0, n + 1))
+        M[0, 1] = M[1, 0] = 2.0
+        doc = matrix_to_json(M)
+        doc["entries"][1][0][0] = 2  # json prints 2, not 2.0
+        assert _dump(doc) == self.oracle(doc)
 
     def test_non_finite_block_falls_back(self):
         payload = {"entries": [[[1.0, 2.0]], [[float("nan"), -float("inf")]]]}

@@ -65,6 +65,19 @@ MATRICES = {
     "k4": _general(4, 10),
 }
 K_SIGNED = [[[1.0, -0.0], [0.5, 0.25]], [[-0.0, -0.0], [2.0, -0.0]]]
+# real symmetric, unit trace, diagonally dominant, negative off-diagonals
+MATRICES["rho4_sym"] = np.array([[0.4, -0.1, 0.05, -0.02],
+                                 [-0.1, 0.3, -0.05, 0.01],
+                                 [0.05, -0.05, 0.2, -0.03],
+                                 [-0.02, 0.01, -0.03, 0.1]])
+MATRICES["sigma4"] = _state(4, 11)
+# Hermitian and diagonally dominant, with -0.0 imaginary parts below the
+# diagonal; once symmetrized, the (0, 1) mirror pair has imaginary parts
+# +0.0/-0.0 and the (1, 2) pair +0.0/+0.0
+MATRICES["a3_zero_im"] = np.array([
+    [2.0, complex(0.5, 0.0), complex(0.3, 0.2)],
+    [complex(0.5, -0.0), 1.5, complex(-0.4, 0.0)],
+    [complex(0.3, -0.2), complex(-0.4, -0.0), 1.0]])
 
 CASES = {
     "rel-entropy n=1":
@@ -93,6 +106,12 @@ CASES = {
     "lieb-pq n=4":
         ["--functional", "lieb-pq", "--a", "a4", "--b", "b4", "--k", "k4",
          "--p", "0.5", "--q", "0.5"],
+    "rel-entropy n=4 real symmetric":
+        ["--functional", "rel-entropy", "--rho", "rho4_sym", "--sigma",
+         "sigma4"],
+    "lieb-s n=3 zero imaginary pairs":
+        ["--functional", "lieb-s", "--a", "a3_zero_im", "--b", "b3", "--k",
+         "k3", "--s", "0.5"],
 }
 
 GOLDEN = {
@@ -116,6 +135,10 @@ GOLDEN = {
         (0, '43be4e5dee240b3f81258d93ae3737d2fecc5b01b2d08a314b45b6017398fa32'),
     'lieb-pq n=4':
         (0, '35e439b4797543f1559b6334f37b52e3fa2a8357c97872d7e4e6d9ef88deca80'),
+    'rel-entropy n=4 real symmetric':
+        (0, '8b0a8b3a350d553ca75fbdfeb914e84bee2d2775e298a172ecffe1a140a2ad9c'),
+    'lieb-s n=3 zero imaginary pairs':
+        (0, '14a7994eea9a196be8cef3fdf3bdbfe54fa5154e33fdc8377be61eb99920114e'),
 }
 
 

@@ -22,16 +22,16 @@ def rand_hermitian(n, seed):
 
 
 class TestHermitianMatrix:
-    def test_symmetrizes_and_records_defect(self):
+    def test_stores_hermitian_part(self):
         M = np.array([[1.0, 2.0], [0.0, 3.0]])
         H = HermitianMatrix(M)
         assert np.array_equal(H.mat, H.mat.conj().T)
-        assert H.defect == pytest.approx(2.0)
+        assert np.array_equal(H.mat, [[1.0, 1.0], [1.0, 3.0]])
         assert H.dim == 2
 
-    def test_exact_hermitian_zero_defect(self):
+    def test_exact_hermitian_kept_as_is(self):
         H = rand_hermitian(4, 0)
-        assert HermitianMatrix(H.mat).defect == 0.0
+        assert np.array_equal(HermitianMatrix(H.mat).mat, H.mat)
 
     def test_mat_is_immutable(self):
         H = rand_hermitian(3, 1)
@@ -197,7 +197,7 @@ class TestJsonWire:
         eps = JSON_HERMITICITY_TOL / 10.0
         doc = matrix_to_json(np.array([[1.0, eps], [0.0, 1.0]]))
         H = hermitian_from_json(doc)
-        assert H.defect <= JSON_HERMITICITY_TOL
+        assert np.array_equal(H.mat, [[1.0, eps / 2], [eps / 2, 1.0]])
 
     @pytest.mark.parametrize("doc", [
         {"dim": 2},

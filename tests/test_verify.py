@@ -75,6 +75,8 @@ class TestTrialConfig:
         {"tol": -1e-8},
         {"tol": float("inf")},
         {"tol": float("nan")},
+        {"tol": 1.0},
+        {"tol": 1e3},
         {"floor": 0.0},
         {"floor": float("inf")},
         {"seed": -1},
