@@ -66,7 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          "(default: 1e-8)")
     pv.add_argument("--floor", type=float, default=1e-8,
                     help="least admissible eigenvalue for generated "
-                         "positive matrices (default: 1e-8)")
+                         "positive matrices; perspective and marechal draw "
+                         "pair spectra from [max(0.1, floor), 10], so a "
+                         "floor below 0.1 moves none of their draws "
+                         "(default: 1e-8)")
     pv.add_argument("--negative-control", action="store_true",
                     help="invert the verdict: succeed iff a violation is "
                          "found (only with --theorem hp)")

@@ -2,16 +2,20 @@
 
 One table maps each theorem tag to its draws, the construction of its
 operands, its checker kernel (from ``checks``), and the configuration
-gates its hypotheses impose. Each trial draws from its own ``numpy`` Generator, seeded by a
-stable hash of (campaign seed, theorem tag, trial index, redraw counter),
-so campaigns are reproducible trial by trial and any reported witness can
-be replayed from its recorded coordinates alone.
+gates its hypotheses impose. Each trial draws from its own stream, exactly
+``numpy.random.default_rng(trial_seed)``'s (PCG64 seeded through numpy's
+SeedSequence), with ``trial_seed`` a stable hash of (campaign seed,
+theorem tag, trial index, redraw counter). So campaigns are reproducible
+trial by trial, and any reported witness replays from its recorded
+coordinates with numpy alone.
 
 The engine decides a tag's trials together, ``CHUNK`` at a time, in three
 steps:
 
-1. Draw: each trial makes its RNG calls in the tag's fixed order. The
-   draws are random numbers only, with no linear algebra.
+1. Draw: the start states of the batch's streams are derived together,
+   and each trial makes its RNG calls in the tag's fixed order on one
+   generator set to its own state. The draws are random numbers only,
+   with no linear algebra.
 2. Stack and decide: the draws are stacked along a leading batch axis, and
    every QR, Wishart product, eigendecomposition, functional-calculus map,
    trace and Loewner slack runs once on the (batch, n, n) arrays.
@@ -50,6 +54,7 @@ from .functionals import (DensityMatrix, ProbabilityVector, _normalize,
 from .linalg import (HermitianMatrix, LoewnerVerdict, RowErrors, _adj,
                      _materialize, _sym, matrix_to_json)
 from .perspective import _require_extended_hypotheses, _require_matrix_convex
+from .seeding import pcg64_states
 
 # The checkers, and the Loewner test they reduce to, are also looked up
 # under this module's name, the verifier's public face.
@@ -112,6 +117,13 @@ class TrialConfig:
     force_endpoints: bool = True
 
     def validate(self) -> None:
+        for name in ("dim_n", "dim_m", "trials", "seed"):
+            value = getattr(self, name)
+            # seed 5.0 or True would hash as "5.0" or "True", a campaign
+            # other than seed 5's or 1's
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim_n < 1 or self.dim_m < 1:
             raise ValueError(
                 f"dimensions must be >= 1, got ({self.dim_m}, {self.dim_n})")
@@ -553,16 +565,18 @@ def _decide(theorem: str, cfg: TrialConfig, indices: list,
             redraws: list) -> _Round:
     entry = _entry(theorem)
     f = cfg.resolve_atom()
-    seeds, cs, draws = [], [], []
-    for index, redraw in zip(indices, redraws):
-        ts = trial_seed(cfg.seed, theorem, index, redraw)
-        rng = np.random.Generator(np.random.PCG64(ts))  # = default_rng(ts)
+    seeds = [trial_seed(cfg.seed, theorem, index, redraw)
+             for index, redraw in zip(indices, redraws)]
+    bitgen = np.random.PCG64(0)  # every trial sets its own state below
+    rng = np.random.Generator(bitgen)
+    cs, draws = [], []
+    for index, state in zip(indices, pcg64_states(seeds)):
+        bitgen.state = state  # rng is now default_rng(the trial's seed)
         if entry.uses_c:
             cs.append((0.0, 0.5, 1.0)[index]
                       if cfg.force_endpoints and index < 3
                       else float(rng.random()))
         draws.append(entry.draw(cfg, f, rng))
-        seeds.append(ts)
     S = {key: np.array([d[key] for d in draws]) for key in draws[0]}
     errs = RowErrors(len(draws))
     ops = entry.build(cfg, f, S, errs)

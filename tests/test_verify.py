@@ -13,6 +13,7 @@ from opconvex.checks import (_geq, check_classical_perspective_convexity,
                              check_lieb_concavity,
                              check_relative_entropy_joint_convexity,
                              scalar_geq)
+from opconvex.seeding import pcg64_states
 from opconvex.verify import (_THEOREMS, CHUNK, MAX_REDRAWS, _encode_witness,
                              _Theorem, random_contraction_pair,
                              random_hermitian_in_domain, random_isometry_pair,
@@ -64,6 +65,50 @@ class TestTrialSeed:
         assert trial_seed(0, "perspective", 1, 0) != base
 
 
+class TestTrialStreams:
+    """A trial draws exactly ``default_rng(trial_seed)``'s stream."""
+
+    EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+
+    def test_states_equal_default_rng(self):
+        seeds = self.EDGE_SEEDS + np.random.default_rng(2008).integers(
+            0, 2 ** 64, 2000, dtype=np.uint64).tolist()
+        bitgen = np.random.PCG64(0)
+        for s, state in zip(seeds, pcg64_states(seeds)):
+            reference = np.random.default_rng(s).bit_generator
+            assert state == reference.state, s
+            bitgen.state = state
+            assert np.array_equal(bitgen.random_raw(3),
+                                  reference.random_raw(3)), s
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_batch_of_one(self, seed):
+        [state] = pcg64_states([seed])
+        assert state == np.random.default_rng(seed).bit_generator.state
+
+    @pytest.fixture
+    def float32_theorem(self):
+        # three float32 draws use one and a half 64-bit outputs, leaving a
+        # 32-bit half buffered in the generator after every trial
+        _THEOREMS["float32"] = _Theorem(
+            lambda cfg, f, rng: {"x": rng.random(3, dtype=np.float32)},
+            lambda cfg, f, S, errs: S,
+            lambda cfg, f, ops, c, errs: _geq(ops["x"][:, 0], 0.0, cfg.tol),
+            lambda cfg, f, ops, k: {"x": ops["x"][k]}, False)
+        yield "float32"
+        del _THEOREMS["float32"]
+
+    def test_no_buffered_half_leaks_into_the_next_trial(self,
+                                                        float32_theorem):
+        cfg = TrialConfig(seed=3)
+        rnd = run_single(float32_theorem, cfg, range(5))
+        for k in range(5):
+            rng = np.random.default_rng(
+                trial_seed(cfg.seed, float32_theorem, k, 0))
+            assert np.array_equal(rnd.witness(k)["x"],
+                                  rng.random(3, dtype=np.float32)), k
+
+
 class TestTrialConfig:
     def test_defaults_validate(self):
         TrialConfig().validate()
@@ -80,6 +125,13 @@ class TestTrialConfig:
         {"floor": 0.0},
         {"floor": float("inf")},
         {"seed": -1},
+        {"seed": 5.0},
+        {"seed": True},
+        {"seed": "5"},
+        {"trials": 2.5},
+        {"trials": 25.0},
+        {"dim_n": 3.0},
+        {"dim_m": False},
         {"shrink": 0.0},
         {"shrink": 1.5},
         {"atom": "cube"},
@@ -90,6 +142,12 @@ class TestTrialConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             TrialConfig(**kwargs).validate()
+
+    def test_numpy_integers_run_the_same_campaign(self):
+        [r] = run_campaign(TrialConfig(seed=np.int64(5), trials=np.int64(3)),
+                           "classical")
+        [ref] = run_campaign(TrialConfig(seed=5, trials=3), "classical")
+        assert (r.worst_slack, r.witness) == (ref.worst_slack, ref.witness)
 
     def test_fingerprint_is_json_ready(self):
         import json
