@@ -16,7 +16,8 @@ import argparse
 import json
 import sys
 from itertools import chain, repeat
-from operator import neg
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 import numpy as np
 
@@ -107,16 +108,16 @@ def _atom_parameter(args) -> float | None:
 
 
 # Square blocks at least this wide reuse mirrored strings
-# (``_mirrored_reprs``). Its per-row bookkeeping costs about what it saves
-# on 10 x 10 blocks; on 3 x 3 ones it would print ~40% slower.
-MIRROR_MIN_DIM = 12
+# (``_mirrored_strs``). Its numpy calls cost what the reuse saves on 9 x 9
+# arrays and 10 x 10 nested lists; on 3 x 3 ones it prints ~2x slower.
+MIRROR_MIN_DIM = 10
 
 
 def _dump(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    A 2-D ndarray anywhere in ``payload`` is printed as the matrix JSON
-    ``matrix_to_json`` makes of it, without building its nested lists.
+    A 2-D ndarray anywhere in ``payload`` prints as ``matrix_to_json``
+    makes it, a wide square one without building its nested lists.
 
     The stdlib encodes through pure Python whenever ``indent`` is set, one
     call per number; matrix ``entries`` dominate a report, so they are
@@ -130,10 +131,20 @@ def _dump(payload) -> str:
     return "".join(out)
 
 
+def _scalar(x) -> str:
+    """``json.dumps(x)``, without its set-up for a str, int or finite float."""
+    kind = type(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int or (kind is float and isfinite(x)):
+        return kind.__repr__(x)
+    return json.dumps(x)
+
+
 def _emit(x, level: int, out: list) -> None:
     if isinstance(x, dict):
         # int, float, bool and None keys are spelled the way json does
-        items = [(json.dumps(k if isinstance(k, str) else json.dumps(k))
+        items = [(_scalar(k if isinstance(k, str) else json.dumps(k))
                   + ": ", v) for k, v in sorted(x.items())]
         brackets = "{}"
     elif isinstance(x, (list, tuple)):
@@ -144,14 +155,14 @@ def _emit(x, level: int, out: list) -> None:
     elif type(x) is np.ndarray and x.ndim in (2, 3):
         if x.ndim == 2:  # a matrix
             _emit(matrix_wire(x), level, out)
-            return
-        rows, cols = x.shape[:2]  # a matrix's entries, from matrix_wire
-        if not _emit_block(map(np.ndarray.tolist, x.reshape(rows, 2 * cols)),
-                           rows, cols, level, out):
+        elif not (len(x) == x.shape[1] >= MIRROR_MIN_DIM
+                  and x.dtype == np.float64 and _emit_block(x, level, out)):
+            # a matrix's entries (from matrix_wire) that are narrow,
+            # rectangular, not float64 or not all finite
             _emit(x.tolist(), level, out)
         return
     else:
-        out.append(json.dumps(x))
+        out.append(_scalar(x))
         return
     if not items:
         out.append(brackets)
@@ -180,21 +191,23 @@ def _emit_pair_block(rows, level: int, out: list) -> bool:
             or set(map(type, chain.from_iterable(rows))) != {list}
             or set(map(len, chain.from_iterable(rows))) != {2}):
         return False
-    return _emit_block(map(chain.from_iterable, rows), len(rows), cols,
-                       level, out)
+    if len(rows) == cols >= MIRROR_MIN_DIM:
+        numbers = list(chain.from_iterable(chain.from_iterable(rows)))
+        # the mirror test compares by value: 1 == 1.0, but json prints
+        # them differently
+        if set(map(type, numbers)) == {float}:
+            return _emit_block(np.fromiter(numbers, np.float64, len(numbers))
+                               .reshape(cols, cols, 2), level, out)
+    return _emit_block(rows, level, out)
 
 
-def _emit_block(numbers, rows: int, cols: int, level: int,
-                out: list) -> bool:
-    """Print a matrix's entries block of ``rows`` x ``cols`` entries;
-    ``numbers`` yields each row's numbers (floats, ``re`` before ``im``).
+def _emit_block(entries, level: int, out: list) -> bool:
+    """Print a matrix's entries block: nested ``[re, im]`` lists, or a
+    square array of shape (n, n, 2), printed through ``_mirrored_strs``.
 
     Returns False, with ``out`` untouched, if a number is not a finite
-    float (json spells NaN and infinities unlike ``repr``) or the block is
-    empty.
+    float (json spells NaN and infinities unlike ``repr``).
     """
-    if not rows or not cols:
-        return False
     i1 = "\n" + "  " * (level + 1)  # the indents one, two and three deeper
     i2 = i1 + "  "
     i3 = i2 + "  "
@@ -203,11 +216,10 @@ def _emit_block(numbers, rows: int, cols: int, level: int,
     row_sep = i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3
     sep = "[" + i1 + "[" + i2 + "[" + i3
     start = len(out)
-    if rows == cols >= MIRROR_MIN_DIM:
-        row_strs = _mirrored_reprs(numbers)
-    else:
-        row_strs = map(map, repeat(float.__repr__), numbers)
     try:
+        row_strs = (_mirrored_strs(entries) if type(entries) is np.ndarray
+                    else map(map, repeat(float.__repr__),
+                             map(chain.from_iterable, entries)))
         for strs in map(iter, row_strs):
             text = pair_sep.join(map(num_sep.join, zip(strs, strs)))
             if "n" in text:  # "n" spells nan, inf, -inf
@@ -223,47 +235,32 @@ def _emit_block(numbers, rows: int, cols: int, level: int,
     return False
 
 
-def _mirrored_reprs(numbers):
-    """For each row of a square block's numbers that ``numbers`` yields,
-    the list of their ``float.__repr__`` strings.
+def _mirrored_strs(E) -> list:
+    """Each row's ``float.__repr__`` strings, re before im, of the square
+    block ``E`` of shape (n, n, 2).
 
-    The entries of row i left of the diagonal reuse the strings of column
-    i above it when they mirror it: the same real parts, negated imaginary
-    parts (reused with a leading "-" added or removed, as
-    ``repr(-x) == "-" + repr(x)`` for every finite x). A Hermitian block
-    mirrors everywhere, so about half of its numbers are not formatted. A
-    zero among them stops the reuse for that row: 0.0 == -0.0, but their
-    strings differ.
+    A number below the diagonal reuses the string of its mirror above it:
+    an equal real part as it is, a negated imaginary part with a leading
+    "-" added or removed (``repr(-x) == "-" + repr(x)`` for finite x). So
+    a Hermitian block formats about half of its numbers. Zeros never
+    reuse: 0.0 == -0.0, but their strings differ.
     """
-    # per row before: its numbers and their strings right of the diagonal
-    # not reached yet, reversed, so that popping twice gives the next
-    # column's re and im
-    above, above_strs = [], []
-    for i, row in enumerate(numbers):
-        row = list(row)
-        if i and set(map(type, row[:2 * i])) != {float}:
-            # these are compared by value below: 1 == 1.0, but json
-            # prints them differently
-            raise TypeError("matrix entries must be floats")
-        re, im = row[0::2], row[1::2]
-        col_re = list(map(list.pop, above))
-        col_im = list(map(list.pop, above))
-        re_strs = list(map(list.pop, above_strs))
-        im_strs = list(map(list.pop, above_strs))
-        if re[:i] != col_re or 0.0 in col_re:
-            re_strs = list(map(float.__repr__, re[:i]))
-        if im[:i] != list(map(neg, col_im)) or 0.0 in col_im:
-            im_strs = list(map(float.__repr__, im[:i]))
-        elif i:
-            # one "-" before each string, then "--" cancels; a repr holds
-            # no ","
-            im_strs = ("-" + ",-".join(im_strs)).replace("--", "").split(",")
-        re_strs += map(float.__repr__, re[i:])
-        im_strs += map(float.__repr__, im[i:])
-        above.append(row[:2 * i + 1:-1])
-        row[0::2], row[1::2] = re_strs, im_strs
-        above_strs.append(row[:2 * i + 1:-1])
-        yield row
+    n = len(E)
+    re, im = E[..., 0], E[..., 1]
+    below = np.tri(n, k=-1, dtype=bool)
+    reuse = np.stack((below & (re == re.T) & (re != 0),
+                      below & (im == -im.T) & (im != 0)), axis=-1)
+    S = np.empty(E.shape, object)
+    fresh = ~reuse
+    S[fresh] = list(map(float.__repr__, E[fresh].tolist()))
+    mirror = S.transpose(1, 0, 2)  # mirror[i, j] is S[j, i]
+    S[reuse[..., 0], 0] = mirror[reuse[..., 0], 0]
+    flipped = mirror[reuse[..., 1], 1].tolist()
+    if flipped:
+        # one "-" before each string, then "--" cancels; a repr holds no ","
+        S[reuse[..., 1], 1] = (
+            "-" + ",-".join(flipped)).replace("--", "").split(",")
+    return S.reshape(n, 2 * n).tolist()
 
 
 def _render(args, payload) -> str | None:

@@ -17,6 +17,7 @@ and matmul calls give bit-identical results to per-matrix calls
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -291,20 +292,21 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         shaped = False
     if not shaped:
         raise ValueError(f"entries shape does not match {rows}x{cols}")
+    pairs = list(chain.from_iterable(entries))
     try:
-        E = np.array(entries)
-    except ValueError:  # ragged below the row level
-        E = None
-    if E is None or E.shape != (rows, cols, 2):
+        paired = set(map(len, pairs)) == {2}
+    except TypeError:
+        paired = False
+    if not paired:
         raise ValueError("each entry must be a [re, im] pair")
-    if E.dtype.kind not in "fi":
+    numbers = list(chain.from_iterable(pairs))
+    if not all(issubclass(kind, (int, float, np.integer, np.floating))
+               and kind is not bool for kind in set(map(type, numbers))):
         raise ValueError("matrix entries must be numbers")
-    # np.array turns a boolean among numbers into 0 or 1, so only entries
-    # equal to one of those can have been a boolean
-    for i, j, p in zip(*(a.tolist() for a in np.nonzero((E == 0) | (E == 1)))):
-        if type(entries[i][j][p]) is bool:
-            raise ValueError("matrix entries must be numbers")
-    E = E.astype(np.float64, copy=False)
+    try:
+        E = np.fromiter(numbers, np.float64, len(numbers))
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("matrix entries must be finite") from None
     if not np.all(np.isfinite(E)):
         raise ValueError("matrix entries must be finite")
     # a view, not re + 1j*im, which would turn an imaginary -0.0 into +0.0

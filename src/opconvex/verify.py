@@ -705,6 +705,7 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
     for tag in tags:
         _entry(tag).gate(cfg)
 
+    config = cfg.fingerprint()  # scalars only, so dict() copies it
     reports = []
     for tag in tags:
         failures, worst, worst_witness = 0, None, None
@@ -720,5 +721,5 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
             theorem=tag, trials=cfg.trials, failures=failures,
             worst_slack=worst[0], tolerance=cfg.tol,
             witness=_encode_witness(worst_witness),
-            config=cfg.fingerprint()))
+            config=dict(config)))
     return reports

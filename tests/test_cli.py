@@ -1,4 +1,5 @@
 """CLI surface: subcommands, exit codes, JSON reports, matrix file handling."""
+import enum
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from opconvex import THEOREM_TAGS
 from opconvex.linalg import matrix_from_json, matrix_to_json
-from opconvex.cli import MIRROR_MIN_DIM, _dump, _mirrored_reprs, main
+from opconvex.cli import MIRROR_MIN_DIM, _dump, _mirrored_strs, main
 
 
 def write_matrix(path, M):
@@ -254,6 +255,15 @@ class TestEvalCommand:
         assert code == 2
         assert "numbers" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_exits_two(self, tmp_path, eye2,
+                                                  capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 1, "entries": [[[1%s, 0.0]]]}' % ("0" * 400))
+        code = main(["eval", "--functional", "rel-entropy", "--rho",
+                     str(path), "--sigma", eye2])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_boolean_among_numbers_exits_two_with_json(self, tmp_path, capsys):
         one = tmp_path / "one.json"
         one.write_text(json.dumps({"dim": 1, "entries": [[[1.0, 0.0]]]}))
@@ -266,14 +276,20 @@ class TestEvalCommand:
         assert "numbers" in captured.err
 
 
+class Color(enum.IntEnum):
+    RED = 1
+
+
 # JSON trees for the printer property: matrix-shaped float blocks (NaN,
-# infinities, -0.0), ragged and rectangular ones, blocks of other scalars,
-# empty lists and dicts, and dicts with integer keys
+# infinities, -0.0), ragged and rectangular ones, blocks of other scalars
+# (float and int subclasses among them), empty lists and dicts, and dicts
+# with integer keys
 FLOATS = st.floats() | st.sampled_from(
     [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16,
      1e-5, 1.0 / 3.0])
 SCALARS = (st.none() | st.booleans() | st.integers() | FLOATS
-           | st.text(max_size=4))
+           | st.text(max_size=4) | FLOATS.map(np.float64)
+           | st.sampled_from(list(Color)))
 PAIR_BLOCKS = st.lists(st.lists(st.lists(FLOATS, min_size=2, max_size=2),
                                 min_size=1, max_size=4),
                        min_size=1, max_size=4)
@@ -387,17 +403,43 @@ class TestReportPrinter:
         assert _dump({"m": M}) == expected
         assert _dump({"m": matrix_to_json(M)}) == expected
 
+    @pytest.mark.parametrize("kind", MIRROR_KINDS)
+    def test_eval_sized_mirrored_block_matches_stdlib(self, kind):
+        n = 128  # the size the eval-large benchmark echoes
+        rng = np.random.default_rng(13)
+        E = random_block(rng, n, n, np.array(MAGNITUDES + [0.1, 1.5]))
+        M = mirrored(E, kind, rng).view(np.complex128)[..., 0]
+        doc = matrix_to_json(M)
+        assert _dump({"m": M}) == _dump({"m": doc}) == self.oracle({"m": doc})
+
     def test_mirrored_strings_are_reused(self):
-        # below the diagonal of a Hermitian block, real parts share their
+        # below the diagonal of a Hermitian block, real parts are their
         # mirror's string object and imaginary parts are built from it
         n = MIRROR_MIN_DIM
         rng = np.random.default_rng(5)
         G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rows = (G + G.conj().T).view(np.float64).reshape(n, 2 * n).tolist()
-        strs = list(_mirrored_reprs(rows))
-        assert strs == [list(map(repr, row)) for row in rows]
+        E = (G + G.conj().T).view(np.float64).reshape(n, n, 2)
+        strs = _mirrored_strs(E)
+        assert strs == [list(map(repr, row))
+                        for row in E.reshape(n, 2 * n).tolist()]
         assert all(strs[i][2 * j] is strs[j][2 * i]
                    for i in range(n) for j in range(i))
+
+    def test_reuse_is_decided_per_entry(self):
+        # one lower entry off its mirror: only that entry is formatted
+        # afresh, and the rest of its row still reuses
+        n = MIRROR_MIN_DIM
+        G = np.arange(1.0, n * n + 1).reshape(n, n) * (1 + 0.5j)
+        M = G + G.conj().T
+        M[5, 2] += 0.25 + 0.25j
+        rows = M.view(np.float64).tolist()
+        strs = _mirrored_strs(M.view(np.float64).reshape(n, n, 2))
+        assert strs == [list(map(repr, row)) for row in rows]
+        assert float(strs[5][4]) != float(strs[2][10])
+        assert float(strs[5][5]) != -float(strs[2][11])
+        assert all(strs[5][2 * j] is strs[j][10] for j in (0, 1, 3, 4))
+        doc = matrix_to_json(M)
+        assert _dump({"m": M}) == _dump({"m": doc}) == self.oracle({"m": doc})
 
     def test_int_mirroring_a_float_falls_back(self):
         n = MIRROR_MIN_DIM
@@ -405,6 +447,14 @@ class TestReportPrinter:
         M[0, 1] = M[1, 0] = 2.0
         doc = matrix_to_json(M)
         doc["entries"][1][0][0] = 2  # json prints 2, not 2.0
+        assert _dump(doc) == self.oracle(doc)
+        entries = np.array(doc["entries"], dtype=object)
+        assert _dump(entries) == self.oracle(doc["entries"])
+
+    def test_float_subclass_in_wide_block(self):
+        n = MIRROR_MIN_DIM
+        doc = matrix_to_json(np.eye(n) + 0.5)
+        doc["entries"][1][0][0] = np.float64(0.5)  # not exactly a float
         assert _dump(doc) == self.oracle(doc)
 
     def test_non_finite_block_falls_back(self):

@@ -179,9 +179,13 @@ class TestJsonWire:
         back = matrix_from_json({"dim": 1, "entries": [[[2, -1]]]})
         assert back.dtype == np.complex128 and back[0, 0] == 2 - 1j
 
+    def test_integers_beyond_64_bits_accepted(self):
+        back = matrix_from_json({"dim": 1, "entries": [[[2 ** 64, -2 ** 70]]]})
+        assert back[0, 0] == complex(2.0 ** 64, -2.0 ** 70)
+
     def test_zero_and_one_numbers_accepted(self):
-        # the boolean check looks only at entries equal to 0 or 1; genuine
-        # floats and integers there must still decode
+        # booleans are rejected; genuine floats and integers equal to 0 or
+        # 1 must still decode
         doc = {"dim": 2, "entries": [[[1.0, 0.0], [0, 1]],
                                      [[1, 0.0], [0.0, -0.0]]]}
         back = matrix_from_json(json.loads(json.dumps(doc)))
@@ -217,6 +221,8 @@ class TestJsonWire:
         {"dim": 1, "entries": [[[True, 0.5]]]},
         {"dim": 1, "entries": [[[0.5, False]]]},
         {"dim": 2, "entries": [[[1.0, 0.0], [2, 0]], [[2, 0], [True, 0.0]]]},
+        {"dim": 1, "entries": [[[10 ** 400, 0.0]]]},
+        {"dim": 1, "entries": [["ab"]]},
     ])
     def test_malformed_rejected(self, doc):
         with pytest.raises(ValueError):

@@ -438,6 +438,12 @@ class TestRunCampaign:
         assert set(doc) == {"theorem", "trials", "failures", "worst_slack",
                             "tolerance", "witness", "config"}
 
+    def test_each_report_owns_its_config(self):
+        cfg = TrialConfig(trials=3, seed=3)
+        a, b = run_campaign(cfg, ("classical", "perspective"))
+        assert a.config == b.config == cfg.fingerprint()
+        assert a.config is not b.config
+
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
     def test_worst_witness_replays_to_worst_slack(self, tag):
         cfg = TrialConfig(trials=40, seed=5)
