@@ -107,9 +107,9 @@ def _atom_parameter(args) -> float | None:
     return None
 
 
-# Square blocks at least this wide reuse mirrored strings
+# Square entries arrays at least this wide reuse mirrored strings
 # (``_mirrored_strs``). Its numpy calls cost what the reuse saves on 9 x 9
-# arrays and 10 x 10 nested lists; on 3 x 3 ones it prints ~2x slower.
+# arrays; on 3 x 3 ones it prints ~2x slower.
 MIRROR_MIN_DIM = 10
 
 
@@ -117,7 +117,8 @@ def _dump(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     A 2-D ndarray anywhere in ``payload`` prints as ``matrix_to_json``
-    makes it, a wide square one without building its nested lists.
+    makes it, and so does a ``matrix_wire`` dict (verify's witnesses,
+    eval's inputs), a wide square one without building nested lists.
 
     The stdlib encodes through pure Python whenever ``indent`` is set, one
     call per number; matrix ``entries`` dominate a report, so they are
@@ -155,11 +156,10 @@ def _emit(x, level: int, out: list) -> None:
     elif type(x) is np.ndarray and x.ndim in (2, 3):
         if x.ndim == 2:  # a matrix
             _emit(matrix_wire(x), level, out)
-        elif not (len(x) == x.shape[1] >= MIRROR_MIN_DIM
-                  and x.dtype == np.float64 and _emit_block(x, level, out)):
-            # a matrix's entries (from matrix_wire) that are narrow,
-            # rectangular, not float64 or not all finite
-            _emit(x.tolist(), level, out)
+        elif not (x.size and x.shape[2] == 2 and _emit_block(
+                x if len(x) == x.shape[1] >= MIRROR_MIN_DIM
+                and x.dtype == np.float64 else x.tolist(), level, out)):
+            _emit(x.tolist(), level, out)  # not entries of finite floats
         return
     else:
         out.append(_scalar(x))
@@ -191,13 +191,6 @@ def _emit_pair_block(rows, level: int, out: list) -> bool:
             or set(map(type, chain.from_iterable(rows))) != {list}
             or set(map(len, chain.from_iterable(rows))) != {2}):
         return False
-    if len(rows) == cols >= MIRROR_MIN_DIM:
-        numbers = list(chain.from_iterable(chain.from_iterable(rows)))
-        # the mirror test compares by value: 1 == 1.0, but json prints
-        # them differently
-        if set(map(type, numbers)) == {float}:
-            return _emit_block(np.fromiter(numbers, np.float64, len(numbers))
-                               .reshape(cols, cols, 2), level, out)
     return _emit_block(rows, level, out)
 
 

@@ -269,20 +269,20 @@ def matrix_to_json(M) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the wire format back into a complex ndarray (no hermiticity gate).
 
-    Entries must be JSON numbers: ``null``, booleans, strings and objects
-    are rejected rather than coerced.
+    Dimensions must be JSON integers and entries JSON numbers: nothing else
+    (``null``, booleans, strings, objects, float dimensions) is coerced.
     """
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")
-    try:
-        if "dim" in obj:
-            rows = cols = int(obj["dim"])
-        elif "rows" in obj and "cols" in obj:
-            rows, cols = int(obj["rows"]), int(obj["cols"])
-        else:
-            raise ValueError("matrix JSON must carry 'dim' or 'rows'/'cols'")
-    except TypeError:
-        raise ValueError("matrix dimensions must be integers") from None
+    if "dim" in obj:
+        rows = cols = obj["dim"]
+    elif "rows" in obj and "cols" in obj:
+        rows, cols = obj["rows"], obj["cols"]
+    else:
+        raise ValueError("matrix JSON must carry 'dim' or 'rows'/'cols'")
+    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer))
+           for d in (rows, cols)):
+        raise ValueError("matrix dimensions must be integers")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be at least 1")
     entries = obj["entries"]

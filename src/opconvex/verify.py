@@ -20,7 +20,7 @@ steps:
    every QR, Wishart product, eigendecomposition, functional-calculus map,
    trace and Loewner slack runs once on the (batch, n, n) arrays.
 3. Encode: only the worst trial's operands are built, from its slice of
-   the stacks, and encoded as matrix JSON.
+   the stacks, as ``matrix_wire`` dicts: float64 arrays until printed.
 
 Stacked LAPACK and matmul calls give bit-identical results to per-matrix
 calls, and ``run_single`` is the same engine on a batch of one, so a
@@ -52,7 +52,7 @@ from .errors import DomainViolation, HypothesisViolation
 from .functionals import (DensityMatrix, ProbabilityVector, _normalize,
                           _power_atoms, _require_pq_exponents)
 from .linalg import (HermitianMatrix, LoewnerVerdict, RowErrors, _adj,
-                     _materialize, _sym, matrix_to_json)
+                     _materialize, _sym, matrix_wire)
 from .perspective import _require_extended_hypotheses, _require_matrix_convex
 from .seeding import pcg64_states
 
@@ -153,9 +153,11 @@ class TrialConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckReport:
-    """Aggregate of one theorem's campaign."""
+    """Aggregate of one theorem's campaign. Witness matrices are
+    ``matrix_wire`` dicts, their entries float64 arrays; ``cli._dump``
+    prints them as matrix JSON. ``==`` is identity: compare printed text."""
 
     theorem: str
     trials: int
@@ -521,15 +523,16 @@ _THEOREMS = {
 
 
 def _encode_witness(witness: dict) -> dict:
-    """Matrix JSON for a raw witness; a CommutingPair under key k becomes
-    its two factors under Lk and Rk."""
+    """A raw witness with each matrix as its ``matrix_wire`` dict; a
+    CommutingPair under key k becomes its two factors under Lk and Rk."""
     doc = {}
     for key, value in witness.items():
         if isinstance(value, CommutingPair):
-            doc["L" + key] = matrix_to_json(value.left.mat)
-            doc["R" + key] = matrix_to_json(value.right.mat)
+            doc["L" + key] = matrix_wire(value.left.mat)
+            doc["R" + key] = matrix_wire(value.right.mat)
         elif isinstance(value, (np.ndarray, HermitianMatrix, DensityMatrix)):
-            doc[key] = matrix_to_json(getattr(value, "mat", value))
+            # a copy: a trial's slice would keep its batch's stacks alive
+            doc[key] = matrix_wire(np.array(getattr(value, "mat", value)))
         else:
             doc[key] = value
     return doc
@@ -694,7 +697,7 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
 
     Trials run ``CHUNK`` at a time through ``run_trial``. The worst witness
     is the trial with the most negative slack, ties broken by the lower
-    trial index. Only that trial's operands are encoded as matrix JSON.
+    trial index. Only that trial's operands go into ``matrix_wire`` dicts.
     """
     if isinstance(theorems, str):
         theorems = (theorems,)

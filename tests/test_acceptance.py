@@ -24,6 +24,7 @@ from opconvex.functionals import classical_entropy
 from opconvex.verify import random_probability_vector
 from opconvex.commuting import MultiplicationPair
 from opconvex.cli import main
+from reports import printed
 
 
 def _verdict(num, ok, detail):
@@ -239,8 +240,8 @@ def test_criterion_09_determinism(tmp_path):
     byte_identical = a.read_bytes() == b.read_bytes()
 
     cfg = TrialConfig(seed=7)
-    independent = run_campaign(cfg, THEOREM_TAGS) == [
-        run_campaign(cfg, (tag,))[0] for tag in THEOREM_TAGS]
+    independent = printed(run_campaign(cfg, THEOREM_TAGS)) == printed(
+        [run_campaign(cfg, (tag,))[0] for tag in THEOREM_TAGS])
     _verdict(9, byte_identical and independent,
              f"determinism: repeated CLI reports byte-identical="
              f"{byte_identical}, campaign == per-tag campaigns={independent}")

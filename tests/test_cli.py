@@ -255,6 +255,18 @@ class TestEvalCommand:
         assert code == 2
         assert "numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims", ['"dim": 2.0', '"dim": "2"',
+                                      '"rows": 2.9, "cols": 2.2'])
+    def test_non_integer_dimension_exits_two(self, tmp_path, eye2, dims,
+                                             capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{%s, "entries": [[[1.0, 0.0], [0.0, 0.0]], '
+                        '[[0.0, 0.0], [1.0, 0.0]]]}' % dims)
+        code = main(["eval", "--functional", "rel-entropy", "--rho",
+                     str(path), "--sigma", eye2])
+        assert code == 2
+        assert "dimensions must be integers" in capsys.readouterr().err
+
     def test_integer_beyond_float_range_exits_two(self, tmp_path, eye2,
                                                   capsys):
         path = tmp_path / "huge.json"
@@ -461,6 +473,16 @@ class TestReportPrinter:
         payload = {"entries": [[[1.0, 2.0]], [[float("nan"), -float("inf")]]]}
         assert "NaN" in _dump(payload)
         assert _dump(payload) == self.oracle(payload)
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((0, 0, 2), float), ((2, 0, 2), float), ((2, 2, 3), float),
+        ((2, 2, 2), int), ((MIRROR_MIN_DIM,) * 2 + (2,), int),
+        ((MIRROR_MIN_DIM,) * 2 + (2,), np.float32),
+        ((MIRROR_MIN_DIM,) * 2 + (1,), float)])
+    def test_arrays_that_are_not_float_entries(self, shape, dtype):
+        # printed as their nested lists, whatever path they take
+        E = (np.arange(np.prod(shape)).reshape(shape) / 3).astype(dtype)
+        assert _dump({"m": E}) == self.oracle({"m": E.tolist()})
 
 
 class TestAtomsCommand:

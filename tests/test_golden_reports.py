@@ -4,9 +4,10 @@ Each case pins the exit code and the sha256 of stdout for one command line
 over a grid of seeds, dimensions, theorem tags and atoms, including the
 runs that exit 2 on a configuration error and a negative control whose
 report carries a FAIL witness. Further cases cover campaigns of one trial
-and of several batches of trials, and configurations whose draws are
-rejected and redrawn, one of them until the redraw budget runs out. Any change to a verdict, the seed rule or
-a witness's contents changes a hash.
+and of several batches of trials, configurations whose draws are rejected
+and redrawn, one of them until the redraw budget runs out, and witnesses
+wide enough for the printer's mirrored array pass. Any change to a
+verdict, the seed rule or a witness's contents changes a hash.
 
 The hashes were taken with numpy 2.4.6; other numpy builds may round
 differently in the last bit, so the test skips under them.
@@ -53,6 +54,11 @@ def _grid():
            "--trials", "40", "--seed", "5", "--json"]
     yield ["verify", "--theorem", "marechal", "--floor", "9", "--trials", "3",
            "--json"]
+    # witness blocks at least cli.MIRROR_MIN_DIM wide: square ones take the
+    # printer's mirrored array pass, rectangular A and B (dim_m x dim) not
+    for dim_m in ("12", "7"):
+        yield ["verify", "--theorem", "all", "--dim", "12", "--dim-m", dim_m,
+               "--trials", "3", "--seed", "0", "--json"]
 
 
 GOLDEN = {
@@ -178,6 +184,10 @@ GOLDEN = {
         (0, '28c872c130dba19c8c696e4638cb53bbdd9f0bac0007c38dd5c4c7e13b3a149a'),
     'verify --theorem marechal --floor 9 --trials 3 --json':
         (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --theorem all --dim 12 --dim-m 12 --trials 3 --seed 0 --json':
+        (0, '7eea65e65b231bc3ec00699e141b0636ebf40b9fb2214efedba87f807e21b449'),
+    'verify --theorem all --dim 12 --dim-m 7 --trials 3 --seed 0 --json':
+        (0, '753e9f551aeb4407af4d522aadb99b4f0a3e8c3a08634e8653e1412d579ffc26'),
 }
 
 

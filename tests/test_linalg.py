@@ -223,6 +223,14 @@ class TestJsonWire:
         {"dim": 2, "entries": [[[1.0, 0.0], [2, 0]], [[2, 0], [True, 0.0]]]},
         {"dim": 1, "entries": [[[10 ** 400, 0.0]]]},
         {"dim": 1, "entries": [["ab"]]},
+        # dimensions that int() would read as 2, 2, 2 x 2 and 1
+        {"dim": "2", "entries": [[[1.0, 0.0], [0.0, 0.0]],
+                                 [[0.0, 0.0], [1.0, 0.0]]]},
+        {"dim": 2.5, "entries": [[[1.0, 0.0], [0.0, 0.0]],
+                                 [[0.0, 0.0], [1.0, 0.0]]]},
+        {"rows": 2.9, "cols": 2.2, "entries": [[[1.0, 0.0], [0.0, 0.0]],
+                                               [[0.0, 0.0], [1.0, 0.0]]]},
+        {"dim": True, "entries": [[[1.0, 0.0]]]},
     ])
     def test_malformed_rejected(self, doc):
         with pytest.raises(ValueError):

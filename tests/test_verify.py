@@ -18,6 +18,7 @@ from opconvex.verify import (_THEOREMS, CHUNK, MAX_REDRAWS, _encode_witness,
                              _Theorem, random_contraction_pair,
                              random_hermitian_in_domain, random_isometry_pair,
                              random_probability_vector, run_trial, trial_seed)
+from reports import printed
 
 
 def _register(tag, build, check=None):
@@ -147,7 +148,8 @@ class TestTrialConfig:
         [r] = run_campaign(TrialConfig(seed=np.int64(5), trials=np.int64(3)),
                            "classical")
         [ref] = run_campaign(TrialConfig(seed=5, trials=3), "classical")
-        assert (r.worst_slack, r.witness) == (ref.worst_slack, ref.witness)
+        assert r.worst_slack == ref.worst_slack
+        assert printed(r.witness) == printed(ref.witness)
 
     def test_fingerprint_is_json_ready(self):
         import json
@@ -280,8 +282,7 @@ class TestRunSingle:
         v1, w1 = run_single("perspective", cfg, 4)
         v2, w2 = run_single("perspective", cfg, 4)
         assert v1 == v2
-        # raw witnesses hold commuting pairs; compare their encodings
-        assert _encode_witness(w1) == _encode_witness(w2)
+        assert printed(w1) == printed(w2)
 
     def test_forced_endpoints(self):
         cfg = TrialConfig(trials=10)
@@ -319,7 +320,7 @@ class TestRunSingle:
             v, w = run_single(tag, cfg, i)
             assert (v.slack, v.tolerance_used) == (rnd.slack[i],
                                                    rnd.tolerance_used[i])
-            assert _encode_witness(rnd.witness(i)) == _encode_witness(w)
+            assert printed(rnd.witness(i)) == printed(w)
 
 
 class TestRedrawMachinery:
@@ -373,7 +374,7 @@ class TestRedrawMachinery:
     def test_campaign_over_redrawn_trials(self, flaky_tag):
         cfg = TrialConfig(trials=CHUNK + 9, seed=4)
         r = run_campaign(cfg, (flaky_tag,))[0]
-        assert r == _serial_report(cfg, flaky_tag)
+        assert printed(r) == printed(_serial_report(cfg, flaky_tag))
         assert r.worst_slack == min(self._first_accepted(cfg, i)[1]
                                     for i in range(cfg.trials))
 
@@ -438,6 +439,22 @@ class TestRunCampaign:
         assert set(doc) == {"theorem", "trials", "failures", "worst_slack",
                             "tolerance", "witness", "config"}
 
+    @pytest.mark.parametrize("tag, keys", [
+        ("hp", ("A", "B", "T")), ("perspective", ("L1", "R1", "L2", "R2")),
+        ("rel-entropy-convexity", ("rho1", "sigma1")),
+        ("lieb-s", ("A1", "B2", "K"))])
+    def test_witness_matrices_are_copied_arrays(self, tag, keys):
+        # float64 entries that own their memory, not views of the batch's
+        # stacks that would keep those alive with the report
+        cfg = TrialConfig(trials=5, seed=2, dim_n=4, dim_m=3)
+        w = run_campaign(cfg, (tag,))[0].witness
+        for key in keys:
+            E = w[key]["entries"]
+            assert E.dtype == np.float64 and E.shape[2] == 2
+            while E.base is not None:
+                E = E.base
+            assert E.nbytes == w[key]["entries"].nbytes, key
+
     def test_each_report_owns_its_config(self):
         cfg = TrialConfig(trials=3, seed=3)
         a, b = run_campaign(cfg, ("classical", "perspective"))
@@ -451,13 +468,14 @@ class TestRunCampaign:
         v, w = run_single(tag, cfg, r.witness["trial_index"],
                           r.witness["redraw"])
         assert v.slack == r.worst_slack
-        assert r.witness == _encode_witness(w)
+        assert printed(r.witness) == printed(w)
 
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
     @pytest.mark.parametrize("seed, dim", [(0, 2), (11, 3), (4, 4)])
     def test_matches_trial_by_trial_reference(self, tag, seed, dim):
         cfg = TrialConfig(trials=10, seed=seed, dim_n=dim, dim_m=dim)
-        assert run_campaign(cfg, (tag,)) == [_serial_report(cfg, tag)]
+        assert printed(run_campaign(cfg, (tag,))) == printed(
+            [_serial_report(cfg, tag)])
 
     @pytest.mark.parametrize("tag, kwargs", [
         ("classical", {"trials": 2 * CHUNK + 5, "seed": 1}),
@@ -467,7 +485,8 @@ class TestRunCampaign:
     ])
     def test_matches_reference_across_batches(self, tag, kwargs):
         cfg = TrialConfig(**kwargs)
-        assert run_campaign(cfg, (tag,)) == [_serial_report(cfg, tag)]
+        assert printed(run_campaign(cfg, (tag,))) == printed(
+            [_serial_report(cfg, tag)])
 
     @pytest.fixture
     def tied_tag(self):
@@ -485,13 +504,13 @@ class TestRunCampaign:
         assert len(lows) > 1 and r.worst_slack == -0.5
         assert r.witness["trial_index"] == lows[0]
         assert r.failures == sum(x < 2 / 3 for x in u)  # negative slacks
-        assert r == _serial_report(cfg, tied_tag)
+        assert printed(r) == printed(_serial_report(cfg, tied_tag))
 
     def test_campaign_matches_per_tag_campaigns(self):
         cfg = TrialConfig(trials=30, seed=9)
         tags = ("perspective", "rel-entropy-convexity", "classical")
-        assert run_campaign(cfg, tags) == [run_campaign(cfg, (t,))[0]
-                                           for t in tags]
+        assert printed(run_campaign(cfg, tags)) == printed(
+            [run_campaign(cfg, (t,))[0] for t in tags])
 
     def test_worst_slack_monotone_in_trial_count(self):
         small = run_campaign(TrialConfig(trials=20, seed=2), ("lieb-s",))[0]
