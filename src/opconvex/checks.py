@@ -1,11 +1,15 @@
-"""The inequalities the verifier checks, one kernel per theorem.
+"""The inequalities the verifier checks: the Jensen kernel, and one mixture
+kernel for the six joint-convexity theorems.
 
-Each kernel decides its inequality on stacks of operands, shape
-(batch, ...), and returns the stacked (slack, tolerance_used); a gate that
-fails on a row records the row's exception in a ``RowErrors`` instead of
-raising, so the other rows go on. The verifier runs the kernels on whole
-batches of trials. The public ``check_*`` functions validate their operands
-and run the same kernels on a batch of one, raising that row's exception.
+Each of those says g(cX1 + (1-c)X2) <= c g(X1) + (1-c) g(X2) for its own
+g, reversed for a concave g, in the Loewner or the scalar order; the
+``*_g`` functions give each g to ``_mixture``. The kernels decide their
+inequality on stacks of operands, shape (batch, ...), and return the
+stacked (slack, tolerance_used); a gate that fails on a row records the
+row's exception in a ``RowErrors`` instead of raising, so the other rows
+go on. The verifier runs the kernels on whole batches of trials. The
+public ``check_*`` functions validate their operands and run the same
+kernels on a batch of one, raising that row's exception.
 
 Checkers validate the theorem's hypotheses before evaluating the
 inequality: a hypothesis defect raises ``HypothesisViolation``, never
@@ -44,11 +48,6 @@ def scalar_geq(lhs: float, rhs: float, tol: float) -> LoewnerVerdict:
 
 def _verdict(kernel) -> LoewnerVerdict:
     return LoewnerVerdict.of(*RowErrors.one(kernel))
-
-
-def _require_weights(c, errs: RowErrors) -> None:
-    errs.fail(~((0.0 <= c) & (c <= 1.0)), lambda k: HypothesisViolation(
-        f"mixing weight must be in [0, 1], got {float(c[k])}"))
 
 
 def _jensen(f: ScalarAtom, A, B, T, tol: float, errs: RowErrors,
@@ -123,24 +122,53 @@ def check_jensen_contractive(f: ScalarAtom, A, B, T,
     return _verdict(lambda errs: _jensen(f, *ops, tol, errs, True))
 
 
-def _perspective_convexity(f: ScalarAtom, h, pair1, pair2, c, floor: float,
-                           tol: float, errs: RowErrors):
-    """g(cL1+(1-c)L2, cR1+(1-c)R2) <= c g(L1,R1) + (1-c) g(L2,R2) for
-    g(L, R) = f(L/h(R)) h(R) (the plain perspective when h is None) on
-    stacked commuting pairs (U, lam, mu).
-
-    Endpoints go through the eigen path; the combination generally fails
-    to commute and goes through the symmetrized path.
-    """
-    _require_weights(c, errs)
-    g1 = _sym(_eigen(f, h, *pair1, errs))
-    g2 = _sym(_eigen(f, h, *pair2, errs))
+def _mix(c, a, b):
+    """c a + (1-c) b per row; its Hermitian part for stacks of matrices."""
+    if a.ndim == 1:
+        return c * a + (1.0 - c) * b
     c = c[:, None, None]
-    L, R = (c * _sym(_materialize(pair1[0], pair1[i]))
-            + (1.0 - c) * _sym(_materialize(pair2[0], pair2[i]))
-            for i in (1, 2))
-    combo = _sym(_symmetrized(f, h, _sym(L), _sym(R), floor, errs))
-    return _loewner(combo, _sym(c * g1 + (1.0 - c) * g2), tol)
+    return _sym(c * a + (1.0 - c) * b)
+
+
+def _mixture(X1, X2, c, tol: float, errs: RowErrors, g, convex: bool = True,
+             gate=None, lift=None, g_mix=None):
+    """g(cX1 + (1-c)X2) <= c g(X1) + (1-c) g(X2) for a jointly convex g, >=
+    for a concave one, on stacked endpoint tuples X1, X2 mixed entry by
+    entry: in the Loewner order where g is matrix-valued, else the scalar
+    order. The ``*_g`` functions give each theorem's g as keywords.
+
+    The weight gate runs first, then ``gate(X1, X2, errs)``, the theorem's
+    per-row hypotheses. ``g_mix``, where given, evaluates g at the mixture
+    by another path, on the mixed ``lift(*X1)`` and ``lift(*X2)``.
+    """
+    errs.fail(~((0.0 <= c) & (c <= 1.0)), lambda k: HypothesisViolation(
+        f"mixing weight must be in [0, 1], got {float(c[k])}"))
+    if gate is not None:
+        gate(X1, X2, errs)
+    avg = _mix(c, g(*X1, errs), g(*X2, errs))
+    if lift is not None:
+        X1, X2 = lift(*X1), lift(*X2)
+    combo = (g_mix or g)(*(_mix(c, a, b) for a, b in zip(X1, X2)), errs)
+    lo, hi = (combo, avg) if convex else (avg, combo)
+    return _loewner(lo, hi, tol) if avg.ndim > 1 else _geq(hi, lo, tol)
+
+
+def _mixture_one(X1, X2, c: float, tol: float, **g) -> LoewnerVerdict:
+    """``_mixture`` on a batch of one; X1 and X2 hold unstacked operands."""
+    X1, X2 = ([np.asarray(x)[None] for x in X] for X in (X1, X2))
+    return _verdict(lambda errs: _mixture(X1, X2, np.array([float(c)]), tol,
+                                          errs, **g))
+
+
+def _perspective_g(f: ScalarAtom, h, floor: float) -> dict:
+    """g(L, R) = f(L/h(R)) h(R), the plain perspective when h is None, on
+    commuting pairs (U, lam, mu): the eigen path at the endpoints, and the
+    symmetrized path at their mixture, which generally fails to commute."""
+    return {"g": lambda U, lam, mu, errs: _sym(_eigen(f, h, U, lam, mu, errs)),
+            "lift": lambda U, lam, mu: (_sym(_materialize(U, lam)),
+                                        _sym(_materialize(U, mu))),
+            "g_mix": lambda L, R, errs: _sym(
+                _symmetrized(f, h, L, R, floor, errs))}
 
 
 def _check_pairs(f: ScalarAtom, h, pair1: CommutingPair,
@@ -148,9 +176,8 @@ def _check_pairs(f: ScalarAtom, h, pair1: CommutingPair,
                  floor: float) -> LoewnerVerdict:
     if pair1.dim != pair2.dim:
         raise ValueError(f"dimension mismatch: {pair1.dim} vs {pair2.dim}")
-    pairs = [(p.basis[None], p.lam[None], p.mu[None]) for p in (pair1, pair2)]
-    return _verdict(lambda errs: _perspective_convexity(
-        f, h, *pairs, np.array([float(c)]), floor, tol, errs))
+    return _mixture_one(*((p.basis, p.lam, p.mu) for p in (pair1, pair2)),
+                        c, tol, **_perspective_g(f, h, floor))
 
 
 def check_perspective_joint_convexity(f: ScalarAtom, pair1: CommutingPair,
@@ -177,24 +204,17 @@ def check_extended_perspective_joint_convexity(f: ScalarAtom, h: ScalarAtom,
     return _check_pairs(f, h, pair1, pair2, c, tol, floor)
 
 
-_DENSITIES = ("rho1", "sigma1", "rho2", "sigma2")
-
-
-def _relative_entropy_convexity(r1, s1, r2, s2, c, tol: float,
-                                errs: RowErrors):
-    """c S(r1||s1) + (1-c) S(r2||s2) >= S(c r1+(1-c)r2 || c s1+(1-c)s2)."""
-    _require_weights(c, errs)
-    for name, D in zip(_DENSITIES, (r1, s1, r2, s2)):
+def _unit_traces(X1, X2, errs: RowErrors) -> None:
+    """The endpoint densities (rho_i, sigma_i) have unit trace."""
+    for name, D in zip(("rho1", "sigma1", "rho2", "sigma2"), (*X1, *X2)):
         tr = np.trace(D, axis1=-2, axis2=-1).real
         errs.fail(np.abs(tr - 1.0) > HYPOTHESIS_TOL,
                   lambda k: HypothesisViolation(
                       f"{name} must have unit trace, got {float(tr[k])!r}"))
-    mixture = (c * _relative_entropy(r1, s1, errs)
-               + (1.0 - c) * _relative_entropy(r2, s2, errs))
-    cc = c[:, None, None]
-    combo = _relative_entropy(_sym(cc * r1 + (1.0 - cc) * r2),
-                              _sym(cc * s1 + (1.0 - cc) * s2), errs)
-    return _geq(mixture, combo, tol)
+
+
+# the relative entropy (rho, sigma) -> S(rho || sigma) as a g
+_RELATIVE_ENTROPY_G = {"g": _relative_entropy, "gate": _unit_traces}
 
 
 def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
@@ -205,30 +225,21 @@ def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
            for x in (rho1, sigma1, rho2, sigma2)]
     if len({H.shape for H in ops}) != 1:
         raise ValueError("dimension mismatch among the four operands")
-    return _verdict(lambda errs: _relative_entropy_convexity(
-        *(H[None] for H in ops), np.array([float(c)]), tol, errs))
+    return _mixture_one(ops[:2], ops[2:], c, tol, **_RELATIVE_ENTROPY_G)
 
 
-def _trace_concavity(fa: ScalarAtom, fb, A1, B1, A2, B2, K, c, tol: float,
-                     errs: RowErrors):
-    """Tr form (cA1+(1-c)A2, cB1+(1-c)B2) >= c form(A1,B1) + (1-c)
-    form(A2,B2) for the form Tr(fa(A) K* fb(B) K)."""
-    _require_weights(c, errs)
-    v1 = _trace_form(fa, fb, A1, B1, K, errs)
-    v2 = _trace_form(fa, fb, A2, B2, K, errs)
-    cc = c[:, None, None]
-    combo = _trace_form(fa, fb, _sym(cc * A1 + (1.0 - cc) * A2),
-                        _sym(cc * B1 + (1.0 - cc) * B2), K, errs)
-    return _geq(combo, c * v1 + (1.0 - c) * v2, tol)
+def _trace_g(fa: ScalarAtom, fb, K) -> dict:
+    """The jointly concave form (A, B) -> Tr(fa(A) K* fb(B) K) as a g."""
+    return {"g": lambda A, B, errs: _trace_form(fa, fb, A, B, K, errs),
+            "convex": False}
 
 
 def _check_trace(fa: ScalarAtom, fb, A1, B1, A2, B2, K, c: float,
                  tol: float, name: str) -> LoewnerVerdict:
     A1, B1, K = _trace_operands(A1, B1, K, name)
     A2, B2, _ = _trace_operands(A2, B2, K, name)
-    return _verdict(lambda errs: _trace_concavity(
-        fa, fb, *(x[None] for x in (A1, B1, A2, B2, K)),
-        np.array([float(c)]), tol, errs))
+    return _mixture_one((A1, B1), (A2, B2), c, tol,
+                        **_trace_g(fa, fb, K[None]))
 
 
 def check_lieb_concavity(A1, B1, A2, B2, K, s: float, c: float,
@@ -246,18 +257,18 @@ def check_lieb_pq_concavity(A1, B1, A2, B2, X, p: float, q: float, c: float,
     return _check_trace(*_power_atoms(q, p), A1, B1, A2, B2, X, c, tol, "X")
 
 
-def _classical_convexity(f: ScalarAtom, x1, t1, x2, t2, c, tol: float,
-                         errs: RowErrors):
-    """Scalar joint convexity of g(x, t) = f(x/t) t on stacked scalars."""
-    _require_weights(c, errs)
+def _positive_bases(X1, X2, errs: RowErrors) -> None:
+    """The bases t of the endpoints (x_i, t_i) are positive."""
+    t1, t2 = X1[1], X2[1]
     errs.fail((t1 <= 0.0) | (t2 <= 0.0), lambda k: HypothesisViolation(
         f"perspective bases must be positive, got {float(t1[k])} and "
         f"{float(t2[k])}"))
-    g1 = _classical(f, x1[:, None], t1, errs)[:, 0]
-    g2 = _classical(f, x2[:, None], t2, errs)[:, 0]
-    combo = _classical(f, (c * x1 + (1.0 - c) * x2)[:, None],
-                       c * t1 + (1.0 - c) * t2, errs)[:, 0]
-    return _geq(c * g1 + (1.0 - c) * g2, combo, tol)
+
+
+def _classical_g(f: ScalarAtom) -> dict:
+    """The scalar perspective (x, t) -> f(x/t) t as a g."""
+    return {"g": lambda x, t, errs: _classical(f, x[:, None], t, errs)[:, 0],
+            "gate": _positive_bases}
 
 
 def check_classical_perspective_convexity(f: ScalarAtom, x1: float, t1: float,
@@ -265,5 +276,5 @@ def check_classical_perspective_convexity(f: ScalarAtom, x1: float, t1: float,
                                           tol: float = 1e-8) -> LoewnerVerdict:
     """Scalar joint convexity of g(x, t) = f(x/t) t."""
     _require_not_concave(f)
-    ops = [np.array([float(v)]) for v in (x1, t1, x2, t2, c)]
-    return _verdict(lambda errs: _classical_convexity(f, *ops, tol, errs))
+    return _mixture_one((float(x1), float(t1)), (float(x2), float(t2)), c,
+                        tol, **_classical_g(f))

@@ -149,8 +149,6 @@ def _emit(x, level: int, out: list) -> None:
                   + ": ", v) for k, v in sorted(x.items())]
         brackets = "{}"
     elif isinstance(x, (list, tuple)):
-        if x and _emit_pair_block(x, level, out):
-            return
         items = [("", v) for v in x]
         brackets = "[]"
     elif type(x) is np.ndarray and x.ndim in (2, 3):
@@ -174,24 +172,6 @@ def _emit(x, level: int, out: list) -> None:
         _emit(value, level + 1, out)
         sep = "," + inner
     out.append("\n" + "  " * level + brackets[1])
-
-
-def _emit_pair_block(rows, level: int, out: list) -> bool:
-    """Print ``rows`` if it is a matrix's entries: a list of equally long,
-    non-empty rows of ``[float, float]`` pairs.
-
-    Returns False, with ``out`` untouched, for anything else; the generic
-    path then prints it.
-    """
-    if (type(rows) is not list or type(rows[0]) is not list or not rows[0]
-            or type(rows[0][0]) is not list):
-        return False
-    cols = len(rows[0])
-    if (set(map(type, rows)) != {list} or set(map(len, rows)) != {cols}
-            or set(map(type, chain.from_iterable(rows))) != {list}
-            or set(map(len, chain.from_iterable(rows))) != {2}):
-        return False
-    return _emit_block(rows, level, out)
 
 
 def _emit_block(entries, level: int, out: list) -> bool:

@@ -2,7 +2,10 @@
 
 One table maps each theorem tag to its draws, the construction of its
 operands, its checker kernel (from ``checks``), and the configuration
-gates its hypotheses impose. Each trial draws from its own stream, exactly
+gates its hypotheses impose. The six joint-convexity tags build their
+operands as two endpoint tuples, ``ops["1"]`` and ``ops["2"]``, and
+decide them through the one mixture kernel ``checks._mixture``, each with
+its own g; only the two Jensen tags have a kernel of their own. Each trial draws from its own stream, exactly
 ``numpy.random.default_rng(trial_seed)``'s (PCG64 seeded through numpy's
 SeedSequence), with ``trial_seed`` a stable hash of (campaign seed,
 theorem tag, trial index, redraw counter). So campaigns are reproducible
@@ -43,10 +46,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .atoms import ScalarAtom, lookup_atom
-from .checks import (_DENSITIES, _classical_convexity, _jensen,
-                     _perspective_convexity,
-                     _relative_entropy_convexity, _require_f0_nonpositive,
-                     _require_not_concave, _trace_concavity)
+from .checks import (_RELATIVE_ENTROPY_G, _classical_g, _jensen, _mixture,
+                     _perspective_g, _require_f0_nonpositive,
+                     _require_not_concave, _trace_g)
 from .commuting import CommutingPair, DEFAULT_FLOOR, _pair_gates
 from .errors import DomainViolation, HypothesisViolation
 from .functionals import (DensityMatrix, ProbabilityVector, _normalize,
@@ -150,7 +152,9 @@ class TrialConfig:
         return lookup_atom(self.atom, self.atom_parameter)
 
     def fingerprint(self) -> dict:
-        return asdict(self)
+        """The fields as JSON-ready scalars: numpy integers become ints."""
+        return {key: int(value) if isinstance(value, np.integer) else value
+                for key, value in asdict(self).items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +334,14 @@ def _build_jensen(cfg: TrialConfig, f: ScalarAtom, S: dict,
 
 def _jensen_witness(cfg: TrialConfig, f: ScalarAtom, ops: dict, k: int):
     return {"atom": f.label, "A": ops["A"][k], "B": ops["B"][k],
-            "T": HermitianMatrix(ops["T"][k])}
+            "T": ops["T"][k]}
+
+
+def _endpoints(names, ops: dict, k: int) -> dict:
+    """Row k's endpoint operands by name and endpoint: names "xt" give x1,
+    t1, x2, t2. Scalars become floats; matrices stay arrays."""
+    return {name + i: x[k] if x.ndim > 1 else float(x[k])
+            for i in "12" for name, x in zip(names, ops[i])}
 
 
 def _draw_pairs(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
@@ -354,65 +365,35 @@ def _build_pairs(cfg: TrialConfig, f: ScalarAtom, S: dict,
     return pairs
 
 
-def _pairs_witness(cfg: TrialConfig, ops: dict, k: int) -> dict:
-    return {i: CommutingPair(*(x[k] for x in ops[i]), floor=cfg.floor)
-            for i in "12"}
+def _pairs_witness(cfg: TrialConfig, f: ScalarAtom, ops: dict, k: int):
+    w = {i: CommutingPair(*(x[k] for x in ops[i]), floor=cfg.floor)
+         for i in "12"}
+    return {"atom": f.label, **w}
 
 
-def _draw_densities(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
-    return {"G": rng.standard_normal((len(_DENSITIES), 2, cfg.dim_n,
-                                      cfg.dim_n))}
+def _draw_gaussians(count: int) -> Callable:
+    """The draw of ``count`` complex n x n Gaussians, as real pairs."""
+    return lambda cfg, f, rng: {"G": rng.standard_normal(
+        (count, 2, cfg.dim_n, cfg.dim_n))}
 
 
 def _build_densities(cfg: TrialConfig, f: ScalarAtom, S: dict,
                      errs: RowErrors) -> dict:
-    """Per name: the Wishart matrix M, its trace, and the density, checked
-    as ``random_density`` checks it."""
-    ops = {}
-    for j, name in enumerate(_DENSITIES):
+    """The endpoints (rho_i, sigma_i) from the Gaussians drawn in that
+    order, each checked as ``random_density`` checks its density."""
+    D = []
+    for j in range(4):
         M = _wishart(_complex(S["G"][:, j]), cfg.floor)
         tr = np.trace(M, axis1=-2, axis2=-1).real
-        ops[name] = (M, tr, _sym(_normalize(_sym(M), cfg.floor / tr, errs)))
-    return ops
-
-
-def _densities_witness(cfg: TrialConfig, f: ScalarAtom, ops: dict, k: int):
-    return {name: DensityMatrix(M[k], floor=cfg.floor / tr[k])
-            for name, (M, tr, _) in ops.items()}
-
-
-_LIEB = ("A1", "B1", "A2", "B2")
-
-
-def _draw_lieb(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
-    # the four Wishart factors, then K
-    return {"G": rng.standard_normal((len(_LIEB) + 1, 2, cfg.dim_n,
-                                      cfg.dim_n))}
+        D.append(_sym(_normalize(_sym(M), cfg.floor / tr, errs)))
+    return {"1": tuple(D[:2]), "2": tuple(D[2:])}
 
 
 def _build_lieb(cfg: TrialConfig, f: ScalarAtom, S: dict,
                 errs: RowErrors) -> dict:
-    ops = {name: _sym(_wishart(_complex(S["G"][:, j]), cfg.floor))
-           for j, name in enumerate(_LIEB)}
-    ops["K"] = _complex(S["G"][:, len(_LIEB)])
-    return ops
-
-
-def _lieb_witness(ops: dict, k: int, exponents: dict, key: str) -> dict:
-    w = dict(exponents)
-    for name in _LIEB:
-        w[name] = HermitianMatrix(ops[name][k])
-    w[key] = ops["K"][k]
-    return w
-
-
-def _lieb_check(cfg: TrialConfig, ops: dict, c, errs: RowErrors,
-                fa: ScalarAtom, fb):
-    return _trace_concavity(fa, fb, *(ops[name] for name in _LIEB), ops["K"],
-                            c, cfg.tol, errs)
-
-
-_SCALARS = ("x1", "t1", "x2", "t2")
+    """The endpoints (A_i, B_i) and the shared K, drawn in that order."""
+    W = [_sym(_wishart(_complex(S["G"][:, j]), cfg.floor)) for j in range(4)]
+    return {"1": tuple(W[:2]), "2": tuple(W[2:]), "K": _complex(S["G"][:, 4])}
 
 
 def _draw_classical(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
@@ -429,12 +410,13 @@ class _Theorem(NamedTuple):
     ``draw(cfg, f, rng)`` makes one trial's RNG calls in the tag's fixed
     order and returns its raw draws, with f the configured atom.
     ``build(cfg, f, S, errs)`` takes a batch's draws stacked along a
-    leading axis and returns the stacked operands, ``check(cfg, f, ops, c,
+    leading axis and returns the stacked operands (a mixing tag's are the
+    endpoint tuples ``ops["1"]``, ``ops["2"]``), ``check(cfg, f, ops, c,
     errs)`` returns the stacked (slack, tolerance_used) of the inequality,
     with ``c`` the stacked mixing weights, and ``witness(cfg, f, ops, k)``
-    builds row k's operands for the report. A gate that fails on a row
-    records the row's exception in ``errs``. ``gate(cfg)`` rejects up
-    front what the checker's hypothesis gate would.
+    returns row k's decided operands: arrays, commuting pairs, scalars. A
+    gate that fails on a row records the row's exception in ``errs``.
+    ``gate(cfg)`` rejects up front what the checker's hypothesis gate would.
     """
 
     draw: Callable
@@ -464,6 +446,20 @@ def _marechal_gate(cfg: TrialConfig) -> None:
     _require_extended_hypotheses(cfg.resolve_atom(),
                                  lookup_atom("power", cfg.t))
     _log_pair_band(cfg.floor)
+    top = SPECTRUM_HI ** cfg.t  # no base h(R) = R^t on the band exceeds it
+    if cfg.floor > top:
+        raise ValueError(f"floor {cfg.floor:g} lies above {top:g}, the "
+                         f"largest h(R) = R^{cfg.t:g} on the spectrum band "
+                         f"[{SPECTRUM_LO:g}, {SPECTRUM_HI:g}]")
+
+
+def _mixing(draw, build, g, witness, gate=lambda cfg: None) -> _Theorem:
+    """A joint-convexity tag: its check is ``checks._mixture`` on the
+    endpoint tuples, with the g (as ``_mixture``'s keywords) that
+    ``g(cfg, f, ops)`` names."""
+    return _Theorem(draw, build, lambda cfg, f, ops, c, errs: _mixture(
+        ops["1"], ops["2"], c, cfg.tol, errs, **g(cfg, f, ops)),
+        witness, True, gate)
 
 
 _THEOREMS = {
@@ -477,48 +473,39 @@ _THEOREMS = {
         lambda cfg, f, ops, c, errs: _jensen(
             f, ops["A"], ops["B"], ops["T"], cfg.tol, errs, True),
         _jensen_witness, False, _contractive_gate),
-    "perspective": _Theorem(
+    "perspective": _mixing(
         _draw_pairs, _build_pairs,
-        lambda cfg, f, ops, c, errs: _perspective_convexity(
-            f, None, ops["1"], ops["2"], c, cfg.floor, cfg.tol, errs),
-        lambda cfg, f, ops, k: {"atom": f.label,
-                                **_pairs_witness(cfg, ops, k)},
-        True, _perspective_gate),
-    "marechal": _Theorem(
+        lambda cfg, f, ops: _perspective_g(f, None, cfg.floor),
+        _pairs_witness, _perspective_gate),
+    "marechal": _mixing(
         _draw_pairs, _build_pairs,
-        lambda cfg, f, ops, c, errs: _perspective_convexity(
-            f, lookup_atom("power", cfg.t), ops["1"], ops["2"], c,
-            cfg.floor, cfg.tol, errs),
-        lambda cfg, f, ops, k: {"atom": f.label,
-                                "h": lookup_atom("power", cfg.t).label,
-                                **_pairs_witness(cfg, ops, k)},
-        True, _marechal_gate),
-    "rel-entropy-convexity": _Theorem(
-        _draw_densities, _build_densities,
-        lambda cfg, f, ops, c, errs: _relative_entropy_convexity(
-            *(ops[name][2] for name in _DENSITIES), c, cfg.tol, errs),
-        _densities_witness, True),
-    "lieb-s": _Theorem(
-        _draw_lieb, _build_lieb,
-        lambda cfg, f, ops, c, errs: _lieb_check(
-            cfg, ops, c, errs, *_power_atoms(cfg.s, 1.0 - cfg.s)),
-        lambda cfg, f, ops, k: _lieb_witness(ops, k, {"s": cfg.s}, "K"),
-        True),
-    "lieb-pq": _Theorem(
-        _draw_lieb, _build_lieb,
-        lambda cfg, f, ops, c, errs: _lieb_check(
-            cfg, ops, c, errs, *_power_atoms(cfg.q, cfg.p)),
-        lambda cfg, f, ops, k: _lieb_witness(
-            ops, k, {"p": cfg.p, "q": cfg.q}, "X"),
-        True, lambda cfg: _require_pq_exponents(cfg.p, cfg.q)),
-    "classical": _Theorem(
-        _draw_classical, lambda cfg, f, S, errs: S,
-        lambda cfg, f, ops, c, errs: _classical_convexity(
-            f, *(ops[key] for key in _SCALARS), c, cfg.tol, errs),
-        lambda cfg, f, ops, k: {"atom": f.label,
-                                **{key: float(ops[key][k])
-                                   for key in _SCALARS}},
-        True, lambda cfg: _require_not_concave(cfg.resolve_atom())),
+        lambda cfg, f, ops: _perspective_g(f, lookup_atom("power", cfg.t),
+                                           cfg.floor),
+        lambda cfg, f, ops, k: {"h": lookup_atom("power", cfg.t).label,
+                                **_pairs_witness(cfg, f, ops, k)},
+        _marechal_gate),
+    "rel-entropy-convexity": _mixing(
+        _draw_gaussians(4), _build_densities,
+        lambda cfg, f, ops: _RELATIVE_ENTROPY_G,
+        lambda cfg, f, ops, k: _endpoints(("rho", "sigma"), ops, k)),
+    "lieb-s": _mixing(
+        _draw_gaussians(5), _build_lieb,
+        lambda cfg, f, ops: _trace_g(*_power_atoms(cfg.s, 1.0 - cfg.s),
+                                     ops["K"]),
+        lambda cfg, f, ops, k: {"s": cfg.s, **_endpoints("AB", ops, k),
+                                "K": ops["K"][k]}),
+    "lieb-pq": _mixing(
+        _draw_gaussians(5), _build_lieb,
+        lambda cfg, f, ops: _trace_g(*_power_atoms(cfg.q, cfg.p), ops["K"]),
+        lambda cfg, f, ops, k: {"p": cfg.p, "q": cfg.q,
+                                **_endpoints("AB", ops, k), "X": ops["K"][k]},
+        lambda cfg: _require_pq_exponents(cfg.p, cfg.q)),
+    "classical": _mixing(
+        _draw_classical,
+        lambda cfg, f, S, errs: {i: (S["x" + i], S["t" + i]) for i in "12"},
+        lambda cfg, f, ops: _classical_g(f),
+        lambda cfg, f, ops, k: {"atom": f.label, **_endpoints("xt", ops, k)},
+        lambda cfg: _require_not_concave(cfg.resolve_atom())),
 }
 
 
@@ -530,9 +517,9 @@ def _encode_witness(witness: dict) -> dict:
         if isinstance(value, CommutingPair):
             doc["L" + key] = matrix_wire(value.left.mat)
             doc["R" + key] = matrix_wire(value.right.mat)
-        elif isinstance(value, (np.ndarray, HermitianMatrix, DensityMatrix)):
+        elif isinstance(value, np.ndarray):
             # a copy: a trial's slice would keep its batch's stacks alive
-            doc[key] = matrix_wire(np.array(getattr(value, "mat", value)))
+            doc[key] = matrix_wire(np.array(value))
         else:
             doc[key] = value
     return doc
@@ -697,7 +684,8 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
 
     Trials run ``CHUNK`` at a time through ``run_trial``. The worst witness
     is the trial with the most negative slack, ties broken by the lower
-    trial index. Only that trial's operands go into ``matrix_wire`` dicts.
+    trial index. A chunk's worst trial goes into ``matrix_wire`` dicts only
+    when it is the worst so far, copied out of the chunk's stacks.
     """
     if isinstance(theorems, str):
         theorems = (theorems,)
@@ -711,7 +699,7 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
     config = cfg.fingerprint()  # scalars only, so dict() copies it
     reports = []
     for tag in tags:
-        failures, worst, worst_witness = 0, None, None
+        failures, worst, witness = 0, None, None
         for lo in range(0, cfg.trials, CHUNK):
             chunk = run_trial(tag, cfg, range(lo, min(lo + CHUNK, cfg.trials)))
             failures += int(np.count_nonzero(
@@ -719,10 +707,9 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
             k = int(np.argmin(chunk.slack))  # the first of equal minima
             if worst is None or (chunk.slack[k], lo + k) < worst:
                 worst = (float(chunk.slack[k]), lo + k)
-                worst_witness = chunk.witness(k)
+                witness = _encode_witness(chunk.witness(k))
         reports.append(CheckReport(
-            theorem=tag, trials=cfg.trials, failures=failures,
+            theorem=tag, trials=config["trials"], failures=failures,
             worst_slack=worst[0], tolerance=cfg.tol,
-            witness=_encode_witness(worst_witness),
-            config=dict(config)))
+            witness=witness, config=dict(config)))
     return reports

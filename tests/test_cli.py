@@ -111,6 +111,18 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == (
             "error: floor 20 lies above the spectrum band [0.1, 10]\n")
 
+    def test_floor_above_marechal_base_bound_exits_two(self, capsys):
+        # h(R) = R^0.5 <= sqrt(10) on the band, so a floor of 9 fails every
+        # draw; the gate says so before the redraw budget is spent
+        code = main(["verify", "--theorem", "marechal", "--floor", "9",
+                     "--trials", "3", "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: floor 9 lies above 3.16228, the largest h(R) = R^0.5 "
+            "on the spectrum band [0.1, 10]\n")
+
     @pytest.mark.parametrize("tag", ["hp", "hp-contractive"])
     def test_concave_atom_under_jensen_tag_exits_two(self, tag, capsys):
         code = main(["verify", "--theorem", tag, "--atom", "power",

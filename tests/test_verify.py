@@ -9,10 +9,12 @@ from opconvex import (CheckReport, DomainViolation, HypothesisViolation,
                       random_positive_matrix, random_unitary, run_campaign,
                       run_single)
 from opconvex.checks import (_geq, check_classical_perspective_convexity,
+                             check_extended_perspective_joint_convexity,
                              check_jensen_contractive, check_jensen_isometry,
-                             check_lieb_concavity,
+                             check_lieb_concavity, check_lieb_pq_concavity,
                              check_relative_entropy_joint_convexity,
                              scalar_geq)
+from opconvex.commuting import CommutingPair
 from opconvex.seeding import pcg64_states
 from opconvex.verify import (_THEOREMS, CHUNK, MAX_REDRAWS, _encode_witness,
                              _Theorem, random_contraction_pair,
@@ -148,8 +150,12 @@ class TestTrialConfig:
         [r] = run_campaign(TrialConfig(seed=np.int64(5), trials=np.int64(3)),
                            "classical")
         [ref] = run_campaign(TrialConfig(seed=5, trials=3), "classical")
-        assert r.worst_slack == ref.worst_slack
-        assert printed(r.witness) == printed(ref.witness)
+        assert printed(r) == printed(ref)
+
+    def test_fingerprint_turns_numpy_integers_into_ints(self):
+        config = TrialConfig(seed=np.uint64(5), dim_n=np.int32(3)).fingerprint()
+        assert type(config["seed"]) is int and type(config["dim_n"]) is int
+        assert config == TrialConfig(seed=5).fingerprint()
 
     def test_fingerprint_is_json_ready(self):
         import json
@@ -321,6 +327,43 @@ class TestRunSingle:
             assert (v.slack, v.tolerance_used) == (rnd.slack[i],
                                                    rnd.tolerance_used[i])
             assert printed(rnd.witness(i)) == printed(w)
+
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_witness_holds_arrays_pairs_and_scalars(self, tag):
+        _, w = run_single(tag, TrialConfig(trials=40, seed=5), 7)
+        for key, value in w.items():
+            assert isinstance(value, (np.ndarray, CommutingPair, str, int,
+                                      float)), (key, type(value))
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_public_checker_redecides_the_trial_exactly(self, tag):
+        cfg = TrialConfig(trials=40, seed=5)
+        verdict, w = run_single(tag, cfg, 7)
+        f, tol = cfg.resolve_atom(), cfg.tol
+        pairs = (w.get("1"), w.get("2"), w.get("c"), tol)
+        mixed = [w.get(k) for k in ("A1", "B1", "A2", "B2", "K", "X")]
+        check = {
+            "hp": lambda: check_jensen_isometry(f, w["A"], w["B"], w["T"],
+                                                tol),
+            "hp-contractive": lambda: check_jensen_contractive(
+                f, w["A"], w["B"], w["T"], tol),
+            "perspective": lambda: check_perspective_joint_convexity(
+                f, *pairs, floor=cfg.floor),
+            "marechal": lambda: check_extended_perspective_joint_convexity(
+                f, lookup_atom("power", cfg.t), *pairs, floor=cfg.floor),
+            "rel-entropy-convexity":
+                lambda: check_relative_entropy_joint_convexity(
+                    w["rho1"], w["sigma1"], w["rho2"], w["sigma2"], w["c"],
+                    tol),
+            "lieb-s": lambda: check_lieb_concavity(
+                *mixed[:5], cfg.s, w["c"], tol),
+            "lieb-pq": lambda: check_lieb_pq_concavity(
+                *mixed[:4], mixed[5], cfg.p, cfg.q, w["c"], tol),
+            "classical": lambda: check_classical_perspective_convexity(
+                f, w["x1"], w["t1"], w["x2"], w["t2"], w["c"], tol),
+        }[tag]
+        assert check() == verdict
 
 
 class TestRedrawMachinery:
