@@ -12,8 +12,9 @@ All atoms use the natural logarithm.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,11 +44,12 @@ class Interval:
 
         Returns ``(clamped, bad)``: the values with endpoint noise (within
         ``tol`` of a closed endpoint) moved onto the endpoint, and the mask
-        of values beyond that, or at/past an open endpoint.
+        of values beyond that, at/past an open endpoint, or NaN.
         """
         x = np.asarray(values, dtype=float)
-        bad = x < self.lo - tol if self.lo_closed else x <= self.lo
-        bad |= x > self.hi + tol if self.hi_closed else x >= self.hi
+        ok = x >= self.lo - tol if self.lo_closed else x > self.lo
+        ok &= x <= self.hi + tol if self.hi_closed else x < self.hi
+        bad = ~ok
         if self.lo_closed and np.isfinite(self.lo):
             x = np.where(x < self.lo, self.lo, x)
         if self.hi_closed and np.isfinite(self.hi):
@@ -58,8 +60,8 @@ class Interval:
         """Validate ``values`` against the interval and clamp endpoint noise.
 
         Values within ``tol`` of a closed endpoint are moved onto it; values
-        beyond that, or at/past an open endpoint, raise ``DomainViolation``
-        naming the offending value.
+        beyond that, at/past an open endpoint, or NaN raise
+        ``DomainViolation`` naming the offending value.
         """
         x = np.atleast_1d(np.asarray(values, dtype=float))
         out, bad = self.admit(x, tol)
@@ -150,102 +152,64 @@ _HALF_OPEN = Interval(0.0, np.inf, lo_closed=True, hi_closed=False)
 _POSITIVE = Interval(0.0, np.inf, lo_closed=False, hi_closed=False)
 
 
-def _make_xlogx(parameter):
-    _reject_parameter("xlogx", parameter)
-    return ScalarAtom("xlogx", None, _HALF_OPEN,
-                      operator_convex=True, operator_concave=False,
-                      f0_nonpositive=True, fn=_xlogx)
+class _Family(NamedTuple):
+    """A registered atom family. ``make`` maps the parameter to the atom's
+    flags and function, ``(operator_convex, operator_concave,
+    f0_nonpositive, fn)``. ``rule`` is ``None`` for a parameterless family,
+    else the parameter range as listings show it and its test; ``sample``
+    is the parameter a listing builds the family with."""
+
+    domain: Interval
+    make: Callable
+    rule: tuple | None = None
+    sample: float | None = None
 
 
-def _make_neg_power(parameter):
-    s = _require_parameter("neg_power", parameter)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"neg_power parameter must satisfy 0 < s < 1, got {s}")
-    return ScalarAtom("neg_power", s, _HALF_OPEN,
-                      operator_convex=True, operator_concave=False,
-                      f0_nonpositive=True, fn=lambda x: -np.power(x, s))
-
-
-def _make_power(parameter):
-    t = _require_parameter("power", parameter)
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"power parameter must satisfy 0 < t <= 1, got {t}")
+_REGISTRY = {
+    "xlogx": _Family(_HALF_OPEN, lambda _: (True, False, True, _xlogx)),
+    "neg_power": _Family(
+        _HALF_OPEN, lambda s: (True, False, True, lambda x: -np.power(x, s)),
+        ("0 < s < 1", lambda s: 0.0 < s < 1.0), 0.5),
     # t = 1 is affine (the identity on the positive axis), hence also convex.
-    return ScalarAtom("power", t, _POSITIVE,
-                      operator_convex=(t == 1.0), operator_concave=True,
-                      f0_nonpositive=True, fn=lambda x: np.power(x, t))
-
-
-def _make_neg_log(parameter):
-    _reject_parameter("neg_log", parameter)
-    return ScalarAtom("neg_log", None, _POSITIVE,
-                      operator_convex=True, operator_concave=False,
-                      f0_nonpositive=False, fn=lambda x: -np.log(x))
-
-
-def _make_square(parameter):
-    _reject_parameter("square", parameter)
-    return ScalarAtom("square", None, _REAL_LINE,
-                      operator_convex=True, operator_concave=False,
-                      f0_nonpositive=True, fn=lambda x: x * x)
-
-
-def _make_identity(parameter):
-    _reject_parameter("identity", parameter)
-    return ScalarAtom("identity", None, _REAL_LINE,
-                      operator_convex=True, operator_concave=True,
-                      f0_nonpositive=True, fn=lambda x: x)
-
-
-def _make_constant(parameter):
-    c = _require_parameter("constant", parameter)
-    return ScalarAtom("constant", c, _REAL_LINE,
-                      operator_convex=True, operator_concave=True,
-                      f0_nonpositive=(c <= 0.0), fn=lambda x: np.full_like(x, c))
-
-
-def _make_quartic(parameter):
+    "power": _Family(
+        _POSITIVE, lambda t: (t == 1.0, True, True, lambda x: np.power(x, t)),
+        ("0 < t <= 1", lambda t: 0.0 < t <= 1.0), 0.5),
+    "neg_log": _Family(_POSITIVE,
+                       lambda _: (True, False, False, lambda x: -np.log(x))),
+    "square": _Family(_REAL_LINE, lambda _: (True, False, True, lambda x: x * x)),
+    "identity": _Family(_REAL_LINE, lambda _: (True, True, True, lambda x: x)),
+    "constant": _Family(
+        _REAL_LINE,
+        lambda c: (True, True, c <= 0.0, lambda x: np.full_like(x, c)),
+        ("any real c", math.isfinite), 1.0),
     # Classically convex but not matrix convex: the negative control that
     # proves the harness can actually fail.
-    _reject_parameter("quartic", parameter)
-    return ScalarAtom("quartic", None, _REAL_LINE,
-                      operator_convex=False, operator_concave=False,
-                      f0_nonpositive=True, fn=lambda x: x ** 4)
-
-
-def _require_parameter(name, parameter):
-    if parameter is None:
-        raise ValueError(f"atom {name!r} requires a parameter")
-    return float(parameter)
-
-
-def _reject_parameter(name, parameter):
-    if parameter is not None:
-        raise ValueError(f"atom {name!r} takes no parameter, got {parameter}")
-
-
-# Per family: its factory, the parameter range shown in listings, and the
-# sample parameter a listing builds it with.
-_REGISTRY = {
-    "xlogx": (_make_xlogx, None, None),
-    "neg_power": (_make_neg_power, "0 < s < 1", 0.5),
-    "power": (_make_power, "0 < t <= 1", 0.5),
-    "neg_log": (_make_neg_log, None, None),
-    "square": (_make_square, None, None),
-    "identity": (_make_identity, None, None),
-    "constant": (_make_constant, "any real c", 1.0),
-    "quartic": (_make_quartic, None, None),
+    "quartic": _Family(_REAL_LINE,
+                       lambda _: (False, False, True, lambda x: x ** 4)),
 }
 
 
 def lookup_atom(name: str, parameter: float | None = None) -> ScalarAtom:
     """Build the registered atom ``name``, validating its parameter."""
     try:
-        factory = _REGISTRY[name][0]
+        family = _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown atom {name!r}; known atoms: {known}") from None
-    return factory(parameter)
+    if family.rule is None:
+        if parameter is not None:
+            raise ValueError(
+                f"atom {name!r} takes no parameter, got {parameter}")
+    elif parameter is None:
+        raise ValueError(f"atom {name!r} requires a parameter")
+    else:
+        parameter = float(parameter)
+        text, admits = family.rule
+        if not admits(parameter):
+            raise ValueError(
+                f"{name} parameter must satisfy {text}, got {parameter}")
+    *flags, fn = family.make(parameter)
+    return ScalarAtom(name, parameter, family.domain, *flags, fn=fn)
 
 
 def atom_names() -> tuple[str, ...]:
@@ -256,11 +220,11 @@ def list_atoms() -> list[dict]:
     """Metadata rows for every registered family (sample parameters where needed)."""
     rows = []
     for name in atom_names():
-        _, parameter_doc, sample = _REGISTRY[name]
-        atom = lookup_atom(name, sample)
+        family = _REGISTRY[name]
+        atom = lookup_atom(name, family.sample)
         rows.append({
             "name": name,
-            "parameter": parameter_doc,
+            "parameter": family.rule[0] if family.rule else None,
             "domain": atom.domain.describe(),
             "operator_convex": atom.operator_convex,
             "operator_concave": atom.operator_concave,

@@ -22,9 +22,9 @@ import numpy as np
 from .atoms import ScalarAtom
 from .commuting import CommutingPair, DEFAULT_FLOOR
 from .errors import HypothesisViolation
-from .functionals import (_as_positive_operand, _classical, _power_atoms,
-                          _relative_entropy, _require_lieb_exponent,
-                          _require_pq_exponents, _trace_form, _trace_operands)
+from .functionals import (_classical, _power_atoms, _relative_entropy,
+                          _require_lieb_exponent, _require_pq_exponents,
+                          _trace_form, _trace_operands)
 from .linalg import (LoewnerVerdict, RowErrors, _adj, _calculus, _loewner,
                      _materialize, _sym, as_hermitian, as_matrix)
 from .perspective import (_eigen, _require_extended_hypotheses,
@@ -137,12 +137,16 @@ def _mixture(X1, X2, c, tol: float, errs: RowErrors, g, convex: bool = True,
     entry: in the Loewner order where g is matrix-valued, else the scalar
     order. The ``*_g`` functions give each theorem's g as keywords.
 
-    The weight gate runs first, then ``gate(X1, X2, errs)``, the theorem's
-    per-row hypotheses. ``g_mix``, where given, evaluates g at the mixture
-    by another path, on the mixed ``lift(*X1)`` and ``lift(*X2)``.
+    The weight gate runs first, and a row that fails it mixes at weight 1/2
+    instead, so it stays finite downstream; then ``gate(X1, X2, errs)``
+    checks the theorem's per-row hypotheses. ``g_mix``, where given,
+    evaluates g at the mixture by another path, on the mixed ``lift(*X1)``
+    and ``lift(*X2)``.
     """
-    errs.fail(~((0.0 <= c) & (c <= 1.0)), lambda k: HypothesisViolation(
+    bad = ~((0.0 <= c) & (c <= 1.0))
+    errs.fail(bad, lambda k: HypothesisViolation(
         f"mixing weight must be in [0, 1], got {float(c[k])}"))
+    c = np.where(bad, 0.5, c)
     if gate is not None:
         gate(X1, X2, errs)
     avg = _mix(c, g(*X1, errs), g(*X2, errs))
@@ -221,8 +225,7 @@ def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
                                            c: float, tol: float = 1e-8
                                            ) -> LoewnerVerdict:
     """c S(r1||s1) + (1-c) S(r2||s2) >= S(c r1+(1-c)r2 || c s1+(1-c)s2)."""
-    ops = [_as_positive_operand(x).mat
-           for x in (rho1, sigma1, rho2, sigma2)]
+    ops = [as_hermitian(x).mat for x in (rho1, sigma1, rho2, sigma2)]
     if len({H.shape for H in ops}) != 1:
         raise ValueError("dimension mismatch among the four operands")
     return _mixture_one(ops[:2], ops[2:], c, tol, **_RELATIVE_ENTROPY_G)
@@ -260,7 +263,7 @@ def check_lieb_pq_concavity(A1, B1, A2, B2, X, p: float, q: float, c: float,
 def _positive_bases(X1, X2, errs: RowErrors) -> None:
     """The bases t of the endpoints (x_i, t_i) are positive."""
     t1, t2 = X1[1], X2[1]
-    errs.fail((t1 <= 0.0) | (t2 <= 0.0), lambda k: HypothesisViolation(
+    errs.fail(~((t1 > 0.0) & (t2 > 0.0)), lambda k: HypothesisViolation(
         f"perspective bases must be positive, got {float(t1[k])} and "
         f"{float(t2[k])}"))
 

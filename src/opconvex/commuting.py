@@ -17,6 +17,7 @@ that tests compare the factored evaluation against.
 from __future__ import annotations
 
 import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -28,20 +29,26 @@ from .linalg import (HermitianMatrix, RowErrors, UNITARY_TOL, _adj,
 DEFAULT_FLOOR = 1e-8
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class CommutingPair:
     """A commuting pair of strictly positive matrices in joint eigenform.
 
-    ``left`` is ``U diag(lam) U*`` and ``right`` is ``U diag(mu) U*`` for the
-    stored unitary ``U = basis``; entry i of ``lam``/``mu`` is the eigenvalue
-    pair on the i-th joint eigenvector.
+    ``left`` is ``U diag(lam) U*`` and ``right`` is ``U diag(mu) U*`` for
+    the unitary ``U = basis``; entry i of ``lam``/``mu`` is the eigenvalue
+    pair on the i-th joint eigenvector. The three are stored as read-only
+    copies, checked for a unitary basis and finite spectra no lower than
+    ``floor``.
     """
 
-    __slots__ = ("_basis", "_lam", "_mu")
+    basis: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    floor: InitVar[float] = DEFAULT_FLOOR
 
-    def __init__(self, basis, lam, mu, floor: float = DEFAULT_FLOOR):
-        U = np.asarray(basis, dtype=np.complex128)
-        lam = np.asarray(lam, dtype=float)
-        mu = np.asarray(mu, dtype=float)
+    def __post_init__(self, floor):
+        U = np.asarray(self.basis, dtype=np.complex128)
+        lam = np.asarray(self.lam, dtype=float)
+        mu = np.asarray(self.mu, dtype=float)
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ValueError(f"basis must be square, got shape {U.shape}")
         n = U.shape[0]
@@ -49,45 +56,22 @@ class CommutingPair:
             raise ValueError("spectra must match the basis dimension")
         RowErrors.one(lambda errs: _pair_gates(U[None], lam[None], mu[None],
                                                floor, errs))
-        U = U.copy()
-        U.flags.writeable = False
-        lam = lam.copy()
-        lam.flags.writeable = False
-        mu = mu.copy()
-        mu.flags.writeable = False
-        object.__setattr__(self, "_basis", U)
-        object.__setattr__(self, "_lam", lam)
-        object.__setattr__(self, "_mu", mu)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CommutingPair is immutable")
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self._basis
-
-    @property
-    def lam(self) -> np.ndarray:
-        return self._lam
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self._mu
+        for name, a in (("basis", U), ("lam", lam), ("mu", mu)):
+            a = a.copy()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
-        return self._basis.shape[0]
+        return self.basis.shape[0]
 
     @property
     def left(self) -> HermitianMatrix:
-        return self._materialize(self._lam)
+        return HermitianMatrix(_materialize(self.basis, self.lam))
 
     @property
     def right(self) -> HermitianMatrix:
-        return self._materialize(self._mu)
-
-    def _materialize(self, spectrum) -> HermitianMatrix:
-        return HermitianMatrix(_materialize(self._basis, spectrum))
+        return HermitianMatrix(_materialize(self.basis, self.mu))
 
     def __repr__(self):
         return f"CommutingPair(dim={self.dim})"
@@ -109,19 +93,24 @@ def _pair_gates(U, lam, mu, floor: float, errs: RowErrors):
     return U, lam, mu
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class MultiplicationPair:
     """Strictly positive sigma and rho defining L(X) = sigma X, R(X) = X rho.
 
-    Both operands are eigendecomposed once, at construction: ``factors`` is
+    ``sigma`` and ``rho`` are stored as ``HermitianMatrix`` operands and
+    eigendecomposed once, at construction: ``factors`` is
     ``(U_sigma, s, U_rho, r)`` with ``sigma = U_sigma diag(s) U_sigma*`` and
     ``rho = U_rho diag(r) U_rho*``, eigenvalues ascending. The positivity
     floor is checked on the least entries of ``s`` and ``r``.
     """
 
-    __slots__ = ("_sigma", "_rho", "_factors")
+    sigma: HermitianMatrix
+    rho: HermitianMatrix
+    floor: InitVar[float] = DEFAULT_FLOOR
+    factors: tuple = field(init=False, repr=False)
 
-    def __init__(self, sigma, rho, floor: float = DEFAULT_FLOOR):
-        s, r = as_hermitian(sigma), as_hermitian(rho)
+    def __post_init__(self, floor):
+        s, r = as_hermitian(self.sigma), as_hermitian(self.rho)
         if s.dim != r.dim:
             raise ValueError(f"dimension mismatch: {s.dim} vs {r.dim}")
         factors = []
@@ -134,29 +123,13 @@ class MultiplicationPair:
             for a in (U, w):
                 a.flags.writeable = False
             factors += [U, w]
-        object.__setattr__(self, "_sigma", s)
-        object.__setattr__(self, "_rho", r)
-        object.__setattr__(self, "_factors", tuple(factors))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiplicationPair is immutable")
-
-    @property
-    def sigma(self) -> HermitianMatrix:
-        return self._sigma
-
-    @property
-    def rho(self) -> HermitianMatrix:
-        return self._rho
-
-    @property
-    def factors(self) -> tuple:
-        """``(U_sigma, s, U_rho, r)``, the eigendecompositions."""
-        return self._factors
+        object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "rho", r)
+        object.__setattr__(self, "factors", tuple(factors))
 
     @property
     def dim(self) -> int:
-        return self._sigma.dim
+        return self.sigma.dim
 
 
 def realize_multiplication_pair(mp: MultiplicationPair) -> CommutingPair:

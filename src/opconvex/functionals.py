@@ -5,6 +5,8 @@ Entropies are in natural log units throughout.
 """
 from __future__ import annotations
 
+from dataclasses import InitVar, dataclass
+
 import numpy as np
 
 from .atoms import ScalarAtom, lookup_atom
@@ -23,13 +25,15 @@ _TINY = float(np.finfo(float).tiny)
 PROBABILITY_SUM_TOL = 1e-12
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class ProbabilityVector:
-    """Finite probability measure: strictly positive weights summing to 1."""
+    """Finite probability measure: ``weights`` is a read-only vector of
+    strictly positive weights summing to 1."""
 
-    __slots__ = ("_weights",)
+    weights: np.ndarray
 
-    def __init__(self, weights):
-        v = np.atleast_1d(np.asarray(weights, dtype=float))
+    def __post_init__(self):
+        v = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if v.ndim != 1 or v.size == 0:
             raise ValueError("weights must be a nonempty vector")
         if not np.all(np.isfinite(v)):
@@ -43,53 +47,32 @@ class ProbabilityVector:
             raise DomainViolation(f"weights must sum to 1, got {total!r}")
         v = v.copy()
         v.flags.writeable = False
-        object.__setattr__(self, "_weights", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProbabilityVector is immutable")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
+        object.__setattr__(self, "weights", v)
 
     def __len__(self) -> int:
-        return self._weights.size
+        return self.weights.size
 
     def __repr__(self):
-        return f"ProbabilityVector({np.array2string(self._weights)})"
+        return f"ProbabilityVector({np.array2string(self.weights)})"
 
 
-class DensityMatrix:
-    """Strictly positive matrix normalized to unit trace.
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class DensityMatrix(HermitianMatrix):
+    """A ``HermitianMatrix`` that is strictly positive with unit trace.
 
-    The constructor divides by the trace, then rejects the result when its
-    minimum eigenvalue falls below ``floor``.
+    The constructor takes the Hermitian part of its input, divides it by
+    its trace, then rejects the result when its minimum eigenvalue falls
+    below ``floor``.
     """
 
-    __slots__ = ("_matrix",)
+    floor: InitVar[float] = DEFAULT_FLOOR
 
-    def __init__(self, matrix, floor: float = DEFAULT_FLOOR):
-        H = as_hermitian(matrix).mat
-        M = RowErrors.one(lambda errs: _normalize(H[None], floor, errs))
-        object.__setattr__(self, "_matrix", HermitianMatrix(M))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
-
-    @property
-    def matrix(self) -> HermitianMatrix:
-        return self._matrix
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self._matrix.mat
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.dim
-
-    def __repr__(self):
-        return f"DensityMatrix(dim={self.dim})"
+    def __post_init__(self, floor):
+        HermitianMatrix.__post_init__(self)
+        H = self.mat
+        object.__setattr__(self, "mat", RowErrors.one(
+            lambda errs: _normalize(H[None], floor, errs)))
+        HermitianMatrix.__post_init__(self)
 
 
 def _normalize(H, floor, errs: RowErrors) -> np.ndarray:
@@ -107,12 +90,6 @@ def _normalize(H, floor, errs: RowErrors) -> np.ndarray:
         f"density matrix has eigenvalue {low[k]:.3e} below the "
         f"positivity floor {floor[k]:g}"))
     return M
-
-
-def _as_positive_operand(x) -> HermitianMatrix:
-    if isinstance(x, DensityMatrix):
-        return x.matrix
-    return as_hermitian(x)
 
 
 def _relative_entropy(r, s, errs: RowErrors) -> np.ndarray:
@@ -133,8 +110,7 @@ def _relative_entropy(r, s, errs: RowErrors) -> np.ndarray:
 
 def quantum_relative_entropy_direct(rho, sigma) -> float:
     """Tr rho (log rho - log sigma) for strictly positive rho, sigma."""
-    r = _as_positive_operand(rho)
-    s = _as_positive_operand(sigma)
+    r, s = as_hermitian(rho), as_hermitian(sigma)
     if r.dim != s.dim:
         raise ValueError(f"dimension mismatch: {r.dim} vs {s.dim}")
     return float(RowErrors.one(
@@ -152,10 +128,8 @@ def quantum_relative_entropy_perspective(rho, sigma) -> float:
     for rho u_i = p_i u_i and sigma v_j = q_j v_j. Agreement with the direct
     formula is an end-to-end check of the perspective machinery.
     """
-    r = _as_positive_operand(rho)
-    s = _as_positive_operand(sigma)
-    mp = MultiplicationPair(r, s, floor=_TINY)
-    return perspective_quadratic_form(lookup_atom("xlogx"), mp, np.eye(r.dim))
+    mp = MultiplicationPair(rho, sigma, floor=_TINY)
+    return perspective_quadratic_form(lookup_atom("xlogx"), mp, np.eye(mp.dim))
 
 
 def _trace_form(fa: ScalarAtom, fb, A, B, K, errs: RowErrors) -> np.ndarray:
@@ -176,8 +150,7 @@ def _power_atoms(a: float, b: float) -> tuple:
 def _trace_operands(A, B, K, name: str) -> tuple:
     """A, B and K of a trace form as arrays, checked for matching shapes;
     ``name`` is K's name in the error message."""
-    Ah = _as_positive_operand(A)
-    Bh = _as_positive_operand(B)
+    Ah, Bh = as_hermitian(A), as_hermitian(B)
     Km = as_matrix(K)
     if Ah.dim != Bh.dim:
         raise ValueError(f"dimension mismatch: {Ah.dim} vs {Bh.dim}")
@@ -240,7 +213,7 @@ def lieb_pq_functional(A, B, X, p: float, q: float) -> float:
 def _classical(f: ScalarAtom, x, t, errs: RowErrors) -> np.ndarray:
     """f(x / t) t for stacked rows x of shape (batch, k) and bases t of
     shape (batch,); a row fails unless its base is positive."""
-    bad = t <= 0.0
+    bad = ~(t > 0.0)
     errs.fail(bad, lambda k: DomainViolation(
         f"perspective base must be positive, got {float(t[k])}"))
     t = np.where(bad, 1.0, t)[:, None]

@@ -32,42 +32,36 @@ JSON_HERMITICITY_TOL = 1e-8
 UNITARY_TOL = 1e-10
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class HermitianMatrix:
     """An immutable Hermitian matrix.
 
-    Any finite square complex matrix is accepted: the stored matrix is its
-    Hermitian part ``(M + M*)/2``, so stored entries satisfy hermiticity
-    exactly. Readers that must reject non-Hermitian input gate it first
-    (``hermitian_from_json``).
+    Any finite square complex matrix (or ``HermitianMatrix``) is accepted:
+    ``mat`` holds its Hermitian part ``(M + M*)/2``, read-only, so stored
+    entries satisfy hermiticity exactly. Readers that must reject
+    non-Hermitian input gate it first (``hermitian_from_json``).
     """
 
-    __slots__ = ("_mat",)
+    mat: np.ndarray
 
-    def __init__(self, mat):
-        M = np.asarray(mat, dtype=np.complex128)
+    def __post_init__(self):
+        M = as_matrix(self.mat)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {M.shape}")
         if M.shape[0] < 1:
             raise ValueError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
             raise ValueError("matrix entries must be finite")
-        H = (M + M.conj().T) / 2.0
+        H = _sym(M)
         H.flags.writeable = False
-        object.__setattr__(self, "_mat", H)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianMatrix is immutable")
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self._mat
+        object.__setattr__(self, "mat", H)
 
     @property
     def dim(self) -> int:
-        return self._mat.shape[0]
+        return self.mat.shape[0]
 
     def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
 def _adj(M) -> np.ndarray:

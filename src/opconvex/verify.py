@@ -5,7 +5,9 @@ operands, its checker kernel (from ``checks``), and the configuration
 gates its hypotheses impose. The six joint-convexity tags build their
 operands as two endpoint tuples, ``ops["1"]`` and ``ops["2"]``, and
 decide them through the one mixture kernel ``checks._mixture``, each with
-its own g; only the two Jensen tags have a kernel of their own. Each trial draws from its own stream, exactly
+its own g; only the two Jensen tags have a kernel of their own.
+
+Each trial draws from its own stream, exactly
 ``numpy.random.default_rng(trial_seed)``'s (PCG64 seeded through numpy's
 SeedSequence), with ``trial_seed`` a stable hash of (campaign seed,
 theorem tag, trial index, redraw counter). So campaigns are reproducible

@@ -1,5 +1,6 @@
 """Scalar atom registry: values, flags, domains, clamping."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ class TestDomains:
         assert np.array_equal(f.domain.clamp(np.array([-1e6, 0.0, 1e6])),
                               [-1e6, 0.0, 1e6])
 
+    @pytest.mark.parametrize("name,param", [
+        ("xlogx", None), ("neg_power", 0.5), ("power", 0.5), ("neg_log", None),
+        ("square", None), ("identity", None), ("constant", 1.0),
+        ("quartic", None),
+    ])
+    def test_nan_is_outside_every_domain(self, name, param):
+        f = lookup_atom(name, param)
+        _, bad = f.domain.admit(np.array([1.0, np.nan]))
+        assert bad.tolist() == [False, True]
+        with pytest.raises(DomainViolation, match="nan"):
+            eval_atom(f, float("nan"))
+
     @given(st.floats(1e-8, 1e8))
     def test_clamp_identity_inside_domain(self, x):
         f = lookup_atom("xlogx")
@@ -102,6 +115,7 @@ class TestRegistry:
     @pytest.mark.parametrize("name,param", [
         ("neg_power", None), ("neg_power", 0.0), ("neg_power", 1.0),
         ("power", 0.0), ("power", 1.5), ("constant", None), ("xlogx", 0.3),
+        ("constant", float("nan")), ("constant", float("inf")),
     ])
     def test_parameter_validation(self, name, param):
         with pytest.raises(ValueError):
@@ -117,6 +131,18 @@ class TestRegistry:
         assert [r["name"] for r in rows] == list(atom_names())
         assert all({"domain", "operator_convex", "f0_nonpositive"} <= set(r)
                    for r in rows)
+
+    def test_out_of_range_error_quotes_the_listed_range(self):
+        # one registry row states a family's range for both the listing and
+        # the error, so the two cannot drift apart
+        ranged = [r for r in list_atoms() if r["parameter"] is not None]
+        assert {r["name"] for r in ranged} == {"constant", "neg_power",
+                                               "power"}
+        for row in ranged:
+            text = re.escape(f"{row['name']} parameter must satisfy "
+                             f"{row['parameter']}, got nan")
+            with pytest.raises(ValueError, match=text):
+                lookup_atom(row["name"], float("nan"))
 
     def test_atoms_are_frozen(self):
         f = lookup_atom("xlogx")

@@ -63,8 +63,8 @@ class TestMultiplicationPair:
 
     def test_superops_multiply_left_and_right(self):
         rng = np.random.default_rng(7)
-        sigma = random_density(3, 8).matrix.mat
-        rho = random_density(3, 9).matrix.mat
+        sigma = random_density(3, 8).mat
+        rho = random_density(3, 9).mat
         mp = MultiplicationPair(sigma, rho)
         pair = realize_multiplication_pair(mp)
         X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -72,15 +72,15 @@ class TestMultiplicationPair:
         assert np.max(np.abs(apply_superop(pair, "right", X) - X @ rho)) < 1e-12
 
     def test_realization_matrices_are_kron_factors(self):
-        sigma = random_density(3, 10).matrix.mat
-        rho = random_density(3, 11).matrix.mat
+        sigma = random_density(3, 10).mat
+        rho = random_density(3, 11).mat
         pair = realize_multiplication_pair(MultiplicationPair(sigma, rho))
         assert np.max(np.abs(pair.left.mat - np.kron(np.eye(3), sigma))) < 1e-12
         assert np.max(np.abs(pair.right.mat - np.kron(rho.T, np.eye(3)))) < 1e-12
 
     def test_realized_spectra_are_products_of_factors(self):
-        sigma = random_density(2, 12).matrix.mat
-        rho = random_density(2, 13).matrix.mat
+        sigma = random_density(2, 12).mat
+        rho = random_density(2, 13).mat
         pair = realize_multiplication_pair(MultiplicationPair(sigma, rho))
         ws = np.linalg.eigvalsh(sigma)
         wr = np.linalg.eigvalsh(rho)

@@ -1,6 +1,7 @@
 """The README quick start and the demo scripts run and agree with
 themselves, and the package exports what they and the benchmark use."""
 import ast
+import dataclasses
 import importlib.util
 import os
 import re
@@ -78,6 +79,17 @@ def test_all_is_the_package_namespace():
               and not isinstance(value, types.ModuleType)}
     assert sorted(opconvex.__all__) == sorted(public)
     assert len(set(opconvex.__all__)) == len(opconvex.__all__)
+
+
+def test_exported_value_types_are_frozen_dataclasses():
+    import opconvex
+    from opconvex.functionals import ProbabilityVector
+    kinds = [value for value in map(vars(opconvex).get, opconvex.__all__)
+             if isinstance(value, type) and not issubclass(value, Exception)]
+    assert "DensityMatrix" in {kind.__name__ for kind in kinds}
+    for kind in kinds + [ProbabilityVector]:
+        assert dataclasses.is_dataclass(kind), kind
+        assert kind.__dataclass_params__.frozen, kind
 
 
 def test_bench_tracer_resolves_every_traced_name():

@@ -4,16 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from opconvex import (DensityMatrix, DomainViolation, HypothesisViolation,
-                      MultiplicationPair, classical_relative_entropy,
+from opconvex import (DensityMatrix, DomainViolation, HermitianMatrix,
+                      HypothesisViolation, MultiplicationPair,
+                      apply_scalar_function, classical_relative_entropy,
                       extended_perspective_quadratic_form, lieb_functional,
-                      lieb_pq_functional, lookup_atom,
-                      perspective_quadratic_form,
+                      lieb_pq_functional, loewner_leq, lookup_atom,
+                      perspective_quadratic_form, perspective_symmetrized,
                       quantum_relative_entropy_direct,
                       quantum_relative_entropy_perspective, random_density,
                       random_positive_matrix)
 from opconvex.functionals import (ProbabilityVector, classical_entropy,
                                   classical_perspective)
+from opconvex.linalg import spectral_decompose
+from opconvex.perspective import extended_perspective_symmetrized
 
 
 def rand_complex(n, seed):
@@ -60,6 +63,27 @@ class TestDensityMatrix:
     def test_rejects_nonpositive_trace(self):
         with pytest.raises(DomainViolation):
             DensityMatrix(np.diag([1.0, -1.0]))
+
+    def test_every_entry_point_takes_it_as_its_matrix(self):
+        rho, sigma = random_density(3, 4), random_density(3, 5)
+        assert isinstance(rho, HermitianMatrix)
+        f, h = lookup_atom("neg_power", 0.5), lookup_atom("power", 0.5)
+        calls = [
+            lambda r, s: (loewner_leq(r, s).slack,),
+            lambda r, s: (apply_scalar_function(f, r).mat,),
+            lambda r, s: spectral_decompose(r),
+            lambda r, s: MultiplicationPair(r, s).factors,
+            lambda r, s: (perspective_symmetrized(f, r, s).mat,),
+            lambda r, s: (extended_perspective_symmetrized(f, h, r, s).mat,),
+        ]
+        for call in calls:
+            got, want = call(rho, sigma), call(rho.mat, sigma.mat)
+            assert len(got) == len(want)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    def test_accepts_a_hermitian_matrix(self):
+        H = HermitianMatrix(2.0 * np.eye(2))
+        assert np.array_equal(DensityMatrix(H).mat, DensityMatrix(H.mat).mat)
 
     def test_random_density_contract(self):
         rho = random_density(4, 0)
@@ -222,9 +246,10 @@ class TestClassicalLayer:
         out = classical_perspective(f, np.array([1.0, 2.0, 3.0]), 2.0)
         assert np.allclose(out, [0.5, 2.0, 4.5])
 
-    def test_perspective_rejects_nonpositive_base(self):
-        with pytest.raises(DomainViolation):
-            classical_perspective(lookup_atom("square"), 1.0, 0.0)
+    @pytest.mark.parametrize("t", [0.0, float("nan")])
+    def test_perspective_rejects_nonpositive_base(self, t):
+        with pytest.raises(DomainViolation, match="base must be positive"):
+            classical_perspective(lookup_atom("square"), 1.0, t)
 
     def test_perspective_gap_oracle(self):
         # xlogx perspective at ((1,1),(2,1)) with weight 1/2

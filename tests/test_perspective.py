@@ -147,8 +147,8 @@ class TestQuadraticForms:
         # the n^2 x n^2 Kronecker realization is the oracle for the
         # factored sum
         rng = np.random.default_rng(14)
-        sigma = random_density(n, 15).matrix.mat
-        rho = random_density(n, 16).matrix.mat
+        sigma = random_density(n, 15).mat
+        rho = random_density(n, 16).mat
         mp = MultiplicationPair(sigma, rho)
         K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         pair = realize_multiplication_pair(mp)
@@ -164,8 +164,8 @@ class TestQuadraticForms:
 
     def test_extended_form_with_identity_base_matches_plain(self):
         rng = np.random.default_rng(17)
-        sigma = random_density(3, 18).matrix.mat
-        rho = random_density(3, 19).matrix.mat
+        sigma = random_density(3, 18).mat
+        rho = random_density(3, 19).mat
         mp = MultiplicationPair(sigma, rho)
         K = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         plain = perspective_quadratic_form(NEG_SQRT, mp, K)

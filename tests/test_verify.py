@@ -260,6 +260,29 @@ class TestCheckerHypothesisGates:
             check_perspective_joint_convexity(lookup_atom("xlogx"), p1, p2,
                                               1.5)
 
+    @pytest.mark.parametrize("check", [
+        lambda c: check_perspective_joint_convexity(
+            lookup_atom("xlogx"), random_commuting_pair(3, 14),
+            random_commuting_pair(3, 15), c),
+        lambda c: check_extended_perspective_joint_convexity(
+            lookup_atom("xlogx"), lookup_atom("power", 0.5),
+            random_commuting_pair(3, 14), random_commuting_pair(3, 15), c),
+        lambda c: check_relative_entropy_joint_convexity(
+            *(random_density(3, k) for k in range(4)), c),
+        lambda c: check_lieb_concavity(
+            *(random_positive_matrix(3, k) for k in range(4)), np.eye(3),
+            0.5, c),
+        lambda c: check_lieb_pq_concavity(
+            *(random_positive_matrix(3, k) for k in range(4)), np.eye(3),
+            0.3, 0.4, c),
+    ], ids=["perspective", "extended", "rel-entropy", "lieb", "lieb-pq"])
+    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
+    def test_bad_weight_is_the_weight_gates_error(self, check, c):
+        # a NaN or infinite weight must not reach the eigendecompositions
+        # of the mixture, which would raise their own error first
+        with pytest.raises(HypothesisViolation, match="weight"):
+            check(c)
+
     def test_relative_entropy_needs_unit_trace(self):
         rho = random_density(3, 16)
         with pytest.raises(HypothesisViolation, match="trace"):
@@ -280,6 +303,20 @@ class TestCheckerHypothesisGates:
         with pytest.raises(HypothesisViolation, match="positive"):
             check_classical_perspective_convexity(lookup_atom("square"),
                                                   1.0, -1.0, 2.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("t1,t2", [(float("nan"), 1.0),
+                                       (1.0, float("nan"))])
+    def test_classical_nan_base_is_a_hypothesis_violation(self, t1, t2):
+        with pytest.raises(HypothesisViolation, match="positive"):
+            check_classical_perspective_convexity(lookup_atom("square"),
+                                                  1.0, t1, 2.0, t2, 0.5)
+
+    @pytest.mark.parametrize("name", ["square", "xlogx"])
+    def test_classical_nan_point_is_a_domain_violation(self, name):
+        with pytest.raises(DomainViolation, match="nan"):
+            check_classical_perspective_convexity(lookup_atom(name),
+                                                  float("nan"), 1.0, 2.0,
+                                                  1.0, 0.5)
 
 
 class TestRunSingle:
