@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 
@@ -26,7 +26,31 @@ from .errors import DomainViolation, HypothesisViolation
 from .functionals import (lieb_functional, lieb_pq_functional,
                           quantum_relative_entropy_direct)
 from .linalg import hermitian_from_json, matrix_from_json, matrix_wire
-from .verify import THEOREM_TAGS, TrialConfig, run_campaign
+from .verify import (SPECTRUM_HI, SPECTRUM_LO, THEOREM_TAGS, TrialConfig,
+                     run_campaign)
+
+
+# verify's campaign options as (flag, TrialConfig field, help); each takes
+# its type and default from TrialConfig().
+_CAMPAIGN_OPTIONS = (
+    ("--atom", "atom",
+     "scalar atom for the Jensen/perspective/classical tags"),
+    ("--s", "s", "exponent: neg_power parameter and the lieb-s exponent"),
+    ("--t", "t", "exponent: power parameter and the marechal base exponent"),
+    ("--p", "p", "lieb-pq exponent p"),
+    ("--q", "q", "lieb-pq exponent q"),
+    ("--dim", "dim_n", "matrix dimension n"),
+    ("--dim-m", "dim_m",
+     "compression target dimension m for the Jensen tags"),
+    ("--trials", "trials", "trials per theorem"),
+    ("--seed", "seed", "campaign seed, 64-bit unsigned"),
+    ("--tol", "tol", "relative tolerance for each check, in (0, 1)"),
+    ("--floor", "floor",
+     f"least admissible eigenvalue for generated positive matrices; "
+     f"perspective and marechal draw pair spectra from "
+     f"[max({SPECTRUM_LO:g}, floor), {SPECTRUM_HI:g}], so a floor below "
+     f"{SPECTRUM_LO:g} moves none of their draws"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,37 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--theorem", required=True,
                     choices=THEOREM_TAGS + ("all",),
                     help="theorem tag to check, or 'all'")
-    pv.add_argument("--atom", default="xlogx",
-                    help="scalar atom for the Jensen/perspective/classical "
-                         "tags (default: xlogx)")
-    pv.add_argument("--s", type=float, default=0.5,
-                    help="exponent: neg_power parameter and the lieb-s "
-                         "exponent (default: 0.5)")
-    pv.add_argument("--t", type=float, default=0.5,
-                    help="exponent: power parameter and the marechal base "
-                         "exponent (default: 0.5)")
-    pv.add_argument("--p", type=float, default=0.3,
-                    help="lieb-pq exponent p (default: 0.3)")
-    pv.add_argument("--q", type=float, default=0.4,
-                    help="lieb-pq exponent q (default: 0.4)")
-    pv.add_argument("--dim", type=int, default=3,
-                    help="matrix dimension n (default: 3)")
-    pv.add_argument("--dim-m", type=int, default=3, dest="dim_m",
-                    help="compression target dimension m for the Jensen "
-                         "tags (default: 3)")
-    pv.add_argument("--trials", type=int, default=200,
-                    help="trials per theorem (default: 200)")
-    pv.add_argument("--seed", type=int, default=0,
-                    help="campaign seed, 64-bit unsigned (default: 0)")
-    pv.add_argument("--tol", type=float, default=1e-8,
-                    help="relative tolerance for each check, in (0, 1) "
-                         "(default: 1e-8)")
-    pv.add_argument("--floor", type=float, default=1e-8,
-                    help="least admissible eigenvalue for generated "
-                         "positive matrices; perspective and marechal draw "
-                         "pair spectra from [max(0.1, floor), 10], so a "
-                         "floor below 0.1 moves none of their draws "
-                         "(default: 1e-8)")
+    defaults = TrialConfig()
+    for flag, name, text in _CAMPAIGN_OPTIONS:
+        default = getattr(defaults, name)
+        pv.add_argument(flag, dest=name, type=type(default), default=default,
+                        metavar=flag[2:].upper().replace("-", "_"),
+                        help=text + " (default: %(default)s)")
     pv.add_argument("--negative-control", action="store_true",
                     help="invert the verdict: succeed iff a violation is "
                          "found (only with --theorem hp)")
@@ -99,14 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _atom_parameter(args) -> float | None:
-    if args.atom == "neg_power":
-        return args.s
-    if args.atom == "power":
-        return args.t
-    return None
-
-
 # Square entries arrays at least this wide reuse mirrored strings
 # (``_mirrored_strs``). Its numpy calls cost what the reuse saves on 9 x 9
 # arrays; on 3 x 3 ones it prints ~2x slower.
@@ -118,7 +109,9 @@ def _dump(payload) -> str:
 
     A 2-D ndarray anywhere in ``payload`` prints as ``matrix_to_json``
     makes it, and so does a ``matrix_wire`` dict (verify's witnesses,
-    eval's inputs), a wide square one without building nested lists.
+    eval's inputs). A float64 entries array goes to ``_emit_block``; an
+    entries array of another dtype, or one holding a NaN or an infinity,
+    prints through its ``tolist()`` like any other value.
 
     The stdlib encodes through pure Python whenever ``indent`` is set, one
     call per number; matrix ``entries`` dominate a report, so they are
@@ -154,9 +147,8 @@ def _emit(x, level: int, out: list) -> None:
     elif type(x) is np.ndarray and x.ndim in (2, 3):
         if x.ndim == 2:  # a matrix
             _emit(matrix_wire(x), level, out)
-        elif not (x.size and x.shape[2] == 2 and _emit_block(
-                x if len(x) == x.shape[1] >= MIRROR_MIN_DIM
-                and x.dtype == np.float64 else x.tolist(), level, out)):
+        elif not (x.size and x.shape[2] == 2 and x.dtype == np.float64
+                  and _emit_block(x, level, out)):
             _emit(x.tolist(), level, out)  # not entries of finite floats
         return
     else:
@@ -174,12 +166,13 @@ def _emit(x, level: int, out: list) -> None:
     out.append("\n" + "  " * level + brackets[1])
 
 
-def _emit_block(entries, level: int, out: list) -> bool:
-    """Print a matrix's entries block: nested ``[re, im]`` lists, or a
-    square array of shape (n, n, 2), printed through ``_mirrored_strs``.
+def _emit_block(E, level: int, out: list) -> bool:
+    """Print a matrix's entries block, a float64 array of shape (rows,
+    cols, 2): a wide square one through ``_mirrored_strs``, any other one
+    from its rows as lists of floats.
 
-    Returns False, with ``out`` untouched, if a number is not a finite
-    float (json spells NaN and infinities unlike ``repr``).
+    Returns False, with ``out`` untouched, if a number is not finite (json
+    spells NaN and infinities unlike ``repr``).
     """
     i1 = "\n" + "  " * (level + 1)  # the indents one, two and three deeper
     i2 = i1 + "  "
@@ -189,23 +182,18 @@ def _emit_block(entries, level: int, out: list) -> bool:
     row_sep = i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3
     sep = "[" + i1 + "[" + i2 + "[" + i3
     start = len(out)
-    try:
-        row_strs = (_mirrored_strs(entries) if type(entries) is np.ndarray
-                    else map(map, repeat(float.__repr__),
-                             map(chain.from_iterable, entries)))
-        for strs in map(iter, row_strs):
-            text = pair_sep.join(map(num_sep.join, zip(strs, strs)))
-            if "n" in text:  # "n" spells nan, inf, -inf
-                break
-            out += (sep, text)
-            sep = row_sep
-        else:
-            out.append(i2 + "]" + i1 + "]\n" + "  " * level + "]")
-            return True
-    except TypeError:  # a number that is not a float
-        pass
-    del out[start:]
-    return False
+    row_strs = (_mirrored_strs(E) if len(E) == E.shape[1] >= MIRROR_MIN_DIM
+                else map(map, repeat(float.__repr__),
+                         E.reshape(len(E), -1).tolist()))
+    for strs in map(iter, row_strs):
+        text = pair_sep.join(map(num_sep.join, zip(strs, strs)))
+        if "n" in text:  # "n" spells nan, inf, -inf
+            del out[start:]
+            return False
+        out += (sep, text)
+        sep = row_sep
+    out.append(i2 + "]" + i1 + "]\n" + "  " * level + "]")
+    return True
 
 
 def _mirrored_strs(E) -> list:
@@ -253,40 +241,34 @@ def _cmd_verify(args) -> int:
         print("error: --negative-control applies only to --theorem hp",
               file=sys.stderr)
         return 2
-    cfg = TrialConfig(dim_n=args.dim, dim_m=args.dim_m, trials=args.trials,
-                      seed=args.seed, tol=args.tol, floor=args.floor,
-                      atom=args.atom, atom_parameter=_atom_parameter(args),
-                      s=args.s, t=args.t, p=args.p, q=args.q)
+    # the parameterized atoms take theirs from the exponent flags
+    cfg = TrialConfig(
+        **{name: getattr(args, name) for _, name, _ in _CAMPAIGN_OPTIONS},
+        atom_parameter={"neg_power": args.s, "power": args.t}.get(args.atom))
     tags = THEOREM_TAGS if args.theorem == "all" else (args.theorem,)
     reports = run_campaign(cfg, tags)
 
-    payload = ([r.to_json() for r in reports] if len(reports) > 1
-               else reports[0].to_json())
-    text = _render(args, payload)
-    total_failures = sum(r.failures for r in reports)
-    if args.negative_control:
-        r = reports[0]
-        if args.json:
-            sys.stdout.write(text)
-        elif total_failures > 0:
-            w = r.witness
-            print(f"negative control {r.theorem}: violation found in "
-                  f"{r.trials} trials, slack={r.worst_slack:.6e} at "
-                  f"trial_index={w['trial_index']} redraw={w['redraw']}")
-        else:
-            print(f"negative control {r.theorem}: no violation found in "
-                  f"{r.trials} trials (worst_slack={r.worst_slack:.6e})")
-        return 0 if total_failures > 0 else 1
-
+    text = _render(args, [r.to_json() for r in reports] if len(reports) > 1
+                   else reports[0].to_json())
+    failed = any(r.failures for r in reports)
+    r = reports[0]
     if args.json:
         sys.stdout.write(text)
+    elif args.negative_control and failed:
+        print(f"negative control {r.theorem}: violation found in "
+              f"{r.trials} trials, slack={r.worst_slack:.6e} at "
+              f"trial_index={r.witness['trial_index']} "
+              f"redraw={r.witness['redraw']}")
+    elif args.negative_control:
+        print(f"negative control {r.theorem}: no violation found in "
+              f"{r.trials} trials (worst_slack={r.worst_slack:.6e})")
     else:
         for r in reports:
-            status = "PASS" if r.failures == 0 else "FAIL"
+            status = "FAIL" if r.failures else "PASS"
             print(f"{status} {r.theorem}: trials={r.trials} "
                   f"failures={r.failures} worst_slack={r.worst_slack:.6e} "
                   f"tol={r.tolerance:g}")
-    return 0 if total_failures == 0 else 1
+    return int(failed != args.negative_control)
 
 
 def _load_hermitian(flag: str, path: str | None):

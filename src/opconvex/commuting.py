@@ -132,6 +132,10 @@ class MultiplicationPair:
         return self.sigma.dim
 
 
+# An InitVar's default stays behind as a class attribute, and an instance
+# would read it as the floor it was checked against.
+del CommutingPair.floor, MultiplicationPair.floor
+
 def realize_multiplication_pair(mp: MultiplicationPair) -> CommutingPair:
     """Reference n^2 x n^2 realization of left-by-sigma and right-by-rho.
 

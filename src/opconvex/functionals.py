@@ -75,6 +75,9 @@ class DensityMatrix(HermitianMatrix):
         HermitianMatrix.__post_init__(self)
 
 
+del DensityMatrix.floor  # an InitVar default, not the instance's floor
+
+
 def _normalize(H, floor, errs: RowErrors) -> np.ndarray:
     """H / Tr H for a stack of Hermitian H, not yet symmetrized. A row fails
     unless its trace is positive and the least eigenvalue of the result is

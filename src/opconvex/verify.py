@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,10 +70,6 @@ from .checks import (  # noqa: F401
     check_perspective_joint_convexity, check_relative_entropy_joint_convexity,
     scalar_geq)
 from .linalg import loewner_leq  # noqa: F401
-
-# Theorem tags in canonical order; "all" in the CLI expands to this.
-THEOREM_TAGS = ("hp", "hp-contractive", "perspective", "marechal",
-                "rel-entropy-convexity", "lieb-s", "lieb-pq", "classical")
 
 # Redraw budget per trial before we call the generator broken.
 MAX_REDRAWS = 100
@@ -510,6 +507,9 @@ _THEOREMS = {
         lambda cfg: _require_not_concave(cfg.resolve_atom())),
 }
 
+# Theorem tags in canonical order; "all" in the CLI expands to this.
+THEOREM_TAGS = tuple(_THEOREMS)
+
 
 def _encode_witness(witness: dict) -> dict:
     """A raw witness with each matrix as its ``matrix_wire`` dict; a
@@ -542,19 +542,23 @@ def _entry(tag: str) -> _Theorem:
     return _THEOREMS[tag]
 
 
-class _Round(NamedTuple):
-    """A batch of trials at explicit (index, redraw) coordinates: stacked
-    slacks and tolerances, and per row the exception of the first gate the
-    row failed (None where it passed them all)."""
+class _Batch(NamedTuple):
+    """Decided trials: stacked slacks, tolerances and redraw counters, per
+    trial the exception of the first gate it failed (None where it passed
+    them all), and ``witness(k)``, trial k's raw witness."""
 
     slack: np.ndarray
     tolerance_used: np.ndarray
+    redraw: list
     errors: list
-    witness: Callable  # witness(row) -> the row's raw witness
+    witness: Callable
+
+    def verdict(self, k: int) -> LoewnerVerdict:
+        return LoewnerVerdict.of(self.slack[k], self.tolerance_used[k])
 
 
 def _decide(theorem: str, cfg: TrialConfig, indices: list,
-            redraws: list) -> _Round:
+            redraws: list) -> _Batch:
     entry = _entry(theorem)
     f = cfg.resolve_atom()
     seeds = [trial_seed(cfg.seed, theorem, index, redraw)
@@ -582,11 +586,11 @@ def _decide(theorem: str, cfg: TrialConfig, indices: list,
                   "trial_seed": seeds[row], "seed_rule": SEED_RULE})
         return w
 
-    return _Round(slack, used, errs.errors, witness)
+    return _Batch(slack, used, redraws, errs.errors, witness)
 
 
 def run_single(theorem: str, cfg: TrialConfig, index, redraw=0):
-    """Trials at explicit (index, redraw) coordinates.
+    """Trials at explicit (index, redraw) coordinates, without redraws.
 
     With an int ``index``, one trial (a batch of one): returns the verdict
     and the raw witness, which holds the drawn operands (arrays, commuting
@@ -597,36 +601,19 @@ def run_single(theorem: str, cfg: TrialConfig, index, redraw=0):
 
     With a sequence of indices (and a redraw counter for each, or one for
     all), the trials are drawn and decided as one batch, and the result is
-    a ``_Round``; nothing is raised for a row that fails a gate.
+    a ``_Batch``; a row that fails a gate raises nothing: see ``errors``.
     """
     if np.ndim(index):
         redraws = np.broadcast_to(redraw, np.shape(index))
         return _decide(theorem, cfg, [int(i) for i in index],
                        [int(r) for r in redraws])
-    rnd = _decide(theorem, cfg, [index], [redraw])
-    if rnd.errors[0] is not None:
-        raise rnd.errors[0]
-    verdict = LoewnerVerdict.of(rnd.slack[0], rnd.tolerance_used[0])
-    return verdict, rnd.witness(0)
+    batch = _decide(theorem, cfg, [index], [redraw])
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    return batch.verdict(0), batch.witness(0)
 
 
-class _Chunk(NamedTuple):
-    """A range of trials, each decided by the draw round that accepted it."""
-
-    slack: np.ndarray
-    tolerance_used: np.ndarray
-    redraw: np.ndarray
-    row: np.ndarray  # each trial's row in its accepting round
-    rounds: list  # the rounds, by redraw counter
-
-    def verdict(self, k: int) -> LoewnerVerdict:
-        return LoewnerVerdict.of(self.slack[k], self.tolerance_used[k])
-
-    def witness(self, k: int) -> dict:
-        return self.rounds[self.redraw[k]].witness(int(self.row[k]))
-
-
-def _run_chunk(theorem: str, cfg: TrialConfig, indices: range) -> _Chunk:
+def _run_chunk(theorem: str, cfg: TrialConfig, indices: range) -> _Batch:
     """The redraw loop over a range of trials, one batched ``run_single``
     per draw round. Trials rejected in a round are drawn again in the next
     one with the next redraw counter; a trial ending in any other exception
@@ -634,36 +621,30 @@ def _run_chunk(theorem: str, cfg: TrialConfig, indices: range) -> _Chunk:
     lowest such trial is raised."""
     size = len(indices)
     slack, used = np.empty(size), np.empty(size)
-    redraws, rows = np.zeros(size, dtype=int), np.zeros(size, dtype=int)
-    rounds, failed = [], {}
-    pending = np.arange(size)
+    redraws, witnesses, failed = [0] * size, [None] * size, {}
+    pending = range(size)
     for redraw in range(MAX_REDRAWS + 1):
-        if not pending.size:
+        if not pending:
             break
         rnd = run_single(theorem, cfg, [indices[k] for k in pending], redraw)
-        rounds.append(rnd)
-        ok = np.array([e is None for e in rnd.errors])
-        accepted = pending[ok]
-        slack[accepted] = rnd.slack[ok]
-        used[accepted] = rnd.tolerance_used[ok]
-        redraws[accepted] = redraw
-        rows[accepted] = np.flatnonzero(ok)
         retry = []
-        for row in np.flatnonzero(~ok):
-            err, k = rnd.errors[row], int(pending[row])
-            if isinstance(err, DomainViolation):
+        for row, (k, err) in enumerate(zip(pending, rnd.errors)):
+            if err is None:
+                slack[k], used[k] = rnd.slack[row], rnd.tolerance_used[row]
+                redraws[k], witnesses[k] = redraw, partial(rnd.witness, row)
+            elif isinstance(err, DomainViolation):
                 retry.append(k)
             else:
                 failed[k] = err
-        pending = np.array([k for k in retry if k < min(failed, default=size)],
-                           dtype=int)
+        pending = [k for k in retry if k < min(failed, default=size)]
     for k in pending:
-        failed[int(k)] = HypothesisViolation(
+        failed[k] = HypothesisViolation(
             f"trial {indices[k]} of {theorem!r} exceeded {MAX_REDRAWS} "
             f"redraws; the generator cannot satisfy the theorem's domain")
     if failed:
         raise failed[min(failed)]
-    return _Chunk(slack, used, redraws, rows, rounds)
+    return _Batch(slack, used, redraws, [None] * size,
+                  lambda k: witnesses[k]())
 
 
 def run_trial(theorem: str, cfg: TrialConfig, index):
@@ -673,12 +654,13 @@ def run_trial(theorem: str, cfg: TrialConfig, index):
 
     A ``range`` of indices runs as one chunk, each draw round one batched
     ``run_single`` over the trials still pending, and the result is a
-    ``_Chunk`` of their stacked slacks and redraw counters.
+    ``_Batch`` of each trial as the round that accepted it decided it:
+    its ``errors`` are all None.
     """
     if isinstance(index, range):
         return _run_chunk(theorem, cfg, index)
-    chunk = _run_chunk(theorem, cfg, range(index, index + 1))
-    return chunk.verdict(0), chunk.witness(0)
+    batch = _run_chunk(theorem, cfg, range(index, index + 1))
+    return batch.verdict(0), batch.witness(0)
 
 
 def run_campaign(cfg: TrialConfig, theorems) -> list:
@@ -689,9 +671,7 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
     trial index. A chunk's worst trial goes into ``matrix_wire`` dicts only
     when it is the worst so far, copied out of the chunk's stacks.
     """
-    if isinstance(theorems, str):
-        theorems = (theorems,)
-    tags = tuple(theorems)
+    tags = (theorems,) if isinstance(theorems, str) else tuple(theorems)
     if len(set(tags)) != len(tags):
         raise ValueError("duplicate theorem tags in selection")
     cfg.validate()

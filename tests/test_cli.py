@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opconvex import THEOREM_TAGS
+from opconvex import THEOREM_TAGS, TrialConfig
 from opconvex.linalg import matrix_from_json, matrix_to_json
-from opconvex.cli import MIRROR_MIN_DIM, _dump, _mirrored_strs, main
+from opconvex.cli import (_CAMPAIGN_OPTIONS, MIRROR_MIN_DIM, _dump,
+                          _mirrored_strs, main)
 
 
 def write_matrix(path, M):
@@ -139,6 +140,22 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         T = doc["witness"]["T"]
         assert matrix_to_json(matrix_from_json(T)) == T
+
+
+class TestVerifyOptions:
+    def test_cli_defaults_are_the_library_defaults(self, capsys):
+        assert main(["verify", "--theorem", "classical", "--trials", "1",
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"] == TrialConfig(trials=1).fingerprint()
+
+    def test_help_names_every_campaign_option(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "opconvex.cli", "verify", "--help"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        for flag, _, _ in _CAMPAIGN_OPTIONS:
+            assert f" {flag} " in proc.stdout, flag
 
 
 class TestNegativeControl:

@@ -94,6 +94,18 @@ class TestMultiplicationPair:
             apply_superop(pair, "left", np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_commuting_pair(3, 1, floor=0.5),
+    lambda: random_density(3, 2, floor=1e-3),
+    lambda: MultiplicationPair(np.eye(2), 2 * np.eye(2), floor=0.5)],
+    ids=["CommutingPair", "DensityMatrix", "MultiplicationPair"])
+def test_floor_is_not_kept(make):
+    """``floor`` is a constructor argument only: reading it back must not
+    give the default in place of the floor the value was checked against."""
+    with pytest.raises(AttributeError):
+        make().floor
+
+
 class TestGenerators:
     def test_random_commuting_pair_spectra_bounds(self):
         pair = random_commuting_pair(6, 14, floor=1e-8)

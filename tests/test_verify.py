@@ -365,6 +365,19 @@ class TestRunSingle:
                                                    rnd.tolerance_used[i])
             assert printed(rnd.witness(i)) == printed(w)
 
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_batches_of_both_entry_points_share_one_record(self, tag):
+        cfg = TrialConfig(trials=6, seed=4)
+        batch = run_single(tag, cfg, range(6), redraw=2)
+        assert list(batch.redraw) == [2] * 6
+        chunk = run_trial(tag, cfg, range(6))
+        assert chunk.errors == [None] * 6
+        for k in range(6):
+            assert batch.verdict(k) == run_single(tag, cfg, k, redraw=2)[0]
+            verdict, w = run_single(tag, cfg, k, redraw=chunk.redraw[k])
+            assert chunk.verdict(k) == verdict
+            assert printed(chunk.witness(k)) == printed(w)
+
 
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
     def test_witness_holds_arrays_pairs_and_scalars(self, tag):
