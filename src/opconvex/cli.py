@@ -16,8 +16,6 @@ import argparse
 import json
 import sys
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
-from math import isfinite
 
 import numpy as np
 
@@ -103,76 +101,56 @@ def _build_parser() -> argparse.ArgumentParser:
 # arrays; on 3 x 3 ones it prints ~2x slower.
 MIRROR_MIN_DIM = 10
 
+# ``_dump``'s stand-in for an entries block, and its spelling in JSON text
+_BLOCK = "\0entries"
+_BLOCK_JSON = json.dumps(_BLOCK)
 
-def _dump(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    A 2-D ndarray anywhere in ``payload`` prints as ``matrix_to_json``
-    makes it, and so does a ``matrix_wire`` dict (verify's witnesses,
-    eval's inputs). A float64 entries array goes to ``_emit_block``; an
-    entries array of another dtype, or one holding a NaN or an infinity,
-    prints through its ``tolist()`` like any other value.
+def _dump(payload, splice: bool = True) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte, where a 2-D ndarray prints as ``matrix_to_json`` makes it.
 
-    The stdlib encodes through pure Python whenever ``indent`` is set, one
-    call per number; matrix ``entries`` dominate a report, so they are
-    printed a row at a time by C-level ``map``/``join`` instead, and in a
-    Hermitian block the numbers below the diagonal reuse the strings of
-    their mirrors above it.
+    The indented stdlib encoder spends a Python call per number, and
+    matrix ``entries`` dominate a report. So ``leaf`` swaps each finite
+    float64 entries array for the string ``_BLOCK``, and ``_emit_block``
+    prints the block where that string's JSON lands in the text. Other 3-D
+    arrays print as lists, and so do all blocks if a payload string spells
+    ``_BLOCK`` too; other objects json cannot encode raise its TypeError.
     """
-    out = []
-    _emit(payload, 0, out)
+    blocks = []
+
+    def leaf(x):
+        if type(x) is np.ndarray and x.ndim == 2:
+            return matrix_wire(x)
+        if type(x) is np.ndarray and x.ndim == 3:
+            if (splice and x.size and x.shape[2] == 2
+                    and x.dtype == np.float64 and np.isfinite(x).all()):
+                blocks.append(x)
+                return _BLOCK
+            return x.tolist()
+        raise TypeError(
+            f"Object of type {type(x).__name__} is not JSON serializable")
+
+    text = json.dumps(payload, indent=2, sort_keys=True, default=leaf)
+    if not blocks:
+        return text + "\n"
+    parts = text.split(_BLOCK_JSON)
+    if len(parts) != len(blocks) + 1:
+        return _dump(payload, splice=False)
+    out = [parts[0]]
+    for E, part in zip(blocks, parts[1:]):
+        line = out[-1].rpartition("\n")[2]  # where the block's "[" goes
+        _emit_block(E, (len(line) - len(line.lstrip(" "))) // 2, out)
+        out.append(part)
     out.append("\n")
     return "".join(out)
 
 
-def _scalar(x) -> str:
-    """``json.dumps(x)``, without its set-up for a str, int or finite float."""
-    kind = type(x)
-    if kind is str:
-        return encode_basestring_ascii(x)
-    if kind is int or (kind is float and isfinite(x)):
-        return kind.__repr__(x)
-    return json.dumps(x)
-
-
-def _emit(x, level: int, out: list) -> None:
-    if isinstance(x, dict):
-        # int, float, bool and None keys are spelled the way json does
-        items = [(_scalar(k if isinstance(k, str) else json.dumps(k))
-                  + ": ", v) for k, v in sorted(x.items())]
-        brackets = "{}"
-    elif isinstance(x, (list, tuple)):
-        items = [("", v) for v in x]
-        brackets = "[]"
-    elif type(x) is np.ndarray and x.ndim in (2, 3):
-        if x.ndim == 2:  # a matrix
-            _emit(matrix_wire(x), level, out)
-        elif not (x.size and x.shape[2] == 2 and x.dtype == np.float64
-                  and _emit_block(x, level, out)):
-            _emit(x.tolist(), level, out)  # not entries of finite floats
-        return
-    else:
-        out.append(_scalar(x))
-        return
-    if not items:
-        out.append(brackets)
-        return
-    inner = "\n" + "  " * (level + 1)
-    sep = brackets[0] + inner
-    for prefix, value in items:
-        out.append(sep + prefix)
-        _emit(value, level + 1, out)
-        sep = "," + inner
-    out.append("\n" + "  " * level + brackets[1])
-
-
-def _emit_block(E, level: int, out: list) -> bool:
-    """Print a matrix's entries block, a float64 array of shape (rows,
-    cols, 2): a wide square one through ``_mirrored_strs``, any other one
-    from its rows as lists of floats.
-
-    Returns False, with ``out`` untouched, if a number is not finite (json
-    spells NaN and infinities unlike ``repr``).
+def _emit_block(E, level: int, out: list) -> None:
+    """Append a matrix's entries block, a finite float64 array of shape
+    (rows, cols, 2), to ``out`` as the indented stdlib encoder prints it
+    from a line indented ``level`` deep: a wide square block through
+    ``_mirrored_strs``, any other one from its rows as lists of floats.
     """
     i1 = "\n" + "  " * (level + 1)  # the indents one, two and three deeper
     i2 = i1 + "  "
@@ -181,19 +159,13 @@ def _emit_block(E, level: int, out: list) -> bool:
     pair_sep = i2 + "]," + i2 + "[" + i3
     row_sep = i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3
     sep = "[" + i1 + "[" + i2 + "[" + i3
-    start = len(out)
     row_strs = (_mirrored_strs(E) if len(E) == E.shape[1] >= MIRROR_MIN_DIM
                 else map(map, repeat(float.__repr__),
                          E.reshape(len(E), -1).tolist()))
     for strs in map(iter, row_strs):
-        text = pair_sep.join(map(num_sep.join, zip(strs, strs)))
-        if "n" in text:  # "n" spells nan, inf, -inf
-            del out[start:]
-            return False
-        out += (sep, text)
+        out += (sep, pair_sep.join(map(num_sep.join, zip(strs, strs))))
         sep = row_sep
     out.append(i2 + "]" + i1 + "]\n" + "  " * level + "]")
-    return True
 
 
 def _mirrored_strs(E) -> list:
@@ -224,16 +196,19 @@ def _mirrored_strs(E) -> list:
     return S.reshape(n, 2 * n).tolist()
 
 
-def _render(args, payload) -> str | None:
-    """Render ``payload`` once if ``--out`` or ``--json`` asks for it, and
-    write it to the ``--out`` file."""
-    if not (args.out or args.json):
-        return None
+def _render(args, payload) -> None:
+    """Print ``payload`` through ``_dump`` to the ``--out`` file, and to
+    stdout with ``--json``; the one place a JSON document is written.
+    Renders nothing if neither flag is given."""
+    path = getattr(args, "out", None)  # atoms has no --out
+    if not (path or args.json):
+        return
     text = _dump(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
-    return text
+    if args.json:
+        sys.stdout.write(text)
 
 
 def _cmd_verify(args) -> int:
@@ -248,12 +223,12 @@ def _cmd_verify(args) -> int:
     tags = THEOREM_TAGS if args.theorem == "all" else (args.theorem,)
     reports = run_campaign(cfg, tags)
 
-    text = _render(args, [r.to_json() for r in reports] if len(reports) > 1
-                   else reports[0].to_json())
+    _render(args, [r.to_json() for r in reports] if len(reports) > 1
+            else reports[0].to_json())
     failed = any(r.failures for r in reports)
     r = reports[0]
     if args.json:
-        sys.stdout.write(text)
+        pass  # the report on stdout is the output
     elif args.negative_control and failed:
         print(f"negative control {r.theorem}: violation found in "
               f"{r.trials} trials, slack={r.worst_slack:.6e} at "
@@ -271,18 +246,23 @@ def _cmd_verify(args) -> int:
     return int(failed != args.negative_control)
 
 
-def _load_hermitian(flag: str, path: str | None):
+def _read_matrix_file(args, flag: str, needed_by: str = "this functional"):
+    """The JSON document in the file the ``--{flag}`` option names."""
+    path = getattr(args, flag)
     if path is None:
-        raise ValueError(f"--{flag} is required for this functional")
+        raise ValueError(f"--{flag} is required for {needed_by}")
     with open(path) as fh:
-        doc = json.load(fh)
-    return hermitian_from_json(doc)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"--{flag}: {path} is nested too deeply to "
+                             f"decode") from None
 
 
 def _cmd_eval(args) -> int:
     if args.functional == "rel-entropy":
-        rho = _load_hermitian("rho", args.rho)
-        sigma = _load_hermitian("sigma", args.sigma)
+        rho = hermitian_from_json(_read_matrix_file(args, "rho"))
+        sigma = hermitian_from_json(_read_matrix_file(args, "sigma"))
         value = quantum_relative_entropy_direct(rho, sigma)
         inputs = {"rho": rho.mat, "sigma": sigma.mat}
     else:
@@ -291,21 +271,16 @@ def _cmd_eval(args) -> int:
         if None in exponents.values():
             raise ValueError(f"{'--s is' if lieb_s else '--p and --q are'} "
                              f"required for {args.functional}")
-        A = _load_hermitian("a", args.a)
-        B = _load_hermitian("b", args.b)
-        if args.k is None:
-            raise ValueError(f"--k is required for {args.functional}")
-        with open(args.k) as fh:
-            K = matrix_from_json(json.load(fh))
+        A = hermitian_from_json(_read_matrix_file(args, "a"))
+        B = hermitian_from_json(_read_matrix_file(args, "b"))
+        K = matrix_from_json(_read_matrix_file(args, "k", args.functional))
         functional = lieb_functional if lieb_s else lieb_pq_functional
         value = functional(A, B, K, *exponents.values())
         inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}
 
-    text = _render(args, {"functional": args.functional, "value": value,
-                             "inputs": inputs})
-    if args.json:
-        sys.stdout.write(text)
-    else:
+    _render(args, {"functional": args.functional, "value": value,
+                   "inputs": inputs})
+    if not args.json:
         print(f"{value:.17g}")
     return 0
 
@@ -313,7 +288,7 @@ def _cmd_eval(args) -> int:
 def _cmd_atoms(args) -> int:
     rows = list_atoms()
     if args.json:
-        sys.stdout.write(_dump(rows))
+        _render(args, rows)
         return 0
     for row in rows:
         flags = [name for name in ("operator_convex", "operator_concave",

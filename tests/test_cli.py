@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from opconvex import THEOREM_TAGS, TrialConfig
-from opconvex.linalg import matrix_from_json, matrix_to_json
-from opconvex.cli import (_CAMPAIGN_OPTIONS, MIRROR_MIN_DIM, _dump,
+from opconvex.linalg import matrix_from_json, matrix_to_json, matrix_wire
+from opconvex.cli import (_BLOCK, _CAMPAIGN_OPTIONS, MIRROR_MIN_DIM, _dump,
                           _mirrored_strs, main)
 
 
@@ -254,6 +254,31 @@ class TestEvalCommand:
         code = main(["eval", "--functional", "rel-entropy", "--rho", eye2])
         assert code == 2
         assert "--sigma" in capsys.readouterr().err
+
+    def test_missing_conjugator_flag(self, eye2, capsys):
+        code = main(["eval", "--functional", "lieb-s", "--s", "0.5", "--a",
+                     eye2, "--b", eye2])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --k is required for lieb-s\n"
+
+    @pytest.mark.parametrize("flag", ["rho", "k"])
+    def test_deeply_nested_matrix_file_exits_two(self, tmp_path, eye2, flag,
+                                                 capsys):
+        # json.load recurses once per "[" and overflows the stack here
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        operands = {"rho": eye2, "sigma": eye2} if flag == "rho" else {
+            "a": eye2, "b": eye2, "k": eye2, "s": "0.5"}
+        operands[flag] = str(deep)
+        argv = ["eval", "--functional",
+                "rel-entropy" if flag == "rho" else "lieb-s"]
+        for name, value in operands.items():
+            argv += [f"--{name}", value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --{flag}: {deep} is nested too deeply to decode\n")
 
     def test_missing_file(self, eye2, capsys):
         code = main(["eval", "--functional", "rel-entropy", "--rho",
@@ -512,6 +537,86 @@ class TestReportPrinter:
         # printed as their nested lists, whatever path they take
         E = (np.arange(np.prod(shape)).reshape(shape) / 3).astype(dtype)
         assert _dump({"m": E}) == self.oracle({"m": E.tolist()})
+
+
+    @pytest.mark.parametrize("x", [np.array(1.5), np.arange(3.0),
+                                   np.int64(2)],
+                             ids=["0-d", "1-d", "int64"])
+    def test_other_numpy_values_raise_json_type_error(self, x):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(x)
+        with pytest.raises(TypeError) as got:
+            _dump({"m": [x], "value": 1.0})
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n", [0, 2, MIRROR_MIN_DIM])
+    def test_payload_string_spelling_the_placeholder(self, n):
+        # with n = 0 the payload holds no entries block
+        payload = {"s": _BLOCK, _BLOCK: [1, 'x"' + _BLOCK, _BLOCK + "y"]}
+        expected = dict(payload)
+        if n:
+            M = np.arange(n * n).reshape(n, n) * (1 + 0.5j) / 3
+            payload["m"], expected["m"] = M, matrix_to_json(M)
+        assert _dump(payload) == self.oracle(expected)
+
+    def test_non_finite_wide_block_falls_back(self):
+        n = MIRROR_MIN_DIM
+        G = np.arange(n * n).reshape(n, n) * (1 + 0.5j) / 3
+        M = G + G.conj().T
+        M[3, 4], M[4, 3] = complex(float("nan"), 1.0), complex(1.0, -np.inf)
+        text = _dump({"m": M})
+        assert "NaN" in text and "-Infinity" in text
+        assert text == self.oracle({"m": matrix_to_json(M)})
+
+    @pytest.mark.parametrize("wrap", [
+        lambda m: m,
+        lambda m: [1.5, m, "x"],
+        lambda m: {"a": {"b": {"c": m, "d": 0}}, "z": [[m]]}],
+        ids=["depth-0", "depth-1", "depth-3"])
+    @pytest.mark.parametrize("n", [2, MIRROR_MIN_DIM])
+    def test_block_prints_at_the_depth_it_lands(self, wrap, n):
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        E = matrix_wire(G + G.conj().T)["entries"]
+        assert _dump(wrap(E)) == self.oracle(wrap(E.tolist()))
+
+
+class TestJsonOutput:
+    """Each command that writes JSON prints the stdlib's indented text of
+    the document it parses back to, on stdout and in its ``--out`` file."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        n = MIRROR_MIN_DIM + 2
+        rng = np.random.default_rng(17)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        P = G @ G.conj().T + 0.1 * np.eye(n)
+        P = (P + P.conj().T) / 2
+        return {"rho": write_matrix(tmp_path / "rho.json",
+                                    P / np.trace(P).real),
+                "sigma": write_matrix(tmp_path / "sigma.json", np.eye(n) / n),
+                "k": write_matrix(tmp_path / "k.json", G),
+                "out": str(tmp_path / "out.json")}
+
+    @pytest.mark.parametrize("argv", [
+        "verify --theorem all --trials 2 --json",
+        "verify --theorem all --dim 12 --dim-m 8 --trials 1 --out {out} "
+        "--json",
+        "eval --functional rel-entropy --rho {rho} --sigma {sigma} --json",
+        "eval --functional lieb-s --s 0.3 --a {rho} --b {sigma} --k {k} "
+        "--json",
+        "atoms --json"],
+        ids=["verify", "verify-out", "eval-rel-entropy", "eval-lieb-s",
+             "atoms"])
+    def test_prints_what_it_parses(self, argv, files, capsys):
+        argv = argv.format(**files).split()
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+        if "--out" in argv:
+            with open(files["out"]) as fh:
+                assert fh.read() == text
 
 
 class TestAtomsCommand:
