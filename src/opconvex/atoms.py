@@ -50,9 +50,9 @@ class Interval:
         ok = x >= self.lo - tol if self.lo_closed else x > self.lo
         ok &= x <= self.hi + tol if self.hi_closed else x < self.hi
         bad = ~ok
-        if self.lo_closed and np.isfinite(self.lo):
+        if self.lo_closed and math.isfinite(self.lo):
             x = np.where(x < self.lo, self.lo, x)
-        if self.hi_closed and np.isfinite(self.hi):
+        if self.hi_closed and math.isfinite(self.hi):
             x = np.where(x > self.hi, self.hi, x)
         return x, bad
 
@@ -63,9 +63,11 @@ class Interval:
         beyond that, at/past an open endpoint, or NaN raise
         ``DomainViolation`` naming the offending value.
         """
-        x = np.atleast_1d(np.asarray(values, dtype=float))
+        x = np.asarray(values, dtype=float)
+        if x.ndim == 0:
+            x = x.reshape(1)
         out, bad = self.admit(x, tol)
-        if np.any(bad):
+        if bad.any():
             raise self.violation(x[bad][0])
         return x.copy() if out is x else out
 
@@ -141,10 +143,8 @@ def eval_atom(f: ScalarAtom, x: float) -> float:
 
 
 def _xlogx(x):
-    out = np.zeros_like(x)
     pos = x > 0
-    out[pos] = x[pos] * np.log(x[pos])
-    return out
+    return np.where(pos, x, 0.0) * np.log(np.where(pos, x, 1.0))
 
 
 _REAL_LINE = Interval(-np.inf, np.inf, lo_closed=False, hi_closed=False)

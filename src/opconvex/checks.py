@@ -17,6 +17,8 @@ counts as an inequality failure.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .atoms import ScalarAtom
@@ -43,7 +45,10 @@ def _geq(lhs, rhs, tol: float):
 
 def scalar_geq(lhs: float, rhs: float, tol: float) -> LoewnerVerdict:
     """Scalar analogue of the Loewner check: lhs >= rhs up to tol*scale."""
-    return LoewnerVerdict.of(*_geq(float(lhs), float(rhs), tol))
+    lhs, rhs = float(lhs), float(rhs)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"operands must be finite, got {lhs} and {rhs}")
+    return LoewnerVerdict.of(*_geq(lhs, rhs, tol))
 
 
 def _verdict(kernel) -> LoewnerVerdict:
@@ -57,11 +62,11 @@ def _jensen(f: ScalarAtom, A, B, T, tol: float, errs: RowErrors,
     gap = np.eye(A.shape[-1]) - (_adj(A) @ A + _adj(B) @ B)
     if contractive:
         low = np.linalg.eigvalsh(gap)[..., 0]
-        errs.fail(low < -HYPOTHESIS_TOL, lambda k: HypothesisViolation(
+        errs.fail(~(low >= -HYPOTHESIS_TOL), lambda k: HypothesisViolation(
             f"A*A + B*B exceeds the identity by {-low[k]:.3e}"))
     else:
         defect = np.max(np.abs(gap), axis=(-2, -1))
-        errs.fail(defect > HYPOTHESIS_TOL, lambda k: HypothesisViolation(
+        errs.fail(~(defect <= HYPOTHESIS_TOL), lambda k: HypothesisViolation(
             f"A*A + B*B deviates from the identity by {defect[k]:.3e}"))
     fT = _sym(_calculus(f, T, errs))
     lhs = _sym(_calculus(f, _sym(_adj(A) @ T @ A + _adj(B) @ T @ B), errs))
@@ -75,6 +80,8 @@ def _jensen_operands(A, B, T):
     if Am.shape != Bm.shape or Am.ndim != 2:
         raise ValueError(
             f"A and B must share an m x n shape, got {Am.shape} and {Bm.shape}")
+    if not (np.isfinite(Am).all() and np.isfinite(Bm).all()):
+        raise ValueError("A and B must be finite")
     Th = as_hermitian(T)
     if Th.dim != Am.shape[0]:
         raise ValueError(
@@ -261,11 +268,12 @@ def check_lieb_pq_concavity(A1, B1, A2, B2, X, p: float, q: float, c: float,
 
 
 def _positive_bases(X1, X2, errs: RowErrors) -> None:
-    """The bases t of the endpoints (x_i, t_i) are positive."""
+    """The bases t of the endpoints (x_i, t_i) are positive and finite."""
     t1, t2 = X1[1], X2[1]
-    errs.fail(~((t1 > 0.0) & (t2 > 0.0)), lambda k: HypothesisViolation(
-        f"perspective bases must be positive, got {float(t1[k])} and "
-        f"{float(t2[k])}"))
+    ok = (0.0 < t1) & (t1 < np.inf) & (0.0 < t2) & (t2 < np.inf)
+    errs.fail(~ok, lambda k: HypothesisViolation(
+        f"perspective bases must be positive and finite, got "
+        f"{float(t1[k])} and {float(t2[k])}"))
 
 
 def _classical_g(f: ScalarAtom) -> dict:

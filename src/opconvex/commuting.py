@@ -22,8 +22,8 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DomainViolation
-from .linalg import (HermitianMatrix, RowErrors, UNITARY_TOL, _adj,
-                     _materialize, as_hermitian, as_matrix, spectral_decompose)
+from .linalg import (HermitianMatrix, RowErrors, UNITARY_TOL, _adj, _eigh,
+                     _materialize, as_hermitian, as_matrix)
 
 # Default strict-positivity floor for spectra.
 DEFAULT_FLOOR = 1e-8
@@ -82,7 +82,7 @@ def _pair_gates(U, lam, mu, floor: float, errs: RowErrors):
     fails on a non-unitary basis, a non-finite spectrum or a spectrum entry
     below ``floor``. Returns the rows' ``(U, lam, mu)``."""
     gram = np.max(np.abs(_adj(U) @ U - np.eye(U.shape[-1])), axis=(-2, -1))
-    errs.fail(gram > UNITARY_TOL, lambda k: ValueError(
+    errs.fail(~(gram <= UNITARY_TOL), lambda k: ValueError(
         f"basis is not unitary: defect {gram[k]:.3e} exceeds {UNITARY_TOL:g}"))
     for name, v in (("lam", lam), ("mu", mu)):
         errs.fail(~np.all(np.isfinite(v), axis=-1),
@@ -115,7 +115,7 @@ class MultiplicationPair:
             raise ValueError(f"dimension mismatch: {s.dim} vs {r.dim}")
         factors = []
         for name, H in (("sigma", s), ("rho", r)):
-            w, U = spectral_decompose(H)
+            w, U = _eigh(H.mat)
             if w[0] < floor:
                 raise DomainViolation(
                     f"{name} has eigenvalue {float(w[0]):.3e} below the "

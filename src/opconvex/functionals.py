@@ -21,6 +21,8 @@ from .perspective import perspective_quadratic_form
 # floors live in the verification layer.
 _TINY = float(np.finfo(float).tiny)
 
+_XLOGX = lookup_atom("xlogx")
+
 # A probability vector must sum to 1 within this absolute tolerance.
 PROBABILITY_SUM_TOL = 1e-12
 
@@ -132,7 +134,7 @@ def quantum_relative_entropy_perspective(rho, sigma) -> float:
     formula is an end-to-end check of the perspective machinery.
     """
     mp = MultiplicationPair(rho, sigma, floor=_TINY)
-    return perspective_quadratic_form(lookup_atom("xlogx"), mp, np.eye(mp.dim))
+    return perspective_quadratic_form(_XLOGX, mp, np.eye(mp.dim))
 
 
 def _trace_form(fa: ScalarAtom, fb, A, B, K, errs: RowErrors) -> np.ndarray:
@@ -160,6 +162,8 @@ def _trace_operands(A, B, K, name: str) -> tuple:
     if Km.shape != (Ah.dim, Ah.dim):
         raise ValueError(
             f"{name} must be {Ah.dim}x{Ah.dim}, got shape {Km.shape}")
+    if not np.isfinite(Km).all():
+        raise ValueError(f"{name} must be finite")
     return Ah.mat, Bh.mat, Km
 
 
@@ -215,16 +219,16 @@ def lieb_pq_functional(A, B, X, p: float, q: float) -> float:
 
 def _classical(f: ScalarAtom, x, t, errs: RowErrors) -> np.ndarray:
     """f(x / t) t for stacked rows x of shape (batch, k) and bases t of
-    shape (batch,); a row fails unless its base is positive."""
-    bad = ~(t > 0.0)
+    shape (batch,); a row fails unless its base is positive and finite."""
+    bad = ~((0.0 < t) & (t < np.inf))
     errs.fail(bad, lambda k: DomainViolation(
-        f"perspective base must be positive, got {float(t[k])}"))
+        f"perspective base must be positive and finite, got {float(t[k])}"))
     t = np.where(bad, 1.0, t)[:, None]
     return f(errs.clamp(f.domain, x / t)) * t
 
 
 def classical_perspective(f: ScalarAtom, x, t: float) -> np.ndarray:
-    """Componentwise scalar perspective f(x_i / t) t for a single t > 0."""
+    """Componentwise scalar perspective f(x_i / t) t for one finite t > 0."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     return RowErrors.one(lambda errs: _classical(
         f, xv.reshape(1, -1), np.array([float(t)]), errs)).reshape(xv.shape)

@@ -50,7 +50,7 @@ class HermitianMatrix:
             raise ValueError(f"expected a square matrix, got shape {M.shape}")
         if M.shape[0] < 1:
             raise ValueError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+        if not np.isfinite(M).all():
             raise ValueError("matrix entries must be finite")
         H = _sym(M)
         H.flags.writeable = False

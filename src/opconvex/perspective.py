@@ -35,7 +35,7 @@ import numpy as np
 from .atoms import ScalarAtom
 from .commuting import CommutingPair, DEFAULT_FLOOR, MultiplicationPair
 from .errors import DomainViolation, HypothesisViolation
-from .linalg import (HermitianMatrix, RowErrors, _calculus, _eigh,
+from .linalg import (HermitianMatrix, RowErrors, _adj, _calculus, _eigh,
                      _materialize, _sym, as_hermitian, as_matrix, op_norm)
 
 # Required agreement between the eigen and symmetrized paths on commuting
@@ -196,12 +196,14 @@ def _quasi_entropy(f: ScalarAtom, h, mp: MultiplicationPair, K) -> float:
     n = mp.dim
     if Km.shape != (n, n):
         raise ValueError(f"K must be {n}x{n}, got shape {Km.shape}")
+    if not np.isfinite(Km).all():
+        raise ValueError("K must be finite")
     Us, s, Ur, r = mp.factors
     base = r if h is None else RowErrors.one(
         lambda errs: _base(h, r[None], errs))
-    weights = np.abs(Us.conj().T @ Km.conj().T @ Ur) ** 2
+    W = _adj(Km @ Us) @ Ur
     g = f(f.domain.clamp(s[:, None] / base)) * base
-    return float(np.sum(g * weights))
+    return float((g * (W.real ** 2 + W.imag ** 2)).sum())
 
 
 def perspective_quadratic_form(f: ScalarAtom, mp: MultiplicationPair,

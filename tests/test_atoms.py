@@ -31,6 +31,12 @@ class TestValues:
     def test_pointwise(self, name, param, x, expected):
         assert eval_atom(lookup_atom(name, param), x) == pytest.approx(expected)
 
+    def test_xlogx_is_x_log_x_bitwise(self):
+        x = np.array([0.0, 5e-324, 1e-300, 1.0, 2.0, np.inf])
+        out = lookup_atom("xlogx")(x)
+        assert out[0] == 0.0
+        assert out[1:].tobytes() == (x[1:] * np.log(x[1:])).tobytes()
+
     def test_vectorized_call(self):
         f = lookup_atom("square")
         assert np.array_equal(f(np.array([1.0, -2.0, 3.0])), [1.0, 4.0, 9.0])
@@ -96,6 +102,10 @@ class TestDomains:
         assert bad.tolist() == [False, True]
         with pytest.raises(DomainViolation, match="nan"):
             eval_atom(f, float("nan"))
+
+    def test_clamp_of_a_scalar_is_one_element_array(self):
+        out = lookup_atom("xlogx").domain.clamp(np.float64(2.0))
+        assert out.shape == (1,) and out[0] == 2.0
 
     @given(st.floats(1e-8, 1e8))
     def test_clamp_identity_inside_domain(self, x):

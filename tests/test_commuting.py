@@ -27,6 +27,10 @@ class TestCommutingPair:
         with pytest.raises(ValueError, match="unitary"):
             CommutingPair(np.eye(2) * 1.001, [1.0, 1.0], [1.0, 1.0])
 
+    def test_rejects_nan_basis(self):
+        with pytest.raises(ValueError, match="unitary"):
+            CommutingPair(np.full((2, 2), np.nan), [1.0, 1.0], [1.0, 1.0])
+
     def test_rejects_spectrum_below_floor(self):
         with pytest.raises(DomainViolation):
             CommutingPair(np.eye(2), [1.0, 1e-12], [1.0, 1.0])

@@ -168,6 +168,15 @@ class TestLiebFunctional:
         with pytest.raises(DomainViolation):
             lieb_functional(np.diag([1.0, 0.0]), np.eye(2), np.eye(2), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_operand(self, bad):
+        K = np.eye(2, dtype=complex)
+        K[1, 0] = bad
+        with pytest.raises(ValueError, match="^K must be finite$"):
+            lieb_functional(np.eye(2), np.eye(2), K, 0.5)
+        with pytest.raises(ValueError, match="^X must be finite$"):
+            lieb_pq_functional(np.eye(2), np.eye(2), K, 0.3, 0.4)
+
 
 class TestLargeDimension:
     # n = 128 puts the superoperators at 16384 x 16384; only the factored
@@ -250,6 +259,10 @@ class TestClassicalLayer:
     def test_perspective_rejects_nonpositive_base(self, t):
         with pytest.raises(DomainViolation, match="base must be positive"):
             classical_perspective(lookup_atom("square"), 1.0, t)
+
+    def test_perspective_rejects_infinite_base(self):
+        with pytest.raises(DomainViolation, match="base must be positive"):
+            classical_perspective(lookup_atom("xlogx"), [1.0], float("inf"))
 
     def test_perspective_gap_oracle(self):
         # xlogx perspective at ((1,1),(2,1)) with weight 1/2

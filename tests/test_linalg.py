@@ -46,6 +46,11 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError, match="finite"):
             HermitianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_non_finite_imaginary_part(self):
+        M = np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            HermitianMatrix(M)
+
     def test_as_hermitian_passthrough(self):
         H = rand_hermitian(3, 2)
         assert as_hermitian(H) is H

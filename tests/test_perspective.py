@@ -173,6 +173,17 @@ class TestQuadraticForms:
             NEG_SQRT, lookup_atom("identity"), mp, K)
         assert ext == pytest.approx(plain, rel=1e-13)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_k(self, bad):
+        mp = MultiplicationPair(random_density(3, 20), random_density(3, 21))
+        K = np.eye(3, dtype=complex)
+        K[0, 1] = bad
+        with pytest.raises(ValueError, match="^K must be finite$"):
+            perspective_quadratic_form(NEG_SQRT, mp, K)
+        with pytest.raises(ValueError, match="^K must be finite$"):
+            extended_perspective_quadratic_form(
+                NEG_SQRT, lookup_atom("power", 0.5), mp, np.full((3, 3), bad))
+
     def test_returns_python_float(self):
         mp = MultiplicationPair(np.eye(2), np.eye(2))
         val = perspective_quadratic_form(XLOGX, mp, np.eye(2))

@@ -215,6 +215,12 @@ class TestScalarGeq:
         # at magnitude 1e3 the same absolute gap is inside tolerance
         assert scalar_geq(1e3, 1e3 + 1e-6, 1e-8).holds
 
+    @pytest.mark.parametrize("lhs,rhs", [(float("nan"), 1.0),
+                                         (1.0, float("inf"))])
+    def test_rejects_non_finite_operands(self, lhs, rhs):
+        with pytest.raises(ValueError, match="finite"):
+            scalar_geq(lhs, rhs, 1e-8)
+
 
 class TestCheckerHypothesisGates:
     def test_isometry_defect_rejected(self):
@@ -236,6 +242,17 @@ class TestCheckerHypothesisGates:
         T = random_hermitian_in_domain(f, 3, 11)
         with pytest.raises(HypothesisViolation, match="exceeds"):
             check_jensen_contractive(f, 1.1 * A, 1.1 * B, T)
+
+    @pytest.mark.parametrize("check,a,b", [
+        (check_jensen_isometry, np.nan, 1.0),
+        (check_jensen_contractive, 1.0, np.inf),
+    ])
+    def test_jensen_rejects_non_finite_pair(self, check, a, b):
+        f = lookup_atom("xlogx")
+        A, B = random_isometry_pair(3, 3, 6)
+        T = random_hermitian_in_domain(f, 3, 7)
+        with pytest.raises(ValueError, match="^A and B must be finite$"):
+            check(f, a * A, b * B, T)
 
     @pytest.mark.parametrize("check", [check_jensen_isometry,
                                        check_jensen_contractive])
@@ -289,6 +306,15 @@ class TestCheckerHypothesisGates:
             check_relative_entropy_joint_convexity(
                 2.0 * rho.mat, rho, rho, rho, 0.5)
 
+    def test_lieb_rejects_non_finite_operand(self):
+        A = random_positive_matrix(3, 17)
+        K = np.eye(3, dtype=complex)
+        K[0, 2] = np.nan
+        with pytest.raises(ValueError, match="^K must be finite$"):
+            check_lieb_concavity(A, A, A, A, K, 0.5, 0.3)
+        with pytest.raises(ValueError, match="^X must be finite$"):
+            check_lieb_pq_concavity(A, A, A, A, K, 0.3, 0.4, 0.3)
+
     def test_lieb_exponent_gate(self):
         A = random_positive_matrix(3, 17)
         with pytest.raises(HypothesisViolation):
@@ -305,7 +331,8 @@ class TestCheckerHypothesisGates:
                                                   1.0, -1.0, 2.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("t1,t2", [(float("nan"), 1.0),
-                                       (1.0, float("nan"))])
+                                       (1.0, float("nan")),
+                                       (float("inf"), 1.0)])
     def test_classical_nan_base_is_a_hypothesis_violation(self, t1, t2):
         with pytest.raises(HypothesisViolation, match="positive"):
             check_classical_perspective_convexity(lookup_atom("square"),
