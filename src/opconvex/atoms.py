@@ -39,6 +39,11 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
+    def _inside(self, x: np.ndarray) -> bool:
+        """Whether the nonempty array x lies strictly inside: then it has
+        nothing to clamp and nothing to reject."""
+        return x.size > 0 and self.lo < x.min() and x.max() < self.hi
+
     def admit(self, values, tol: float = ENDPOINT_TOL):
         """Elementwise domain check for arrays of any shape.
 
@@ -47,6 +52,8 @@ class Interval:
         of values beyond that, at/past an open endpoint, or NaN.
         """
         x = np.asarray(values, dtype=float)
+        if self._inside(x):
+            return x, np.zeros(x.shape, dtype=bool)
         ok = x >= self.lo - tol if self.lo_closed else x > self.lo
         ok &= x <= self.hi + tol if self.hi_closed else x < self.hi
         bad = ~ok
@@ -66,6 +73,8 @@ class Interval:
         x = np.asarray(values, dtype=float)
         if x.ndim == 0:
             x = x.reshape(1)
+        if self._inside(x):
+            return x.copy()
         out, bad = self.admit(x, tol)
         if bad.any():
             raise self.violation(x[bad][0])

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .atoms import ScalarAtom
-from .commuting import CommutingPair, DEFAULT_FLOOR
+from .commuting import CommutingPair, DEFAULT_FLOOR, _require_floor
 from .errors import HypothesisViolation
 from .functionals import (_classical, _power_atoms, _relative_entropy,
                           _require_lieb_exponent, _require_pq_exponents,
@@ -59,15 +59,24 @@ def _jensen(f: ScalarAtom, A, B, T, tol: float, errs: RowErrors,
             contractive: bool):
     """f(A*TA + B*TB) <= A*f(T)A + B*f(T)B. The pair must be an isometry
     pair, or a contraction pair when ``contractive``."""
-    gap = np.eye(A.shape[-1]) - (_adj(A) @ A + _adj(B) @ B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.eye(A.shape[-1]) - (_adj(A) @ A + _adj(B) @ B)
+    finite = np.isfinite(gap).all(axis=(-2, -1))
+    errs.fail(~finite, lambda k: HypothesisViolation(
+        "A*A + B*B is not finite: its products overflow"))
+    gap = np.where(finite[:, None, None], gap, 0.0)
     if contractive:
         low = np.linalg.eigvalsh(gap)[..., 0]
-        errs.fail(~(low >= -HYPOTHESIS_TOL), lambda k: HypothesisViolation(
+        ok = finite & (low >= -HYPOTHESIS_TOL)
+        errs.fail(~ok, lambda k: HypothesisViolation(
             f"A*A + B*B exceeds the identity by {-low[k]:.3e}"))
     else:
         defect = np.max(np.abs(gap), axis=(-2, -1))
-        errs.fail(~(defect <= HYPOTHESIS_TOL), lambda k: HypothesisViolation(
+        ok = finite & (defect <= HYPOTHESIS_TOL)
+        errs.fail(~ok, lambda k: HypothesisViolation(
             f"A*A + B*B deviates from the identity by {defect[k]:.3e}"))
+    if not ok.all():  # a failed row goes on with finite stand-in operands
+        A, B = (np.where(ok[:, None, None], x, 0.0) for x in (A, B))
     fT = _sym(_calculus(f, T, errs))
     lhs = _sym(_calculus(f, _sym(_adj(A) @ T @ A + _adj(B) @ T @ B), errs))
     rhs = _sym(_adj(A) @ fT @ A + _adj(B) @ fT @ B)
@@ -185,6 +194,7 @@ def _perspective_g(f: ScalarAtom, h, floor: float) -> dict:
 def _check_pairs(f: ScalarAtom, h, pair1: CommutingPair,
                  pair2: CommutingPair, c: float, tol: float,
                  floor: float) -> LoewnerVerdict:
+    _require_floor(floor)
     if pair1.dim != pair2.dim:
         raise ValueError(f"dimension mismatch: {pair1.dim} vs {pair2.dim}")
     return _mixture_one(*((p.basis, p.lam, p.mu) for p in (pair1, pair2)),

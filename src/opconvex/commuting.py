@@ -29,6 +29,12 @@ from .linalg import (HermitianMatrix, RowErrors, UNITARY_TOL, _adj, _eigh,
 DEFAULT_FLOOR = 1e-8
 
 
+def _require_floor(floor) -> None:
+    """Reject a floor outside (0, inf): a NaN one passes every spectrum."""
+    if not 0.0 < floor < np.inf:
+        raise ValueError(f"floor must be in (0, inf), got {floor}")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class CommutingPair:
     """A commuting pair of strictly positive matrices in joint eigenform.
@@ -46,6 +52,7 @@ class CommutingPair:
     floor: InitVar[float] = DEFAULT_FLOOR
 
     def __post_init__(self, floor):
+        _require_floor(floor)
         U = np.asarray(self.basis, dtype=np.complex128)
         lam = np.asarray(self.lam, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
@@ -110,6 +117,7 @@ class MultiplicationPair:
     factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self, floor):
+        _require_floor(floor)
         s, r = as_hermitian(self.sigma), as_hermitian(self.rho)
         if s.dim != r.dim:
             raise ValueError(f"dimension mismatch: {s.dim} vs {r.dim}")

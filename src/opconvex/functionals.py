@@ -10,11 +10,11 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .atoms import ScalarAtom, lookup_atom
-from .commuting import DEFAULT_FLOOR, MultiplicationPair
+from .commuting import DEFAULT_FLOOR, MultiplicationPair, _require_floor
 from .errors import DomainViolation, HypothesisViolation
 from .linalg import (HermitianMatrix, RowErrors, _adj, _calculus, _dot_rows,
                      _eigh, _materialize, _sym, as_hermitian, as_matrix)
-from .perspective import perspective_quadratic_form
+from .perspective import _quasi_entropy
 
 # Strict positivity floor used when wrapping caller matrices into
 # multiplication pairs: anything > 0 is admissible here, the theorem-level
@@ -70,6 +70,7 @@ class DensityMatrix(HermitianMatrix):
     floor: InitVar[float] = DEFAULT_FLOOR
 
     def __post_init__(self, floor):
+        _require_floor(floor)
         HermitianMatrix.__post_init__(self)
         H = self.mat
         object.__setattr__(self, "mat", RowErrors.one(
@@ -130,11 +131,13 @@ def quantum_relative_entropy_perspective(rho, sigma) -> float:
 
         sum_{i,j} p_i log(p_i / q_j) |<u_i, v_j>|^2
 
-    for rho u_i = p_i u_i and sigma v_j = q_j v_j. Agreement with the direct
-    formula is an end-to-end check of the perspective machinery.
+    for rho u_i = p_i u_i and sigma v_j = q_j v_j. K = I is evaluated as
+    W = U_sigma* U_rho (in ``MultiplicationPair``'s names; here the matrix
+    of overlaps <u_i, v_j>), with no identity product. Agreement with the
+    direct formula is an end-to-end check of the perspective machinery.
     """
     mp = MultiplicationPair(rho, sigma, floor=_TINY)
-    return perspective_quadratic_form(_XLOGX, mp, np.eye(mp.dim))
+    return _quasi_entropy(_XLOGX, None, mp, None)
 
 
 def _trace_form(fa: ScalarAtom, fb, A, B, K, errs: RowErrors) -> np.ndarray:

@@ -33,7 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from .atoms import ScalarAtom
-from .commuting import CommutingPair, DEFAULT_FLOOR, MultiplicationPair
+from .commuting import (CommutingPair, DEFAULT_FLOOR, MultiplicationPair,
+                        _require_floor)
 from .errors import DomainViolation, HypothesisViolation
 from .linalg import (HermitianMatrix, RowErrors, _adj, _calculus, _eigh,
                      _materialize, _sym, as_hermitian, as_matrix, op_norm)
@@ -75,11 +76,14 @@ def _base(h, r, errs: RowErrors) -> np.ndarray:
     low = np.min(hr, axis=-1)
     bad = low <= 0.0
     if bad.any():
-        errs.fail(bad, lambda k: DomainViolation(
-            f"h must be strictly positive on the right spectrum, found "
-            f"h value {low[k]:.3e}"))
+        errs.fail(bad, lambda k: _nonpositive_base(low[k]))
         hr = np.where(bad[..., None], 1.0, hr)
     return hr
+
+
+def _nonpositive_base(low) -> DomainViolation:
+    return DomainViolation(f"h must be strictly positive on the right "
+                           f"spectrum, found h value {low:.3e}")
 
 
 def _eigen(f: ScalarAtom, h, U, lam, mu, errs: RowErrors) -> np.ndarray:
@@ -124,6 +128,7 @@ def _symmetrized(f: ScalarAtom, h, L, R, floor: float,
 
 
 def _symmetrized_one(f: ScalarAtom, h, L, R, floor: float) -> HermitianMatrix:
+    _require_floor(floor)
     Lh, Rh = as_hermitian(L), as_hermitian(R)
     if Lh.dim != Rh.dim:
         raise ValueError(f"dimension mismatch: {Lh.dim} vs {Rh.dim}")
@@ -189,19 +194,25 @@ def extended_perspective_symmetrized(f: ScalarAtom, h: ScalarAtom, L, R,
 def _quasi_entropy(f: ScalarAtom, h, mp: MultiplicationPair, K) -> float:
     """sum_ij g(s_i, r_j) |(U_sigma* K* U_rho)_ij|^2 with g(s, r) = f(s/b) b.
 
-    The base b is ``_base(h, r)``. Weights and g values are real, so the sum
-    is real by construction.
+    The base b is r, or h(r) for an h. K None stands for the identity, so
+    W = U_sigma* U_rho. Weights and g values are real, so the sum is real
+    by construction.
     """
-    Km = as_matrix(K)
-    n = mp.dim
-    if Km.shape != (n, n):
-        raise ValueError(f"K must be {n}x{n}, got shape {Km.shape}")
-    if not np.isfinite(Km).all():
-        raise ValueError("K must be finite")
     Us, s, Ur, r = mp.factors
-    base = r if h is None else RowErrors.one(
-        lambda errs: _base(h, r[None], errs))
-    W = _adj(Km @ Us) @ Ur
+    if K is not None:
+        Km = as_matrix(K)
+        if Km.shape != (mp.dim, mp.dim):
+            raise ValueError(f"K must be {mp.dim}x{mp.dim}, got shape "
+                             f"{Km.shape}")
+        if not np.isfinite(Km).all():
+            raise ValueError("K must be finite")
+        Us = Km @ Us
+    base = r
+    if h is not None:
+        base = h(h.domain.clamp(r))
+        if base.min() <= 0.0:
+            raise _nonpositive_base(base.min())
+    W = _adj(Us) @ Ur
     g = f(f.domain.clamp(s[:, None] / base)) * base
     return float((g * (W.real ** 2 + W.imag ** 2)).sum())
 

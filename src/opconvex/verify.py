@@ -52,7 +52,8 @@ from .atoms import ScalarAtom, lookup_atom
 from .checks import (_RELATIVE_ENTROPY_G, _classical_g, _jensen, _mixture,
                      _perspective_g, _require_f0_nonpositive,
                      _require_not_concave, _trace_g)
-from .commuting import CommutingPair, DEFAULT_FLOOR, _pair_gates
+from .commuting import (CommutingPair, DEFAULT_FLOOR, _pair_gates,
+                        _require_floor)
 from .errors import DomainViolation, HypothesisViolation
 from .functionals import (DensityMatrix, ProbabilityVector, _normalize,
                           _power_atoms, _require_pq_exponents)
@@ -139,8 +140,7 @@ class TrialConfig:
             raise ValueError(f"tol must be below 1, got {self.tol:g}: a "
                              f"relative tolerance of 1 or more passes "
                              f"every Loewner-order check")
-        if not 0.0 < self.floor < np.inf:
-            raise ValueError(f"floor must be in (0, inf), got {self.floor}")
+        _require_floor(self.floor)
         if not 0.0 < self.shrink <= 1.0:
             raise ValueError(f"shrink must be in (0, 1], got {self.shrink}")
         self.resolve_atom()
@@ -216,6 +216,7 @@ def random_unitary(n: int, seed) -> np.ndarray:
 
 def random_density(n: int, seed, floor: float = DEFAULT_FLOOR) -> DensityMatrix:
     """Wishart density G G* + floor I, trace-normalized."""
+    _require_floor(floor)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     M = _wishart(_complex_gaussian(np.random.default_rng(seed), n, n), floor)
@@ -226,6 +227,7 @@ def random_density(n: int, seed, floor: float = DEFAULT_FLOOR) -> DensityMatrix:
 def random_positive_matrix(n: int, seed,
                            floor: float = DEFAULT_FLOOR) -> HermitianMatrix:
     """Wishart positive matrix G G* + floor I (no normalization)."""
+    _require_floor(floor)
     return HermitianMatrix(
         _wishart(_complex_gaussian(np.random.default_rng(seed), n, n), floor))
 
@@ -271,6 +273,7 @@ def _log_pair_band(floor: float) -> tuple:
 def random_commuting_pair(n: int, seed,
                           floor: float = DEFAULT_FLOOR) -> CommutingPair:
     """Random basis and two log-uniform spectra, drawn as the campaign's."""
+    _require_floor(floor)
     band = _log_pair_band(floor)
     rng = np.random.default_rng(seed)
     U = random_unitary(n, rng)
@@ -426,14 +429,18 @@ class _Theorem(NamedTuple):
     gate: Callable = lambda cfg: None
 
 
-def _jensen_gate(cfg: TrialConfig) -> None:
-    _require_isometry_dims(cfg.dim_m, cfg.dim_n)
-    _require_not_concave(cfg.resolve_atom())
-
-
-def _contractive_gate(cfg: TrialConfig) -> None:
-    _jensen_gate(cfg)
-    _require_f0_nonpositive(cfg.resolve_atom())
+def _jensen_tag(contractive: bool) -> _Theorem:
+    """hp, or hp-contractive when ``contractive``."""
+    def gate(cfg: TrialConfig) -> None:
+        _require_isometry_dims(cfg.dim_m, cfg.dim_n)
+        _require_not_concave(cfg.resolve_atom())
+        if contractive:
+            _require_f0_nonpositive(cfg.resolve_atom())
+    return _Theorem(
+        lambda cfg, f, rng: _draw_jensen(cfg, f, rng, contractive),
+        _build_jensen, lambda cfg, f, ops, c, errs: _jensen(
+            f, ops["A"], ops["B"], ops["T"], cfg.tol, errs, contractive),
+        _jensen_witness, False, gate)
 
 
 def _perspective_gate(cfg: TrialConfig) -> None:
@@ -462,16 +469,8 @@ def _mixing(draw, build, g, witness, gate=lambda cfg: None) -> _Theorem:
 
 
 _THEOREMS = {
-    "hp": _Theorem(
-        lambda cfg, f, rng: _draw_jensen(cfg, f, rng, False), _build_jensen,
-        lambda cfg, f, ops, c, errs: _jensen(
-            f, ops["A"], ops["B"], ops["T"], cfg.tol, errs, False),
-        _jensen_witness, False, _jensen_gate),
-    "hp-contractive": _Theorem(
-        lambda cfg, f, rng: _draw_jensen(cfg, f, rng, True), _build_jensen,
-        lambda cfg, f, ops, c, errs: _jensen(
-            f, ops["A"], ops["B"], ops["T"], cfg.tol, errs, True),
-        _jensen_witness, False, _contractive_gate),
+    "hp": _jensen_tag(False),
+    "hp-contractive": _jensen_tag(True),
     "perspective": _mixing(
         _draw_pairs, _build_pairs,
         lambda cfg, f, ops: _perspective_g(f, None, cfg.floor),

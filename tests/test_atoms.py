@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from opconvex import DomainViolation, list_atoms, lookup_atom
-from opconvex.atoms import ENDPOINT_TOL, atom_names, eval_atom
+from opconvex.atoms import (_REGISTRY, ENDPOINT_TOL, Interval, atom_names,
+                            eval_atom)
 
 
 class TestValues:
@@ -111,6 +112,68 @@ class TestDomains:
     def test_clamp_identity_inside_domain(self, x):
         f = lookup_atom("xlogx")
         assert float(f.domain.clamp(x)[0]) == x
+
+
+def _mask_admit(iv, values, tol=ENDPOINT_TOL):
+    """``Interval.admit``'s elementwise formula, without its interior test."""
+    x = np.asarray(values, dtype=float)
+    ok = x >= iv.lo - tol if iv.lo_closed else x > iv.lo
+    ok &= x <= iv.hi + tol if iv.hi_closed else x < iv.hi
+    if iv.lo_closed and math.isfinite(iv.lo):
+        x = np.where(x < iv.lo, iv.lo, x)
+    if iv.hi_closed and math.isfinite(iv.hi):
+        x = np.where(x > iv.hi, iv.hi, x)
+    return x, ~ok
+
+
+# every registry domain, and finite ones with each kind of endpoint
+_DOMAINS = [family.domain for family in _REGISTRY.values()] + [
+    Interval(-1.0, 2.0), Interval(-1.0, 2.0, lo_closed=False, hi_closed=False),
+    Interval(0.0, 1.0, lo_closed=False), Interval(0.0, 1.0, hi_closed=False)]
+
+
+@st.composite
+def _domain_and_values(draw):
+    iv = draw(st.sampled_from(_DOMAINS))
+    special = [iv.lo, iv.hi, np.nan, np.inf, -np.inf]
+    special += [e + d for e in (iv.lo, iv.hi)
+                for d in (-2 * ENDPOINT_TOL, -ENDPOINT_TOL / 2,
+                          ENDPOINT_TOL / 2, 2 * ENDPOINT_TOL)]
+    lo = iv.lo if math.isfinite(iv.lo) else -1e6
+    hi = iv.hi if math.isfinite(iv.hi) else 1e6
+    interior = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+    element = st.one_of(interior, interior, st.sampled_from(special))
+    shape = draw(st.sampled_from([(), (0,), (1,), (5,), (3, 4), (2, 0)]))
+    values = draw(st.lists(element, min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    return iv, np.array(values, dtype=float).reshape(shape)
+
+
+class TestAdmit:
+    @given(_domain_and_values())
+    def test_matches_the_mask_formula(self, case):
+        iv, x = case
+        out, bad = iv.admit(x)
+        ref_out, ref_bad = _mask_admit(iv, x)
+        assert np.shape(out) == np.shape(ref_out)
+        assert np.asarray(out).tobytes() == np.asarray(ref_out).tobytes()
+        assert np.shape(bad) == np.shape(ref_bad)
+        assert np.array_equal(bad, ref_bad)
+
+    @given(_domain_and_values())
+    def test_clamp_returns_a_copy(self, case):
+        iv, x = case
+        try:
+            out = iv.clamp(x)
+        except DomainViolation:
+            return
+        assert not np.shares_memory(out, x)
+
+    def test_interior_array_is_copied_by_clamp(self):
+        x = np.array([0.5, 2.0, 3.0])
+        out = lookup_atom("xlogx").domain.clamp(x)
+        out[0] = 7.0
+        assert x[0] == 0.5
 
 
 class TestRegistry:

@@ -1,11 +1,16 @@
 """Commuting pairs, joint diagonalization, multiplication-operator realization."""
+import re
+
 import numpy as np
 import pytest
 
-from opconvex import (CommutingPair, DomainViolation, MultiplicationPair,
-                      apply_scalar_function, lookup_atom,
-                      random_commuting_pair, random_density)
+from opconvex import (CommutingPair, DensityMatrix, DomainViolation,
+                      MultiplicationPair, apply_scalar_function,
+                      check_perspective_joint_convexity, lookup_atom,
+                      perspective_symmetrized, random_commuting_pair,
+                      random_density, random_positive_matrix)
 from opconvex.commuting import apply_superop, realize_multiplication_pair
+from opconvex.perspective import extended_perspective_symmetrized
 
 
 def diag_pair(lam, mu):
@@ -108,6 +113,37 @@ def test_floor_is_not_kept(make):
     give the default in place of the floor the value was checked against."""
     with pytest.raises(AttributeError):
         make().floor
+
+
+_Z = np.diag([0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("floor", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("make", [
+    lambda floor: CommutingPair(np.eye(3), [0, 1, 2], [1, 1, 1], floor=floor),
+    lambda floor: MultiplicationPair(_Z, _Z, floor=floor),
+    lambda floor: DensityMatrix(np.eye(3), floor=floor),
+    lambda floor: perspective_symmetrized(
+        lookup_atom("xlogx"), np.eye(2), np.diag([0.0, 1.0]), floor=floor),
+    lambda floor: extended_perspective_symmetrized(
+        lookup_atom("xlogx"), lookup_atom("power", 0.5), np.eye(2),
+        np.diag([0.0, 1.0]), floor=floor),
+    lambda floor: check_perspective_joint_convexity(
+        lookup_atom("xlogx"), random_commuting_pair(3, 1),
+        random_commuting_pair(3, 2), 0.5, floor=floor),
+    lambda floor: random_commuting_pair(3, 1, floor=floor),
+    lambda floor: random_density(3, 1, floor=floor),
+    lambda floor: random_positive_matrix(3, 1, floor=floor)],
+    ids=["CommutingPair", "MultiplicationPair", "DensityMatrix",
+         "perspective_symmetrized", "extended_perspective_symmetrized",
+         "check_perspective_joint_convexity", "random_commuting_pair",
+         "random_density", "random_positive_matrix"])
+def test_floor_outside_the_positive_reals_is_rejected(make, floor):
+    """A NaN or non-positive floor would pass every spectrum, a zero one
+    included."""
+    text = f"floor must be in (0, inf), got {floor}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        make(floor)
 
 
 class TestGenerators:

@@ -1,14 +1,18 @@
 """Perspective construction: eigen path, symmetrized path, extensions, quadratic forms."""
+import re
+
 import numpy as np
 import pytest
 
 from opconvex import (CommutingPair, DomainViolation, HypothesisViolation,
                       MultiplicationPair, extended_perspective_quadratic_form,
-                      lookup_atom, perspective_agreement_defect,
-                      perspective_eigen, perspective_quadratic_form,
-                      perspective_symmetrized, random_commuting_pair,
-                      random_density)
-from opconvex.perspective import (check_path_agreement,
+                      lieb_functional, lieb_pq_functional, lookup_atom,
+                      perspective_agreement_defect, perspective_eigen,
+                      perspective_quadratic_form, perspective_symmetrized,
+                      quantum_relative_entropy_direct,
+                      quantum_relative_entropy_perspective,
+                      random_commuting_pair, random_density)
+from opconvex.perspective import (_quasi_entropy, check_path_agreement,
                                   extended_perspective_eigen,
                                   extended_perspective_symmetrized)
 from opconvex.commuting import realize_multiplication_pair
@@ -184,7 +188,63 @@ class TestQuadraticForms:
             extended_perspective_quadratic_form(
                 NEG_SQRT, lookup_atom("power", 0.5), mp, np.full((3, 3), bad))
 
+    def test_identity_k_is_the_eye_form_bit_for_bit(self):
+        mp = MultiplicationPair(random_density(5, 22), random_density(5, 23))
+        h = lookup_atom("power", 0.5)
+        for f, base in ((XLOGX, None), (NEG_SQRT, None), (NEG_SQRT, h)):
+            eye = _quasi_entropy(f, base, mp, np.eye(5))
+            assert _quasi_entropy(f, base, mp, None).hex() == eye.hex()
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0])
+    def test_nonpositive_base_message(self, c):
+        # the affine constant atom is concave, so it passes the hypothesis
+        # gate; its value c <= 0 is no base
+        mp = MultiplicationPair(random_density(3, 24), random_density(3, 25))
+        h = lookup_atom("constant", c)
+        text = ("h must be strictly positive on the right spectrum, found "
+                f"h value {c:.3e}")
+        with pytest.raises(DomainViolation, match=f"^{re.escape(text)}$"):
+            extended_perspective_quadratic_form(NEG_SQRT, h, mp, np.eye(3))
+        with pytest.raises(DomainViolation, match=f"^{re.escape(text)}$"):
+            extended_perspective_eigen(NEG_SQRT, h, diag_pair([1.0], [2.0]))
+
     def test_returns_python_float(self):
         mp = MultiplicationPair(np.eye(2), np.eye(2))
         val = perspective_quadratic_form(XLOGX, mp, np.eye(2))
         assert isinstance(val, float) and val == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [8, 24])
+class TestSuperoperatorFormsAtBenchmarkSize:
+    """The three forms of the superop-n24 benchmark against their direct
+    trace formulas, with L = left multiplication by rho and R = right
+    multiplication by sigma."""
+
+    @staticmethod
+    def operands(n):
+        rng = np.random.default_rng(26 + n)
+        K = (rng.standard_normal((n, n))
+             + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+        return random_density(n, 27 + n), random_density(n, 28 + n), K
+
+    @staticmethod
+    def close(value, ref):
+        assert abs(value - ref) <= 1e-10 * (1.0 + abs(ref))
+
+    def test_relative_entropy(self, n):
+        rho, sigma, _ = self.operands(n)
+        self.close(quantum_relative_entropy_perspective(rho, sigma),
+                   quantum_relative_entropy_direct(rho, sigma))
+
+    def test_lieb(self, n):
+        rho, sigma, K = self.operands(n)
+        self.close(perspective_quadratic_form(
+            NEG_SQRT, MultiplicationPair(rho, sigma), K),
+            -lieb_functional(rho, sigma, K, 0.5))
+
+    def test_lieb_pq(self, n):
+        rho, sigma, K = self.operands(n)
+        self.close(extended_perspective_quadratic_form(
+            lookup_atom("neg_power", 0.4), lookup_atom("power", 0.5),
+            MultiplicationPair(rho, sigma), K),
+            -lieb_pq_functional(rho, sigma, K, 0.3, 0.4))

@@ -8,13 +8,14 @@ from opconvex import (CheckReport, DomainViolation, HypothesisViolation,
                       random_commuting_pair, random_density,
                       random_positive_matrix, random_unitary, run_campaign,
                       run_single)
-from opconvex.checks import (_geq, check_classical_perspective_convexity,
+from opconvex.checks import (_geq, _jensen, check_classical_perspective_convexity,
                              check_extended_perspective_joint_convexity,
                              check_jensen_contractive, check_jensen_isometry,
                              check_lieb_concavity, check_lieb_pq_concavity,
                              check_relative_entropy_joint_convexity,
                              scalar_geq)
 from opconvex.commuting import CommutingPair
+from opconvex.linalg import RowErrors
 from opconvex.seeding import pcg64_states
 from opconvex.verify import (_THEOREMS, CHUNK, MAX_REDRAWS, _encode_witness,
                              _Theorem, random_contraction_pair,
@@ -253,6 +254,44 @@ class TestCheckerHypothesisGates:
         T = random_hermitian_in_domain(f, 3, 7)
         with pytest.raises(ValueError, match="^A and B must be finite$"):
             check(f, a * A, b * B, T)
+
+    @pytest.mark.parametrize("check", [check_jensen_isometry,
+                                       check_jensen_contractive])
+    @pytest.mark.parametrize("a,b", [(1e200, 1.0), (1.0, 1e200),
+                                     (1e160, 1e160)])
+    def test_jensen_overflowing_pair_fails_its_gate(self, check, a, b):
+        # finite operands whose products overflow: the gate names the
+        # non-finite A*A + B*B, no eigensolver raises and no overflow
+        # warning escapes (pytest turns RuntimeWarning into an error)
+        A, B = random_isometry_pair(3, 3, 1)
+        with pytest.raises(HypothesisViolation,
+                           match=r"^A\*A \+ B\*B is not finite"):
+            check(lookup_atom("xlogx"), a * A, b * B, np.diag([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("check", [check_jensen_isometry,
+                                       check_jensen_contractive])
+    def test_jensen_huge_pair_fails_its_gate_without_overflow(self, check):
+        # A*A + B*B is finite, but the row's x log x of A*TA would overflow
+        # had it gone on with its own operands
+        A, B = random_isometry_pair(3, 3, 1)
+        with pytest.raises(HypothesisViolation,
+                           match=r"^A\*A \+ B\*B (deviates from|exceeds) "):
+            check(lookup_atom("xlogx"), 1e153 * A, B, np.diag([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("contractive", [False, True])
+    def test_jensen_overflow_fails_only_its_own_row(self, contractive):
+        A, B = random_isometry_pair(3, 3, 1)
+        T = np.diag([1.0, 2.0, 3.0])
+        f = lookup_atom("xlogx")
+        errs = RowErrors(2)
+        slack, used = _jensen(f, np.stack([1e200 * A, A]), np.stack([B, B]),
+                              np.stack([T, T]), 1e-8, errs, contractive)
+        assert isinstance(errs.errors[0], HypothesisViolation)
+        assert errs.errors[1] is None
+        check = (check_jensen_contractive if contractive
+                 else check_jensen_isometry)
+        alone = check(f, A, B, T)
+        assert (slack[1], used[1]) == (alone.slack, alone.tolerance_used)
 
     @pytest.mark.parametrize("check", [check_jensen_isometry,
                                        check_jensen_contractive])
