@@ -10,13 +10,16 @@ by sigma and right multiplication by rho on the Hilbert-Schmidt space of
 n x n matrices always commute. ``MultiplicationPair`` keeps them as the
 spectral factors of sigma and rho, whose rank-one products u_i v_j* are a
 joint eigenbasis; the perspective module evaluates quadratic forms from
-those factors in O(n^3). ``realize_multiplication_pair`` builds the same
-pair as an explicit n^2 x n^2 ``CommutingPair``, the reference realization
-that tests compare the factored evaluation against.
+those factors in O(n^3). A pair whose sigma and rho are bitwise equal to
+those of the last pair built, while that pair is still alive, shares its
+factors instead of eigendecomposing again. ``realize_multiplication_pair``
+builds the same pair as an explicit n^2 x n^2 ``CommutingPair``, the
+reference realization that tests compare the factored evaluation against.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -100,15 +103,22 @@ def _pair_gates(U, lam, mu, floor: float, errs: RowErrors):
     return U, lam, mu
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+def _last_pair():
+    """The last ``MultiplicationPair`` built, while alive (a weakref.ref)."""
+
+
+@dataclass(frozen=True, eq=False, slots=True, weakref_slot=True)
 class MultiplicationPair:
     """Strictly positive sigma and rho defining L(X) = sigma X, R(X) = X rho.
 
     ``sigma`` and ``rho`` are stored as ``HermitianMatrix`` operands and
-    eigendecomposed once, at construction: ``factors`` is
+    eigendecomposed at construction: ``factors`` is
     ``(U_sigma, s, U_rho, r)`` with ``sigma = U_sigma diag(s) U_sigma*`` and
-    ``rho = U_rho diag(r) U_rho*``, eigenvalues ascending. The positivity
-    floor is checked on the least entries of ``s`` and ``r``.
+    ``rho = U_rho diag(r) U_rho*``, eigenvalues ascending, all read-only.
+    When the last pair built is still alive and its sigma and rho are
+    bitwise equal to these, its factors are shared instead of computed a
+    second time; nothing keeps a pair alive for this. The positivity floor
+    is checked on the least entries of ``s`` and ``r`` either way.
     """
 
     sigma: HermitianMatrix
@@ -117,13 +127,20 @@ class MultiplicationPair:
     factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self, floor):
+        global _last_pair
         _require_floor(floor)
         s, r = as_hermitian(self.sigma), as_hermitian(self.rho)
         if s.dim != r.dim:
             raise ValueError(f"dimension mismatch: {s.dim} vs {r.dim}")
+        last = _last_pair()
+        # Compared as bytes: == would take -0.0 for 0.0.
+        shared = last is not None and all(
+            a.mat.shape == b.mat.shape and a.mat.tobytes() == b.mat.tobytes()
+            for a, b in ((last.sigma, s), (last.rho, r)))
         factors = []
-        for name, H in (("sigma", s), ("rho", r)):
-            w, U = _eigh(H.mat)
+        for k, (name, H) in enumerate((("sigma", s), ("rho", r))):
+            U, w = (last.factors[2 * k:2 * k + 2] if shared
+                    else _eigh(H.mat)[::-1])
             if w[0] < floor:
                 raise DomainViolation(
                     f"{name} has eigenvalue {float(w[0]):.3e} below the "
@@ -134,6 +151,7 @@ class MultiplicationPair:
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "rho", r)
         object.__setattr__(self, "factors", tuple(factors))
+        _last_pair = weakref.ref(self)
 
     @property
     def dim(self) -> int:

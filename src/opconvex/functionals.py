@@ -136,7 +136,13 @@ def quantum_relative_entropy_perspective(rho, sigma) -> float:
     of overlaps <u_i, v_j>), with no identity product. Agreement with the
     direct formula is an end-to-end check of the perspective machinery.
     """
-    mp = MultiplicationPair(rho, sigma, floor=_TINY)
+    try:
+        mp = MultiplicationPair(rho, sigma, floor=_TINY)
+    except DomainViolation:
+        # The pair names its slots, and rho sits in the one named sigma:
+        # raise the direct path's error, which names the operands.
+        quantum_relative_entropy_direct(rho, sigma)
+        raise
     return _quasi_entropy(_XLOGX, None, mp, None)
 
 
@@ -201,7 +207,7 @@ def _require_pq_exponents(p: float, q: float) -> tuple[float, float]:
     if q == 1.0 and p != 0.0:
         raise HypothesisViolation(
             f"p + q <= 1 with q = 1 forces p = 0, got p = {p}")
-    if q < 1.0 and p <= 0.0:
+    if q < 1.0 and not p > 0.0:
         raise HypothesisViolation(f"p must be positive, got {p}")
     if p + q > 1.0 + 1e-12:
         raise HypothesisViolation(

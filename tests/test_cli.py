@@ -250,6 +250,12 @@ class TestEvalCommand:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_nan_exponent_exits_two(self, eye2, capsys):
+        code = main(["eval", "--functional", "lieb-pq", "--a", eye2, "--b",
+                     eye2, "--k", eye2, "--p", "nan", "--q", "0.4"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: p must be positive, got nan\n"
+
     def test_missing_operand_flag(self, eye2, capsys):
         code = main(["eval", "--functional", "rel-entropy", "--rho", eye2])
         assert code == 2

@@ -1,4 +1,8 @@
 """Commuting pairs, joint diagonalization, multiplication-operator realization."""
+import copy
+import gc
+import math
+import pickle
 import re
 
 import numpy as np
@@ -6,9 +10,13 @@ import pytest
 
 from opconvex import (CommutingPair, DensityMatrix, DomainViolation,
                       MultiplicationPair, apply_scalar_function,
-                      check_perspective_joint_convexity, lookup_atom,
-                      perspective_symmetrized, random_commuting_pair,
-                      random_density, random_positive_matrix)
+                      check_perspective_joint_convexity,
+                      extended_perspective_quadratic_form, lookup_atom,
+                      perspective_quadratic_form, perspective_symmetrized,
+                      quantum_relative_entropy_perspective,
+                      random_commuting_pair, random_density,
+                      random_positive_matrix)
+from opconvex import commuting
 from opconvex.commuting import apply_superop, realize_multiplication_pair
 from opconvex.perspective import extended_perspective_symmetrized
 
@@ -101,6 +109,108 @@ class TestMultiplicationPair:
             MultiplicationPair(np.eye(2), np.eye(2)))
         with pytest.raises(ValueError):
             apply_superop(pair, "left", np.ones((3, 3)))
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The matrices ``MultiplicationPair`` eigendecomposes, in call order."""
+    calls = []
+
+    def counted(H):
+        calls.append(H)
+        return eigh(H)
+
+    eigh = commuting._eigh
+    monkeypatch.setattr(commuting, "_eigh", counted)
+    return calls
+
+
+class TestSharedFactors:
+    """A live pair of bitwise-equal operands lends a new pair its factors."""
+
+    def test_superop_forms_eigendecompose_each_operand_once(self, eigh_calls):
+        rho, sigma = random_density(24, 40), random_density(24, 41)
+        K = random_positive_matrix(24, 42).mat / math.sqrt(24)
+        mp = MultiplicationPair(rho, sigma)
+        quantum_relative_entropy_perspective(rho, sigma)
+        perspective_quadratic_form(lookup_atom("neg_power", 0.5), mp, K)
+        extended_perspective_quadratic_form(
+            lookup_atom("neg_power", 0.4), lookup_atom("power", 0.5), mp, K)
+        assert len(eigh_calls) == 2
+
+    @pytest.mark.parametrize("n", [3, 24])
+    def test_shared_factors_equal_a_fresh_eigh(self, n, eigh_calls):
+        sigma, rho = random_density(n, 43), random_density(n, 44)
+        first = MultiplicationPair(sigma.mat, rho.mat)
+        second = MultiplicationPair(sigma, rho)
+        assert len(eigh_calls) == 2
+        assert all(a is b for a, b in zip(second.factors, first.factors))
+        ws, Us = np.linalg.eigh(second.sigma.mat)
+        wr, Ur = np.linalg.eigh(second.rho.mat)
+        for got, fresh in zip(second.factors, (Us, ws, Ur, wr)):
+            assert got.tobytes() == fresh.tobytes()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("sigma,rho,floor,text", [
+        (np.diag([0.5, 1.0]), np.diag([2.0, 3.0]), 0.75,
+         "sigma has eigenvalue 5.000e-01 below the positivity floor 0.75"),
+        (np.diag([3.0, 4.0]), np.diag([2.0, 5.0]), 2.5,
+         "rho has eigenvalue 2.000e+00 below the positivity floor 2.5")],
+        ids=["sigma", "rho"])
+    def test_shared_factors_meet_the_new_floor(self, sigma, rho, floor, text,
+                                               eigh_calls):
+        """The floor is checked again; the text is a fresh pair's."""
+        with pytest.raises(DomainViolation, match=f"^{re.escape(text)}$"):
+            MultiplicationPair(sigma, rho, floor=floor)
+        kept = MultiplicationPair(sigma, rho)
+        eigh_calls.clear()
+        with pytest.raises(DomainViolation, match=f"^{re.escape(text)}$"):
+            MultiplicationPair(sigma, rho, floor=floor)
+        assert not eigh_calls
+        del kept
+
+    @staticmethod
+    def _ulp(M):
+        M = M.copy()
+        M[0, 0] = np.nextafter(M[0, 0].real, np.inf)
+        return M
+
+    @staticmethod
+    def _negative_zero(M):
+        # stores -0.0 at (0, 1), which == takes for the 0.0 there
+        M = M.astype(complex)
+        M[0, 1], M[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+        return M
+
+    @pytest.mark.parametrize("change", [
+        lambda s, r: (TestSharedFactors._ulp(s), r),
+        lambda s, r: (s, TestSharedFactors._ulp(r)),
+        lambda s, r: (TestSharedFactors._negative_zero(s), r),
+        lambda s, r: (random_density(4, 45).mat, random_density(4, 46).mat)],
+        ids=["sigma-ulp", "rho-ulp", "negative-zero", "dimension"])
+    def test_any_changed_bit_recomputes(self, change, eigh_calls):
+        sigma, rho = np.diag([1.0, 2.0, 3.0]), random_density(3, 47).mat
+        kept = MultiplicationPair(sigma, rho)
+        eigh_calls.clear()
+        other = MultiplicationPair(*change(sigma, rho))
+        assert len(eigh_calls) == 2
+        assert all(a is not b for a, b in zip(other.factors, kept.factors))
+
+    def test_nothing_is_retained(self, eigh_calls):
+        sigma, rho = random_density(3, 48), random_density(3, 49)
+        first = MultiplicationPair(sigma, rho)
+        del first
+        gc.collect()
+        MultiplicationPair(sigma, rho)
+        assert len(eigh_calls) == 4
+
+    def test_pickle_and_deepcopy(self):
+        mp = MultiplicationPair(random_density(3, 50), random_density(3, 51))
+        for clone in (pickle.loads(pickle.dumps(mp)), copy.deepcopy(mp)):
+            assert clone is not mp
+            for a, b in zip((clone.sigma.mat, clone.rho.mat, *clone.factors),
+                            (mp.sigma.mat, mp.rho.mat, *mp.factors)):
+                assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("make", [

@@ -1,5 +1,6 @@
 """Trace functionals: relative entropy (two paths), concave trace forms, classical layer."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,18 @@ class TestRelativeEntropy:
         with pytest.raises(DomainViolation):
             quantum_relative_entropy_direct(np.diag([1.0, 0.0]), rho)
 
+    @pytest.mark.parametrize("bad_first", [True, False],
+                             ids=["bad-rho", "bad-sigma"])
+    def test_paths_name_the_same_operand(self, bad_first):
+        bad, good = np.diag([1.5, -0.5]), np.eye(2) / 2
+        args = (bad, good) if bad_first else (good, bad)
+        name = "rho" if bad_first else "sigma"
+        text = f"{name} must be strictly positive, found eigenvalue -5.000e-01"
+        for path in (quantum_relative_entropy_direct,
+                     quantum_relative_entropy_perspective):
+            with pytest.raises(DomainViolation, match=f"^{re.escape(text)}$"):
+                path(*args)
+
     def test_accepts_plain_positive_matrices(self):
         # the formula itself does not require unit trace
         val = quantum_relative_entropy_direct(np.eye(2), np.eye(2))
@@ -237,6 +250,7 @@ class TestLiebPqFunctional:
         (0.5, 0.0),    # q out of range
         (0.5, 1.1),
         (0.1, 1.0),    # q = 1 forces p = 0
+        (float("nan"), 0.4),
     ])
     def test_exponent_gate(self, p, q):
         with pytest.raises(HypothesisViolation):
