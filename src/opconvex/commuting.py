@@ -11,10 +11,11 @@ n x n matrices always commute. ``MultiplicationPair`` keeps them as the
 spectral factors of sigma and rho, whose rank-one products u_i v_j* are a
 joint eigenbasis; the perspective module evaluates quadratic forms from
 those factors in O(n^3). A pair whose sigma and rho are bitwise equal to
-those of the last pair built, while that pair is still alive, shares its
-factors instead of eigendecomposing again. ``realize_multiplication_pair``
-builds the same pair as an explicit n^2 x n^2 ``CommutingPair``, the
-reference realization that tests compare the factored evaluation against.
+those the last pair built was given, while that pair is still alive,
+shares its factors instead of eigendecomposing again.
+``realize_multiplication_pair`` builds the same pair as an explicit
+n^2 x n^2 ``CommutingPair``, the reference realization that tests compare
+the factored evaluation against.
 """
 from __future__ import annotations
 
@@ -30,6 +31,8 @@ from .linalg import (HermitianMatrix, RowErrors, UNITARY_TOL, _adj, _eigh,
 
 # Default strict-positivity floor for spectra.
 DEFAULT_FLOOR = 1e-8
+# The least positive float: as a floor, w < LEAST_FLOOR is the test w <= 0.
+LEAST_FLOOR = float(np.nextafter(0.0, 1.0))
 
 
 def _require_floor(floor) -> None:
@@ -86,6 +89,10 @@ class CommutingPair:
     def __repr__(self):
         return f"CommutingPair(dim={self.dim})"
 
+    def __reduce__(self):
+        # Rebuilt, so a copy's arrays are read-only too.
+        return type(self), (self.basis, self.lam, self.mu, LEAST_FLOOR)
+
 
 def _pair_gates(U, lam, mu, floor: float, errs: RowErrors):
     """The ``CommutingPair`` checks on stacks of bases and spectra: a row
@@ -107,7 +114,14 @@ def _last_pair():
     """The last ``MultiplicationPair`` built, while alive (a weakref.ref)."""
 
 
-@dataclass(frozen=True, eq=False, slots=True, weakref_slot=True)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a`` whose flag cannot be set back: its base is
+    read-only too."""
+    a.flags.writeable = False
+    return a.view()
+
+
+@dataclass(frozen=True, eq=False)
 class MultiplicationPair:
     """Strictly positive sigma and rho defining L(X) = sigma X, R(X) = X rho.
 
@@ -115,16 +129,18 @@ class MultiplicationPair:
     eigendecomposed at construction: ``factors`` is
     ``(U_sigma, s, U_rho, r)`` with ``sigma = U_sigma diag(s) U_sigma*`` and
     ``rho = U_rho diag(r) U_rho*``, eigenvalues ascending, all read-only.
-    When the last pair built is still alive and its sigma and rho are
-    bitwise equal to these, its factors are shared instead of computed a
-    second time; nothing keeps a pair alive for this. The positivity floor
-    is checked on the least entries of ``s`` and ``r`` either way.
+    When the last pair built is still alive and its sigma and rho were, when
+    it was built, bitwise equal to these, its factors are shared instead of
+    computed a second time; nothing keeps a pair alive for this. The
+    positivity floor is checked on the least entries of ``s`` and ``r``
+    either way.
     """
 
     sigma: HermitianMatrix
     rho: HermitianMatrix
     floor: InitVar[float] = DEFAULT_FLOOR
     factors: tuple = field(init=False, repr=False)
+    _operand_bytes: tuple = field(init=False, repr=False)
 
     def __post_init__(self, floor):
         global _last_pair
@@ -132,26 +148,30 @@ class MultiplicationPair:
         s, r = as_hermitian(self.sigma), as_hermitian(self.rho)
         if s.dim != r.dim:
             raise ValueError(f"dimension mismatch: {s.dim} vs {r.dim}")
+        # A snapshot, so a later write to an operand's array cannot match,
+        # compared as bytes, as == would take -0.0 for 0.0.
+        key = (s.mat.tobytes(), r.mat.tobytes())
         last = _last_pair()
-        # Compared as bytes: == would take -0.0 for 0.0.
-        shared = last is not None and all(
-            a.mat.shape == b.mat.shape and a.mat.tobytes() == b.mat.tobytes()
-            for a, b in ((last.sigma, s), (last.rho, r)))
+        shared = last is not None and last._operand_bytes == key
         factors = []
         for k, (name, H) in enumerate((("sigma", s), ("rho", r))):
             U, w = (last.factors[2 * k:2 * k + 2] if shared
-                    else _eigh(H.mat)[::-1])
+                    else map(_frozen, _eigh(H.mat)[::-1]))
             if w[0] < floor:
                 raise DomainViolation(
                     f"{name} has eigenvalue {float(w[0]):.3e} below the "
                     f"positivity floor {floor:g}")
-            for a in (U, w):
-                a.flags.writeable = False
             factors += [U, w]
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "rho", r)
         object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "_operand_bytes", key)
         _last_pair = weakref.ref(self)
+
+    def __reduce__(self):
+        # Rebuilt, so a copy's factors are read-only too; the operands met
+        # their floor when this pair was built.
+        return type(self), (self.sigma, self.rho, LEAST_FLOOR)
 
     @property
     def dim(self) -> int:

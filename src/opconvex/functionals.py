@@ -10,16 +10,12 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .atoms import ScalarAtom, lookup_atom
-from .commuting import DEFAULT_FLOOR, MultiplicationPair, _require_floor
+from .commuting import (DEFAULT_FLOOR, LEAST_FLOOR, MultiplicationPair,
+                        _require_floor)
 from .errors import DomainViolation, HypothesisViolation
 from .linalg import (HermitianMatrix, RowErrors, _adj, _calculus, _dot_rows,
                      _eigh, _materialize, _sym, as_hermitian, as_matrix)
 from .perspective import _quasi_entropy
-
-# Strict positivity floor used when wrapping caller matrices into
-# multiplication pairs: anything > 0 is admissible here, the theorem-level
-# floors live in the verification layer.
-_TINY = float(np.finfo(float).tiny)
 
 _XLOGX = lookup_atom("xlogx")
 
@@ -137,7 +133,9 @@ def quantum_relative_entropy_perspective(rho, sigma) -> float:
     direct formula is an end-to-end check of the perspective machinery.
     """
     try:
-        mp = MultiplicationPair(rho, sigma, floor=_TINY)
+        # Any eigenvalue > 0 is admissible, as on the direct path, whose
+        # gate this floor makes the same test.
+        mp = MultiplicationPair(rho, sigma, floor=LEAST_FLOOR)
     except DomainViolation:
         # The pair names its slots, and rho sits in the one named sigma:
         # raise the direct path's error, which names the operands.

@@ -63,6 +63,19 @@ class HermitianMatrix:
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
+    def __reduce__(self):
+        return _restored, (type(self), self.mat)
+
+
+def _restored(cls, mat) -> HermitianMatrix:
+    """A ``cls`` holding a read-only copy of ``mat`` as it is, for pickle
+    and copy: a subclass's constructor would normalize it again."""
+    H = object.__new__(cls)
+    mat = np.array(mat)
+    mat.flags.writeable = False
+    object.__setattr__(H, "mat", mat)
+    return H
+
 
 def _adj(M) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from opconvex import (CommutingPair, DensityMatrix, DomainViolation,
-                      MultiplicationPair, apply_scalar_function,
+                      HermitianMatrix, MultiplicationPair,
+                      apply_scalar_function,
                       check_perspective_joint_convexity,
                       extended_perspective_quadratic_form, lookup_atom,
                       perspective_quadratic_form, perspective_symmetrized,
@@ -211,6 +212,55 @@ class TestSharedFactors:
             for a, b in zip((clone.sigma.mat, clone.rho.mat, *clone.factors),
                             (mp.sigma.mat, mp.rho.mat, *mp.factors)):
                 assert a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda H: pickle.loads(pickle.dumps(H))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copied_operand_stays_read_only(self, clone):
+        H = clone(HermitianMatrix(np.diag([1.0, 2.0])))
+        kept = MultiplicationPair(H, np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            H.mat[:] = np.diag([3.0, 4.0])
+        assert kept.factors[1].tolist() == [1.0, 2.0]
+
+    def test_an_operand_written_behind_a_live_pair_recomputes(self,
+                                                              eigh_calls):
+        H, R = HermitianMatrix(np.diag([1.0, 2.0])), np.diag([0.5, 0.5])
+        kept = MultiplicationPair(H, R)
+        H.mat.flags.writeable = True
+        H.mat[:] = np.diag([3.0, 4.0])
+        eigh_calls.clear()
+        assert MultiplicationPair(H, R).factors[1].tolist() == [3.0, 4.0]
+        assert len(eigh_calls) == 2
+        S = quantum_relative_entropy_perspective(H, R)
+        assert S == pytest.approx(3 * math.log(6) + 4 * math.log(8))
+        del kept
+
+    def test_shared_factors_cannot_be_made_writeable(self):
+        mp = MultiplicationPair(random_density(3, 52), random_density(3, 53))
+        for a in mp.factors:
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HermitianMatrix(np.array([[1.0, 2j], [-2j, 3.0]])),
+    lambda: random_density(3, 54),
+    lambda: random_commuting_pair(3, 55, floor=0.5)],
+    ids=["hermitian", "density", "commuting-pair"])
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_keep_type_bits_and_read_only_arrays(make, clone):
+    value = make()
+    got = clone(value)
+    assert type(got) is type(value)
+    names = [f for f in ("mat", "basis", "lam", "mu") if hasattr(value, f)]
+    for name in names:
+        a, b = getattr(got, name), getattr(value, name)
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("make", [

@@ -126,17 +126,28 @@ class TestRelativeEntropy:
         with pytest.raises(DomainViolation):
             quantum_relative_entropy_direct(np.diag([1.0, 0.0]), rho)
 
+    @pytest.mark.parametrize("bad,least", [
+        (np.diag([1.5, -0.5]), "-5.000e-01"),
+        (np.diag([1.0, 0.0]), "0.000e+00")],
+        ids=["negative", "zero"])
     @pytest.mark.parametrize("bad_first", [True, False],
                              ids=["bad-rho", "bad-sigma"])
-    def test_paths_name_the_same_operand(self, bad_first):
-        bad, good = np.diag([1.5, -0.5]), np.eye(2) / 2
+    def test_paths_name_the_same_operand(self, bad, least, bad_first):
+        good = np.eye(2) / 2
         args = (bad, good) if bad_first else (good, bad)
         name = "rho" if bad_first else "sigma"
-        text = f"{name} must be strictly positive, found eigenvalue -5.000e-01"
+        text = f"{name} must be strictly positive, found eigenvalue {least}"
         for path in (quantum_relative_entropy_direct,
                      quantum_relative_entropy_perspective):
             with pytest.raises(DomainViolation, match=f"^{re.escape(text)}$"):
                 path(*args)
+
+    def test_paths_agree_on_a_subnormal_rho_eigenvalue(self):
+        # every eigenvalue > 0 is admissible on both paths
+        rho, sigma = np.diag([1.0, 1e-310]), np.eye(2) / 2
+        direct = quantum_relative_entropy_direct(rho, sigma)
+        assert quantum_relative_entropy_perspective(rho, sigma) == (
+            pytest.approx(direct, rel=1e-15))
 
     def test_accepts_plain_positive_matrices(self):
         # the formula itself does not require unit trace
