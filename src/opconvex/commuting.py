@@ -148,8 +148,8 @@ class MultiplicationPair:
         s, r = as_hermitian(self.sigma), as_hermitian(self.rho)
         if s.dim != r.dim:
             raise ValueError(f"dimension mismatch: {s.dim} vs {r.dim}")
-        # A snapshot, so a later write to an operand's array cannot match,
-        # compared as bytes, as == would take -0.0 for 0.0.
+        # Bytes taken now, so a later write to an operand cannot match;
+        # not ==, which takes -0.0 for 0.0.
         key = (s.mat.tobytes(), r.mat.tobytes())
         last = _last_pair()
         shared = last is not None and last._operand_bytes == key
