@@ -1,15 +1,15 @@
-"""The inequalities the verifier checks: the Jensen kernel, and one mixture
-kernel for the six joint-convexity theorems.
+"""The inequalities the verifier checks, all decided by one mixture kernel.
 
-Each of those says g(cX1 + (1-c)X2) <= c g(X1) + (1-c) g(X2) for its own
-g, reversed for a concave g, in the Loewner or the scalar order; the
-``*_g`` functions give each g to ``_mixture``. The kernels decide their
-inequality on stacks of operands, shape (batch, ...), and return the
-stacked (slack, tolerance_used); a gate that fails on a row records the
-row's exception in a ``RowErrors`` instead of raising, so the other rows
-go on. The verifier runs the kernels on whole batches of trials. The
-public ``check_*`` functions validate their operands and run the same
-kernels on a batch of one, raising that row's exception.
+Each says g(mix(X1, X2)) <= mix(g(X1), g(X2)) for its own g and mix, in the
+Loewner or the scalar order, reversed for a concave g: the six joint-convexity
+theorems mix two endpoints by weight, c X1 + (1-c) X2, with g from a ``*_g``
+function; Jensen mixes T with itself by the congruence A*TA + B*TB. The
+kernels decide their inequality on stacks of operands, shape (batch, ...), and
+return the stacked (slack, tolerance_used); a gate that fails on a row records
+the row's exception in a ``RowErrors`` instead of raising, so the other rows
+go on. The verifier runs the kernels on whole batches of trials. The public
+``check_*`` functions validate their operands and run the same kernels on a
+batch of one, raising that row's exception.
 
 Checkers validate the theorem's hypotheses before evaluating the
 inequality: a hypothesis defect raises ``HypothesisViolation``, never
@@ -18,6 +18,7 @@ counts as an inequality failure.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -55,6 +56,10 @@ def _verdict(kernel) -> LoewnerVerdict:
     return LoewnerVerdict.of(*RowErrors.one(kernel))
 
 
+def _f_of(f: ScalarAtom, T, errs: RowErrors):  # Jensen's g
+    return _sym(_calculus(f, T, errs))
+
+
 def _jensen(f: ScalarAtom, A, B, T, tol: float, errs: RowErrors,
             contractive: bool):
     """f(A*TA + B*TB) <= A*f(T)A + B*f(T)B. The pair must be an isometry
@@ -77,10 +82,9 @@ def _jensen(f: ScalarAtom, A, B, T, tol: float, errs: RowErrors,
             f"A*A + B*B deviates from the identity by {defect[k]:.3e}"))
     if not ok.all():  # a failed row goes on with finite stand-in operands
         A, B = (np.where(ok[:, None, None], x, 0.0) for x in (A, B))
-    fT = _sym(_calculus(f, T, errs))
-    lhs = _sym(_calculus(f, _sym(_adj(A) @ T @ A + _adj(B) @ T @ B), errs))
-    rhs = _sym(_adj(A) @ fT @ A + _adj(B) @ fT @ B)
-    return _loewner(lhs, rhs, tol)
+    X = (T,)  # T mixed with itself: f(T) is evaluated once
+    return _mixture(X, X, lambda a, b: _sym(_adj(A) @ a @ A + _adj(B) @ b @ B),
+                    tol, errs, partial(_f_of, f))
 
 
 def _jensen_operands(A, B, T):
@@ -146,38 +150,34 @@ def _mix(c, a, b):
     return _sym(c * a + (1.0 - c) * b)
 
 
-def _mixture(X1, X2, c, tol: float, errs: RowErrors, g, convex: bool = True,
-             gate=None, lift=None, g_mix=None):
-    """g(cX1 + (1-c)X2) <= c g(X1) + (1-c) g(X2) for a jointly convex g, >=
-    for a concave one, on stacked endpoint tuples X1, X2 mixed entry by
-    entry: in the Loewner order where g is matrix-valued, else the scalar
-    order. The ``*_g`` functions give each theorem's g as keywords.
-
-    The weight gate runs first, and a row that fails it mixes at weight 1/2
-    instead, so it stays finite downstream; then ``gate(X1, X2, errs)``
-    checks the theorem's per-row hypotheses. ``g_mix``, where given,
-    evaluates g at the mixture by another path, on the mixed ``lift(*X1)``
-    and ``lift(*X2)``.
+def _mixture(X1, X2, mix, tol: float, errs: RowErrors, g,
+             convex: bool = True, gate=None, lift=None, g_mix=None):
+    """g(mix(X1, X2)) <= mix(g(X1), g(X2)) for a convex g, >= for a concave
+    one, on stacked operand tuples X1, X2 mixed entry by entry, in the
+    Loewner order where g is matrix-valued, else the scalar order; g(X1) is
+    evaluated once when X2 is X1. ``gate(X1, X2, errs)`` first checks the
+    theorem's per-row hypotheses; ``g_mix``, where given, evaluates g at the
+    mixture by another path, on the mixed ``lift(*X1)`` and ``lift(*X2)``.
     """
-    bad = ~((0.0 <= c) & (c <= 1.0))
-    errs.fail(bad, lambda k: HypothesisViolation(
-        f"mixing weight must be in [0, 1], got {float(c[k])}"))
-    c = np.where(bad, 0.5, c)
     if gate is not None:
         gate(X1, X2, errs)
-    avg = _mix(c, g(*X1, errs), g(*X2, errs))
+    g1 = g(*X1, errs)
+    avg = mix(g1, g1 if X2 is X1 else g(*X2, errs))
     if lift is not None:
         X1, X2 = lift(*X1), lift(*X2)
-    combo = (g_mix or g)(*(_mix(c, a, b) for a, b in zip(X1, X2)), errs)
+    combo = (g_mix or g)(*(mix(a, b) for a, b in zip(X1, X2)), errs)
     lo, hi = (combo, avg) if convex else (avg, combo)
     return _loewner(lo, hi, tol) if avg.ndim > 1 else _geq(hi, lo, tol)
 
 
 def _mixture_one(X1, X2, c: float, tol: float, **g) -> LoewnerVerdict:
     """``_mixture`` on a batch of one; X1 and X2 hold unstacked operands."""
+    c = float(c)
+    if not 0.0 <= c <= 1.0:
+        raise HypothesisViolation(f"mixing weight must be in [0, 1], got {c}")
     X1, X2 = ([np.asarray(x)[None] for x in X] for X in (X1, X2))
-    return _verdict(lambda errs: _mixture(X1, X2, np.array([float(c)]), tol,
-                                          errs, **g))
+    mix = partial(_mix, np.array([c]))
+    return _verdict(lambda errs: _mixture(X1, X2, mix, tol, errs, **g))
 
 
 def _perspective_g(f: ScalarAtom, h, floor: float) -> dict:

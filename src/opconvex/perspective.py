@@ -207,11 +207,17 @@ def _quasi_entropy(f: ScalarAtom, h, mp: MultiplicationPair, K) -> float:
         if not np.isfinite(Km).all():
             raise ValueError("K must be finite")
         Us = Km @ Us
-    base = r
+    base, low = r, float(r[0])  # eigh's eigenvalues ascend
     if h is not None:
         base = h(h.domain.clamp(r))
-        if base.min() <= 0.0:
-            raise _nonpositive_base(base.min())
+        low = float(base.min())
+        if low <= 0.0:
+            raise _nonpositive_base(low)
+    # s, base > 0, so s_i / b_j overflows only if the largest ratio does
+    top = float(s[-1])
+    if top / low == np.inf:
+        raise DomainViolation(f"eigenvalue ratio {top:.3e} / {low:.3e} "
+                              f"overflows float64")
     W = _adj(Us) @ Ur
     g = f(f.domain.clamp(s[:, None] / base)) * base
     return float((g * (W.real ** 2 + W.imag ** 2)).sum())

@@ -3,9 +3,9 @@
 One table maps each theorem tag to its draws, the construction of its
 operands, its checker kernel (from ``checks``), and the configuration
 gates its hypotheses impose. The six joint-convexity tags build their
-operands as two endpoint tuples, ``ops["1"]`` and ``ops["2"]``, and
-decide them through the one mixture kernel ``checks._mixture``, each with
-its own g; only the two Jensen tags have a kernel of their own.
+operands as two endpoint tuples, ``ops["1"]`` and ``ops["2"]``, mixed by
+weight; the two Jensen tags mix one operand T by a congruence. All eight
+decide through the one mixture kernel ``checks._mixture``, each with its g.
 
 Each trial draws from its own stream, exactly
 ``numpy.random.default_rng(trial_seed)``'s (PCG64 seeded through numpy's
@@ -49,8 +49,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .atoms import ScalarAtom, lookup_atom
-from .checks import (_RELATIVE_ENTROPY_G, _classical_g, _jensen, _mixture,
-                     _perspective_g, _require_f0_nonpositive,
+from .checks import (_RELATIVE_ENTROPY_G, _classical_g, _jensen, _mix,
+                     _mixture, _perspective_g, _require_f0_nonpositive,
                      _require_not_concave, _trace_g)
 from .commuting import (CommutingPair, DEFAULT_FLOOR, _pair_gates,
                         _require_floor)
@@ -461,11 +461,11 @@ def _marechal_gate(cfg: TrialConfig) -> None:
 
 def _mixing(draw, build, g, witness, gate=lambda cfg: None) -> _Theorem:
     """A joint-convexity tag: its check is ``checks._mixture`` on the
-    endpoint tuples, with the g (as ``_mixture``'s keywords) that
-    ``g(cfg, f, ops)`` names."""
+    endpoint tuples mixed by weight c, with the g (as ``_mixture``'s
+    keywords) that ``g(cfg, f, ops)`` names."""
     return _Theorem(draw, build, lambda cfg, f, ops, c, errs: _mixture(
-        ops["1"], ops["2"], c, cfg.tol, errs, **g(cfg, f, ops)),
-        witness, True, gate)
+        ops["1"], ops["2"], partial(_mix, c), cfg.tol, errs,
+        **g(cfg, f, ops)), witness, True, gate)
 
 
 _THEOREMS = {

@@ -261,6 +261,18 @@ class TestEvalCommand:
         assert code == 2
         assert "--sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("functional,exponents,message", [
+        ("lieb-s", [], "--s is required for lieb-s"),
+        ("lieb-pq", [], "--p and --q are required for lieb-pq"),
+        ("lieb-pq", ["--p", "0.3"], "--p and --q are required for lieb-pq"),
+    ], ids=["s", "p-and-q", "q"])
+    def test_missing_exponent_exits_two(self, eye2, capsys, functional,
+                                        exponents, message):
+        code = main(["eval", "--functional", functional, "--a", eye2, "--b",
+                     eye2, "--k", eye2, *exponents])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_conjugator_flag(self, eye2, capsys):
         code = main(["eval", "--functional", "lieb-s", "--s", "0.5", "--a",
                      eye2, "--b", eye2])

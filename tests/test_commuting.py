@@ -45,6 +45,18 @@ class TestCommutingPair:
         with pytest.raises(ValueError, match="unitary"):
             CommutingPair(np.full((2, 2), np.nan), [1.0, 1.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("basis,lam,mu,message", [
+        (np.zeros((2, 3)), [1.0, 2.0], [1.0, 2.0],
+         r"basis must be square, got shape \(2, 3\)"),
+        (np.eye(2), [1.0, 2.0, 3.0], [1.0, 2.0],
+         "spectra must match the basis dimension"),
+        (np.eye(2), [1.0, 2.0], [1.0, 2.0, 3.0],
+         "spectra must match the basis dimension"),
+    ], ids=["basis-2x3", "lam-3", "mu-3"])
+    def test_rejects_mismatched_shapes(self, basis, lam, mu, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CommutingPair(basis, lam, mu)
+
     def test_rejects_spectrum_below_floor(self):
         with pytest.raises(DomainViolation):
             CommutingPair(np.eye(2), [1.0, 1e-12], [1.0, 1.0])

@@ -126,6 +126,24 @@ class TestRelativeEntropy:
         with pytest.raises(DomainViolation):
             quantum_relative_entropy_direct(np.diag([1.0, 0.0]), rho)
 
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+            quantum_relative_entropy_direct(np.eye(2) / 2, np.eye(3) / 3)
+
+    @pytest.mark.parametrize("rho,sigma,direct", [
+        (np.eye(2), np.diag([1.0, 1e-310]), 713.8013788281542),
+        (1e10 * np.eye(2), np.diag([1.0, 1e-300]), 7368272297580.946),
+    ])
+    def test_perspective_path_names_an_overflowing_ratio(self, rho, sigma,
+                                                         direct):
+        # p_i / q_j overflows float64 though the entropy is finite; the
+        # warning filters make a RuntimeWarning fail this test
+        with pytest.raises(DomainViolation,
+                           match="^eigenvalue ratio .* overflows float64$"):
+            quantum_relative_entropy_perspective(rho, sigma)
+        assert quantum_relative_entropy_direct(rho, sigma) == pytest.approx(
+            direct, rel=1e-13)
+
     @pytest.mark.parametrize("bad,least", [
         (np.diag([1.5, -0.5]), "-5.000e-01"),
         (np.diag([1.0, 0.0]), "0.000e+00")],
@@ -191,6 +209,15 @@ class TestLiebFunctional:
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(DomainViolation):
             lieb_functional(np.diag([1.0, 0.0]), np.eye(2), np.eye(2), 0.5)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+            lieb_functional(np.eye(2), np.eye(3), np.eye(2), 0.5)
+
+    def test_rejects_k_of_another_dimension(self):
+        with pytest.raises(ValueError,
+                           match=r"^K must be 2x2, got shape \(3, 3\)$"):
+            lieb_functional(np.eye(2), np.eye(2), np.eye(3), 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_operand(self, bad):
@@ -305,6 +332,10 @@ class TestClassicalLayer:
     def test_entropy_uniform_is_log_n(self):
         assert classical_entropy([0.25] * 4) == pytest.approx(math.log(4.0))
 
+    def test_entropy_takes_a_probability_vector(self):
+        p = ProbabilityVector(np.array([0.25, 0.75]))
+        assert classical_entropy(p) == classical_entropy([0.25, 0.75])
+
     def test_relative_entropy_oracle(self):
         val = classical_relative_entropy([0.25, 0.75], [0.5, 0.5])
         assert val == pytest.approx(0.14384103622589045, abs=1e-14)
@@ -313,6 +344,11 @@ class TestClassicalLayer:
         assert classical_relative_entropy([0.3, 0.7], [0.3, 0.7]) == \
             pytest.approx(0.0, abs=1e-15)
         assert classical_relative_entropy([0.25, 0.75], [0.5, 0.5]) > 0.0
+
+    def test_relative_entropy_names_the_unnormalized_vector(self):
+        with pytest.raises(DomainViolation,
+                           match=r"^q: weights must sum to 1, got 1\.1$"):
+            classical_relative_entropy([0.5, 0.6], [0.5, 0.5])
 
     def test_relative_entropy_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opconvex import (DomainViolation, HermitianMatrix, apply_scalar_function,
-                      loewner_leq, lookup_atom)
+from opconvex import (DomainViolation, EigendecompositionError,
+                      HermitianMatrix, apply_scalar_function, loewner_leq,
+                      lookup_atom)
 from opconvex.atoms import Interval
 from opconvex.linalg import (JSON_HERMITICITY_TOL, RowErrors, _calculus,
                              _dot_rows, as_hermitian, as_matrix,
                              hermitian_from_json, hs_inner, matrix_from_json,
-                             matrix_to_json, op_norm, spectral_decompose)
+                             matrix_to_json, matrix_wire, op_norm,
+                             spectral_decompose)
 
 
 def rand_hermitian(n, seed):
@@ -42,6 +44,11 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError):
             HermitianMatrix(np.ones((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError,
+                           match="^matrix dimension must be at least 1$"):
+            HermitianMatrix(np.zeros((0, 0)))
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             HermitianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -67,6 +74,18 @@ class TestSpectral:
     def test_eigenvectors_unitary(self):
         _, U = spectral_decompose(rand_hermitian(4, 4))
         assert np.max(np.abs(U.conj().T @ U - np.eye(4))) < 1e-12
+
+    def test_lapack_failure_is_an_eigendecomposition_error(self, monkeypatch):
+        def fail(H):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigendecompositionError) as caught:
+            spectral_decompose(np.eye(2))
+        assert (caught.value.dim, caught.value.condition) == (2, 1.0)
+        assert str(caught.value) == (
+            "eigendecomposition failed for dim=2 (max |entry| = 1): "
+            "Eigenvalues did not converge")
 
 
 class TestFunctionalCalculus:
@@ -124,6 +143,10 @@ class TestLoewner:
     def test_violation_detected(self):
         v = loewner_leq(2.0 * np.eye(2), np.eye(2))
         assert not v.holds and v.slack == pytest.approx(-1.0)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+            loewner_leq(np.eye(2), np.eye(3))
 
     def test_tolerance_scales_with_magnitude(self):
         # slack -1e-9 passes at tol 1e-8 once the scale is accounted for
@@ -196,6 +219,22 @@ class TestJsonWire:
         back = matrix_from_json(json.loads(json.dumps(doc)))
         assert np.array_equal(back, np.array([[1.0, 1j], [1.0, 0.0]]))
         assert np.signbit(back[1, 1].imag)
+
+    def test_wire_rejects_a_vector(self):
+        with pytest.raises(ValueError,
+                           match=r"^expected a matrix, got shape \(3,\)$"):
+            matrix_wire(np.zeros(3))
+
+    def test_entry_that_is_not_a_pair_named(self):
+        with pytest.raises(ValueError,
+                           match=r"^each entry must be a \[re, im\] pair$"):
+            matrix_from_json({"dim": 1, "entries": [[1.0]]})
+
+    def test_hermitian_reader_rejects_non_square(self):
+        doc = matrix_to_json(np.zeros((1, 2)))
+        with pytest.raises(ValueError,
+                           match="^Hermitian operand must be square$"):
+            hermitian_from_json(doc)
 
     def test_hermitian_gate_reports_defect(self):
         doc = matrix_to_json(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -15,7 +15,7 @@ from opconvex import (CommutingPair, DomainViolation, HypothesisViolation,
 from opconvex.perspective import (_quasi_entropy, check_path_agreement,
                                   extended_perspective_eigen,
                                   extended_perspective_symmetrized)
-from opconvex.commuting import realize_multiplication_pair
+from opconvex.commuting import LEAST_FLOOR, realize_multiplication_pair
 
 XLOGX = lookup_atom("xlogx")
 NEG_SQRT = lookup_atom("neg_power", 0.5)
@@ -80,6 +80,10 @@ class TestSymmetrizedPath:
         R = np.diag([1.0, 1e-9])
         with pytest.raises(DomainViolation, match="floor"):
             perspective_symmetrized(XLOGX, L, R, floor=1e-8)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+            perspective_symmetrized(XLOGX, np.eye(2), np.eye(3))
 
     def test_non_commuting_input_is_hermitian(self):
         rng = np.random.default_rng(8)
@@ -207,6 +211,23 @@ class TestQuadraticForms:
             extended_perspective_quadratic_form(NEG_SQRT, h, mp, np.eye(3))
         with pytest.raises(DomainViolation, match=f"^{re.escape(text)}$"):
             extended_perspective_eigen(NEG_SQRT, h, diag_pair([1.0], [2.0]))
+
+    def test_rejects_k_of_another_dimension(self):
+        mp = MultiplicationPair(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError,
+                           match=r"^K must be 2x2, got shape \(3, 3\)$"):
+            perspective_quadratic_form(XLOGX, mp, np.eye(3))
+
+    @pytest.mark.parametrize("left,right,text", [
+        (np.eye(2), np.diag([1.0, 1e-310]), "1.000e+00 / 1.000e-310"),
+        (1e10 * np.eye(2), np.diag([1.0, 1e-300]), "1.000e+10 / 1.000e-300"),
+    ])
+    def test_overflowing_eigenvalue_ratio_message(self, left, right, text):
+        # the warning filters make a RuntimeWarning fail this test
+        mp = MultiplicationPair(left, right, floor=LEAST_FLOOR)
+        message = f"eigenvalue ratio {text} overflows float64"
+        with pytest.raises(DomainViolation, match=f"^{re.escape(message)}$"):
+            perspective_quadratic_form(XLOGX, mp, np.eye(2))
 
     def test_returns_python_float(self):
         mp = MultiplicationPair(np.eye(2), np.eye(2))

@@ -200,6 +200,10 @@ class TestGenerators:
         assert abs(p.weights.sum() - 1.0) <= 1e-12
         assert p.weights.min() > 0.0
 
+    def test_density_dimension_gate(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            random_density(0, 1)
+
     def test_positive_matrix_floor(self):
         M = random_positive_matrix(3, 5, floor=0.5)
         assert np.linalg.eigvalsh(M.mat)[0] >= 0.5 - 1e-12
@@ -301,6 +305,25 @@ class TestCheckerHypothesisGates:
         T = random_hermitian_in_domain(f, 3, 7)
         with pytest.raises(HypothesisViolation, match="concave"):
             check(f, A, B, T)
+
+    @pytest.mark.parametrize("check,message", [
+        (lambda f: check_jensen_isometry(f, np.eye(2), np.zeros((3, 2)),
+                                         np.eye(2)),
+         r"A and B must share an m x n shape, got \(2, 2\) and \(3, 2\)"),
+        (lambda f: check_jensen_isometry(f, np.eye(2) / np.sqrt(2),
+                                         np.eye(2) / np.sqrt(2), np.eye(3)),
+         "T must be 2 square to match the pair, got 3"),
+        (lambda f: check_perspective_joint_convexity(
+            f, random_commuting_pair(2, 1), random_commuting_pair(3, 2), 0.5),
+         "dimension mismatch: 2 vs 3"),
+        (lambda f: check_relative_entropy_joint_convexity(
+            *(random_density(2, k) for k in range(3)), random_density(3, 3),
+            0.5),
+         "dimension mismatch among the four operands"),
+    ], ids=["jensen-pair", "jensen-T", "perspective", "rel-entropy"])
+    def test_operand_shape_rejections(self, check, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(lookup_atom("xlogx"))
 
     def test_perspective_needs_matrix_convexity(self):
         p1 = random_commuting_pair(3, 12)
@@ -419,6 +442,23 @@ class TestRunSingle:
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown theorem"):
             run_single("bogus", TrialConfig(), 0)
+
+    @pytest.mark.parametrize("tag,eigvalsh", [("hp", 1),
+                                              ("hp-contractive", 2)])
+    def test_jensen_batch_lapack_calls(self, tag, eigvalsh, monkeypatch):
+        # one stacked eigh for f(T) and one for f at the mixture; one
+        # stacked eigvalsh for the Loewner slack, one more for the
+        # contraction gate. Evaluating f(T) twice would add an eigh.
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(H, *args, _name=name, _real=getattr(np.linalg, name),
+                        **kwargs):
+                calls.append((_name, H.shape))
+                return _real(H, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_campaign(TrialConfig(dim_n=3, dim_m=3, trials=25), tag)
+        assert sorted(calls) == ([("eigh", (25, 3, 3))] * 2
+                                 + [("eigvalsh", (25, 3, 3))] * eigvalsh)
 
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
     def test_batch_rows_equal_single_trials(self, tag):
@@ -547,6 +587,11 @@ class TestRedrawMachinery:
         _register("hopeless", build)
         yield "hopeless"
         del _THEOREMS["hopeless"]
+
+    def test_replay_of_a_rejected_trial_raises_its_error(self, hopeless_tag):
+        # run_single makes no redraws: a rejected coordinate is an error
+        with pytest.raises(DomainViolation, match="^never admissible$"):
+            run_single(hopeless_tag, TrialConfig(), 0)
 
     def test_redraw_budget_exhaustion(self, hopeless_tag):
         with pytest.raises(HypothesisViolation,
