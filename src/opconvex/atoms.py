@@ -44,18 +44,18 @@ class Interval:
         nothing to clamp and nothing to reject."""
         return x.size > 0 and self.lo < x.min() and x.max() < self.hi
 
-    def admit(self, values, tol: float = ENDPOINT_TOL):
+    def admit(self, values):
         """Elementwise domain check for arrays of any shape.
 
         Returns ``(clamped, bad)``: the values with endpoint noise (within
-        ``tol`` of a closed endpoint) moved onto the endpoint, and the mask
-        of values beyond that, at/past an open endpoint, or NaN.
+        ``ENDPOINT_TOL`` of a closed endpoint) moved onto the endpoint, and
+        the mask of values beyond that, at/past an open endpoint, or NaN.
         """
         x = np.asarray(values, dtype=float)
         if self._inside(x):
             return x, np.zeros(x.shape, dtype=bool)
-        ok = x >= self.lo - tol if self.lo_closed else x > self.lo
-        ok &= x <= self.hi + tol if self.hi_closed else x < self.hi
+        ok = x >= self.lo - ENDPOINT_TOL if self.lo_closed else x > self.lo
+        ok &= x <= self.hi + ENDPOINT_TOL if self.hi_closed else x < self.hi
         bad = ~ok
         if self.lo_closed and math.isfinite(self.lo):
             x = np.where(x < self.lo, self.lo, x)
@@ -63,11 +63,11 @@ class Interval:
             x = np.where(x > self.hi, self.hi, x)
         return x, bad
 
-    def clamp(self, values, tol: float = ENDPOINT_TOL) -> np.ndarray:
+    def clamp(self, values) -> np.ndarray:
         """Validate ``values`` against the interval and clamp endpoint noise.
 
-        Values within ``tol`` of a closed endpoint are moved onto it; values
-        beyond that, at/past an open endpoint, or NaN raise
+        Values within ``ENDPOINT_TOL`` of a closed endpoint are moved onto
+        it; values beyond that, at/past an open endpoint, or NaN raise
         ``DomainViolation`` naming the offending value.
         """
         x = np.asarray(values, dtype=float)
@@ -75,7 +75,7 @@ class Interval:
             x = x.reshape(1)
         if self._inside(x):
             return x.copy()
-        out, bad = self.admit(x, tol)
+        out, bad = self.admit(x)
         if bad.any():
             raise self.violation(x[bad][0])
         return x.copy() if out is x else out

@@ -1,15 +1,16 @@
 """The inequalities the verifier checks, all decided by one mixture kernel.
 
-Each says g(mix(X1, X2)) <= mix(g(X1), g(X2)) for its own g and mix, in the
-Loewner or the scalar order, reversed for a concave g: the six joint-convexity
-theorems mix two endpoints by weight, c X1 + (1-c) X2, with g from a ``*_g``
-function; Jensen mixes T with itself by the congruence A*TA + B*TB. The
-kernels decide their inequality on stacks of operands, shape (batch, ...), and
-return the stacked (slack, tolerance_used); a gate that fails on a row records
-the row's exception in a ``RowErrors`` instead of raising, so the other rows
-go on. The verifier runs the kernels on whole batches of trials. The public
-``check_*`` functions validate their operands and run the same kernels on a
-batch of one, raising that row's exception.
+Each is a case of Hansen-Pedersen-Jensen, g(mix(X_1, ..., X_k)) <=
+mix(g(X_1), ..., g(X_k)) for a convex g, in the Loewner or the scalar order:
+the six joint-convexity theorems mix two endpoints by weight, c X1 + (1-c) X2,
+with g from a ``*_g`` function; Jensen mixes its one endpoint T by the
+congruence A*TA + B*TB. The kernels decide their inequality on stacks of
+operands, shape (batch, ...), and return the stacked (slack, tolerance_used);
+a gate that fails on a row records the row's exception in a ``RowErrors``
+instead of raising, so the other rows go on. The verifier runs the kernels
+on whole batches of trials. The public ``check_*`` functions validate their
+operands and run the same kernels on a batch of one, raising that row's
+exception.
 
 Checkers validate the theorem's hypotheses before evaluating the
 inequality: a hypothesis defect raises ``HypothesisViolation``, never
@@ -29,7 +30,8 @@ from .functionals import (_classical, _power_atoms, _relative_entropy,
                           _require_lieb_exponent, _require_pq_exponents,
                           _trace_form, _trace_operands)
 from .linalg import (LoewnerVerdict, RowErrors, _adj, _calculus, _loewner,
-                     _materialize, _sym, as_hermitian, as_matrix)
+                     _materialize, _require_tol, _sym, as_hermitian,
+                     as_matrix)
 from .perspective import (_eigen, _require_extended_hypotheses,
                           _require_matrix_convex, _symmetrized)
 
@@ -46,6 +48,7 @@ def _geq(lhs, rhs, tol: float):
 
 def scalar_geq(lhs: float, rhs: float, tol: float) -> LoewnerVerdict:
     """Scalar analogue of the Loewner check: lhs >= rhs up to tol*scale."""
+    _require_tol(tol)
     lhs, rhs = float(lhs), float(rhs)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise ValueError(f"operands must be finite, got {lhs} and {rhs}")
@@ -82,8 +85,7 @@ def _jensen(f: ScalarAtom, A, B, T, tol: float, errs: RowErrors,
             f"A*A + B*B deviates from the identity by {defect[k]:.3e}"))
     if not ok.all():  # a failed row goes on with finite stand-in operands
         A, B = (np.where(ok[:, None, None], x, 0.0) for x in (A, B))
-    X = (T,)  # T mixed with itself: f(T) is evaluated once
-    return _mixture(X, X, lambda a, b: _sym(_adj(A) @ a @ A + _adj(B) @ b @ B),
+    return _mixture([(T,)], lambda a: _sym(_adj(A) @ a @ A + _adj(B) @ a @ B),
                     tol, errs, partial(_f_of, f))
 
 
@@ -115,6 +117,7 @@ def _require_not_concave(f: ScalarAtom) -> None:
 def check_jensen_isometry(f: ScalarAtom, A, B, T,
                           tol: float = 1e-8) -> LoewnerVerdict:
     """f(A*TA + B*TB) <= A*f(T)A + B*f(T)B for an isometry column pair."""
+    _require_tol(tol)
     _require_not_concave(f)
     ops = _jensen_operands(A, B, T)
     return _verdict(lambda errs: _jensen(f, *ops, tol, errs, False))
@@ -136,6 +139,7 @@ def check_jensen_contractive(f: ScalarAtom, A, B, T,
     blocks, which inject f(0) into the right-hand side; without f(0) <= 0
     the inequality is simply false (constant atoms break it).
     """
+    _require_tol(tol)
     _require_not_concave(f)
     _require_f0_nonpositive(f)
     ops = _jensen_operands(A, B, T)
@@ -150,24 +154,18 @@ def _mix(c, a, b):
     return _sym(c * a + (1.0 - c) * b)
 
 
-def _mixture(X1, X2, mix, tol: float, errs: RowErrors, g,
-             convex: bool = True, gate=None, lift=None, g_mix=None):
-    """g(mix(X1, X2)) <= mix(g(X1), g(X2)) for a convex g, >= for a concave
-    one, on stacked operand tuples X1, X2 mixed entry by entry, in the
-    Loewner order where g is matrix-valued, else the scalar order; g(X1) is
-    evaluated once when X2 is X1. ``gate(X1, X2, errs)`` first checks the
-    theorem's per-row hypotheses; ``g_mix``, where given, evaluates g at the
-    mixture by another path, on the mixed ``lift(*X1)`` and ``lift(*X2)``.
+def _mixture(Xs, mix, tol: float, errs: RowErrors, g, gate=None, g_mix=None):
+    """g(mix(X_1, ..., X_k)) <= mix(g(X_1), ..., g(X_k)) for a convex g on
+    k stacked endpoint tuples Xs mixed entry by entry, in the Loewner order
+    where g is matrix-valued, else the scalar order. ``gate(*Xs, errs)``
+    first checks the theorem's per-row hypotheses; ``g_mix(Xs, mix, errs)``,
+    where given, evaluates g at the mixture by another path.
     """
     if gate is not None:
-        gate(X1, X2, errs)
-    g1 = g(*X1, errs)
-    avg = mix(g1, g1 if X2 is X1 else g(*X2, errs))
-    if lift is not None:
-        X1, X2 = lift(*X1), lift(*X2)
-    combo = (g_mix or g)(*(mix(a, b) for a, b in zip(X1, X2)), errs)
-    lo, hi = (combo, avg) if convex else (avg, combo)
-    return _loewner(lo, hi, tol) if avg.ndim > 1 else _geq(hi, lo, tol)
+        gate(*Xs, errs)
+    avg = mix(*(g(*X, errs) for X in Xs))
+    combo = g(*map(mix, *Xs), errs) if g_mix is None else g_mix(Xs, mix, errs)
+    return _loewner(combo, avg, tol) if avg.ndim > 1 else _geq(avg, combo, tol)
 
 
 def _mixture_one(X1, X2, c: float, tol: float, **g) -> LoewnerVerdict:
@@ -175,20 +173,21 @@ def _mixture_one(X1, X2, c: float, tol: float, **g) -> LoewnerVerdict:
     c = float(c)
     if not 0.0 <= c <= 1.0:
         raise HypothesisViolation(f"mixing weight must be in [0, 1], got {c}")
-    X1, X2 = ([np.asarray(x)[None] for x in X] for X in (X1, X2))
+    Xs = [[np.asarray(x)[None] for x in X] for X in (X1, X2)]
     mix = partial(_mix, np.array([c]))
-    return _verdict(lambda errs: _mixture(X1, X2, mix, tol, errs, **g))
+    return _verdict(lambda errs: _mixture(Xs, mix, tol, errs, **g))
 
 
 def _perspective_g(f: ScalarAtom, h, floor: float) -> dict:
     """g(L, R) = f(L/h(R)) h(R), the plain perspective when h is None, on
     commuting pairs (U, lam, mu): the eigen path at the endpoints, and the
-    symmetrized path at their mixture, which generally fails to commute."""
+    symmetrized path on the mixed (L, R), which generally fail to commute."""
+    def g_mix(Xs, mix, errs):  # lifts each (U, lam, mu) to (L, R) to mix
+        L, R = map(mix, *((_sym(_materialize(U, lam)),
+                           _sym(_materialize(U, mu))) for U, lam, mu in Xs))
+        return _sym(_symmetrized(f, h, L, R, floor, errs))
     return {"g": lambda U, lam, mu, errs: _sym(_eigen(f, h, U, lam, mu, errs)),
-            "lift": lambda U, lam, mu: (_sym(_materialize(U, lam)),
-                                        _sym(_materialize(U, mu))),
-            "g_mix": lambda L, R, errs: _sym(
-                _symmetrized(f, h, L, R, floor, errs))}
+            "g_mix": g_mix}
 
 
 def _check_pairs(f: ScalarAtom, h, pair1: CommutingPair,
@@ -211,6 +210,7 @@ def check_perspective_joint_convexity(f: ScalarAtom, pair1: CommutingPair,
     Endpoints go through the eigen path; the combination generally fails
     to commute and goes through the symmetrized path.
     """
+    _require_tol(tol)
     _require_matrix_convex(f)
     return _check_pairs(f, None, pair1, pair2, c, tol, floor)
 
@@ -221,6 +221,7 @@ def check_extended_perspective_joint_convexity(f: ScalarAtom, h: ScalarAtom,
                                    floor: float = DEFAULT_FLOOR
                                    ) -> LoewnerVerdict:
     """Joint convexity of the extended perspective f(L/h(R))h(R)."""
+    _require_tol(tol)
     _require_extended_hypotheses(f, h)
     return _check_pairs(f, h, pair1, pair2, c, tol, floor)
 
@@ -242,6 +243,7 @@ def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
                                            c: float, tol: float = 1e-8
                                            ) -> LoewnerVerdict:
     """c S(r1||s1) + (1-c) S(r2||s2) >= S(c r1+(1-c)r2 || c s1+(1-c)s2)."""
+    _require_tol(tol)
     ops = [as_hermitian(x).mat for x in (rho1, sigma1, rho2, sigma2)]
     if len({H.shape for H in ops}) != 1:
         raise ValueError("dimension mismatch among the four operands")
@@ -249,9 +251,9 @@ def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
 
 
 def _trace_g(fa: ScalarAtom, fb, K) -> dict:
-    """The jointly concave form (A, B) -> Tr(fa(A) K* fb(B) K) as a g."""
-    return {"g": lambda A, B, errs: _trace_form(fa, fb, A, B, K, errs),
-            "convex": False}
+    """The negated form (A, B) -> -Tr(fa(A) K* fb(B) K) as a g: the form is
+    jointly concave, and negation is exact, so no slack moves by an ulp."""
+    return {"g": lambda A, B, errs: -_trace_form(fa, fb, A, B, K, errs)}
 
 
 def _check_trace(fa: ScalarAtom, fb, A1, B1, A2, B2, K, c: float,
@@ -265,6 +267,7 @@ def _check_trace(fa: ScalarAtom, fb, A1, B1, A2, B2, K, c: float,
 def check_lieb_concavity(A1, B1, A2, B2, K, s: float, c: float,
                          tol: float = 1e-8) -> LoewnerVerdict:
     """Joint concavity of Tr(A^s K* B^(1-s) K) in (A, B)."""
+    _require_tol(tol)
     s = _require_lieb_exponent(s)
     return _check_trace(*_power_atoms(s, 1.0 - s), A1, B1, A2, B2, K, c, tol,
                         "K")
@@ -273,6 +276,7 @@ def check_lieb_concavity(A1, B1, A2, B2, K, s: float, c: float,
 def check_lieb_pq_concavity(A1, B1, A2, B2, X, p: float, q: float, c: float,
                             tol: float = 1e-8) -> LoewnerVerdict:
     """Joint concavity of Tr(A^q X* B^p X) for p, q > 0, p + q <= 1."""
+    _require_tol(tol)
     p, q = _require_pq_exponents(p, q)
     return _check_trace(*_power_atoms(q, p), A1, B1, A2, B2, X, c, tol, "X")
 
@@ -296,6 +300,7 @@ def check_classical_perspective_convexity(f: ScalarAtom, x1: float, t1: float,
                                           x2: float, t2: float, c: float,
                                           tol: float = 1e-8) -> LoewnerVerdict:
     """Scalar joint convexity of g(x, t) = f(x/t) t."""
+    _require_tol(tol)
     _require_not_concave(f)
     return _mixture_one((float(x1), float(t1)), (float(x2), float(t2)), c,
                         tol, **_classical_g(f))

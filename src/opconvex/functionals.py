@@ -15,7 +15,7 @@ from .commuting import (DEFAULT_FLOOR, LEAST_FLOOR, MultiplicationPair,
 from .errors import DomainViolation, HypothesisViolation
 from .linalg import (HermitianMatrix, RowErrors, _adj, _calculus, _dot_rows,
                      _eigh, _materialize, _sym, as_hermitian, as_matrix)
-from .perspective import _quasi_entropy
+from .perspective import _quasi_entropy, _scaled
 
 _XLOGX = lookup_atom("xlogx")
 
@@ -226,12 +226,12 @@ def lieb_pq_functional(A, B, X, p: float, q: float) -> float:
 
 def _classical(f: ScalarAtom, x, t, errs: RowErrors) -> np.ndarray:
     """f(x / t) t for stacked rows x of shape (batch, k) and bases t of
-    shape (batch,); a row fails unless its base is positive and finite."""
+    shape (batch,); a row fails unless its base is positive and finite, and
+    as ``perspective._scaled`` fails it."""
     bad = ~((0.0 < t) & (t < np.inf))
     errs.fail(bad, lambda k: DomainViolation(
         f"perspective base must be positive and finite, got {float(t[k])}"))
-    t = np.where(bad, 1.0, t)[:, None]
-    return f(errs.clamp(f.domain, x / t)) * t
+    return _scaled(f, x, np.where(bad, 1.0, t)[:, None], errs)
 
 
 def classical_perspective(f: ScalarAtom, x, t: float) -> np.ndarray:

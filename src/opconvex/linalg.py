@@ -219,6 +219,17 @@ def op_norm(M) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+def _require_tol(tol) -> None:
+    """Reject a relative tolerance outside (0, 1)."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be in (0, inf), got {tol}")
+    if tol >= 1.0:
+        # tol * (1 + ||B - A||) would exceed |min eig(B - A)|
+        raise ValueError(f"tol must be below 1, got {tol:g}: a relative "
+                         f"tolerance of 1 or more passes every "
+                         f"Loewner-order check")
+
+
 def _loewner(A, B, tol: float):
     """(slack, tolerance_used) of A <= B for stacks of Hermitian A, B."""
     w = np.linalg.eigvalsh(B - A)
@@ -231,8 +242,9 @@ def loewner_leq(A, B, tol: float = 1e-8) -> LoewnerVerdict:
 
     The comparison holds when the minimum eigenvalue of D = B - A is at
     least ``-tol * (1 + ||D||_op)``, so the tolerance scales with the size
-    of the difference being judged.
+    of the difference being judged; ``tol`` must lie in (0, 1).
     """
+    _require_tol(tol)
     Am, Bm = as_hermitian(A), as_hermitian(B)
     if Am.dim != Bm.dim:
         raise ValueError(f"dimension mismatch: {Am.dim} vs {Bm.dim}")

@@ -12,8 +12,10 @@ must agree to ``PATH_AGREEMENT_RTOL`` relative to the output size.
 
 The extended variant substitutes h(R) for R: f(L / h(R)) h(R) for a
 strictly positive concave h. With h = identity it degenerates to the plain
-perspective: both share one eigen core and one quasi-entropy core, which
-take the base R itself when h is identity, so the reduction is exact.
+perspective: both share one eigen core and one quasi-entropy core, and the
+identity atom returns its input, so there the base h(R) is R bit for bit;
+the symmetrized core skips h(R) for the identity, so its reduction is exact
+too.
 
 The quadratic-form entry points evaluate ``<g(L,R)(K*), K*>`` for the
 superoperator pair L(X) = sigma X, R(X) = X rho; they are the bridge
@@ -29,6 +31,8 @@ evaluated from the spectral factors of ``MultiplicationPair`` in O(n^3).
 realization that tests compare this sum against.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -68,9 +72,8 @@ def _require_extended_hypotheses(f: ScalarAtom, h: ScalarAtom) -> None:
 
 def _base(h, r, errs: RowErrors) -> np.ndarray:
     """The perspective's base on stacked right spectra r: r itself when h
-    is None or the identity, else h(r); a row where h(r) is not strictly
-    positive fails."""
-    if h is None or h.name == "identity":
+    is None, else h(r); a row where h(r) is not strictly positive fails."""
+    if h is None:
         return r
     hr = h(errs.clamp(h.domain, r))
     low = np.min(hr, axis=-1)
@@ -86,11 +89,34 @@ def _nonpositive_base(low) -> DomainViolation:
                            f"spectrum, found h value {low:.3e}")
 
 
+def _overflow(what: str, x, b) -> DomainViolation:
+    return DomainViolation(f"{what} {x:.3e} / {b:.3e} overflows float64")
+
+
+def _scaled(f: ScalarAtom, x, b, errs: RowErrors) -> np.ndarray:
+    """f(x/b) b on stacked rows x and positive finite bases b, broadcast to
+    x's shape. A row fails where x/b lies outside f's domain, or where a
+    finite x over b, or the value there, overflows float64."""
+    b = np.broadcast_to(b, x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = x / b
+        over = np.isinf(ratio) & np.isfinite(x)
+        if over.any():  # recorded first, so the clamp does not name the inf
+            errs.fail(over.any(axis=-1), lambda k: _overflow(
+                "eigenvalue ratio", x[k][over[k]][0], b[k][over[k]][0]))
+        value = f(errs.clamp(f.domain, ratio)) * b
+    bad = ~np.isfinite(value)
+    if bad.any():
+        errs.fail(bad.any(axis=-1), lambda k: _overflow(
+            f"{f.label} perspective at", x[k][bad[k]][0], b[k][bad[k]][0]))
+        value = np.where(bad, 0.0, value)
+    return value
+
+
 def _eigen(f: ScalarAtom, h, U, lam, mu, errs: RowErrors) -> np.ndarray:
     """U diag(f(lam/b) b) U* for stacked commuting pairs (U, lam, mu), with
     base b = ``_base(h, mu)``; not yet symmetrized."""
-    base = _base(h, mu, errs)
-    return _materialize(U, f(errs.clamp(f.domain, lam / base)) * base)
+    return _materialize(U, _scaled(f, lam, _base(h, mu, errs), errs))
 
 
 def _eigen_one(f: ScalarAtom, h, pair: CommutingPair) -> HermitianMatrix:
@@ -216,11 +242,16 @@ def _quasi_entropy(f: ScalarAtom, h, mp: MultiplicationPair, K) -> float:
     # s, base > 0, so s_i / b_j overflows only if the largest ratio does
     top = float(s[-1])
     if top / low == np.inf:
-        raise DomainViolation(f"eigenvalue ratio {top:.3e} / {low:.3e} "
-                              f"overflows float64")
+        raise _overflow("eigenvalue ratio", top, low)
     W = _adj(Us) @ Ur
-    g = f(f.domain.clamp(s[:, None] / base)) * base
-    return float((g * (W.real ** 2 + W.imag ** 2)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = f(f.domain.clamp(s[:, None] / base)) * base
+        total = float((g * (W.real ** 2 + W.imag ** 2)).sum())
+    if not math.isfinite(total):
+        raise DomainViolation(f"{f.label} quasi-entropy overflows float64; "
+                              f"its largest eigenvalue ratio is {top:.3e} / "
+                              f"{low:.3e}")
+    return total
 
 
 def perspective_quadratic_form(f: ScalarAtom, mp: MultiplicationPair,

@@ -4,8 +4,9 @@ One table maps each theorem tag to its draws, the construction of its
 operands, its checker kernel (from ``checks``), and the configuration
 gates its hypotheses impose. The six joint-convexity tags build their
 operands as two endpoint tuples, ``ops["1"]`` and ``ops["2"]``, mixed by
-weight; the two Jensen tags mix one operand T by a congruence. All eight
-decide through the one mixture kernel ``checks._mixture``, each with its g.
+weight; the two Jensen tags have one endpoint, T, mixed by a congruence.
+All eight decide through the one mixture kernel ``checks._mixture``, each
+with its g.
 
 Each trial draws from its own stream, exactly
 ``numpy.random.default_rng(trial_seed)``'s (PCG64 seeded through numpy's
@@ -42,7 +43,7 @@ whose trial ends in one, as a trial-by-trial loop would.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -58,7 +59,7 @@ from .errors import DomainViolation, HypothesisViolation
 from .functionals import (DensityMatrix, ProbabilityVector, _normalize,
                           _power_atoms, _require_pq_exponents)
 from .linalg import (HermitianMatrix, LoewnerVerdict, RowErrors, _adj,
-                     _materialize, _sym, matrix_wire)
+                     _materialize, _require_tol, _sym, matrix_wire)
 from .perspective import _require_extended_hypotheses, _require_matrix_convex
 from .seeding import pcg64_states
 
@@ -133,13 +134,7 @@ class TrialConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError(f"tol must be in (0, inf), got {self.tol}")
-        if self.tol >= 1.0:
-            # tol * (1 + ||B - A||) would exceed |min eig(B - A)|
-            raise ValueError(f"tol must be below 1, got {self.tol:g}: a "
-                             f"relative tolerance of 1 or more passes "
-                             f"every Loewner-order check")
+        _require_tol(self.tol)
         _require_floor(self.floor)
         if not 0.0 < self.shrink <= 1.0:
             raise ValueError(f"shrink must be in (0, 1], got {self.shrink}")
@@ -171,10 +166,7 @@ class CheckReport:
     config: dict
 
     def to_json(self) -> dict:
-        return {"theorem": self.theorem, "trials": self.trials,
-                "failures": self.failures, "worst_slack": self.worst_slack,
-                "tolerance": self.tolerance, "witness": self.witness,
-                "config": self.config}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +456,7 @@ def _mixing(draw, build, g, witness, gate=lambda cfg: None) -> _Theorem:
     endpoint tuples mixed by weight c, with the g (as ``_mixture``'s
     keywords) that ``g(cfg, f, ops)`` names."""
     return _Theorem(draw, build, lambda cfg, f, ops, c, errs: _mixture(
-        ops["1"], ops["2"], partial(_mix, c), cfg.tol, errs,
+        (ops["1"], ops["2"]), partial(_mix, c), cfg.tol, errs,
         **g(cfg, f, ops)), witness, True, gate)
 
 

@@ -144,6 +144,18 @@ class TestRelativeEntropy:
         assert quantum_relative_entropy_direct(rho, sigma) == pytest.approx(
             direct, rel=1e-13)
 
+    def test_perspective_path_names_an_overflowing_value(self):
+        # the ratio 1e306 is finite, but x log x there is not
+        with pytest.raises(DomainViolation,
+                           match="^xlogx quasi-entropy overflows float64; "
+                                 "its largest eigenvalue ratio is "
+                                 "1.000e[+]00 / 1.000e-306$"):
+            quantum_relative_entropy_perspective(np.eye(2),
+                                                 np.diag([1.0, 1e-306]))
+        assert quantum_relative_entropy_direct(
+            np.eye(2), np.diag([1.0, 1e-306])) == pytest.approx(
+                704.591038456178, rel=1e-13)
+
     @pytest.mark.parametrize("bad,least", [
         (np.diag([1.5, -0.5]), "-5.000e-01"),
         (np.diag([1.0, 0.0]), "0.000e+00")],
@@ -315,6 +327,21 @@ class TestClassicalLayer:
     def test_perspective_rejects_infinite_base(self):
         with pytest.raises(DomainViolation, match="base must be positive"):
             classical_perspective(lookup_atom("xlogx"), [1.0], float("inf"))
+
+    @pytest.mark.parametrize("t,message", [
+        (1e-306, "xlogx perspective at 1.000e+00 / 1.000e-306 overflows "
+                 "float64"),
+        (1e-320, "eigenvalue ratio 1.000e+00 / 1.000e-320 overflows float64"),
+    ])
+    def test_perspective_names_what_overflows(self, t, message):
+        # the warning filters make a RuntimeWarning fail this test
+        with pytest.raises(DomainViolation, match=f"^{re.escape(message)}$"):
+            classical_perspective(lookup_atom("xlogx"), 1.0, t)
+
+    def test_perspective_still_names_a_non_finite_x(self):
+        with pytest.raises(DomainViolation,
+                           match=r"^value inf outside domain \[0, inf\)$"):
+            classical_perspective(lookup_atom("xlogx"), float("inf"), 1.0)
 
     def test_perspective_gap_oracle(self):
         # xlogx perspective at ((1,1),(2,1)) with weight 1/2

@@ -12,7 +12,9 @@ from opconvex import (CommutingPair, DomainViolation, HypothesisViolation,
                       quantum_relative_entropy_direct,
                       quantum_relative_entropy_perspective,
                       random_commuting_pair, random_density)
-from opconvex.perspective import (_quasi_entropy, check_path_agreement,
+from opconvex.linalg import RowErrors
+from opconvex.perspective import (_eigen, _quasi_entropy,
+                                  check_path_agreement,
                                   extended_perspective_eigen,
                                   extended_perspective_symmetrized)
 from opconvex.commuting import LEAST_FLOOR, realize_multiplication_pair
@@ -55,6 +57,26 @@ class TestEigenPath:
         pair = random_commuting_pair(3, 3)
         with pytest.raises(HypothesisViolation, match="quartic"):
             perspective_eigen(lookup_atom("quartic"), pair)
+
+    def test_overflowing_ratio_message(self):
+        # the warning filters make a RuntimeWarning fail this test
+        pair = CommutingPair(np.eye(1), [1e300], [1e-10], floor=1e-300)
+        message = "eigenvalue ratio 1.000e+300 / 1.000e-10 overflows float64"
+        with pytest.raises(DomainViolation, match=f"^{re.escape(message)}$"):
+            perspective_eigen(XLOGX, pair)
+
+    def test_overflow_fails_only_its_own_row(self):
+        U = np.eye(2)[None].repeat(3, axis=0)
+        lam = np.array([[1.0, 2.0], [1e300, 1.0], [1e307, 1.0]])
+        mu = np.array([[1.0, 1.0], [1e-10, 1.0], [1.0, 1.0]])
+        errs = RowErrors(3)
+        out = _eigen(XLOGX, None, U, lam, mu, errs)
+        assert errs.errors[0] is None
+        assert "eigenvalue ratio" in str(errs.errors[1])
+        assert "xlogx perspective at 1.000e+307" in str(errs.errors[2])
+        assert np.isfinite(out).all()
+        alone = perspective_eigen(XLOGX, diag_pair([1.0, 2.0], [1.0, 1.0]))
+        assert np.array_equal(out[0], alone.mat)
 
 
 class TestSymmetrizedPath:
@@ -228,6 +250,14 @@ class TestQuadraticForms:
         message = f"eigenvalue ratio {text} overflows float64"
         with pytest.raises(DomainViolation, match=f"^{re.escape(message)}$"):
             perspective_quadratic_form(XLOGX, mp, np.eye(2))
+
+    def test_overflowing_sum_raises(self):
+        # every ratio is 1, but the weights |K|^2 overflow float64
+        mp = MultiplicationPair(np.eye(2), np.eye(2))
+        with pytest.raises(DomainViolation,
+                           match="^square quasi-entropy overflows float64"):
+            perspective_quadratic_form(lookup_atom("square"), mp,
+                                       1e200 * np.eye(2))
 
     def test_returns_python_float(self):
         mp = MultiplicationPair(np.eye(2), np.eye(2))

@@ -1,11 +1,13 @@
 """Campaign engine: seeding, generators, checkers, aggregation, determinism."""
+import re
+
 import numpy as np
 import pytest
 
 from opconvex import (CheckReport, DomainViolation, HypothesisViolation,
                       THEOREM_TAGS, TrialConfig,
-                      check_perspective_joint_convexity, lookup_atom,
-                      random_commuting_pair, random_density,
+                      check_perspective_joint_convexity, loewner_leq,
+                      lookup_atom, random_commuting_pair, random_density,
                       random_positive_matrix, random_unitary, run_campaign,
                       run_single)
 from opconvex.checks import (_geq, _jensen, check_classical_perspective_convexity,
@@ -225,6 +227,58 @@ class TestScalarGeq:
     def test_rejects_non_finite_operands(self, lhs, rhs):
         with pytest.raises(ValueError, match="finite"):
             scalar_geq(lhs, rhs, 1e-8)
+
+
+def _deciders() -> dict:
+    """Every public decider on valid operands, as a function of tol."""
+    f = lookup_atom("xlogx")
+    A, B = random_isometry_pair(3, 3, 1)
+    T = np.diag([1.0, 2.0, 3.0])
+    pairs = random_commuting_pair(3, 1), random_commuting_pair(3, 2)
+    states = [random_density(3, k) for k in range(4)]
+    P, Q = random_positive_matrix(3, 5), random_positive_matrix(3, 6)
+    return {
+        "loewner_leq": lambda tol: loewner_leq(np.eye(2), 2 * np.eye(2), tol),
+        "scalar_geq": lambda tol: scalar_geq(1.0, 1.0, tol),
+        "hp": lambda tol: check_jensen_isometry(f, A, B, T, tol),
+        "hp-contractive": lambda tol: check_jensen_contractive(f, A, B, T,
+                                                               tol),
+        "perspective": lambda tol: check_perspective_joint_convexity(
+            f, *pairs, 0.5, tol=tol),
+        "marechal": lambda tol: check_extended_perspective_joint_convexity(
+            f, lookup_atom("power", 0.5), *pairs, 0.5, tol=tol),
+        "rel-entropy-convexity": lambda tol:
+            check_relative_entropy_joint_convexity(*states, 0.5, tol),
+        "lieb-s": lambda tol: check_lieb_concavity(P, Q, Q, P, np.eye(3),
+                                                   0.5, 0.5, tol),
+        "lieb-pq": lambda tol: check_lieb_pq_concavity(P, Q, Q, P, np.eye(3),
+                                                       0.3, 0.4, 0.5, tol),
+        "classical": lambda tol: check_classical_perspective_convexity(
+            f, 1.0, 2.0, 3.0, 4.0, 0.5, tol),
+    }
+
+
+class TestToleranceGate:
+    @pytest.mark.parametrize("tol,message", [
+        (-5, "tol must be in (0, inf), got -5"),
+        (0.0, "tol must be in (0, inf), got 0.0"),
+        (float("inf"), "tol must be in (0, inf), got inf"),
+        (float("nan"), "tol must be in (0, inf), got nan"),
+        (1.0, "tol must be below 1, got 1: a relative tolerance of 1 or more "
+              "passes every Loewner-order check"),
+        (2.0, "tol must be below 1, got 2: a relative tolerance of 1 or more "
+              "passes every Loewner-order check"),
+    ])
+    @pytest.mark.parametrize("name", list(_deciders()))
+    def test_rejects_tol_outside_unit_interval(self, name, tol, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _deciders()[name](tol)
+
+    def test_tol_is_checked_before_the_hypotheses(self):
+        # a concave atom fails the hypothesis gate, but the tol comes first
+        with pytest.raises(ValueError, match="^tol must be below 1"):
+            check_jensen_isometry(lookup_atom("power", 0.5), np.eye(3),
+                                  np.zeros((3, 3)), np.eye(3), tol=2.0)
 
 
 class TestCheckerHypothesisGates:
