@@ -1,20 +1,20 @@
-"""The inequalities the verifier checks, all decided by one mixture kernel.
+"""The inequalities the verifier checks, each declared once, all decided by
+one mixture kernel.
 
 Each is a case of Hansen-Pedersen-Jensen, g(mix(X_1, ..., X_k)) <=
 mix(g(X_1), ..., g(X_k)) for a convex g, in the Loewner or the scalar order:
-the six joint-convexity theorems mix two endpoints by weight, c X1 + (1-c) X2,
-with g from a ``*_g`` function; Jensen mixes its one endpoint T by the
-congruence A*TA + B*TB. The kernels decide their inequality on stacks of
-operands, shape (batch, ...), and return the stacked (slack, tolerance_used);
-a gate that fails on a row records the row's exception in a ``RowErrors``
-instead of raising, so the other rows go on. The verifier runs the kernels
-on whole batches of trials. The public ``check_*`` functions validate their
-operands and run the same kernels on a batch of one, raising that row's
-exception.
+the six joint-convexity theorems mix two endpoints by weight, c X1 + (1-c) X2;
+Jensen mixes its one endpoint T by the congruence A*TA + B*TB.
 
-Checkers validate the theorem's hypotheses before evaluating the
-inequality: a hypothesis defect raises ``HypothesisViolation``, never
-counts as an inequality failure.
+A theorem's builder, ``_*_theorem``, checks the hypotheses of its
+parameters (a defect raises ``HypothesisViolation``, never counts as an
+inequality failure) and returns its kernel ``(ops, c, tol, errs) ->
+(slack, tolerance_used)`` on operands stacked along a leading batch axis in
+the verifier table's layout, with ``c`` the stacked mixing weights. A gate
+that fails on a row records the row's exception in ``errs`` instead of
+raising, so the other rows go on. The verifier runs a kernel on whole
+batches of trials; the public ``check_*`` functions run it on their
+operands as a batch of one, raising that row's exception.
 """
 from __future__ import annotations
 
@@ -55,12 +55,19 @@ def scalar_geq(lhs: float, rhs: float, tol: float) -> LoewnerVerdict:
     return LoewnerVerdict.of(*_geq(lhs, rhs, tol))
 
 
-def _verdict(kernel) -> LoewnerVerdict:
-    return LoewnerVerdict.of(*RowErrors.one(kernel))
-
-
-def _f_of(f: ScalarAtom, T, errs: RowErrors):  # Jensen's g
-    return _sym(_calculus(f, T, errs))
+def _one(kernel, tol: float, ops: dict, c=None) -> LoewnerVerdict:
+    """``kernel`` on a batch of one. ``ops`` holds one instance's operands
+    in the table's layout, unstacked: arrays, scalars or tuples of them.
+    ``c`` is a joint-convexity theorem's mixing weight, checked here."""
+    if c is not None:
+        c = float(c)
+        if not 0.0 <= c <= 1.0:
+            raise HypothesisViolation(
+                f"mixing weight must be in [0, 1], got {c}")
+    ops = {key: tuple(np.asarray(x)[None] for x in X) if isinstance(X, tuple)
+           else np.asarray(X)[None] for key, X in ops.items()}
+    return LoewnerVerdict.of(*RowErrors.one(
+        lambda errs: kernel(ops, np.array([c], dtype=float), tol, errs)))
 
 
 def _jensen(f: ScalarAtom, A, B, T, tol: float, errs: RowErrors,
@@ -86,22 +93,7 @@ def _jensen(f: ScalarAtom, A, B, T, tol: float, errs: RowErrors,
     if not ok.all():  # a failed row goes on with finite stand-in operands
         A, B = (np.where(ok[:, None, None], x, 0.0) for x in (A, B))
     return _mixture([(T,)], lambda a: _sym(_adj(A) @ a @ A + _adj(B) @ a @ B),
-                    tol, errs, partial(_f_of, f))
-
-
-def _jensen_operands(A, B, T):
-    """The operands as a batch of one, checked for matching shapes."""
-    Am, Bm = as_matrix(A), as_matrix(B)
-    if Am.shape != Bm.shape or Am.ndim != 2:
-        raise ValueError(
-            f"A and B must share an m x n shape, got {Am.shape} and {Bm.shape}")
-    if not (np.isfinite(Am).all() and np.isfinite(Bm).all()):
-        raise ValueError("A and B must be finite")
-    Th = as_hermitian(T)
-    if Th.dim != Am.shape[0]:
-        raise ValueError(
-            f"T must be {Am.shape[0]} square to match the pair, got {Th.dim}")
-    return Am[None], Bm[None], Th.mat[None]
+                    tol, errs, lambda T, errs: _sym(_calculus(f, T, errs)))
 
 
 def _require_not_concave(f: ScalarAtom) -> None:
@@ -114,21 +106,44 @@ def _require_not_concave(f: ScalarAtom) -> None:
             f"for it")
 
 
-def check_jensen_isometry(f: ScalarAtom, A, B, T,
-                          tol: float = 1e-8) -> LoewnerVerdict:
-    """f(A*TA + B*TB) <= A*f(T)A + B*f(T)B for an isometry column pair."""
-    _require_tol(tol)
-    _require_not_concave(f)
-    ops = _jensen_operands(A, B, T)
-    return _verdict(lambda errs: _jensen(f, *ops, tol, errs, False))
-
-
 def _require_f0_nonpositive(f: ScalarAtom) -> None:
     if not f.f0_nonpositive:
         raise HypothesisViolation(
             f"atom {f.label} lacks f(0) <= 0; the contractive inequality "
             f"needs it because dilating A, B to an isometry pads with zero "
             f"blocks whose contribution is f(0)")
+
+
+def _jensen_theorem(f: ScalarAtom, contractive: bool):
+    """Jensen on the operands "A", "B" and "T"; its contractive form, for
+    atoms with f(0) <= 0, when ``contractive``."""
+    _require_not_concave(f)
+    if contractive:
+        _require_f0_nonpositive(f)
+    return lambda ops, c, tol, errs: _jensen(
+        f, ops["A"], ops["B"], ops["T"], tol, errs, contractive)
+
+
+def _jensen_operands(A, B, T) -> dict:
+    """The operands, checked for matching shapes."""
+    Am, Bm = as_matrix(A), as_matrix(B)
+    if Am.shape != Bm.shape or Am.ndim != 2:
+        raise ValueError(
+            f"A and B must share an m x n shape, got {Am.shape} and {Bm.shape}")
+    if not (np.isfinite(Am).all() and np.isfinite(Bm).all()):
+        raise ValueError("A and B must be finite")
+    Th = as_hermitian(T)
+    if Th.dim != Am.shape[0]:
+        raise ValueError(
+            f"T must be {Am.shape[0]} square to match the pair, got {Th.dim}")
+    return {"A": Am, "B": Bm, "T": Th.mat}
+
+
+def check_jensen_isometry(f: ScalarAtom, A, B, T,
+                          tol: float = 1e-8) -> LoewnerVerdict:
+    """f(A*TA + B*TB) <= A*f(T)A + B*f(T)B for an isometry column pair."""
+    _require_tol(tol)
+    return _one(_jensen_theorem(f, False), tol, _jensen_operands(A, B, T))
 
 
 def check_jensen_contractive(f: ScalarAtom, A, B, T,
@@ -140,10 +155,7 @@ def check_jensen_contractive(f: ScalarAtom, A, B, T,
     the inequality is simply false (constant atoms break it).
     """
     _require_tol(tol)
-    _require_not_concave(f)
-    _require_f0_nonpositive(f)
-    ops = _jensen_operands(A, B, T)
-    return _verdict(lambda errs: _jensen(f, *ops, tol, errs, True))
+    return _one(_jensen_theorem(f, True), tol, _jensen_operands(A, B, T))
 
 
 def _mix(c, a, b):
@@ -168,36 +180,38 @@ def _mixture(Xs, mix, tol: float, errs: RowErrors, g, gate=None, g_mix=None):
     return _loewner(combo, avg, tol) if avg.ndim > 1 else _geq(avg, combo, tol)
 
 
-def _mixture_one(X1, X2, c: float, tol: float, **g) -> LoewnerVerdict:
-    """``_mixture`` on a batch of one; X1 and X2 hold unstacked operands."""
-    c = float(c)
-    if not 0.0 <= c <= 1.0:
-        raise HypothesisViolation(f"mixing weight must be in [0, 1], got {c}")
-    Xs = [[np.asarray(x)[None] for x in X] for X in (X1, X2)]
-    mix = partial(_mix, np.array([c]))
-    return _verdict(lambda errs: _mixture(Xs, mix, tol, errs, **g))
+def _by_weight(g, gate=None, g_mix=None):
+    """The kernel of a joint-convexity theorem: ``_mixture`` on the endpoint
+    tuples ``ops["1"]`` and ``ops["2"]``, mixed by the stacked weights c."""
+    return lambda ops, c, tol, errs: _mixture(
+        (ops["1"], ops["2"]), partial(_mix, c), tol, errs, g, gate, g_mix)
 
 
-def _perspective_g(f: ScalarAtom, h, floor: float) -> dict:
-    """g(L, R) = f(L/h(R)) h(R), the plain perspective when h is None, on
-    commuting pairs (U, lam, mu): the eigen path at the endpoints, and the
-    symmetrized path on the mixed (L, R), which generally fail to commute."""
+def _perspective_theorem(f: ScalarAtom, h, floor: float):
+    """Joint convexity of g(L, R) = f(L/h(R)) h(R), the plain perspective
+    when h is None, on commuting endpoint pairs (U, lam, mu): the eigen
+    path at the endpoints, and the symmetrized path on the mixed (L, R),
+    which generally fail to commute."""
+    if h is None:
+        _require_matrix_convex(f)
+    else:
+        _require_extended_hypotheses(f, h)
+    _require_floor(floor)
+
     def g_mix(Xs, mix, errs):  # lifts each (U, lam, mu) to (L, R) to mix
         L, R = map(mix, *((_sym(_materialize(U, lam)),
                            _sym(_materialize(U, mu))) for U, lam, mu in Xs))
         return _sym(_symmetrized(f, h, L, R, floor, errs))
-    return {"g": lambda U, lam, mu, errs: _sym(_eigen(f, h, U, lam, mu, errs)),
-            "g_mix": g_mix}
+    return _by_weight(
+        lambda U, lam, mu, errs: _sym(_eigen(f, h, U, lam, mu, errs)),
+        g_mix=g_mix)
 
 
-def _check_pairs(f: ScalarAtom, h, pair1: CommutingPair,
-                 pair2: CommutingPair, c: float, tol: float,
-                 floor: float) -> LoewnerVerdict:
-    _require_floor(floor)
+def _pair_operands(pair1: CommutingPair, pair2: CommutingPair) -> dict:
     if pair1.dim != pair2.dim:
         raise ValueError(f"dimension mismatch: {pair1.dim} vs {pair2.dim}")
-    return _mixture_one(*((p.basis, p.lam, p.mu) for p in (pair1, pair2)),
-                        c, tol, **_perspective_g(f, h, floor))
+    return {"1": (pair1.basis, pair1.lam, pair1.mu),
+            "2": (pair2.basis, pair2.lam, pair2.mu)}
 
 
 def check_perspective_joint_convexity(f: ScalarAtom, pair1: CommutingPair,
@@ -211,8 +225,8 @@ def check_perspective_joint_convexity(f: ScalarAtom, pair1: CommutingPair,
     to commute and goes through the symmetrized path.
     """
     _require_tol(tol)
-    _require_matrix_convex(f)
-    return _check_pairs(f, None, pair1, pair2, c, tol, floor)
+    return _one(_perspective_theorem(f, None, floor), tol,
+                _pair_operands(pair1, pair2), c)
 
 
 def check_extended_perspective_joint_convexity(f: ScalarAtom, h: ScalarAtom,
@@ -222,8 +236,8 @@ def check_extended_perspective_joint_convexity(f: ScalarAtom, h: ScalarAtom,
                                    ) -> LoewnerVerdict:
     """Joint convexity of the extended perspective f(L/h(R))h(R)."""
     _require_tol(tol)
-    _require_extended_hypotheses(f, h)
-    return _check_pairs(f, h, pair1, pair2, c, tol, floor)
+    return _one(_perspective_theorem(f, h, floor), tol,
+                _pair_operands(pair1, pair2), c)
 
 
 def _unit_traces(X1, X2, errs: RowErrors) -> None:
@@ -235,8 +249,8 @@ def _unit_traces(X1, X2, errs: RowErrors) -> None:
                       f"{name} must have unit trace, got {float(tr[k])!r}"))
 
 
-# the relative entropy (rho, sigma) -> S(rho || sigma) as a g
-_RELATIVE_ENTROPY_G = {"g": _relative_entropy, "gate": _unit_traces}
+# the relative entropy's joint convexity, which has no parameters
+_relative_entropy_kernel = _by_weight(_relative_entropy, _unit_traces)
 
 
 def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
@@ -247,38 +261,48 @@ def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
     ops = [as_hermitian(x).mat for x in (rho1, sigma1, rho2, sigma2)]
     if len({H.shape for H in ops}) != 1:
         raise ValueError("dimension mismatch among the four operands")
-    return _mixture_one(ops[:2], ops[2:], c, tol, **_RELATIVE_ENTROPY_G)
+    return _one(_relative_entropy_kernel, tol,
+                {"1": tuple(ops[:2]), "2": tuple(ops[2:])}, c)
 
 
-def _trace_g(fa: ScalarAtom, fb, K) -> dict:
-    """The negated form (A, B) -> -Tr(fa(A) K* fb(B) K) as a g: the form is
-    jointly concave, and negation is exact, so no slack moves by an ulp."""
-    return {"g": lambda A, B, errs: -_trace_form(fa, fb, A, B, K, errs)}
+def _trace_theorem(fa: ScalarAtom, fb):
+    """Joint concavity of Tr(fa(A) K* fb(B) K) on endpoints (A_i, B_i) and
+    the shared ``ops["K"]``, decided as the joint convexity of the negated
+    form: negation is exact, so no slack moves by an ulp."""
+    return lambda ops, c, tol, errs: _mixture(
+        (ops["1"], ops["2"]), partial(_mix, c), tol, errs,
+        lambda A, B, errs: -_trace_form(fa, fb, A, B, ops["K"], errs))
 
 
-def _check_trace(fa: ScalarAtom, fb, A1, B1, A2, B2, K, c: float,
-                 tol: float, name: str) -> LoewnerVerdict:
+def _lieb_theorem(s: float):
+    s = _require_lieb_exponent(s)
+    return _trace_theorem(*_power_atoms(s, 1.0 - s))
+
+
+def _lieb_pq_theorem(p: float, q: float):
+    p, q = _require_pq_exponents(p, q)
+    return _trace_theorem(*_power_atoms(q, p))
+
+
+def _trace_ops(A1, B1, A2, B2, K, name: str) -> dict:
     A1, B1, K = _trace_operands(A1, B1, K, name)
     A2, B2, _ = _trace_operands(A2, B2, K, name)
-    return _mixture_one((A1, B1), (A2, B2), c, tol,
-                        **_trace_g(fa, fb, K[None]))
+    return {"1": (A1, B1), "2": (A2, B2), "K": K}
 
 
 def check_lieb_concavity(A1, B1, A2, B2, K, s: float, c: float,
                          tol: float = 1e-8) -> LoewnerVerdict:
     """Joint concavity of Tr(A^s K* B^(1-s) K) in (A, B)."""
     _require_tol(tol)
-    s = _require_lieb_exponent(s)
-    return _check_trace(*_power_atoms(s, 1.0 - s), A1, B1, A2, B2, K, c, tol,
-                        "K")
+    return _one(_lieb_theorem(s), tol, _trace_ops(A1, B1, A2, B2, K, "K"), c)
 
 
 def check_lieb_pq_concavity(A1, B1, A2, B2, X, p: float, q: float, c: float,
                             tol: float = 1e-8) -> LoewnerVerdict:
     """Joint concavity of Tr(A^q X* B^p X) for p, q > 0, p + q <= 1."""
     _require_tol(tol)
-    p, q = _require_pq_exponents(p, q)
-    return _check_trace(*_power_atoms(q, p), A1, B1, A2, B2, X, c, tol, "X")
+    return _one(_lieb_pq_theorem(p, q), tol,
+                _trace_ops(A1, B1, A2, B2, X, "X"), c)
 
 
 def _positive_bases(X1, X2, errs: RowErrors) -> None:
@@ -290,10 +314,13 @@ def _positive_bases(X1, X2, errs: RowErrors) -> None:
         f"{float(t1[k])} and {float(t2[k])}"))
 
 
-def _classical_g(f: ScalarAtom) -> dict:
-    """The scalar perspective (x, t) -> f(x/t) t as a g."""
-    return {"g": lambda x, t, errs: _classical(f, x[:, None], t, errs)[:, 0],
-            "gate": _positive_bases}
+def _classical_theorem(f: ScalarAtom):
+    """Scalar joint convexity of the perspective (x, t) -> f(x/t) t on
+    endpoints (x_i, t_i)."""
+    _require_not_concave(f)
+    return _by_weight(
+        lambda x, t, errs: _classical(f, x[:, None], t, errs)[:, 0],
+        _positive_bases)
 
 
 def check_classical_perspective_convexity(f: ScalarAtom, x1: float, t1: float,
@@ -301,6 +328,5 @@ def check_classical_perspective_convexity(f: ScalarAtom, x1: float, t1: float,
                                           tol: float = 1e-8) -> LoewnerVerdict:
     """Scalar joint convexity of g(x, t) = f(x/t) t."""
     _require_tol(tol)
-    _require_not_concave(f)
-    return _mixture_one((float(x1), float(t1)), (float(x2), float(t2)), c,
-                        tol, **_classical_g(f))
+    return _one(_classical_theorem(f), tol,
+                {"1": (float(x1), float(t1)), "2": (float(x2), float(t2))}, c)

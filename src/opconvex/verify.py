@@ -1,12 +1,14 @@
 """Seeded randomized verification of the inequality zoo.
 
 One table maps each theorem tag to its draws, the construction of its
-operands, its checker kernel (from ``checks``), and the configuration
-gates its hypotheses impose. The six joint-convexity tags build their
+operands, the theorem it checks (a ``checks`` builder, which checks the
+theorem's hypotheses and returns its kernel), and the bounds its generator
+needs of the configuration. The six joint-convexity tags build their
 operands as two endpoint tuples, ``ops["1"]`` and ``ops["2"]``, mixed by
 weight; the two Jensen tags have one endpoint, T, mixed by a congruence.
 All eight decide through the one mixture kernel ``checks._mixture``, each
-with its g.
+with its g. ``run_campaign``, ``run_trial`` and ``run_single`` all validate,
+gate and build first, so a replay rejects whatever a campaign rejects.
 
 Each trial draws from its own stream, exactly
 ``numpy.random.default_rng(trial_seed)``'s (PCG64 seeded through numpy's
@@ -50,17 +52,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .atoms import ScalarAtom, lookup_atom
-from .checks import (_RELATIVE_ENTROPY_G, _classical_g, _jensen, _mix,
-                     _mixture, _perspective_g, _require_f0_nonpositive,
-                     _require_not_concave, _trace_g)
+from .checks import (_classical_theorem, _jensen_theorem, _lieb_pq_theorem,
+                     _lieb_theorem, _perspective_theorem,
+                     _relative_entropy_kernel)
 from .commuting import (CommutingPair, DEFAULT_FLOOR, _pair_gates,
                         _require_floor)
 from .errors import DomainViolation, HypothesisViolation
-from .functionals import (DensityMatrix, ProbabilityVector, _normalize,
-                          _power_atoms, _require_pq_exponents)
+from .functionals import DensityMatrix, ProbabilityVector, _normalize
 from .linalg import (HermitianMatrix, LoewnerVerdict, RowErrors, _adj,
                      _materialize, _require_tol, _sym, matrix_wire)
-from .perspective import _require_extended_hypotheses, _require_matrix_convex
 from .seeding import pcg64_states
 
 # The checkers, and the Loewner test they reduce to, are also looked up
@@ -405,17 +405,18 @@ class _Theorem(NamedTuple):
     order and returns its raw draws, with f the configured atom.
     ``build(cfg, f, S, errs)`` takes a batch's draws stacked along a
     leading axis and returns the stacked operands (a mixing tag's are the
-    endpoint tuples ``ops["1"]``, ``ops["2"]``), ``check(cfg, f, ops, c,
-    errs)`` returns the stacked (slack, tolerance_used) of the inequality,
+    endpoint tuples ``ops["1"]``, ``ops["2"]``). ``theorem(cfg, f)`` checks
+    the theorem's hypotheses on the configured parameters and returns its
+    ``checks`` kernel ``(ops, c, tol, errs) -> (slack, tolerance_used)``,
     with ``c`` the stacked mixing weights, and ``witness(cfg, f, ops, k)``
     returns row k's decided operands: arrays, commuting pairs, scalars. A
     gate that fails on a row records the row's exception in ``errs``.
-    ``gate(cfg)`` rejects up front what the checker's hypothesis gate would.
+    ``gate(cfg)`` rejects up front what the generator cannot draw.
     """
 
     draw: Callable
     build: Callable
-    check: Callable
+    theorem: Callable
     witness: Callable
     uses_c: bool
     gate: Callable = lambda cfg: None
@@ -423,26 +424,14 @@ class _Theorem(NamedTuple):
 
 def _jensen_tag(contractive: bool) -> _Theorem:
     """hp, or hp-contractive when ``contractive``."""
-    def gate(cfg: TrialConfig) -> None:
-        _require_isometry_dims(cfg.dim_m, cfg.dim_n)
-        _require_not_concave(cfg.resolve_atom())
-        if contractive:
-            _require_f0_nonpositive(cfg.resolve_atom())
     return _Theorem(
         lambda cfg, f, rng: _draw_jensen(cfg, f, rng, contractive),
-        _build_jensen, lambda cfg, f, ops, c, errs: _jensen(
-            f, ops["A"], ops["B"], ops["T"], cfg.tol, errs, contractive),
-        _jensen_witness, False, gate)
-
-
-def _perspective_gate(cfg: TrialConfig) -> None:
-    _require_matrix_convex(cfg.resolve_atom())
-    _log_pair_band(cfg.floor)
+        _build_jensen, lambda cfg, f: _jensen_theorem(f, contractive),
+        _jensen_witness, False,
+        lambda cfg: _require_isometry_dims(cfg.dim_m, cfg.dim_n))
 
 
 def _marechal_gate(cfg: TrialConfig) -> None:
-    _require_extended_hypotheses(cfg.resolve_atom(),
-                                 lookup_atom("power", cfg.t))
     _log_pair_band(cfg.floor)
     top = SPECTRUM_HI ** cfg.t  # no base h(R) = R^t on the band exceeds it
     if cfg.floor > top:
@@ -451,51 +440,40 @@ def _marechal_gate(cfg: TrialConfig) -> None:
                          f"[{SPECTRUM_LO:g}, {SPECTRUM_HI:g}]")
 
 
-def _mixing(draw, build, g, witness, gate=lambda cfg: None) -> _Theorem:
-    """A joint-convexity tag: its check is ``checks._mixture`` on the
-    endpoint tuples mixed by weight c, with the g (as ``_mixture``'s
-    keywords) that ``g(cfg, f, ops)`` names."""
-    return _Theorem(draw, build, lambda cfg, f, ops, c, errs: _mixture(
-        (ops["1"], ops["2"]), partial(_mix, c), cfg.tol, errs,
-        **g(cfg, f, ops)), witness, True, gate)
-
-
 _THEOREMS = {
     "hp": _jensen_tag(False),
     "hp-contractive": _jensen_tag(True),
-    "perspective": _mixing(
+    "perspective": _Theorem(
         _draw_pairs, _build_pairs,
-        lambda cfg, f, ops: _perspective_g(f, None, cfg.floor),
-        _pairs_witness, _perspective_gate),
-    "marechal": _mixing(
+        lambda cfg, f: _perspective_theorem(f, None, cfg.floor),
+        _pairs_witness, True, lambda cfg: _log_pair_band(cfg.floor)),
+    "marechal": _Theorem(
         _draw_pairs, _build_pairs,
-        lambda cfg, f, ops: _perspective_g(f, lookup_atom("power", cfg.t),
-                                           cfg.floor),
+        lambda cfg, f: _perspective_theorem(f, lookup_atom("power", cfg.t),
+                                            cfg.floor),
         lambda cfg, f, ops, k: {"h": lookup_atom("power", cfg.t).label,
                                 **_pairs_witness(cfg, f, ops, k)},
-        _marechal_gate),
-    "rel-entropy-convexity": _mixing(
+        True, _marechal_gate),
+    "rel-entropy-convexity": _Theorem(
         _draw_gaussians(4), _build_densities,
-        lambda cfg, f, ops: _RELATIVE_ENTROPY_G,
-        lambda cfg, f, ops, k: _endpoints(("rho", "sigma"), ops, k)),
-    "lieb-s": _mixing(
-        _draw_gaussians(5), _build_lieb,
-        lambda cfg, f, ops: _trace_g(*_power_atoms(cfg.s, 1.0 - cfg.s),
-                                     ops["K"]),
+        lambda cfg, f: _relative_entropy_kernel,
+        lambda cfg, f, ops, k: _endpoints(("rho", "sigma"), ops, k), True),
+    "lieb-s": _Theorem(
+        _draw_gaussians(5), _build_lieb, lambda cfg, f: _lieb_theorem(cfg.s),
         lambda cfg, f, ops, k: {"s": cfg.s, **_endpoints("AB", ops, k),
-                                "K": ops["K"][k]}),
-    "lieb-pq": _mixing(
+                                "K": ops["K"][k]}, True),
+    "lieb-pq": _Theorem(
         _draw_gaussians(5), _build_lieb,
-        lambda cfg, f, ops: _trace_g(*_power_atoms(cfg.q, cfg.p), ops["K"]),
+        lambda cfg, f: _lieb_pq_theorem(cfg.p, cfg.q),
         lambda cfg, f, ops, k: {"p": cfg.p, "q": cfg.q,
                                 **_endpoints("AB", ops, k), "X": ops["K"][k]},
-        lambda cfg: _require_pq_exponents(cfg.p, cfg.q)),
-    "classical": _mixing(
+        True),
+    "classical": _Theorem(
         _draw_classical,
         lambda cfg, f, S, errs: {i: (S["x" + i], S["t" + i]) for i in "12"},
-        lambda cfg, f, ops: _classical_g(f),
+        lambda cfg, f: _classical_theorem(f),
         lambda cfg, f, ops, k: {"atom": f.label, **_endpoints("xt", ops, k)},
-        lambda cfg: _require_not_concave(cfg.resolve_atom())),
+        True),
 }
 
 # Theorem tags in canonical order; "all" in the CLI expands to this.
@@ -527,10 +505,17 @@ def trial_seed(seed: int, theorem: str, index: int, redraw: int = 0) -> int:
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "little")
 
 
-def _entry(tag: str) -> _Theorem:
+def _prepare(tag: str, cfg: TrialConfig):
+    """The tag's table entry, the configured atom and the tag's kernel,
+    after validating ``cfg``, gating it for the tag and checking the
+    theorem's hypotheses on it: every way into a decision starts here."""
+    cfg.validate()
     if tag not in _THEOREMS:
         raise ValueError(f"unknown theorem tag {tag!r}")
-    return _THEOREMS[tag]
+    entry = _THEOREMS[tag]
+    entry.gate(cfg)
+    f = cfg.resolve_atom()
+    return entry, f, entry.theorem(cfg, f)
 
 
 class _Batch(NamedTuple):
@@ -550,8 +535,7 @@ class _Batch(NamedTuple):
 
 def _decide(theorem: str, cfg: TrialConfig, indices: list,
             redraws: list) -> _Batch:
-    entry = _entry(theorem)
-    f = cfg.resolve_atom()
+    entry, f, kernel = _prepare(theorem, cfg)
     seeds = [trial_seed(cfg.seed, theorem, index, redraw)
              for index, redraw in zip(indices, redraws)]
     bitgen = np.random.PCG64(0)  # every trial sets its own state below
@@ -567,7 +551,7 @@ def _decide(theorem: str, cfg: TrialConfig, indices: list,
     S = {key: np.array([d[key] for d in draws]) for key in draws[0]}
     errs = RowErrors(len(draws))
     ops = entry.build(cfg, f, S, errs)
-    slack, used = entry.check(cfg, f, ops, np.array(cs), errs)
+    slack, used = kernel(ops, np.array(cs), cfg.tol, errs)
 
     def witness(row: int) -> dict:
         w = entry.witness(cfg, f, ops, row)
@@ -665,9 +649,8 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
     tags = (theorems,) if isinstance(theorems, str) else tuple(theorems)
     if len(set(tags)) != len(tags):
         raise ValueError("duplicate theorem tags in selection")
-    cfg.validate()
     for tag in tags:
-        _entry(tag).gate(cfg)
+        _prepare(tag, cfg)
 
     config = cfg.fingerprint()  # scalars only, so dict() copies it
     reports = []

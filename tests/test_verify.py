@@ -31,8 +31,8 @@ def _register(tag, build, check=None):
     gates in ``build``, and slack ``check(u)`` (u itself by default)."""
     _THEOREMS[tag] = _Theorem(
         lambda cfg, f, rng: {"u": float(rng.random())}, build,
-        lambda cfg, f, ops, c, errs: _geq(
-            ops["u"] if check is None else check(ops["u"]), 0.0, cfg.tol),
+        lambda cfg, f: lambda ops, c, tol, errs: _geq(
+            ops["u"] if check is None else check(ops["u"]), 0.0, tol),
         lambda cfg, f, ops, k: {"u": float(ops["u"][k])}, False)
 
 
@@ -99,7 +99,8 @@ class TestTrialStreams:
         _THEOREMS["float32"] = _Theorem(
             lambda cfg, f, rng: {"x": rng.random(3, dtype=np.float32)},
             lambda cfg, f, S, errs: S,
-            lambda cfg, f, ops, c, errs: _geq(ops["x"][:, 0], 0.0, cfg.tol),
+            lambda cfg, f: lambda ops, c, tol, errs: _geq(ops["x"][:, 0],
+                                                          0.0, tol),
             lambda cfg, f, ops, k: {"x": ops["x"][k]}, False)
         yield "float32"
         del _THEOREMS["float32"]
@@ -808,7 +809,7 @@ class TestRunCampaign:
     def test_concave_atom_rejected_for_jensen_tags(self, tag):
         cfg = TrialConfig(trials=1, atom="power", atom_parameter=0.5)
         with pytest.raises(HypothesisViolation, match="concave"):
-            _THEOREMS[tag].gate(cfg)
+            _THEOREMS[tag].theorem(cfg, cfg.resolve_atom())
         with pytest.raises(HypothesisViolation, match="concave"):
             run_campaign(cfg, (tag,))
 
