@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .atoms import Interval, ScalarAtom
-from .errors import EigendecompositionError
+from .errors import DomainViolation, EigendecompositionError
 
 # Readers of Hermitian operands reject anything further from Hermitian
 # than this (max-entry norm of M - M*).
@@ -133,6 +133,16 @@ class RowErrors:
             out = np.where(bad, domain.interior_point(), out)
         return out
 
+    def finite(self, x, make) -> np.ndarray:
+        """``x`` with every row that holds a non-finite entry failed with
+        ``make(k)`` and zeroed, so the row stays finite downstream."""
+        finite = np.isfinite(x)
+        if finite.all():
+            return x
+        bad = ~finite.reshape(len(x), -1).all(axis=1)
+        self.fail(bad, make)
+        return np.where(bad.reshape((-1,) + (1,) * (x.ndim - 1)), 0.0, x)
+
     @classmethod
     def one(cls, kernel):
         """Run ``kernel(errors)`` on a batch of one; raise the row's
@@ -193,9 +203,14 @@ def spectral_decompose(T) -> tuple:
 
 def _calculus(f: ScalarAtom, H, errs: RowErrors) -> np.ndarray:
     """U f(w) U* for each H = U diag(w) U* of a stack, not yet symmetrized.
-    A row with an eigenvalue outside f's domain fails."""
+    A row fails with an eigenvalue outside f's domain, or where the result
+    overflows float64."""
     w, U = _eigh(H)
-    return _materialize(U, f(errs.clamp(f.domain, w)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _materialize(U, f(errs.clamp(f.domain, w)))
+    return errs.finite(out, lambda k: DomainViolation(
+        f"{f.label} overflows float64 on the spectrum "
+        f"[{w[k, 0]:.3e}, {w[k, -1]:.3e}]"))
 
 
 def apply_scalar_function(f: ScalarAtom, T) -> HermitianMatrix:

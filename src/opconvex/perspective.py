@@ -135,7 +135,8 @@ def _symmetrized(f: ScalarAtom, h, L, R, floor: float,
     """R'^{1/2} f(R'^{-1/2} L R'^{-1/2}) R'^{1/2} for stacks of Hermitian L
     and R, with R' = h(R) (R itself when h is None or the identity); not
     yet symmetrized. A row fails where R' has an eigenvalue below
-    ``floor``."""
+    ``floor``, or where the argument of f or the result overflows
+    float64."""
     if h is not None and h.name != "identity":
         R = _sym(_calculus(h, R, errs))
     w, U = _eigh(R)
@@ -149,8 +150,15 @@ def _symmetrized(f: ScalarAtom, h, L, R, floor: float,
     sq = np.sqrt(w)
     half = _materialize(U, sq)
     inv_half = _materialize(U, 1.0 / sq)
-    inner = _sym(inv_half @ L @ inv_half)
-    return half @ _sym(_calculus(f, inner, errs)) @ half
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = _sym(inv_half @ L @ inv_half)
+        inner = errs.finite(inner, lambda k: DomainViolation(
+            f"R^(-1/2) L R^(-1/2) overflows float64; the base's least "
+            f"eigenvalue is {w[k, 0]:.3e}"))
+        out = half @ _sym(_calculus(f, inner, errs)) @ half
+    return errs.finite(out, lambda k: DomainViolation(
+        f"{f.label} perspective overflows float64; the base's largest "
+        f"eigenvalue is {w[k, -1]:.3e}"))
 
 
 def _symmetrized_one(f: ScalarAtom, h, L, R, floor: float) -> HermitianMatrix:
@@ -186,7 +194,10 @@ def perspective_agreement_defect(f: ScalarAtom, pair: CommutingPair) -> float:
 
 def check_path_agreement(f: ScalarAtom, pair: CommutingPair,
                          rtol: float = PATH_AGREEMENT_RTOL) -> float:
-    """Enforce the path-agreement contract; returns the measured defect."""
+    """Enforce the path-agreement contract; returns the measured defect.
+    ``rtol`` must lie in (0, 1)."""
+    if not 0.0 < rtol < 1.0:
+        raise ValueError(f"rtol must be in (0, 1), got {rtol}")
     defect = perspective_agreement_defect(f, pair)
     scale = 1.0 + op_norm(perspective_eigen(f, pair))
     if defect > rtol * scale:

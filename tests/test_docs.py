@@ -23,12 +23,11 @@ def test_readme_quick_start_prints_one_relative_entropy(capsys):
     assert abs(direct - via_form) <= 1e-12
 
 
-# verification_campaign.py is left out: it takes seconds, and the verify
-# tests already cover what it shows
 @pytest.mark.parametrize("demo", ["functional_calculus.py",
                                   "matrix_perspective.py",
                                   "relative_entropy.py",
-                                  "trace_functionals.py"])
+                                  "trace_functionals.py",
+                                  "verification_campaign.py"])
 def test_demo_runs_and_its_paths_agree(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -37,9 +36,15 @@ def test_demo_runs_and_its_paths_agree(demo):
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    for line in proc.stdout.splitlines():
+    lines = proc.stdout.splitlines()
+    for line in lines:
         if line.startswith("difference"):
             assert float(line.split()[-1]) <= 1e-12, line
+    # the campaign demo replays its worst witness through run_single
+    replays = [line.split()[-1] for line in lines
+               if line.startswith("exact match:")]
+    assert replays == (["True"] if demo == "verification_campaign.py"
+                       else [])
 
 
 def _names_taken_from_opconvex():

@@ -116,6 +116,26 @@ class TestFunctionalCalculus:
         rhs = U @ apply_scalar_function(f, H).mat @ U.conj().T
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_overflow_is_a_domain_violation(self):
+        # the warning filters make a RuntimeWarning fail this test
+        with pytest.raises(DomainViolation, match=(
+                r"^square overflows float64 on the spectrum "
+                r"\[1\.000e\+200, 1\.000e\+200\]$")):
+            apply_scalar_function(lookup_atom("square"), 1e200 * np.eye(2))
+
+    def test_overflow_fails_only_its_own_row(self):
+        f = lookup_atom("square")
+        H = np.stack([rand_hermitian(3, 1).mat, 1e200 * np.eye(3),
+                      rand_hermitian(3, 2).mat])
+        errs = RowErrors(3)
+        out = _calculus(f, H, errs)
+        assert errs.errors[0] is None and errs.errors[2] is None
+        assert "overflows float64" in str(errs.errors[1])
+        assert np.all(np.isfinite(out))
+        for k in (0, 2):
+            single = apply_scalar_function(f, H[k])
+            assert np.array_equal(HermitianMatrix(out[k]).mat, single.mat)
+
 
 class TestOpNorm:
     def test_hermitian_is_spectral_radius(self):

@@ -13,7 +13,7 @@ from opconvex import (CommutingPair, DomainViolation, HypothesisViolation,
                       quantum_relative_entropy_perspective,
                       random_commuting_pair, random_density)
 from opconvex.linalg import RowErrors
-from opconvex.perspective import (_eigen, _quasi_entropy,
+from opconvex.perspective import (_eigen, _quasi_entropy, _symmetrized,
                                   check_path_agreement,
                                   extended_perspective_eigen,
                                   extended_perspective_symmetrized)
@@ -95,6 +95,41 @@ class TestSymmetrizedPath:
         pair = random_commuting_pair(4, 7)
         with pytest.raises(ValueError, match="defect"):
             check_path_agreement(XLOGX, pair, rtol=1e-18)
+
+    @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0, -1, 1])
+    def test_check_path_agreement_rejects_rtol_outside_unit_interval(self,
+                                                                     rtol):
+        # a NaN or infinite rtol would pass any defect
+        pair = random_commuting_pair(3, 1)
+        message = f"rtol must be in (0, 1), got {rtol}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_path_agreement(XLOGX, pair, rtol=rtol)
+
+    @pytest.mark.parametrize("f,L,R,floor,message", [
+        (XLOGX, 1e300 * np.eye(2), 1e-10 * np.eye(2), 1e-300,
+         "R^(-1/2) L R^(-1/2) overflows float64; the base's least eigenvalue "
+         "is 1.000e-10"),
+        (XLOGX, np.eye(2), np.diag([1.0, 1e-306]), 1e-310,
+         "xlogx overflows float64 on the spectrum [1.000e+00, 1.000e+306]"),
+        (lookup_atom("square"), np.diag([1e200, 1e300]), 1e200 * np.eye(2),
+         1e-300, "square perspective overflows float64; the base's largest "
+                 "eigenvalue is 1.000e+200"),
+    ], ids=["argument", "f-value", "result"])
+    def test_overflow_is_a_domain_violation(self, f, L, R, floor, message):
+        # the warning filters make a RuntimeWarning fail this test
+        with pytest.raises(DomainViolation, match=f"^{re.escape(message)}$"):
+            perspective_symmetrized(f, L, R, floor=floor)
+
+    def test_overflow_fails_only_its_own_row(self):
+        L = np.stack([1e300 * np.eye(2), np.diag([2.0, 3.0])])
+        R = np.stack([1e-10 * np.eye(2), np.diag([1.0, 4.0])])
+        errs = RowErrors(2)
+        out = _symmetrized(XLOGX, None, L, R, 1e-300, errs)
+        assert isinstance(errs.errors[0], DomainViolation)
+        assert errs.errors[1] is None
+        assert np.isfinite(out).all()
+        alone = perspective_symmetrized(XLOGX, L[1], R[1], floor=1e-300)
+        assert np.array_equal((out[1] + out[1].conj().T) / 2, alone.mat)
 
     def test_rejects_right_factor_below_floor(self):
         # rejected, never regularized

@@ -1,4 +1,5 @@
 """Campaign engine: seeding, generators, checkers, aggregation, determinism."""
+import json
 import re
 
 import numpy as np
@@ -575,6 +576,47 @@ class TestRunSingle:
                 f, w["x1"], w["t1"], w["x2"], w["t2"], w["c"], tol),
         }[tag]
         assert check() == verdict
+
+
+class TestEveryEntryPrepares:
+    """``run_single`` and ``run_trial`` reject what ``run_campaign`` does."""
+
+    @pytest.mark.parametrize("tag,kwargs,error,message", [
+        ("hp", {"atom": "power", "atom_parameter": 0.5}, HypothesisViolation,
+         "atom power(0.5) is concave"),
+        ("perspective", {"atom": "quartic"}, HypothesisViolation,
+         "atom quartic is not matrix convex"),
+        ("lieb-pq", {"p": 0.9, "q": 0.9}, HypothesisViolation,
+         "exponents must satisfy p + q <= 1"),
+        ("hp", {"tol": 5.0}, ValueError, "tol must be below 1"),
+        ("hp", {"dim_m": 1, "dim_n": 3}, ValueError,
+         "no isometry pair exists for m=1, n=3"),
+        ("hp-contractive", {"atom": "neg_log"}, HypothesisViolation,
+         "atom neg_log lacks f(0) <= 0"),
+        ("marechal", {"atom": "neg_log"}, HypothesisViolation,
+         "atom neg_log lacks f(0) <= 0"),
+    ], ids=["concave-hp", "quartic-perspective", "pq-above-one", "tol-5",
+            "no-isometry", "contractive-f0", "marechal-f0"])
+    def test_replay_rejects_what_the_campaign_rejects(self, tag, kwargs,
+                                                      error, message):
+        cfg = TrialConfig(**kwargs)
+        with pytest.raises(error, match=f"^{re.escape(message)}") as campaign:
+            run_campaign(cfg, tag)
+        for entry in (run_single, run_trial):
+            with pytest.raises(error) as caught:
+                entry(tag, cfg, 0)
+            assert type(caught.value) is type(campaign.value)
+            assert str(caught.value) == str(campaign.value)
+
+    def test_report_witnesses_replay_from_their_printed_config(self):
+        # the README's replay block, on every tag of one campaign
+        reports = json.loads(printed(run_campaign(
+            TrialConfig(trials=5, seed=11), THEOREM_TAGS)))
+        for r in reports:
+            verdict, _ = run_single(r["theorem"], TrialConfig(**r["config"]),
+                                    r["witness"]["trial_index"],
+                                    r["witness"]["redraw"])
+            assert verdict.slack == r["worst_slack"], r["theorem"]
 
 
 class TestRedrawMachinery:
