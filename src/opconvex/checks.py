@@ -77,23 +77,17 @@ def _jensen(f: ScalarAtom, A, B, T, tol: float, errs: RowErrors,
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.eye(A.shape[-1]) - (_adj(A) @ A + _adj(B) @ B)
     finite = np.isfinite(gap).all(axis=(-2, -1))
-    errs.fail(~finite, lambda k: HypothesisViolation(
-        "A*A + B*B is not finite: its products overflow"))
-    gap = np.where(finite[:, None, None], gap, 0.0)
-    if contractive:
-        low = np.linalg.eigvalsh(gap)[..., 0]
-        ok = finite & (low >= -HYPOTHESIS_TOL)
-        errs.fail(~ok, lambda k: HypothesisViolation(
-            f"A*A + B*B exceeds the identity by {-low[k]:.3e}"))
-    else:
-        defect = np.max(np.abs(gap), axis=(-2, -1))
-        ok = finite & (defect <= HYPOTHESIS_TOL)
-        errs.fail(~ok, lambda k: HypothesisViolation(
-            f"A*A + B*B deviates from the identity by {defect[k]:.3e}"))
-    if not ok.all():  # a failed row goes on with finite stand-in operands
-        A, B = (np.where(ok[:, None, None], x, 0.0) for x in (A, B))
+    gap = errs.drop(~finite, lambda k: HypothesisViolation(
+        "A*A + B*B is not finite: its products overflow"), gap, 0.0)
+    by, what = ((-np.linalg.eigvalsh(gap)[..., 0], "exceeds") if contractive
+                else (np.max(np.abs(gap), axis=(-2, -1)), "deviates from"))
+    bad = ~finite | (by > HYPOTHESIS_TOL)
+    # a failed row goes on with finite stand-in operands
+    A, B = (errs.drop(bad, lambda k: HypothesisViolation(
+        f"A*A + B*B {what} the identity by {by[k]:.3e}"), x, 0.0)
+        for x in (A, B))
     return _mixture([(T,)], lambda a: _sym(_adj(A) @ a @ A + _adj(B) @ a @ B),
-                    tol, errs, lambda T, errs: _sym(_calculus(f, T, errs)))
+                    tol, errs, partial(_calculus, f))
 
 
 def _require_not_concave(f: ScalarAtom) -> None:
@@ -201,10 +195,8 @@ def _perspective_theorem(f: ScalarAtom, h, floor: float):
     def g_mix(Xs, mix, errs):  # lifts each (U, lam, mu) to (L, R) to mix
         L, R = map(mix, *((_sym(_materialize(U, lam)),
                            _sym(_materialize(U, mu))) for U, lam, mu in Xs))
-        return _sym(_symmetrized(f, h, L, R, floor, errs))
-    return _by_weight(
-        lambda U, lam, mu, errs: _sym(_eigen(f, h, U, lam, mu, errs)),
-        g_mix=g_mix)
+        return _symmetrized(f, h, L, R, floor, errs)
+    return _by_weight(partial(_eigen, f, h), g_mix=g_mix)
 
 
 def _pair_operands(pair1: CommutingPair, pair2: CommutingPair) -> dict:

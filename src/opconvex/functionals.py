@@ -78,15 +78,13 @@ del DensityMatrix.floor  # an InitVar default, not the instance's floor
 
 
 def _normalize(H, floor, errs: RowErrors) -> np.ndarray:
-    """H / Tr H for a stack of Hermitian H, not yet symmetrized. A row fails
-    unless its trace is positive and the least eigenvalue of the result is
-    at least ``floor`` (a scalar, or one floor per row)."""
+    """H / Tr H for a stack of Hermitian H. A row fails unless its trace is
+    positive and the least eigenvalue of the result is at least ``floor``
+    (a scalar, or one floor per row)."""
     tr = np.trace(H, axis1=-2, axis2=-1).real
-    bad = tr <= 0.0
-    errs.fail(bad, lambda k: DomainViolation(
-        f"trace must be positive, got {tr[k]:g}"))
-    M = H / np.where(bad, 1.0, tr)[..., None, None]
-    low = np.linalg.eigvalsh(_sym(M))[..., 0]
+    M = _sym(H / errs.drop(tr <= 0.0, lambda k: DomainViolation(
+        f"trace must be positive, got {tr[k]:g}"), tr, 1.0)[..., None, None])
+    low = np.linalg.eigvalsh(M)[..., 0]
     floor = np.broadcast_to(floor, low.shape)
     errs.fail(low < floor, lambda k: DomainViolation(
         f"density matrix has eigenvalue {low[k]:.3e} below the "
@@ -99,12 +97,9 @@ def _relative_entropy(r, s, errs: RowErrors) -> np.ndarray:
     unless both are strictly positive."""
     wr, _ = _eigh(r)
     ws, Us = _eigh(s)
-    for name, w in (("rho", wr), ("sigma", ws)):
-        low = w[..., 0]
-        errs.fail(low <= 0.0, lambda k: DomainViolation(
-            f"{name} must be strictly positive, found eigenvalue "
-            f"{low[k]:.3e}"))
-    wr, ws = (np.where(w[..., :1] <= 0.0, 1.0, w) for w in (wr, ws))
+    wr, ws = (errs.drop(w[..., 0] <= 0.0, lambda k: DomainViolation(
+        f"{name} must be strictly positive, found eigenvalue {w[k, 0]:.3e}"),
+        w, 1.0) for name, w in (("rho", wr), ("sigma", ws)))
     ent = _dot_rows(wr, np.log(wr))
     log_sigma = _materialize(Us, np.log(ws))
     return ent - np.trace(r @ log_sigma, axis1=-2, axis2=-1).real
@@ -147,9 +142,9 @@ def quantum_relative_entropy_perspective(rho, sigma) -> float:
 def _trace_form(fa: ScalarAtom, fb, A, B, K, errs: RowErrors) -> np.ndarray:
     """Tr(fa(A) K* fb(B) K) for stacks of positive A, B and square K; fb
     None stands for B -> I."""
-    Af = _sym(_calculus(fa, A, errs))
+    Af = _calculus(fa, A, errs)
     Bf = (np.eye(A.shape[-1], dtype=np.complex128) if fb is None
-          else _sym(_calculus(fb, B, errs)))
+          else _calculus(fb, B, errs))
     return np.trace(Af @ _adj(K) @ Bf @ K, axis1=-2, axis2=-1).real
 
 
@@ -228,10 +223,10 @@ def _classical(f: ScalarAtom, x, t, errs: RowErrors) -> np.ndarray:
     """f(x / t) t for stacked rows x of shape (batch, k) and bases t of
     shape (batch,); a row fails unless its base is positive and finite, and
     as ``perspective._scaled`` fails it."""
-    bad = ~((0.0 < t) & (t < np.inf))
-    errs.fail(bad, lambda k: DomainViolation(
-        f"perspective base must be positive and finite, got {float(t[k])}"))
-    return _scaled(f, x, np.where(bad, 1.0, t)[:, None], errs)
+    t = errs.drop(~((0.0 < t) & (t < np.inf)), lambda k: DomainViolation(
+        f"perspective base must be positive and finite, got {float(t[k])}"),
+        t, 1.0)
+    return _scaled(f, x, t[:, None], errs)
 
 
 def classical_perspective(f: ScalarAtom, x, t: float) -> np.ndarray:

@@ -119,29 +119,30 @@ class RowErrors:
             if self.errors[k] is None:
                 self.errors[k] = make(k)
 
-    def clamp(self, domain: Interval, x) -> np.ndarray:
-        """``domain.clamp`` on every row of the stack ``x``.
+    def drop(self, mask, make, x, stand_in) -> np.ndarray:
+        """Fail every row k where the row mask ``mask`` holds with
+        ``make(k)``; return the stack ``x`` with those rows set to
+        ``stand_in``, or ``x`` itself when no row is masked."""
+        if not mask.any():
+            return x
+        self.fail(mask, make)
+        return np.where(mask.reshape(mask.shape + (1,) * (x.ndim - mask.ndim)),
+                        stand_in, x)
 
-        A row holding a value outside the domain fails with the
-        ``DomainViolation`` naming its first such value; those values are
-        replaced by an interior point, so the row stays finite downstream.
-        """
+    def clamp(self, domain: Interval, x) -> np.ndarray:
+        """``domain.clamp`` on every row of the stack ``x``. A row holding a
+        value outside the domain fails with the ``DomainViolation`` naming
+        its first such value and stands in an interior point."""
         out, bad = domain.admit(x)
-        rows = bad.reshape(len(bad), -1).any(axis=1)
-        if rows.any():
-            self.fail(rows, lambda k: domain.violation(x[k][bad[k]][0]))
-            out = np.where(bad, domain.interior_point(), out)
-        return out
+        return self.drop(bad.reshape(len(bad), -1).any(axis=1),
+                         lambda k: domain.violation(x[k][bad[k]][0]),
+                         out, domain.interior_point())
 
     def finite(self, x, make) -> np.ndarray:
         """``x`` with every row that holds a non-finite entry failed with
-        ``make(k)`` and zeroed, so the row stays finite downstream."""
-        finite = np.isfinite(x)
-        if finite.all():
-            return x
-        bad = ~finite.reshape(len(x), -1).all(axis=1)
-        self.fail(bad, make)
-        return np.where(bad.reshape((-1,) + (1,) * (x.ndim - 1)), 0.0, x)
+        ``make(k)`` and zeroed."""
+        return self.drop(~np.isfinite(x).reshape(len(x), -1).all(axis=1),
+                         make, x, 0.0)
 
     @classmethod
     def one(cls, kernel):
@@ -202,12 +203,11 @@ def spectral_decompose(T) -> tuple:
 
 
 def _calculus(f: ScalarAtom, H, errs: RowErrors) -> np.ndarray:
-    """U f(w) U* for each H = U diag(w) U* of a stack, not yet symmetrized.
-    A row fails with an eigenvalue outside f's domain, or where the result
-    overflows float64."""
+    """U f(w) U* for each H = U diag(w) U* of a stack. A row fails with an
+    eigenvalue outside f's domain, or where the result overflows float64."""
     w, U = _eigh(H)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _materialize(U, f(errs.clamp(f.domain, w)))
+        out = _sym(_materialize(U, f(errs.clamp(f.domain, w))))
     return errs.finite(out, lambda k: DomainViolation(
         f"{f.label} overflows float64 on the spectrum "
         f"[{w[k, 0]:.3e}, {w[k, -1]:.3e}]"))

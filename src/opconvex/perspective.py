@@ -77,11 +77,7 @@ def _base(h, r, errs: RowErrors) -> np.ndarray:
         return r
     hr = h(errs.clamp(h.domain, r))
     low = np.min(hr, axis=-1)
-    bad = low <= 0.0
-    if bad.any():
-        errs.fail(bad, lambda k: _nonpositive_base(low[k]))
-        hr = np.where(bad[..., None], 1.0, hr)
-    return hr
+    return errs.drop(low <= 0.0, lambda k: _nonpositive_base(low[k]), hr, 1.0)
 
 
 def _nonpositive_base(low) -> DomainViolation:
@@ -105,18 +101,15 @@ def _scaled(f: ScalarAtom, x, b, errs: RowErrors) -> np.ndarray:
             errs.fail(over.any(axis=-1), lambda k: _overflow(
                 "eigenvalue ratio", x[k][over[k]][0], b[k][over[k]][0]))
         value = f(errs.clamp(f.domain, ratio)) * b
-    bad = ~np.isfinite(value)
-    if bad.any():
-        errs.fail(bad.any(axis=-1), lambda k: _overflow(
-            f"{f.label} perspective at", x[k][bad[k]][0], b[k][bad[k]][0]))
-        value = np.where(bad, 0.0, value)
-    return value
+    return errs.finite(value, lambda k: _overflow(
+        f"{f.label} perspective at",
+        *(y[k][~np.isfinite(value[k])][0] for y in (x, b))))
 
 
 def _eigen(f: ScalarAtom, h, U, lam, mu, errs: RowErrors) -> np.ndarray:
     """U diag(f(lam/b) b) U* for stacked commuting pairs (U, lam, mu), with
-    base b = ``_base(h, mu)``; not yet symmetrized."""
-    return _materialize(U, _scaled(f, lam, _base(h, mu, errs), errs))
+    base b = ``_base(h, mu)``."""
+    return _sym(_materialize(U, _scaled(f, lam, _base(h, mu, errs), errs)))
 
 
 def _eigen_one(f: ScalarAtom, h, pair: CommutingPair) -> HermitianMatrix:
@@ -133,20 +126,16 @@ def perspective_eigen(f: ScalarAtom, pair: CommutingPair) -> HermitianMatrix:
 def _symmetrized(f: ScalarAtom, h, L, R, floor: float,
                  errs: RowErrors) -> np.ndarray:
     """R'^{1/2} f(R'^{-1/2} L R'^{-1/2}) R'^{1/2} for stacks of Hermitian L
-    and R, with R' = h(R) (R itself when h is None or the identity); not
-    yet symmetrized. A row fails where R' has an eigenvalue below
-    ``floor``, or where the argument of f or the result overflows
-    float64."""
+    and R, with R' = h(R) (R itself when h is None or the identity). A row
+    fails where R' has an eigenvalue below ``floor``, or where the argument
+    of f or the result overflows float64."""
     if h is not None and h.name != "identity":
-        R = _sym(_calculus(h, R, errs))
+        R = _calculus(h, R, errs)
     w, U = _eigh(R)
     low = w[..., 0]
-    bad = low < floor
-    if bad.any():
-        errs.fail(bad, lambda k: DomainViolation(
-            f"perspective base has eigenvalue {low[k]:.3e} below the "
-            f"invertibility floor {floor:g}"))
-        w = np.where(bad[..., None], 1.0, w)
+    w = errs.drop(low < floor, lambda k: DomainViolation(
+        f"perspective base has eigenvalue {low[k]:.3e} below the "
+        f"invertibility floor {floor:g}"), w, 1.0)
     sq = np.sqrt(w)
     half = _materialize(U, sq)
     inv_half = _materialize(U, 1.0 / sq)
@@ -155,7 +144,7 @@ def _symmetrized(f: ScalarAtom, h, L, R, floor: float,
         inner = errs.finite(inner, lambda k: DomainViolation(
             f"R^(-1/2) L R^(-1/2) overflows float64; the base's least "
             f"eigenvalue is {w[k, 0]:.3e}"))
-        out = half @ _sym(_calculus(f, inner, errs)) @ half
+        out = _sym(half @ _calculus(f, inner, errs) @ half)
     return errs.finite(out, lambda k: DomainViolation(
         f"{f.label} perspective overflows float64; the base's largest "
         f"eigenvalue is {w[k, -1]:.3e}"))

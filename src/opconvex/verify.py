@@ -379,7 +379,7 @@ def _build_densities(cfg: TrialConfig, f: ScalarAtom, S: dict,
     for j in range(4):
         M = _wishart(_complex(S["G"][:, j]), cfg.floor)
         tr = np.trace(M, axis1=-2, axis2=-1).real
-        D.append(_sym(_normalize(_sym(M), cfg.floor / tr, errs)))
+        D.append(_normalize(_sym(M), cfg.floor / tr, errs))
     return {"1": tuple(D[:2]), "2": tuple(D[2:])}
 
 
