@@ -171,7 +171,9 @@ def _mixture(Xs, mix, tol: float, errs: RowErrors, g, gate=None, g_mix=None):
         gate(*Xs, errs)
     avg = mix(*(g(*X, errs) for X in Xs))
     combo = g(*map(mix, *Xs), errs) if g_mix is None else g_mix(Xs, mix, errs)
-    return _loewner(combo, avg, tol) if avg.ndim > 1 else _geq(avg, combo, tol)
+    if avg.ndim > 1:
+        return _loewner(combo, avg, tol, errs)
+    return _geq(avg, combo, tol)
 
 
 def _by_weight(g, gate=None, g_mix=None):

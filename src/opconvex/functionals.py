@@ -141,11 +141,16 @@ def quantum_relative_entropy_perspective(rho, sigma) -> float:
 
 def _trace_form(fa: ScalarAtom, fb, A, B, K, errs: RowErrors) -> np.ndarray:
     """Tr(fa(A) K* fb(B) K) for stacks of positive A, B and square K; fb
-    None stands for B -> I."""
+    None stands for B -> I. A row fails where the product overflows
+    float64."""
     Af = _calculus(fa, A, errs)
     Bf = (np.eye(A.shape[-1], dtype=np.complex128) if fb is None
           else _calculus(fb, B, errs))
-    return np.trace(Af @ _adj(K) @ Bf @ K, axis1=-2, axis2=-1).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = np.trace(Af @ _adj(K) @ Bf @ K, axis1=-2, axis2=-1).real
+    return errs.finite(form, lambda k: DomainViolation(
+        f"trace form Tr({fa.label}(A) K* "
+        f"{'I' if fb is None else fb.label + '(B)'} K) overflows float64"))
 
 
 def _power_atoms(a: float, b: float) -> tuple:

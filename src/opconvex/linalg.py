@@ -7,12 +7,18 @@ tolerance. This module owns those primitives plus the JSON wire format for
 matrices used by the command line and by verification witness records.
 
 The primitives come as kernels on stacks of matrices, shape (batch, n, n),
-which the verifier uses to decide many trials at once. A kernel never
-raises for one row: a gate that fails records the row's exception in a
-``RowErrors`` and the other rows go on. The public functions run the same
-kernels on a batch of one and raise that row's exception. Stacked LAPACK
-and matmul calls give bit-identical results to per-matrix calls
-(``tests/test_linalg.py`` guards this), so both paths agree exactly.
+which the verifier uses to decide many trials at once. The kernel contract:
+- a kernel never raises for one row: a gate that fails records the row's
+  exception in a ``RowErrors`` and the other rows go on;
+- where a failed row's values must be replaced, they are replaced only
+  through ``RowErrors.drop`` (or ``finite``/``clamp``, built on it), so
+  the row stays finite downstream and no warning leaks from it;
+- a matrix-valued kernel returns a Hermitian stack, symmetrized inside
+  its own overflow guard, so ``HermitianMatrix`` of a row keeps its bits.
+The public functions run the same kernels on a batch of one and raise that
+row's exception. Stacked LAPACK and matmul calls give bit-identical results
+to per-matrix calls (``tests/test_linalg.py`` guards this), so both paths
+agree exactly.
 """
 from __future__ import annotations
 
@@ -84,8 +90,17 @@ def _adj(M) -> np.ndarray:
 
 def _sym(M) -> np.ndarray:
     """Hermitian part (M + M*)/2 of each matrix in a stack: what
-    ``HermitianMatrix`` stores."""
-    return (M + _adj(M)) / 2.0
+    ``HermitianMatrix`` stores. Where the sum overflows (an entry above
+    half the float64 range) it halves before it adds, so the Hermitian part
+    of a finite stack is finite; elsewhere it keeps the bits, signed zeros
+    included, of (M + M*)/2, and a Hermitian stack is its own Hermitian
+    part."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = (M + _adj(M)) / 2.0
+        if not np.isfinite(H).all():
+            H = M / 2.0
+            H = H + _adj(H)
+    return H
 
 
 def _materialize(U, spectrum) -> np.ndarray:
@@ -105,7 +120,9 @@ class RowErrors:
     Batched kernels decide many trials at once. A gate that fails on some
     rows records an exception for each of them instead of raising, so the
     other rows go on; a row keeps only its first exception, which is the
-    one the same computation on that row alone would have raised.
+    one the same computation on that row alone would have raised. A gate
+    whose failed rows would not stay finite downstream stands them in with
+    ``drop``, the one place a kernel replaces a failed row's values.
     """
 
     __slots__ = ("errors",)
@@ -245,9 +262,14 @@ def _require_tol(tol) -> None:
                          f"Loewner-order check")
 
 
-def _loewner(A, B, tol: float):
-    """(slack, tolerance_used) of A <= B for stacks of Hermitian A, B."""
-    w = np.linalg.eigvalsh(B - A)
+def _loewner(A, B, tol: float, errs: RowErrors):
+    """(slack, tolerance_used) of A <= B for stacks of Hermitian A, B. A
+    row fails where B - A overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = B - A
+    w = np.linalg.eigvalsh(errs.finite(D, lambda k: DomainViolation(
+        f"B - A overflows float64; the largest entries of A and B are "
+        f"{np.abs(A[k]).max():.3e} and {np.abs(B[k]).max():.3e}")))
     slack = w[..., 0]
     return slack, tol * (1.0 + np.maximum(np.abs(slack), np.abs(w[..., -1])))
 
@@ -263,7 +285,8 @@ def loewner_leq(A, B, tol: float = 1e-8) -> LoewnerVerdict:
     Am, Bm = as_hermitian(A), as_hermitian(B)
     if Am.dim != Bm.dim:
         raise ValueError(f"dimension mismatch: {Am.dim} vs {Bm.dim}")
-    return LoewnerVerdict.of(*_loewner(Am.mat, Bm.mat, tol))
+    return LoewnerVerdict.of(*RowErrors.one(
+        lambda errs: _loewner(Am.mat[None], Bm.mat[None], tol, errs)))
 
 
 def hs_inner(X, Y) -> complex:

@@ -235,6 +235,15 @@ class TestEvalCommand:
         v_s = float(capsys.readouterr().out)
         assert v_pq == pytest.approx(v_s, rel=1e-12)
 
+    def test_overflowing_trace_form_exits_two(self, tmp_path, capsys):
+        big = write_matrix(tmp_path / "big.json", 1e200 * np.eye(2))
+        code = main(["eval", "--functional", "lieb-s", "--a", big, "--b",
+                     big, "--k", big, "--s", "0.5", "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trace form Tr(")
+
     def test_non_hermitian_rejected_with_defect(self, tmp_path, capsys):
         bad = write_matrix(tmp_path / "bad.json",
                            np.array([[1.0, 2.0], [0.0, 1.0]]))

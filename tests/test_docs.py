@@ -32,7 +32,9 @@ def test_demo_runs_and_its_paths_agree(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    # -W error: pyproject's warning filters do not reach a subprocess
+    proc = subprocess.run([sys.executable, "-W", "error",
+                           str(ROOT / "demos" / demo)],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

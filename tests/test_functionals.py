@@ -241,6 +241,18 @@ class TestLiebFunctional:
             lieb_pq_functional(np.eye(2), np.eye(2), K, 0.3, 0.4)
 
 
+class TestTraceFormOverflow:
+    # the warning filters make a RuntimeWarning fail these tests
+    @pytest.mark.parametrize("functional", [
+        lambda M: lieb_functional(M, M, M, 0.5),
+        lambda M: lieb_pq_functional(M, M, M, 0.3, 0.5),
+    ], ids=["lieb-s", "lieb-pq"])
+    def test_overflowing_product_is_a_domain_violation(self, functional):
+        with pytest.raises(DomainViolation,
+                           match=r"^trace form Tr\(.*\) overflows float64$"):
+            functional(1e200 * np.eye(2))
+
+
 class TestLargeDimension:
     # n = 128 puts the superoperators at 16384 x 16384; only the factored
     # quadratic form can evaluate them

@@ -11,7 +11,7 @@ from opconvex import (DomainViolation, EigendecompositionError,
                       lookup_atom)
 from opconvex.atoms import Interval
 from opconvex.linalg import (JSON_HERMITICITY_TOL, RowErrors, _calculus,
-                             _dot_rows, as_hermitian, as_matrix,
+                             _dot_rows, _loewner, as_hermitian, as_matrix,
                              hermitian_from_json, hs_inner, matrix_from_json,
                              matrix_to_json, matrix_wire, op_norm,
                              spectral_decompose)
@@ -148,6 +148,39 @@ class TestOpNorm:
 
     def test_zero(self):
         assert op_norm(np.zeros((3, 3))) == 0.0
+
+
+class TestNearFloat64Limit:
+    # the warning filters make a RuntimeWarning fail these tests
+    def test_hermitian_matrix_stores_entries_above_half_the_limit(self):
+        M = np.diag([1.7e308, 1.0])
+        assert np.array_equal(HermitianMatrix(M).mat, M)
+
+    def test_square_near_the_limit_is_finite(self):
+        T = 9.4e153 * np.array([[1.0, 0.3], [0.3, 1.0]])
+        out = apply_scalar_function(lookup_atom("square"), T).mat
+        assert np.all(np.isfinite(out))
+        assert np.allclose(out, T @ T, rtol=1e-12, atol=0.0)
+
+    def test_loewner_holds_near_the_limit(self):
+        v = loewner_leq(np.eye(2), np.diag([1.7e308, 1.0]))
+        assert v.holds and v.slack == 0.0
+
+    def test_overflowing_difference_is_a_domain_violation(self):
+        with pytest.raises(DomainViolation,
+                           match=r"^B - A overflows float64; "):
+            loewner_leq(-1e308 * np.eye(2), 1e308 * np.eye(2))
+
+    def test_overflowing_difference_fails_only_its_own_row(self):
+        A = np.stack([np.eye(2), -1e308 * np.eye(2), 2.0 * np.eye(2)])
+        B = np.stack([2.0 * np.eye(2), 1e308 * np.eye(2), np.eye(2)])
+        errs = RowErrors(3)
+        slack, used = _loewner(A, B, 1e-8, errs)
+        assert errs.errors[0] is None and errs.errors[2] is None
+        assert isinstance(errs.errors[1], DomainViolation)
+        for k in (0, 2):
+            v = loewner_leq(A[k], B[k])
+            assert (slack[k], used[k]) == (v.slack, v.tolerance_used)
 
 
 class TestLoewner:
@@ -393,6 +426,34 @@ class TestRowErrors:
         for k in (0, 2):
             single = apply_scalar_function(f, H[k])
             assert np.array_equal(HermitianMatrix(out[k]).mat, single.mat)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (3, 2, 2)],
+                             ids=["1d", "2d", "3d"])
+    def test_drop_stands_in_masked_rows(self, shape):
+        x = np.arange(np.prod(shape), dtype=float).reshape(shape) + 1.0
+        errs = RowErrors(3)
+        out = errs.drop(np.array([False, True, False]),
+                        lambda k: ValueError(f"row {k}"), x, -1.0)
+        assert [e is None for e in errs.errors] == [True, False, True]
+        assert str(errs.errors[1]) == "row 1"
+        assert np.all(out[1] == -1.0)
+        assert np.array_equal(out[[0, 2]], x[[0, 2]])
+
+    def test_drop_returns_x_itself_when_no_row_is_masked(self):
+        x = np.ones((2, 3))
+        errs = RowErrors(2)
+        out = errs.drop(np.zeros(2, dtype=bool),
+                        lambda k: ValueError("unreached"), x, 0.0)
+        assert out is x and errs.errors == [None, None]
+
+    def test_drop_keeps_a_rows_first_exception(self):
+        errs = RowErrors(2)
+        x = errs.drop(np.array([True, False]),
+                      lambda k: ValueError("first"), np.ones(2), 0.0)
+        x = errs.drop(np.array([True, True]),
+                      lambda k: ValueError("second"), x, 5.0)
+        assert [str(e) for e in errs.errors] == ["first", "second"]
+        assert np.array_equal(x, [5.0, 5.0])
 
     def test_first_failure_wins(self):
         errs = RowErrors(2)
