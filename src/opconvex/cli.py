@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import repeat
+from itertools import islice
 
 import numpy as np
+import orjson
 
 from .atoms import list_atoms
 from .errors import DomainViolation, HypothesisViolation
@@ -96,11 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Square entries arrays at least this wide reuse mirrored strings
-# (``_mirrored_strs``). Its numpy calls cost what the reuse saves on 9 x 9
-# arrays; on 3 x 3 ones it prints ~2x slower.
-MIRROR_MIN_DIM = 10
-
 # ``_dump``'s stand-in for an entries block, and its spelling in JSON text
 _BLOCK = "\0entries"
 _BLOCK_JSON = json.dumps(_BLOCK)
@@ -113,9 +109,11 @@ def _dump(payload, splice: bool = True) -> str:
     The indented stdlib encoder spends a Python call per number, and
     matrix ``entries`` dominate a report. So ``leaf`` swaps each finite
     float64 entries array for the string ``_BLOCK``, and ``_emit_block``
-    prints the block where that string's JSON lands in the text. Other 3-D
-    arrays print as lists, and so do all blocks if a payload string spells
-    ``_BLOCK`` too; other objects json cannot encode raise its TypeError.
+    prints the block where that string's JSON lands in the text, its
+    numbers spelled by one ``_reprs`` call. Other 3-D arrays print as
+    lists, and so do all blocks if a payload string spells ``_BLOCK`` too;
+    other objects json cannot encode raise its TypeError. Every other
+    number's text is the stdlib encoder's.
     """
     blocks = []
 
@@ -149,8 +147,8 @@ def _dump(payload, splice: bool = True) -> str:
 def _emit_block(E, level: int, out: list) -> None:
     """Append a matrix's entries block, a finite float64 array of shape
     (rows, cols, 2), to ``out`` as the indented stdlib encoder prints it
-    from a line indented ``level`` deep: a wide square block through
-    ``_mirrored_strs``, any other one from its rows as lists of floats.
+    from a line indented ``level`` deep, each number spelled by one
+    ``_reprs`` call over the whole block.
     """
     i1 = "\n" + "  " * (level + 1)  # the indents one, two and three deeper
     i2 = i1 + "  "
@@ -159,41 +157,31 @@ def _emit_block(E, level: int, out: list) -> None:
     pair_sep = i2 + "]," + i2 + "[" + i3
     row_sep = i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3
     sep = "[" + i1 + "[" + i2 + "[" + i3
-    row_strs = (_mirrored_strs(E) if len(E) == E.shape[1] >= MIRROR_MIN_DIM
-                else map(map, repeat(float.__repr__),
-                         E.reshape(len(E), -1).tolist()))
-    for strs in map(iter, row_strs):
-        out += (sep, pair_sep.join(map(num_sep.join, zip(strs, strs))))
+    strs = iter(_reprs(E))
+    pairs = map(num_sep.join, zip(strs, strs))
+    for _ in range(len(E)):
+        out += (sep, pair_sep.join(islice(pairs, E.shape[1])))
         sep = row_sep
     out.append(i2 + "]" + i1 + "]\n" + "  " * level + "]")
 
 
-def _mirrored_strs(E) -> list:
-    """Each row's ``float.__repr__`` strings, re before im, of the square
-    block ``E`` of shape (n, n, 2).
+def _reprs(x) -> list:
+    """``float.__repr__`` of each number of the non-empty finite float64
+    array ``x``, in flattened order.
 
-    A number below the diagonal reuses the string of its mirror above it:
-    an equal real part as it is, a negated imaginary part with a leading
-    "-" added or removed (``repr(-x) == "-" + repr(x)`` for finite x). So
-    a Hermitian block formats about half of its numbers. Zeros never
-    reuse: 0.0 == -0.0, but their strings differ.
+    orjson writes the whole array from C, spelling 0 and every
+    1e-4 <= |x| < 1e16 as repr does. Elsewhere repr switches to exponent
+    notation (``1e-05``, ``1e+16``) and orjson does not (``0.00001``,
+    ``1e16``), so those numbers are spelled again by ``float.__repr__``.
     """
-    n = len(E)
-    re, im = E[..., 0], E[..., 1]
-    below = np.tri(n, k=-1, dtype=bool)
-    reuse = np.stack((below & (re == re.T) & (re != 0),
-                      below & (im == -im.T) & (im != 0)), axis=-1)
-    S = np.empty(E.shape, object)
-    fresh = ~reuse
-    S[fresh] = list(map(float.__repr__, E[fresh].tolist()))
-    mirror = S.transpose(1, 0, 2)  # mirror[i, j] is S[j, i]
-    S[reuse[..., 0], 0] = mirror[reuse[..., 0], 0]
-    flipped = mirror[reuse[..., 1], 1].tolist()
-    if flipped:
-        # one "-" before each string, then "--" cancels; a repr holds no ","
-        S[reuse[..., 1], 1] = (
-            "-" + ",-".join(flipped)).replace("--", "").split(",")
-    return S.reshape(n, 2 * n).tolist()
+    x = x.ravel()
+    strs = orjson.dumps(
+        x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    a = np.abs(x)
+    odd = np.flatnonzero((a >= 1e16) | ((a < 1e-4) & (a != 0)))
+    for i, value in zip(odd.tolist(), x[odd].tolist()):
+        strs[i] = float.__repr__(value)
+    return strs
 
 
 def _render(args, payload) -> None:
@@ -253,6 +241,7 @@ def _read_matrix_file(args, flag: str, needed_by: str = "this functional"):
         raise ValueError(f"--{flag} is required for {needed_by}")
     with open(path) as fh:
         try:
+            # not orjson: it crashes the process on deeply nested input
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"--{flag}: {path} is nested too deeply to "

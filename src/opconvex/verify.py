@@ -533,9 +533,9 @@ class _Batch(NamedTuple):
         return LoewnerVerdict.of(self.slack[k], self.tolerance_used[k])
 
 
-def _decide(theorem: str, cfg: TrialConfig, indices: list,
-            redraws: list) -> _Batch:
-    entry, f, kernel = _prepare(theorem, cfg)
+def _decide(theorem: str, cfg: TrialConfig, indices: list, redraws: list,
+            prepared: tuple) -> _Batch:
+    entry, f, kernel = prepared
     seeds = [trial_seed(cfg.seed, theorem, index, redraw)
              for index, redraw in zip(indices, redraws)]
     bitgen = np.random.PCG64(0)  # every trial sets its own state below
@@ -564,7 +564,8 @@ def _decide(theorem: str, cfg: TrialConfig, indices: list,
     return _Batch(slack, used, redraws, errs.errors, witness)
 
 
-def run_single(theorem: str, cfg: TrialConfig, index, redraw=0):
+def run_single(theorem: str, cfg: TrialConfig, index, redraw=0, *,
+               _prepared=None):
     """Trials at explicit (index, redraw) coordinates, without redraws.
 
     With an int ``index``, one trial (a batch of one): returns the verdict
@@ -577,18 +578,23 @@ def run_single(theorem: str, cfg: TrialConfig, index, redraw=0):
     With a sequence of indices (and a redraw counter for each, or one for
     all), the trials are drawn and decided as one batch, and the result is
     a ``_Batch``; a row that fails a gate raises nothing: see ``errors``.
+
+    ``_prepared`` is ``_prepare(theorem, cfg)`` when the caller has made it
+    already (a campaign does, once per tag); otherwise it is made here.
     """
+    prepared = _prepared or _prepare(theorem, cfg)
     if np.ndim(index):
         redraws = np.broadcast_to(redraw, np.shape(index))
         return _decide(theorem, cfg, [int(i) for i in index],
-                       [int(r) for r in redraws])
-    batch = _decide(theorem, cfg, [index], [redraw])
+                       [int(r) for r in redraws], prepared)
+    batch = _decide(theorem, cfg, [index], [redraw], prepared)
     if batch.errors[0] is not None:
         raise batch.errors[0]
     return batch.verdict(0), batch.witness(0)
 
 
-def _run_chunk(theorem: str, cfg: TrialConfig, indices: range) -> _Batch:
+def _run_chunk(theorem: str, cfg: TrialConfig, indices: range,
+               prepared: tuple) -> _Batch:
     """The redraw loop over a range of trials, one batched ``run_single``
     per draw round. Trials rejected in a round are drawn again in the next
     one with the next redraw counter; a trial ending in any other exception
@@ -601,7 +607,8 @@ def _run_chunk(theorem: str, cfg: TrialConfig, indices: range) -> _Batch:
     for redraw in range(MAX_REDRAWS + 1):
         if not pending:
             break
-        rnd = run_single(theorem, cfg, [indices[k] for k in pending], redraw)
+        rnd = run_single(theorem, cfg, [indices[k] for k in pending], redraw,
+                         _prepared=prepared)
         retry = []
         for row, (k, err) in enumerate(zip(pending, rnd.errors)):
             if err is None:
@@ -622,7 +629,7 @@ def _run_chunk(theorem: str, cfg: TrialConfig, indices: range) -> _Batch:
                   lambda k: witnesses[k]())
 
 
-def run_trial(theorem: str, cfg: TrialConfig, index):
+def run_trial(theorem: str, cfg: TrialConfig, index, *, _prepared=None):
     """One trial with redraws: rejected (out-of-domain) draws advance the
     redraw counter instead of counting as failures. Returns the verdict and
     the raw witness.
@@ -630,11 +637,12 @@ def run_trial(theorem: str, cfg: TrialConfig, index):
     A ``range`` of indices runs as one chunk, each draw round one batched
     ``run_single`` over the trials still pending, and the result is a
     ``_Batch`` of each trial as the round that accepted it decided it:
-    its ``errors`` are all None.
+    its ``errors`` are all None. ``_prepared`` is as for ``run_single``.
     """
+    prepared = _prepared or _prepare(theorem, cfg)
     if isinstance(index, range):
-        return _run_chunk(theorem, cfg, index)
-    batch = _run_chunk(theorem, cfg, range(index, index + 1))
+        return _run_chunk(theorem, cfg, index, prepared)
+    batch = _run_chunk(theorem, cfg, range(index, index + 1), prepared)
     return batch.verdict(0), batch.witness(0)
 
 
@@ -649,15 +657,15 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
     tags = (theorems,) if isinstance(theorems, str) else tuple(theorems)
     if len(set(tags)) != len(tags):
         raise ValueError("duplicate theorem tags in selection")
-    for tag in tags:
-        _prepare(tag, cfg)
+    prepared = {tag: _prepare(tag, cfg) for tag in tags}
 
     config = cfg.fingerprint()  # scalars only, so dict() copies it
     reports = []
     for tag in tags:
         failures, worst, witness = 0, None, None
         for lo in range(0, cfg.trials, CHUNK):
-            chunk = run_trial(tag, cfg, range(lo, min(lo + CHUNK, cfg.trials)))
+            chunk = run_trial(tag, cfg, range(lo, min(lo + CHUNK, cfg.trials)),
+                              _prepared=prepared[tag])
             failures += int(np.count_nonzero(
                 ~(chunk.slack >= -chunk.tolerance_used)))
             k = int(np.argmin(chunk.slack))  # the first of equal minima

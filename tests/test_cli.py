@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from opconvex import THEOREM_TAGS, TrialConfig
 from opconvex.linalg import matrix_from_json, matrix_to_json, matrix_wire
-from opconvex.cli import (_BLOCK, _CAMPAIGN_OPTIONS, MIRROR_MIN_DIM, _dump,
-                          _mirrored_strs, main)
+from opconvex.cli import _BLOCK, _CAMPAIGN_OPTIONS, _dump, _reprs, main
 
 
 def write_matrix(path, M):
@@ -402,11 +401,15 @@ JSON_TREES = st.recursive(
                                         max_size=3)),
     max_leaves=12)
 
-# Magnitudes for the matrix property: the extremes, and values either side
-# of repr's switches to exponent notation
+# Magnitudes for the matrix property: the extremes, values either side of
+# repr's switches to exponent notation, and values orjson spells otherwise
+# than repr does (0.000015, 0.00001, 1e-7, 1e22)
 MAGNITUDES = [0.0, 5e-324, 1.7976931348623157e308, 1e16, 9999999999999998.0,
-              1e-4, 9.999999999999999e-05]
+              1e-4, 9.999999999999999e-05, 1.5e-05, 1e-05, 1e-07, 1e22]
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# a square block wider than verify-small's 3 x 3 witnesses
+WIDE = 10
 
 MIRROR_KINDS = ["hermitian", "complex-symmetric", "real-symmetric",
                 "signed-zeros"]
@@ -440,11 +443,10 @@ def random_block(rng, rows, cols, pool):
 
 @st.composite
 def complex_matrices(draw):
-    """Square (on both sides of ``MIRROR_MIN_DIM``) and rectangular complex
-    matrices, general or mirrored, then a few entries overwritten (possibly
-    with NaN or an infinity)."""
-    rows = draw(st.sampled_from([1, 2, 3, MIRROR_MIN_DIM - 1, MIRROR_MIN_DIM,
-                                 MIRROR_MIN_DIM + 3]))
+    """Square (narrow and wide) and rectangular complex matrices, general
+    or mirrored, then a few entries overwritten (possibly with NaN or an
+    infinity)."""
+    rows = draw(st.sampled_from([1, 2, 3, WIDE - 1, WIDE, WIDE + 3]))
     cols = draw(st.sampled_from([rows, rows, rows, draw(st.integers(1, 6))]))
     pool = np.array(MAGNITUDES + draw(st.lists(FINITE, min_size=1,
                                                max_size=4)))
@@ -468,6 +470,20 @@ class TestReportPrinter:
     def oracle(x):
         return json.dumps(x, indent=2, sort_keys=True) + "\n"
 
+    def test_reprs_are_float_repr(self):
+        # the extremes, signed zeros, repr's switches to exponent notation
+        # with their neighbours, and normals of every decimal exponent
+        switches = np.array([1e-4, 1e16])
+        edges = np.concatenate([
+            [0.0, -0.0, 5e-324, np.finfo(float).max], switches,
+            np.nextafter(switches, 0.0), np.nextafter(switches, np.inf)])
+        rng = np.random.default_rng(23)
+        with np.errstate(over="ignore"):
+            scaled = (rng.standard_normal(8000)
+                      * 10.0 ** rng.uniform(-330, 308, 8000))
+        for x in (edges, -edges, scaled[np.isfinite(scaled)]):
+            assert _reprs(x) == list(map(float.__repr__, x.tolist()))
+
     @given(JSON_TREES)
     def test_matches_stdlib_indented_encoder(self, tree):
         assert _dump(tree) == self.oracle(tree)
@@ -489,7 +505,7 @@ class TestReportPrinter:
     @pytest.mark.parametrize("kind", MIRROR_KINDS)
     def test_mirrored_block_matches_stdlib(self, kind):
         rng = np.random.default_rng(11)
-        E = random_block(rng, MIRROR_MIN_DIM, MIRROR_MIN_DIM,
+        E = random_block(rng, WIDE, WIDE,
                          np.array(MAGNITUDES + [0.1, 1.5, 2.0 / 3.0]))
         M = mirrored(E, kind, rng).view(np.complex128)[..., 0]
         expected = self.oracle({"m": matrix_to_json(M)})
@@ -505,37 +521,17 @@ class TestReportPrinter:
         doc = matrix_to_json(M)
         assert _dump({"m": M}) == _dump({"m": doc}) == self.oracle({"m": doc})
 
-    def test_mirrored_strings_are_reused(self):
-        # below the diagonal of a Hermitian block, real parts are their
-        # mirror's string object and imaginary parts are built from it
-        n = MIRROR_MIN_DIM
-        rng = np.random.default_rng(5)
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        E = (G + G.conj().T).view(np.float64).reshape(n, n, 2)
-        strs = _mirrored_strs(E)
-        assert strs == [list(map(repr, row))
-                        for row in E.reshape(n, 2 * n).tolist()]
-        assert all(strs[i][2 * j] is strs[j][2 * i]
-                   for i in range(n) for j in range(i))
-
     def test_reuse_is_decided_per_entry(self):
-        # one lower entry off its mirror: only that entry is formatted
-        # afresh, and the rest of its row still reuses
-        n = MIRROR_MIN_DIM
+        # a Hermitian block but for one lower entry off its mirror
+        n = WIDE
         G = np.arange(1.0, n * n + 1).reshape(n, n) * (1 + 0.5j)
         M = G + G.conj().T
         M[5, 2] += 0.25 + 0.25j
-        rows = M.view(np.float64).tolist()
-        strs = _mirrored_strs(M.view(np.float64).reshape(n, n, 2))
-        assert strs == [list(map(repr, row)) for row in rows]
-        assert float(strs[5][4]) != float(strs[2][10])
-        assert float(strs[5][5]) != -float(strs[2][11])
-        assert all(strs[5][2 * j] is strs[j][10] for j in (0, 1, 3, 4))
         doc = matrix_to_json(M)
         assert _dump({"m": M}) == _dump({"m": doc}) == self.oracle({"m": doc})
 
     def test_int_mirroring_a_float_falls_back(self):
-        n = MIRROR_MIN_DIM
+        n = WIDE
         M = np.diag(np.arange(1.0, n + 1))
         M[0, 1] = M[1, 0] = 2.0
         doc = matrix_to_json(M)
@@ -545,7 +541,7 @@ class TestReportPrinter:
         assert _dump(entries) == self.oracle(doc["entries"])
 
     def test_float_subclass_in_wide_block(self):
-        n = MIRROR_MIN_DIM
+        n = WIDE
         doc = matrix_to_json(np.eye(n) + 0.5)
         doc["entries"][1][0][0] = np.float64(0.5)  # not exactly a float
         assert _dump(doc) == self.oracle(doc)
@@ -557,9 +553,9 @@ class TestReportPrinter:
 
     @pytest.mark.parametrize("shape, dtype", [
         ((0, 0, 2), float), ((2, 0, 2), float), ((2, 2, 3), float),
-        ((2, 2, 2), int), ((MIRROR_MIN_DIM,) * 2 + (2,), int),
-        ((MIRROR_MIN_DIM,) * 2 + (2,), np.float32),
-        ((MIRROR_MIN_DIM,) * 2 + (1,), float)])
+        ((2, 2, 2), int), ((WIDE,) * 2 + (2,), int),
+        ((WIDE,) * 2 + (2,), np.float32),
+        ((WIDE,) * 2 + (1,), float)])
     def test_arrays_that_are_not_float_entries(self, shape, dtype):
         # printed as their nested lists, whatever path they take
         E = (np.arange(np.prod(shape)).reshape(shape) / 3).astype(dtype)
@@ -576,7 +572,7 @@ class TestReportPrinter:
             _dump({"m": [x], "value": 1.0})
         assert str(got.value) == str(expected.value)
 
-    @pytest.mark.parametrize("n", [0, 2, MIRROR_MIN_DIM])
+    @pytest.mark.parametrize("n", [0, 2, WIDE])
     def test_payload_string_spelling_the_placeholder(self, n):
         # with n = 0 the payload holds no entries block
         payload = {"s": _BLOCK, _BLOCK: [1, 'x"' + _BLOCK, _BLOCK + "y"]}
@@ -587,7 +583,7 @@ class TestReportPrinter:
         assert _dump(payload) == self.oracle(expected)
 
     def test_non_finite_wide_block_falls_back(self):
-        n = MIRROR_MIN_DIM
+        n = WIDE
         G = np.arange(n * n).reshape(n, n) * (1 + 0.5j) / 3
         M = G + G.conj().T
         M[3, 4], M[4, 3] = complex(float("nan"), 1.0), complex(1.0, -np.inf)
@@ -600,7 +596,7 @@ class TestReportPrinter:
         lambda m: [1.5, m, "x"],
         lambda m: {"a": {"b": {"c": m, "d": 0}}, "z": [[m]]}],
         ids=["depth-0", "depth-1", "depth-3"])
-    @pytest.mark.parametrize("n", [2, MIRROR_MIN_DIM])
+    @pytest.mark.parametrize("n", [2, WIDE])
     def test_block_prints_at_the_depth_it_lands(self, wrap, n):
         rng = np.random.default_rng(n)
         G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -614,7 +610,7 @@ class TestJsonOutput:
 
     @pytest.fixture
     def files(self, tmp_path):
-        n = MIRROR_MIN_DIM + 2
+        n = WIDE + 2
         rng = np.random.default_rng(17)
         G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         P = G @ G.conj().T + 0.1 * np.eye(n)

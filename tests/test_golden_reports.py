@@ -5,9 +5,9 @@ over a grid of seeds, dimensions, theorem tags and atoms, including the
 runs that exit 2 on a configuration error and a negative control whose
 report carries a FAIL witness. Further cases cover campaigns of one trial
 and of several batches of trials, configurations whose draws are rejected
-and redrawn, one of them until the redraw budget runs out, and witnesses
-wide enough for the printer's mirrored array pass. Any change to a
-verdict, the seed rule or a witness's contents changes a hash.
+and redrawn, one of them until the redraw budget runs out, and 12-wide
+witnesses, square and rectangular. Any change to a verdict, the seed rule,
+a witness's contents or the spelling of its numbers changes a hash.
 
 The hashes were taken with numpy 2.4.6; other numpy builds may round
 differently in the last bit, so the test skips under them.
@@ -54,8 +54,8 @@ def _grid():
            "--trials", "40", "--seed", "5", "--json"]
     yield ["verify", "--theorem", "marechal", "--floor", "9", "--trials", "3",
            "--json"]
-    # witness blocks at least cli.MIRROR_MIN_DIM wide: square ones take the
-    # printer's mirrored array pass, rectangular A and B (dim_m x dim) not
+    # 12-wide witness blocks: square ones, and rectangular A and B
+    # (dim_m x dim)
     for dim_m in ("12", "7"):
         yield ["verify", "--theorem", "all", "--dim", "12", "--dim-m", dim_m,
                "--trials", "3", "--seed", "0", "--json"]

@@ -608,6 +608,20 @@ class TestEveryEntryPrepares:
             assert type(caught.value) is type(campaign.value)
             assert str(caught.value) == str(campaign.value)
 
+    def test_campaign_prepares_each_tag_once(self, monkeypatch):
+        # two chunks per tag, and redraw rounds on the floor-2 pair tags
+        from opconvex import verify
+        tags = []
+        real = verify._prepare
+
+        def counted(tag, cfg):
+            tags.append(tag)
+            return real(tag, cfg)
+
+        monkeypatch.setattr(verify, "_prepare", counted)
+        run_campaign(TrialConfig(trials=CHUNK + 6, floor=2.0), THEOREM_TAGS)
+        assert tags == list(THEOREM_TAGS)
+
     def test_report_witnesses_replay_from_their_printed_config(self):
         # the README's replay block, on every tag of one campaign
         reports = json.loads(printed(run_campaign(
