@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainViolation
 from .linalg import (HermitianMatrix, RowErrors, UNITARY_TOL, _adj, _eigh,
-                     _materialize, as_hermitian, as_matrix)
+                     _hermitian_pair, _materialize, as_matrix)
 
 # Default strict-positivity floor for spectra.
 DEFAULT_FLOOR = 1e-8
@@ -145,9 +145,7 @@ class MultiplicationPair:
     def __post_init__(self, floor):
         global _last_pair
         _require_floor(floor)
-        s, r = as_hermitian(self.sigma), as_hermitian(self.rho)
-        if s.dim != r.dim:
-            raise ValueError(f"dimension mismatch: {s.dim} vs {r.dim}")
+        s, r = _hermitian_pair(self.sigma, self.rho)
         # Bytes taken now, so a later write to an operand cannot match;
         # not ==, which takes -0.0 for 0.0.
         key = (s.mat.tobytes(), r.mat.tobytes())

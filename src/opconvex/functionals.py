@@ -14,7 +14,8 @@ from .commuting import (DEFAULT_FLOOR, LEAST_FLOOR, MultiplicationPair,
                         _require_floor)
 from .errors import DomainViolation, HypothesisViolation
 from .linalg import (HermitianMatrix, RowErrors, _adj, _calculus, _dot_rows,
-                     _eigh, _materialize, _sym, as_hermitian, as_matrix)
+                     _eigh, _hermitian_pair, _materialize, _square_operand,
+                     _sym)
 from .perspective import _quasi_entropy, _scaled
 
 _XLOGX = lookup_atom("xlogx")
@@ -107,9 +108,7 @@ def _relative_entropy(r, s, errs: RowErrors) -> np.ndarray:
 
 def quantum_relative_entropy_direct(rho, sigma) -> float:
     """Tr rho (log rho - log sigma) for strictly positive rho, sigma."""
-    r, s = as_hermitian(rho), as_hermitian(sigma)
-    if r.dim != s.dim:
-        raise ValueError(f"dimension mismatch: {r.dim} vs {s.dim}")
+    r, s = _hermitian_pair(rho, sigma)
     return float(RowErrors.one(
         lambda errs: _relative_entropy(r.mat[None], s.mat[None], errs)))
 
@@ -162,16 +161,8 @@ def _power_atoms(a: float, b: float) -> tuple:
 def _trace_operands(A, B, K, name: str) -> tuple:
     """A, B and K of a trace form as arrays, checked for matching shapes;
     ``name`` is K's name in the error message."""
-    Ah, Bh = as_hermitian(A), as_hermitian(B)
-    Km = as_matrix(K)
-    if Ah.dim != Bh.dim:
-        raise ValueError(f"dimension mismatch: {Ah.dim} vs {Bh.dim}")
-    if Km.shape != (Ah.dim, Ah.dim):
-        raise ValueError(
-            f"{name} must be {Ah.dim}x{Ah.dim}, got shape {Km.shape}")
-    if not np.isfinite(Km).all():
-        raise ValueError(f"{name} must be finite")
-    return Ah.mat, Bh.mat, Km
+    Ah, Bh = _hermitian_pair(A, B)
+    return Ah.mat, Bh.mat, _square_operand(K, Ah.dim, name)
 
 
 def _trace_form_one(fa: ScalarAtom, fb, A, B, K, name: str) -> float:

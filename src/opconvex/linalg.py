@@ -185,6 +185,24 @@ def as_hermitian(x) -> HermitianMatrix:
     return x if isinstance(x, HermitianMatrix) else HermitianMatrix(x)
 
 
+def _hermitian_pair(A, B) -> tuple:
+    """A and B as ``HermitianMatrix``, checked to share one dimension."""
+    Ah, Bh = as_hermitian(A), as_hermitian(B)
+    if Ah.dim != Bh.dim:
+        raise ValueError(f"dimension mismatch: {Ah.dim} vs {Bh.dim}")
+    return Ah, Bh
+
+
+def _square_operand(K, n: int, name: str) -> np.ndarray:
+    """K as a finite n x n array; ``name`` is K's name in the errors."""
+    Km = as_matrix(K)
+    if Km.shape != (n, n):
+        raise ValueError(f"{name} must be {n}x{n}, got shape {Km.shape}")
+    if not np.isfinite(Km).all():
+        raise ValueError(f"{name} must be finite")
+    return Km
+
+
 @dataclass(frozen=True)
 class LoewnerVerdict:
     """Outcome of a positive-semidefinite order comparison.
@@ -282,9 +300,7 @@ def loewner_leq(A, B, tol: float = 1e-8) -> LoewnerVerdict:
     of the difference being judged; ``tol`` must lie in (0, 1).
     """
     _require_tol(tol)
-    Am, Bm = as_hermitian(A), as_hermitian(B)
-    if Am.dim != Bm.dim:
-        raise ValueError(f"dimension mismatch: {Am.dim} vs {Bm.dim}")
+    Am, Bm = _hermitian_pair(A, B)
     return LoewnerVerdict.of(*RowErrors.one(
         lambda errs: _loewner(Am.mat[None], Bm.mat[None], tol, errs)))
 

@@ -41,7 +41,8 @@ from .commuting import (CommutingPair, DEFAULT_FLOOR, MultiplicationPair,
                         _require_floor)
 from .errors import DomainViolation, HypothesisViolation
 from .linalg import (HermitianMatrix, RowErrors, _adj, _calculus, _eigh,
-                     _materialize, _sym, as_hermitian, as_matrix, op_norm)
+                     _hermitian_pair, _materialize, _square_operand, _sym,
+                     op_norm)
 
 # Required agreement between the eigen and symmetrized paths on commuting
 # inputs, relative to 1 + ||output||.
@@ -152,9 +153,7 @@ def _symmetrized(f: ScalarAtom, h, L, R, floor: float,
 
 def _symmetrized_one(f: ScalarAtom, h, L, R, floor: float) -> HermitianMatrix:
     _require_floor(floor)
-    Lh, Rh = as_hermitian(L), as_hermitian(R)
-    if Lh.dim != Rh.dim:
-        raise ValueError(f"dimension mismatch: {Lh.dim} vs {Rh.dim}")
+    Lh, Rh = _hermitian_pair(L, R)
     return HermitianMatrix(RowErrors.one(lambda errs: _symmetrized(
         f, h, Lh.mat[None], Rh.mat[None], floor, errs)))
 
@@ -226,13 +225,7 @@ def _quasi_entropy(f: ScalarAtom, h, mp: MultiplicationPair, K) -> float:
     """
     Us, s, Ur, r = mp.factors
     if K is not None:
-        Km = as_matrix(K)
-        if Km.shape != (mp.dim, mp.dim):
-            raise ValueError(f"K must be {mp.dim}x{mp.dim}, got shape "
-                             f"{Km.shape}")
-        if not np.isfinite(Km).all():
-            raise ValueError("K must be finite")
-        Us = Km @ Us
+        Us = _square_operand(K, mp.dim, "K") @ Us
     base, low = r, float(r[0])  # eigh's eigenvalues ascend
     if h is not None:
         base = h(h.domain.clamp(r))

@@ -15,7 +15,9 @@ Each trial draws from its own stream, exactly
 SeedSequence), with ``trial_seed`` a stable hash of (campaign seed,
 theorem tag, trial index, redraw counter). So campaigns are reproducible
 trial by trial, and any reported witness replays from its recorded
-coordinates with numpy alone.
+coordinates with numpy alone. Indices and redraw counters are integers
+>= 0, numpy integers taken as ints; a bool, float or negative coordinate
+would hash to a trial no campaign draws, so it raises ``ValueError``.
 
 The engine decides a tag's trials together, ``CHUNK`` at a time, in three
 steps:
@@ -533,35 +535,13 @@ class _Batch(NamedTuple):
         return LoewnerVerdict.of(self.slack[k], self.tolerance_used[k])
 
 
-def _decide(theorem: str, cfg: TrialConfig, indices: list, redraws: list,
-            prepared: tuple) -> _Batch:
-    entry, f, kernel = prepared
-    seeds = [trial_seed(cfg.seed, theorem, index, redraw)
-             for index, redraw in zip(indices, redraws)]
-    bitgen = np.random.PCG64(0)  # every trial sets its own state below
-    rng = np.random.Generator(bitgen)
-    cs, draws = [], []
-    for index, state in zip(indices, pcg64_states(seeds)):
-        bitgen.state = state  # rng is now default_rng(the trial's seed)
-        if entry.uses_c:
-            cs.append((0.0, 0.5, 1.0)[index]
-                      if cfg.force_endpoints and index < 3
-                      else float(rng.random()))
-        draws.append(entry.draw(cfg, f, rng))
-    S = {key: np.array([d[key] for d in draws]) for key in draws[0]}
-    errs = RowErrors(len(draws))
-    ops = entry.build(cfg, f, S, errs)
-    slack, used = kernel(ops, np.array(cs), cfg.tol, errs)
-
-    def witness(row: int) -> dict:
-        w = entry.witness(cfg, f, ops, row)
-        if entry.uses_c:
-            w["c"] = cs[row]
-        w.update({"trial_index": indices[row], "redraw": redraws[row],
-                  "trial_seed": seeds[row], "seed_rule": SEED_RULE})
-        return w
-
-    return _Batch(slack, used, redraws, errs.errors, witness)
+def _coordinate(name: str, value) -> int:
+    """A trial index or redraw counter as an int. A bool, a float or a
+    negative value would hash to coordinates no campaign draws."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 0):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 def run_single(theorem: str, cfg: TrialConfig, index, redraw=0, *,
@@ -575,31 +555,65 @@ def run_single(theorem: str, cfg: TrialConfig, index, redraw=0, *,
     is the replay entry point, so a witness's recorded coordinates
     reproduce its slack exactly.
 
-    With a sequence of indices (and a redraw counter for each, or one for
-    all), the trials are drawn and decided as one batch, and the result is
-    a ``_Batch``; a row that fails a gate raises nothing: see ``errors``.
+    With a sequence of indices (all at the one redraw counter), the trials
+    are drawn and decided as one batch, and the result is a ``_Batch``; a
+    row that fails a gate raises nothing: see ``errors``.
 
     ``_prepared`` is ``_prepare(theorem, cfg)`` when the caller has made it
     already (a campaign does, once per tag); otherwise it is made here.
     """
+    entry, f, kernel = _prepared or _prepare(theorem, cfg)
+    batched = np.ndim(index) > 0
+    indices = [_coordinate("index", i) for i in (index if batched else [index])]
+    redraw = _coordinate("redraw", redraw)
+    seeds = [trial_seed(cfg.seed, theorem, i, redraw) for i in indices]
+    bitgen = np.random.PCG64(0)  # every trial sets its own state below
+    rng = np.random.Generator(bitgen)
+    cs, draws = [], []
+    for i, state in zip(indices, pcg64_states(seeds)):
+        bitgen.state = state  # rng is now default_rng(the trial's seed)
+        if entry.uses_c:
+            cs.append((0.0, 0.5, 1.0)[i] if cfg.force_endpoints and i < 3
+                      else float(rng.random()))
+        draws.append(entry.draw(cfg, f, rng))
+    S = {key: np.array([d[key] for d in draws]) for key in draws[0]}
+    errs = RowErrors(len(draws))
+    ops = entry.build(cfg, f, S, errs)
+    slack, used = kernel(ops, np.array(cs), cfg.tol, errs)
+
+    def witness(row: int) -> dict:
+        w = entry.witness(cfg, f, ops, row)
+        if entry.uses_c:
+            w["c"] = cs[row]
+        w.update({"trial_index": indices[row], "redraw": redraw,
+                  "trial_seed": seeds[row], "seed_rule": SEED_RULE})
+        return w
+
+    if batched:
+        return _Batch(slack, used, [redraw] * len(indices), errs.errors, witness)
+    if errs.errors[0] is not None:
+        raise errs.errors[0]
+    return LoewnerVerdict.of(slack[0], used[0]), witness(0)
+
+
+def run_trial(theorem: str, cfg: TrialConfig, index, *, _prepared=None):
+    """One trial with redraws: rejected (out-of-domain) draws advance the
+    redraw counter instead of counting as failures. Returns the verdict and
+    the raw witness.
+
+    A ``range`` of indices runs as one chunk, one batched ``run_single``
+    per draw round over the trials still pending, and the result is a
+    ``_Batch`` of each trial as the round that accepted it decided it: its
+    ``errors`` are all None. A trial ending in any other exception stops
+    the redraws of the trials after it, and the exception of the lowest
+    such trial is raised. ``_prepared`` is as for ``run_single``.
+    """
     prepared = _prepared or _prepare(theorem, cfg)
-    if np.ndim(index):
-        redraws = np.broadcast_to(redraw, np.shape(index))
-        return _decide(theorem, cfg, [int(i) for i in index],
-                       [int(r) for r in redraws], prepared)
-    batch = _decide(theorem, cfg, [index], [redraw], prepared)
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
-    return batch.verdict(0), batch.witness(0)
-
-
-def _run_chunk(theorem: str, cfg: TrialConfig, indices: range,
-               prepared: tuple) -> _Batch:
-    """The redraw loop over a range of trials, one batched ``run_single``
-    per draw round. Trials rejected in a round are drawn again in the next
-    one with the next redraw counter; a trial ending in any other exception
-    stops the redraws of the trials after it, and the exception of the
-    lowest such trial is raised."""
+    if isinstance(index, range):
+        indices = index
+    else:
+        index = _coordinate("index", index)
+        indices = range(index, index + 1)
     size = len(indices)
     slack, used = np.empty(size), np.empty(size)
     redraws, witnesses, failed = [0] * size, [None] * size, {}
@@ -625,25 +639,10 @@ def _run_chunk(theorem: str, cfg: TrialConfig, indices: range,
             f"redraws; the generator cannot satisfy the theorem's domain")
     if failed:
         raise failed[min(failed)]
-    return _Batch(slack, used, redraws, [None] * size,
-                  lambda k: witnesses[k]())
-
-
-def run_trial(theorem: str, cfg: TrialConfig, index, *, _prepared=None):
-    """One trial with redraws: rejected (out-of-domain) draws advance the
-    redraw counter instead of counting as failures. Returns the verdict and
-    the raw witness.
-
-    A ``range`` of indices runs as one chunk, each draw round one batched
-    ``run_single`` over the trials still pending, and the result is a
-    ``_Batch`` of each trial as the round that accepted it decided it:
-    its ``errors`` are all None. ``_prepared`` is as for ``run_single``.
-    """
-    prepared = _prepared or _prepare(theorem, cfg)
     if isinstance(index, range):
-        return _run_chunk(theorem, cfg, index, prepared)
-    batch = _run_chunk(theorem, cfg, range(index, index + 1), prepared)
-    return batch.verdict(0), batch.witness(0)
+        return _Batch(slack, used, redraws, [None] * size,
+                      lambda k: witnesses[k]())
+    return LoewnerVerdict.of(slack[0], used[0]), witnesses[0]()
 
 
 def run_campaign(cfg: TrialConfig, theorems) -> list:

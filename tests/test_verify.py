@@ -578,6 +578,48 @@ class TestRunSingle:
         assert check() == verdict
 
 
+class TestReplayCoordinates:
+    """Indices and redraw counters are integers >= 0: anything else would
+    hash to a trial no campaign draws."""
+
+    @pytest.mark.parametrize("entry,tag,index,redraw,message", [
+        (run_single, "hp", 1.0, 0, "index must be an integer >= 0, got 1.0"),
+        (run_single, "hp", True, 0, "index must be an integer >= 0, got True"),
+        (run_single, "hp", 1, 0.0, "redraw must be an integer >= 0, got 0.0"),
+        (run_single, "perspective", -1, 0,
+         "index must be an integer >= 0, got -1"),
+        (run_single, "hp", [0, 1.5], 0,
+         "index must be an integer >= 0, got 1.5"),
+        (run_single, "perspective", 2.0, 0,
+         "index must be an integer >= 0, got 2.0"),
+        (run_single, "hp", range(2), [0, 1],
+         "redraw must be an integer >= 0, got [0, 1]"),
+        (run_trial, "hp", 1.0, None, "index must be an integer >= 0, got 1.0"),
+        (run_trial, "hp", True, None,
+         "index must be an integer >= 0, got True"),
+        (run_trial, "perspective", -1, None,
+         "index must be an integer >= 0, got -1"),
+    ], ids=["single-float", "single-bool", "single-float-redraw",
+            "single-negative", "single-float-in-list", "single-float-mixing",
+            "single-redraw-list", "trial-float", "trial-bool",
+            "trial-negative"])
+    def test_rejected(self, entry, tag, index, redraw, message):
+        args = () if redraw is None else (redraw,)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(tag, TrialConfig(), index, *args)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        cfg = TrialConfig()
+        v, w = run_single("perspective", cfg, np.int64(3), np.uint8(1))
+        assert type(w["trial_index"]) is int and type(w["redraw"]) is int
+        v3, w3 = run_single("perspective", cfg, 3, 1)
+        assert v == v3 and printed(w) == printed(w3)
+        batch = run_single("perspective", cfg, np.arange(3), np.int32(0))
+        assert [type(batch.witness(k)["trial_index"]) for k in range(3)] == [
+            int] * 3
+        assert type(batch.redraw[0]) is int
+
+
 class TestEveryEntryPrepares:
     """``run_single`` and ``run_trial`` reject what ``run_campaign`` does."""
 
@@ -687,6 +729,30 @@ class TestRedrawMachinery:
         assert printed(r) == printed(_serial_report(cfg, flaky_tag))
         assert r.worst_slack == min(self._first_accepted(cfg, i)[1]
                                     for i in range(cfg.trials))
+
+    def test_campaign_routing(self, flaky_tag, monkeypatch):
+        # one run_trial per CHUNK and one run_single per draw round, each
+        # round over the trials still pending: bench/worker.py reads
+        # verify.draws_per_trial from these two counts
+        from opconvex import verify
+        cfg = TrialConfig(trials=CHUNK + 9, seed=4)
+        calls = []
+        for name in ("run_trial", "run_single"):
+            def counted(tag, cfg, index, *args, _name=name,
+                        _real=getattr(verify, name), **kwargs):
+                redraw = args[0] if args else kwargs.get("redraw")
+                calls.append((_name, list(index), redraw))
+                return _real(tag, cfg, index, *args, **kwargs)
+            monkeypatch.setattr(verify, name, counted)
+        verify.run_campaign(cfg, (flaky_tag,))
+        expected = []
+        for chunk in (range(CHUNK), range(CHUNK, cfg.trials)):
+            first = {i: self._first_accepted(cfg, i)[0] for i in chunk}
+            expected.append(("run_trial", list(chunk), None))
+            expected += [("run_single", [i for i in chunk if first[i] >= r], r)
+                         for r in range(max(first.values()) + 1)]
+        assert calls == expected
+        assert sum(name == "run_single" for name, _, _ in calls) > 2
 
     @pytest.fixture
     def hopeless_tag(self):
