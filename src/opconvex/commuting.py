@@ -41,6 +41,11 @@ def _require_floor(floor) -> None:
         raise ValueError(f"floor must be in (0, inf), got {floor}")
 
 
+def _require_dim(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class CommutingPair:
     """A commuting pair of strictly positive matrices in joint eigenform.
@@ -65,6 +70,7 @@ class CommutingPair:
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ValueError(f"basis must be square, got shape {U.shape}")
         n = U.shape[0]
+        _require_dim(n)
         if lam.shape != (n,) or mu.shape != (n,):
             raise ValueError("spectra must match the basis dimension")
         RowErrors.one(lambda errs: _pair_gates(U[None], lam[None], mu[None],

@@ -7,8 +7,9 @@ needs of the configuration. The six joint-convexity tags build their
 operands as two endpoint tuples, ``ops["1"]`` and ``ops["2"]``, mixed by
 weight; the two Jensen tags have one endpoint, T, mixed by a congruence.
 All eight decide through the one mixture kernel ``checks._mixture``, each
-with its g. ``run_campaign``, ``run_trial`` and ``run_single`` all validate,
-gate and build first, so a replay rejects whatever a campaign rejects.
+with its g. A ``TrialConfig`` checks its fields when it is built, and
+``run_single`` gates it for the tag and builds the theorem before it
+decides, so a replay rejects whatever a campaign rejects.
 
 Each trial draws from its own stream, exactly
 ``numpy.random.default_rng(trial_seed)``'s (PCG64 seeded through numpy's
@@ -58,7 +59,7 @@ from .checks import (_classical_theorem, _jensen_theorem, _lieb_pq_theorem,
                      _lieb_theorem, _perspective_theorem,
                      _relative_entropy_kernel)
 from .commuting import (CommutingPair, DEFAULT_FLOOR, _pair_gates,
-                        _require_floor)
+                        _require_dim, _require_floor)
 from .errors import DomainViolation, HypothesisViolation
 from .functionals import DensityMatrix, ProbabilityVector, _normalize
 from .linalg import (HermitianMatrix, LoewnerVerdict, RowErrors, _adj,
@@ -121,13 +122,17 @@ class TrialConfig:
     shrink: float = 1.0
     force_endpoints: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # numpy scalars become ints and floats: asdict(cfg) prints as JSON
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, (np.integer, np.floating)):
+                object.__setattr__(self, field.name, value.item())
         for name in ("dim_n", "dim_m", "trials", "seed"):
             value = getattr(self, name)
             # seed 5.0 or True would hash as "5.0" or "True", a campaign
             # other than seed 5's or 1's
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim_n < 1 or self.dim_m < 1:
             raise ValueError(
@@ -143,14 +148,22 @@ class TrialConfig:
         self.resolve_atom()
         lookup_atom("neg_power", self.s)
         lookup_atom("power", self.t)
+        # a NaN, an infinity or a bool would not print as a JSON number
+        for name in ("tol", "floor", "s", "t", "p", "q", "shrink",
+                     "atom_parameter"):
+            value = getattr(self, name)
+            if value is None and name == "atom_parameter":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not -np.inf < value < np.inf):
+                raise ValueError(
+                    f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.force_endpoints, bool):
+            raise ValueError(f"force_endpoints must be a bool, got "
+                             f"{self.force_endpoints!r}")
 
     def resolve_atom(self) -> ScalarAtom:
         return lookup_atom(self.atom, self.atom_parameter)
-
-    def fingerprint(self) -> dict:
-        """The fields as JSON-ready scalars: numpy integers become ints."""
-        return {key: int(value) if isinstance(value, np.integer) else value
-                for key, value in asdict(self).items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,14 +218,14 @@ def _isometry_pair(G, m: int):
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed n x n unitary (QR with phase-fixed diagonal)."""
+    _require_dim(n)
     return _haar(_complex_gaussian(np.random.default_rng(seed), n, n))
 
 
 def random_density(n: int, seed, floor: float = DEFAULT_FLOOR) -> DensityMatrix:
     """Wishart density G G* + floor I, trace-normalized."""
     _require_floor(floor)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     M = _wishart(_complex_gaussian(np.random.default_rng(seed), n, n), floor)
     tr = float(np.real(np.trace(M)))
     return DensityMatrix(M, floor=floor / tr)
@@ -509,9 +522,9 @@ def trial_seed(seed: int, theorem: str, index: int, redraw: int = 0) -> int:
 
 def _prepare(tag: str, cfg: TrialConfig):
     """The tag's table entry, the configured atom and the tag's kernel,
-    after validating ``cfg``, gating it for the tag and checking the
-    theorem's hypotheses on it: every way into a decision starts here."""
-    cfg.validate()
+    after gating ``cfg`` for the tag and checking the theorem's hypotheses
+    on it: every decision starts here, in ``run_single``. The fields of
+    ``cfg`` were checked when it was built."""
     if tag not in _THEOREMS:
         raise ValueError(f"unknown theorem tag {tag!r}")
     entry = _THEOREMS[tag]
@@ -544,8 +557,7 @@ def _coordinate(name: str, value) -> int:
     return int(value)
 
 
-def run_single(theorem: str, cfg: TrialConfig, index, redraw=0, *,
-               _prepared=None):
+def run_single(theorem: str, cfg: TrialConfig, index, redraw=0):
     """Trials at explicit (index, redraw) coordinates, without redraws.
 
     With an int ``index``, one trial (a batch of one): returns the verdict
@@ -555,16 +567,15 @@ def run_single(theorem: str, cfg: TrialConfig, index, redraw=0, *,
     is the replay entry point, so a witness's recorded coordinates
     reproduce its slack exactly.
 
-    With a sequence of indices (all at the one redraw counter), the trials
-    are drawn and decided as one batch, and the result is a ``_Batch``; a
-    row that fails a gate raises nothing: see ``errors``.
-
-    ``_prepared`` is ``_prepare(theorem, cfg)`` when the caller has made it
-    already (a campaign does, once per tag); otherwise it is made here.
+    With a nonempty sequence of indices (all at the one redraw counter),
+    the trials are drawn and decided as one batch, and the result is a
+    ``_Batch``; a row that fails a gate raises nothing: see ``errors``.
     """
-    entry, f, kernel = _prepared or _prepare(theorem, cfg)
+    entry, f, kernel = _prepare(theorem, cfg)
     batched = np.ndim(index) > 0
     indices = [_coordinate("index", i) for i in (index if batched else [index])]
+    if not indices:
+        raise ValueError("index list is empty: there is no trial to run")
     redraw = _coordinate("redraw", redraw)
     seeds = [trial_seed(cfg.seed, theorem, i, redraw) for i in indices]
     bitgen = np.random.PCG64(0)  # every trial sets its own state below
@@ -596,7 +607,7 @@ def run_single(theorem: str, cfg: TrialConfig, index, redraw=0, *,
     return LoewnerVerdict.of(slack[0], used[0]), witness(0)
 
 
-def run_trial(theorem: str, cfg: TrialConfig, index, *, _prepared=None):
+def run_trial(theorem: str, cfg: TrialConfig, index):
     """One trial with redraws: rejected (out-of-domain) draws advance the
     redraw counter instead of counting as failures. Returns the verdict and
     the raw witness.
@@ -606,9 +617,8 @@ def run_trial(theorem: str, cfg: TrialConfig, index, *, _prepared=None):
     ``_Batch`` of each trial as the round that accepted it decided it: its
     ``errors`` are all None. A trial ending in any other exception stops
     the redraws of the trials after it, and the exception of the lowest
-    such trial is raised. ``_prepared`` is as for ``run_single``.
+    such trial is raised.
     """
-    prepared = _prepared or _prepare(theorem, cfg)
     if isinstance(index, range):
         indices = index
     else:
@@ -619,10 +629,7 @@ def run_trial(theorem: str, cfg: TrialConfig, index, *, _prepared=None):
     redraws, witnesses, failed = [0] * size, [None] * size, {}
     pending = range(size)
     for redraw in range(MAX_REDRAWS + 1):
-        if not pending:
-            break
-        rnd = run_single(theorem, cfg, [indices[k] for k in pending], redraw,
-                         _prepared=prepared)
+        rnd = run_single(theorem, cfg, [indices[k] for k in pending], redraw)
         retry = []
         for row, (k, err) in enumerate(zip(pending, rnd.errors)):
             if err is None:
@@ -633,6 +640,8 @@ def run_trial(theorem: str, cfg: TrialConfig, index, *, _prepared=None):
             else:
                 failed[k] = err
         pending = [k for k in retry if k < min(failed, default=size)]
+        if not pending:
+            break
     for k in pending:
         failed[k] = HypothesisViolation(
             f"trial {indices[k]} of {theorem!r} exceeded {MAX_REDRAWS} "
@@ -656,15 +665,15 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
     tags = (theorems,) if isinstance(theorems, str) else tuple(theorems)
     if len(set(tags)) != len(tags):
         raise ValueError("duplicate theorem tags in selection")
-    prepared = {tag: _prepare(tag, cfg) for tag in tags}
+    for tag in tags:  # a bad tag fails before any campaign runs
+        _prepare(tag, cfg)
 
-    config = cfg.fingerprint()  # scalars only, so dict() copies it
+    config = asdict(cfg)  # scalars only, so dict() copies it
     reports = []
     for tag in tags:
         failures, worst, witness = 0, None, None
         for lo in range(0, cfg.trials, CHUNK):
-            chunk = run_trial(tag, cfg, range(lo, min(lo + CHUNK, cfg.trials)),
-                              _prepared=prepared[tag])
+            chunk = run_trial(tag, cfg, range(lo, min(lo + CHUNK, cfg.trials)))
             failures += int(np.count_nonzero(
                 ~(chunk.slack >= -chunk.tolerance_used)))
             k = int(np.argmin(chunk.slack))  # the first of equal minima
@@ -672,7 +681,7 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
                 worst = (float(chunk.slack[k]), lo + k)
                 witness = _encode_witness(chunk.witness(k))
         reports.append(CheckReport(
-            theorem=tag, trials=config["trials"], failures=failures,
+            theorem=tag, trials=cfg.trials, failures=failures,
             worst_slack=worst[0], tolerance=cfg.tol,
             witness=witness, config=dict(config)))
     return reports

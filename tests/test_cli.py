@@ -3,6 +3,7 @@ import enum
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert f"{flag[2:]} must be in (0, inf), got inf" in captured.err
 
+    def test_non_finite_exponent_exits_two(self, capsys):
+        # the report would print "p": NaN, which is not JSON
+        code = main(["verify", "--theorem", "hp", "--trials", "2", "--p",
+                     "nan", "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p must be a finite number, got nan" in captured.err
+
     def test_tolerance_of_one_exits_two(self, capsys):
         # quartic hp fails this campaign at the default tol; tol >= 1 would
         # turn it into a PASS, since tol * (1 + ||B - A||) > |slack|
@@ -146,7 +156,7 @@ class TestVerifyOptions:
         assert main(["verify", "--theorem", "classical", "--trials", "1",
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["config"] == TrialConfig(trials=1).fingerprint()
+        assert doc["config"] == asdict(TrialConfig(trials=1))
 
     def test_help_names_every_campaign_option(self):
         proc = subprocess.run(

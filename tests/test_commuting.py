@@ -57,6 +57,10 @@ class TestCommutingPair:
         with pytest.raises(ValueError, match=f"^{message}$"):
             CommutingPair(basis, lam, mu)
 
+    def test_rejects_empty_basis(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            CommutingPair(np.zeros((0, 0)), [], [])
+
     def test_rejects_spectrum_below_floor(self):
         with pytest.raises(DomainViolation):
             CommutingPair(np.eye(2), [1.0, 1e-12], [1.0, 1.0])

@@ -1,6 +1,8 @@
 """Campaign engine: seeding, generators, checkers, aggregation, determinism."""
 import json
 import re
+from dataclasses import asdict
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -55,7 +57,7 @@ def _serial_report(cfg, tag):
     return CheckReport(theorem=tag, trials=cfg.trials, failures=failures,
                        worst_slack=float(worst[0]), tolerance=cfg.tol,
                        witness=_encode_witness(witness),
-                       config=cfg.fingerprint())
+                       config=asdict(cfg))
 
 
 class TestTrialSeed:
@@ -119,37 +121,59 @@ class TestTrialStreams:
 
 class TestTrialConfig:
     def test_defaults_validate(self):
-        TrialConfig().validate()
+        TrialConfig()
 
-    @pytest.mark.parametrize("kwargs", [
-        {"trials": 0},
-        {"dim_n": 0},
-        {"tol": 0.0},
-        {"tol": -1e-8},
-        {"tol": float("inf")},
-        {"tol": float("nan")},
-        {"tol": 1.0},
-        {"tol": 1e3},
-        {"floor": 0.0},
-        {"floor": float("inf")},
-        {"seed": -1},
-        {"seed": 5.0},
-        {"seed": True},
-        {"seed": "5"},
-        {"trials": 2.5},
-        {"trials": 25.0},
-        {"dim_n": 3.0},
-        {"dim_m": False},
-        {"shrink": 0.0},
-        {"shrink": 1.5},
-        {"atom": "cube"},
-        {"atom": "neg_power", "atom_parameter": 1.0},
-        {"s": 1.0},
-        {"t": 0.0},
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"dim_n": 0}, "dimensions must be >= 1, got (3, 0)"),
+        ({"tol": 0.0}, "tol must be in (0, inf), got 0.0"),
+        ({"tol": -1e-8}, "tol must be in (0, inf), got -1e-08"),
+        ({"tol": float("inf")}, "tol must be in (0, inf), got inf"),
+        ({"tol": float("nan")}, "tol must be in (0, inf), got nan"),
+        ({"tol": 1.0}, "tol must be below 1, got 1: "),
+        ({"tol": 1e3}, "tol must be below 1, got 1000: "),
+        ({"floor": 0.0}, "floor must be in (0, inf), got 0.0"),
+        ({"floor": float("inf")}, "floor must be in (0, inf), got inf"),
+        ({"seed": -1}, "seed must fit in 64 unsigned bits, got -1"),
+        ({"seed": 5.0}, "seed must be an integer, got 5.0"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": "5"}, "seed must be an integer, got '5'"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": 25.0}, "trials must be an integer, got 25.0"),
+        ({"dim_n": 3.0}, "dim_n must be an integer, got 3.0"),
+        ({"dim_m": False}, "dim_m must be an integer, got False"),
+        ({"shrink": 0.0}, "shrink must be in (0, 1], got 0.0"),
+        ({"shrink": 1.5}, "shrink must be in (0, 1], got 1.5"),
+        ({"atom": "cube"}, "unknown atom 'cube'; "),
+        ({"atom": "neg_power", "atom_parameter": 1.0},
+         "neg_power parameter must satisfy 0 < s < 1, got 1.0"),
+        ({"s": 1.0}, "neg_power parameter must satisfy 0 < s < 1, got 1.0"),
+        ({"t": 0.0}, "power parameter must satisfy 0 < t <= 1, got 0.0"),
     ])
-    def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            TrialConfig(**kwargs).validate()
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            TrialConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"tol": Decimal("1e-8")},
+         "tol must be a finite number, got Decimal('1E-8')"),
+        ({"floor": True}, "floor must be a finite number, got True"),
+        ({"s": "0.5"}, "s must be a finite number, got '0.5'"),
+        ({"t": True}, "t must be a finite number, got True"),
+        ({"p": float("nan")}, "p must be a finite number, got nan"),
+        ({"q": -float("inf")}, "q must be a finite number, got -inf"),
+        ({"shrink": True}, "shrink must be a finite number, got True"),
+        ({"atom": "power", "atom_parameter": True},
+         "atom_parameter must be a finite number, got True"),
+        ({"force_endpoints": 1}, "force_endpoints must be a bool, got 1"),
+    ], ids=["tol-decimal", "floor-bool", "s-string", "t-bool", "p-nan",
+            "q-inf", "shrink-bool", "atom-parameter-bool",
+            "force-endpoints-int"])
+    def test_rejects_what_would_not_print_as_json(self, kwargs, message):
+        # each of these was accepted, and its report printed NaN, Infinity,
+        # a bool, a string, or raised when printed
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrialConfig(**kwargs)
 
     def test_numpy_integers_run_the_same_campaign(self):
         [r] = run_campaign(TrialConfig(seed=np.int64(5), trials=np.int64(3)),
@@ -158,13 +182,21 @@ class TestTrialConfig:
         assert printed(r) == printed(ref)
 
     def test_fingerprint_turns_numpy_integers_into_ints(self):
-        config = TrialConfig(seed=np.uint64(5), dim_n=np.int32(3)).fingerprint()
+        assert type(TrialConfig(seed=np.uint64(5)).seed) is int
+        config = asdict(TrialConfig(seed=np.uint64(5), dim_n=np.int32(3)))
         assert type(config["seed"]) is int and type(config["dim_n"]) is int
-        assert config == TrialConfig(seed=5).fingerprint()
+        assert config == asdict(TrialConfig(seed=5))
+
+    def test_numpy_floats_are_stored_as_floats(self):
+        cfg = TrialConfig(s=np.float32(0.5), tol=np.float64(1e-8))
+        assert type(cfg.s) is float and type(cfg.tol) is float
+        [r] = run_campaign(TrialConfig(shrink=np.float32(0.5), trials=2),
+                           "hp-contractive")
+        assert json.loads(printed(r))["config"]["shrink"] == 0.5
 
     def test_fingerprint_is_json_ready(self):
         import json
-        json.dumps(TrialConfig().fingerprint())
+        json.dumps(asdict(TrialConfig()))
 
 
 class TestGenerators:
@@ -207,6 +239,14 @@ class TestGenerators:
     def test_density_dimension_gate(self):
         with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
             random_density(0, 1)
+
+    def test_unitary_dimension_gate(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            random_unitary(0, 1)
+
+    def test_commuting_pair_dimension_gate(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            random_commuting_pair(0, 1)
 
     def test_positive_matrix_floor(self):
         M = random_positive_matrix(3, 5, floor=0.5)
@@ -608,6 +648,16 @@ class TestReplayCoordinates:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entry(tag, TrialConfig(), index, *args)
 
+    def test_empty_index_list_is_rejected(self):
+        message = "^index list is empty: there is no trial to run$"
+        with pytest.raises(ValueError, match=message):
+            run_single("hp", TrialConfig(), [])
+        with pytest.raises(ValueError, match=message):
+            run_trial("hp", TrialConfig(), range(0))
+        # the tag is looked up first
+        with pytest.raises(ValueError, match="^unknown theorem tag 'nope'$"):
+            run_trial("nope", TrialConfig(), range(0))
+
     def test_numpy_integers_are_stored_as_ints(self):
         cfg = TrialConfig()
         v, w = run_single("perspective", cfg, np.int64(3), np.uint8(1))
@@ -630,15 +680,13 @@ class TestEveryEntryPrepares:
          "atom quartic is not matrix convex"),
         ("lieb-pq", {"p": 0.9, "q": 0.9}, HypothesisViolation,
          "exponents must satisfy p + q <= 1"),
-        ("hp", {"tol": 5.0}, ValueError, "tol must be below 1"),
         ("hp", {"dim_m": 1, "dim_n": 3}, ValueError,
          "no isometry pair exists for m=1, n=3"),
         ("hp-contractive", {"atom": "neg_log"}, HypothesisViolation,
          "atom neg_log lacks f(0) <= 0"),
         ("marechal", {"atom": "neg_log"}, HypothesisViolation,
          "atom neg_log lacks f(0) <= 0"),
-    ], ids=["concave-hp", "quartic-perspective", "pq-above-one", "tol-5",
-            "no-isometry", "contractive-f0", "marechal-f0"])
+    ], ids=["concave-hp", "quartic-perspective", "pq-above-one", "no-isometry", "contractive-f0", "marechal-f0"])
     def test_replay_rejects_what_the_campaign_rejects(self, tag, kwargs,
                                                       error, message):
         cfg = TrialConfig(**kwargs)
@@ -650,19 +698,21 @@ class TestEveryEntryPrepares:
             assert type(caught.value) is type(campaign.value)
             assert str(caught.value) == str(campaign.value)
 
-    def test_campaign_prepares_each_tag_once(self, monkeypatch):
-        # two chunks per tag, and redraw rounds on the floor-2 pair tags
+    def test_campaign_rejects_a_later_tag_before_any_trial(self,
+                                                          monkeypatch):
+        # hp would run; lieb-pq's exponents break its hypothesis
         from opconvex import verify
-        tags = []
-        real = verify._prepare
+        calls = []
+        real = verify.run_single
 
-        def counted(tag, cfg):
-            tags.append(tag)
-            return real(tag, cfg)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(verify, "_prepare", counted)
-        run_campaign(TrialConfig(trials=CHUNK + 6, floor=2.0), THEOREM_TAGS)
-        assert tags == list(THEOREM_TAGS)
+        monkeypatch.setattr(verify, "run_single", counted)
+        with pytest.raises(HypothesisViolation, match="p \\+ q <= 1"):
+            run_campaign(TrialConfig(p=0.9, q=0.9), ("hp", "lieb-pq"))
+        assert calls == []
 
     def test_report_witnesses_replay_from_their_printed_config(self):
         # the README's replay block, on every tag of one campaign
@@ -815,7 +865,7 @@ class TestRunCampaign:
         assert r.theorem == "perspective"
         assert r.trials == 25 and r.failures == 0
         assert r.tolerance == cfg.tol
-        assert r.config == cfg.fingerprint()
+        assert r.config == asdict(cfg)
         doc = r.to_json()
         assert set(doc) == {"theorem", "trials", "failures", "worst_slack",
                             "tolerance", "witness", "config"}
@@ -839,7 +889,7 @@ class TestRunCampaign:
     def test_each_report_owns_its_config(self):
         cfg = TrialConfig(trials=3, seed=3)
         a, b = run_campaign(cfg, ("classical", "perspective"))
-        assert a.config == b.config == cfg.fingerprint()
+        assert a.config == b.config == asdict(cfg)
         assert a.config is not b.config
 
     @pytest.mark.parametrize("tag", THEOREM_TAGS)
