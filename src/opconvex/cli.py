@@ -13,6 +13,7 @@ or environment state leak in.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from itertools import islice
@@ -234,18 +235,60 @@ def _cmd_verify(args) -> int:
     return int(failed != args.negative_control)
 
 
+# orjson recurses once per bracket level, ~64 bytes of C stack each, and
+# crashes the process past ~10^5 levels on an 8 MiB stack; json.load raises
+# RecursionError near 10^3. A file nested no deeper than this is safe for
+# orjson on any thread's stack.
+_ORJSON_MAX_DEPTH = 256
+# bytes.translate arguments that keep only quotes and brackets, an opening
+# bracket as the int8 step +1 and a closing one as -1
+_DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+_NOT_MARKS = bytes(set(range(256)) - set(b'"[]{}'))
+
+
+def _orjson_safe(data: bytes) -> bool:
+    """Whether orjson decodes ``data`` as ``json.load`` reads the file:
+    the bytes are ASCII, hold no backslash (so every quote opens or
+    closes a string), their quotes pair up, and brackets outside strings
+    nest at most ``_ORJSON_MAX_DEPTH`` deep."""
+    if not data.isascii() or b"\\" in data:
+        return False
+    parts = data.translate(_DEPTH_STEPS, _NOT_MARKS).split(b'"')
+    if len(parts) % 2 == 0:
+        return False
+    steps = np.frombuffer(b"".join(parts[::2]), np.int8)
+    return not steps.size or np.cumsum(steps).max() <= _ORJSON_MAX_DEPTH
+
+
 def _read_matrix_file(args, flag: str, needed_by: str = "this functional"):
-    """The JSON document in the file the ``--{flag}`` option names."""
+    """The JSON document in the file the ``--{flag}`` option names, as
+    ``json.load`` decodes the file opened in text mode.
+
+    The file is read once. orjson decodes it faster where ``_orjson_safe``
+    allows and it returns a dict whose dimensions are not floats; all else
+    goes to ``json.load`` on the same bytes, so its errors are json's.
+    orjson makes an integer beyond 64 bits the nearest float, so such a
+    dimension goes to ``json.load``, and such an entry comes back as the
+    float that ``matrix_from_json`` makes of json's int.
+    """
     path = getattr(args, flag)
     if path is None:
         raise ValueError(f"--{flag} is required for {needed_by}")
-    with open(path) as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _orjson_safe(data):
         try:
-            # not orjson: it crashes the process on deeply nested input
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"--{flag}: {path} is nested too deeply to "
-                             f"decode") from None
+            doc = orjson.loads(data)
+        except orjson.JSONDecodeError:
+            doc = None
+        if type(doc) is dict and float not in {
+                type(doc.get(key)) for key in ("dim", "rows", "cols")}:
+            return doc
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data)))
+    except RecursionError:
+        raise ValueError(f"--{flag}: {path} is nested too deeply to "
+                         f"decode") from None
 
 
 def _cmd_eval(args) -> int:

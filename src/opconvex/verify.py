@@ -141,6 +141,16 @@ class TrialConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        # a bool, a NaN or an infinity would not print as a JSON number;
+        # the range checks below cannot compare what is not a number
+        numbers = {name: getattr(self, name) for name in (
+            "tol", "floor", "s", "t", "p", "q", "shrink", "atom_parameter")}
+        if self.atom_parameter is None:
+            del numbers["atom_parameter"]
+        for name, value in numbers.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(
+                    f"{name} must be a finite number, got {value!r}")
         _require_tol(self.tol)
         _require_floor(self.floor)
         if not 0.0 < self.shrink <= 1.0:
@@ -148,14 +158,8 @@ class TrialConfig:
         self.resolve_atom()
         lookup_atom("neg_power", self.s)
         lookup_atom("power", self.t)
-        # a NaN, an infinity or a bool would not print as a JSON number
-        for name in ("tol", "floor", "s", "t", "p", "q", "shrink",
-                     "atom_parameter"):
-            value = getattr(self, name)
-            if value is None and name == "atom_parameter":
-                continue
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not -np.inf < value < np.inf):
+        for name, value in numbers.items():
+            if not -np.inf < value < np.inf:
                 raise ValueError(
                     f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.force_endpoints, bool):
@@ -240,6 +244,8 @@ def random_positive_matrix(n: int, seed,
 
 
 def _require_isometry_dims(m: int, n: int) -> None:
+    _require_dim(m)
+    _require_dim(n)
     if 2 * m < n:
         raise ValueError(
             f"no isometry pair exists for m={m}, n={n}: need 2m >= n")

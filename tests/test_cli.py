@@ -1,18 +1,23 @@
 """CLI surface: subcommands, exit codes, JSON reports, matrix file handling."""
+import argparse
 import enum
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opconvex import THEOREM_TAGS, TrialConfig
 from opconvex.linalg import matrix_from_json, matrix_to_json, matrix_wire
-from opconvex.cli import _BLOCK, _CAMPAIGN_OPTIONS, _dump, _reprs, main
+from opconvex import cli
+from opconvex.cli import (_BLOCK, _CAMPAIGN_OPTIONS, _dump, _read_matrix_file,
+                          _reprs, main)
 
 
 def write_matrix(path, M):
@@ -376,6 +381,197 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "numbers" in captured.err
+
+
+def typed(x):
+    """``x`` with each leaf tagged by its type, a float spelled by
+    ``float.hex`` so that NaN equals NaN and -0.0 differs from 0.0."""
+    if isinstance(x, dict):
+        return {key: typed(value) for key, value in x.items()}
+    if isinstance(x, list):
+        return [typed(value) for value in x]
+    return (type(x), x.hex() if type(x) is float else x)
+
+
+def text_mode_read(args, flag, needed_by="this functional"):
+    """The matrix file reader that ``_read_matrix_file`` must agree with:
+    ``json.load`` on the file opened in text mode."""
+    path = getattr(args, flag)
+    if path is None:
+        raise ValueError(f"--{flag} is required for {needed_by}")
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"--{flag}: {path} is nested too deeply to "
+                             f"decode") from None
+
+
+def read_both(path):
+    """``(text_mode_read, _read_matrix_file)`` of the file, each a typed
+    document or the type and text of what it raised."""
+    outcomes = []
+    for read in (text_mode_read, _read_matrix_file):
+        try:
+            outcomes.append(typed(read(argparse.Namespace(rho=str(path)),
+                                       "rho")))
+        except (ValueError, RecursionError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def nested(depth, note=""):
+    """A one-by-one matrix document with a ``note`` string, whose brackets
+    outside strings nest ``depth`` deep."""
+    pad = "[" * (depth - 1) + "]" * (depth - 1)
+    return ('{"note": "%s", "dim": 1, "entries": [[[0.5, 0.0]]], "pad": %s}'
+            % (note, pad)).encode()
+
+
+@st.composite
+def matrix_documents(draw):
+    """Matrix documents of up to 3 x 3 numbers (NaN, the infinities and
+    integers of up to 64 bits among them), whose dimensions, any integers,
+    may not match the entries, some with a note of any text."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dims = draw(st.sampled_from([(rows, cols), (rows, cols),
+                                 draw(st.tuples(st.integers(),
+                                                st.integers()))]))
+    doc = ({"dim": dims[0]} if dims[0] == dims[1] and draw(st.booleans())
+           else {"rows": dims[0], "cols": dims[1]})
+    number = st.floats() | st.integers(-2 ** 63, 2 ** 64 - 1)
+    doc["entries"] = draw(st.lists(
+        st.lists(st.lists(number, min_size=2, max_size=2),
+                 min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        doc["note"] = draw(st.text(st.characters(exclude_categories=("Cs",)),
+                                   max_size=6))
+    return doc
+
+
+ONE = b'{"dim": 1, "entries": [[[0.5, 0.0]]]}'
+
+# (id, file bytes, whether orjson may decode them); each must give the
+# outcome the text-mode reader gives, through `opconvex eval` too
+DECODE_CORPUS = [
+    ("bom", b"\xef\xbb\xbf" + ONE, False),
+    ("crlf", b'{\r\n"dim": 1,\r\n"entries": [[[0.5, 0.0]]]\r\n}\r\n', True),
+    ("non-ascii-key", '{"é": 1, "dim": 1, "entries": [[[0.5, 0.0]]]}'
+     .encode(), False),
+    ("escaped-dim", b'{"\\u0064im": 1, "entries": [[[0.5, 0.0]]]}', False),
+    ("latin-1-byte", b'{"\xe9": 1, "dim": 1, "entries": [[[0.5, 0.0]]]}',
+     False),
+    ("nan", b'{"dim": 1, "entries": [[[NaN, 0.0]]]}', True),
+    ("infinity", b'{"dim": 1, "entries": [[[0.5, -Infinity]]]}', True),
+    ("1e400", b'{"dim": 1, "entries": [[[1e400, 0.0]]]}', True),
+    ("lone-surrogate",
+     b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note": "\\ud800"}', False),
+    ("dim-2**64", b'{"dim": 18446744073709551616, "entries": [[[0.5, 0.0]]]}',
+     True),
+    ("rows-2**64", b'{"rows": 1, "cols": 18446744073709551616, '
+                   b'"entries": [[[0.5, 0.0]]]}', True),
+    ("dim-2**63-negative",
+     b'{"dim": -9223372036854775809, "entries": [[[0.5, 0.0]]]}', True),
+    ("entry-2**64+1", b'{"dim": 1, "entries": [[[18446744073709551617, 0]]]}',
+     True),
+    ("trailing-comma", b'{"dim": 1, "entries": [[[0.5, 0.0]]],}', True),
+    ("cr-line-ends-then-comma",
+     b'{\r"dim": 1,\r"entries": [[[0.5, 0.0]]],\r}', True),
+    ("closers-in-string", nested(cli._ORJSON_MAX_DEPTH + 1, "]]]]"), False),
+    ("openers-in-string", nested(cli._ORJSON_MAX_DEPTH, "[[[["), True),
+    ("unpaired-quote", b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note: 1}',
+     False),
+    ("at-gate", nested(cli._ORJSON_MAX_DEPTH), True),
+    ("past-gate", nested(cli._ORJSON_MAX_DEPTH + 1), False),
+    ("1000-deep", b"[" * 1000 + b"]" * 1000, False),
+    ("200000-deep", b"[" * 200000 + b"]" * 200000, False),
+    ("top-level-list", b"[1.0, 2.0]", True),
+    ("empty", b"", True),
+]
+
+
+class TestMatrixFileDecoding:
+    """``_read_matrix_file`` decodes a file as ``json.load`` does on the
+    file opened in text mode, taking orjson's faster route only where that
+    gives the same document."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=matrix_documents(),
+           indent=st.sampled_from([None, 0, 1, 4, "\t"]),
+           separators=st.sampled_from([None, (",", ":"), (" , ", " : ")]),
+           ascii_only=st.booleans(), crlf=st.booleans())
+    def test_returns_what_json_load_returns(self, doc, indent, separators,
+                                            ascii_only, crlf):
+        text = json.dumps(doc, indent=indent, separators=separators,
+                          ensure_ascii=ascii_only)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.json")
+            with open(path, "wb") as fh:
+                fh.write(text.replace("\n", "\r\n" if crlf else "\n")
+                         .encode())
+            expected, got = read_both(path)
+        assert got == expected
+
+    @pytest.mark.parametrize("name,data,safe", DECODE_CORPUS,
+                             ids=[row[0] for row in DECODE_CORPUS])
+    def test_corpus_decodes_as_text_mode(self, tmp_path, name, data, safe,
+                                         monkeypatch, capsys):
+        assert cli._orjson_safe(data) == safe
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+        sigma = tmp_path / "one.json"
+        sigma.write_bytes(ONE)
+        expected, got = read_both(path)
+        if name != "entry-2**64+1":  # see the test below
+            assert got == expected
+        argv = ["eval", "--functional", "rel-entropy", "--rho", str(path),
+                "--sigma", str(sigma), "--json"]
+        runs = []
+        for reader in (text_mode_read, cli._read_matrix_file):
+            monkeypatch.setattr(cli, "_read_matrix_file", reader)
+            runs.append((main(argv), capsys.readouterr()))
+        assert runs[1] == runs[0]
+
+    def test_integer_entry_beyond_64_bits_is_its_float(self, tmp_path):
+        # orjson's float for the literal, not json's int: matrix_from_json
+        # makes the same float64 of both
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"dim": 1, "entries": [[[18446744073709551617, '
+                         b'-9223372036854775809]]]}')
+        expected, got = read_both(path)
+        assert expected["entries"] == [[[(int, 2 ** 64 + 1),
+                                          (int, -2 ** 63 - 1)]]]
+        assert got["entries"] == [[[(float, float(2 ** 64 + 1).hex()),
+                                     (float, float(-2 ** 63 - 1).hex())]]]
+        assert np.array_equal(
+            matrix_from_json(_read_matrix_file(
+                argparse.Namespace(rho=str(path)), "rho")),
+            matrix_from_json(text_mode_read(
+                argparse.Namespace(rho=str(path)), "rho")))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                        reason="needs /dev/fd")
+    @pytest.mark.parametrize("name", ["crlf", "escaped-dim", "bom"])
+    def test_reads_a_pipe_once(self, tmp_path, name, capsys):
+        # orjson decodes the first; json.load the other two, and the last
+        # exits 2 with json's message
+        data = {row[0]: row[1] for row in DECODE_CORPUS}[name]
+        sigma = tmp_path / "one.json"
+        sigma.write_bytes(ONE)
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+        argv = ["eval", "--functional", "rel-entropy", "--sigma", str(sigma),
+                "--json", "--rho"]
+        expected = main(argv + [str(path)]), capsys.readouterr()
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            got = main(argv + [f"/dev/fd/{read_end}"]), capsys.readouterr()
+        finally:
+            os.close(read_end)
+        assert got == expected
 
 
 class Color(enum.IntEnum):

@@ -166,9 +166,17 @@ class TestTrialConfig:
         ({"atom": "power", "atom_parameter": True},
          "atom_parameter must be a finite number, got True"),
         ({"force_endpoints": 1}, "force_endpoints must be a bool, got 1"),
+        ({"tol": "1e-8"}, "tol must be a finite number, got '1e-8'"),
+        ({"tol": None}, "tol must be a finite number, got None"),
+        ({"tol": True}, "tol must be a finite number, got True"),
+        ({"floor": "1"}, "floor must be a finite number, got '1'"),
+        ({"floor": None}, "floor must be a finite number, got None"),
+        ({"shrink": "1"}, "shrink must be a finite number, got '1'"),
+        ({"shrink": None}, "shrink must be a finite number, got None"),
     ], ids=["tol-decimal", "floor-bool", "s-string", "t-bool", "p-nan",
             "q-inf", "shrink-bool", "atom-parameter-bool",
-            "force-endpoints-int"])
+            "force-endpoints-int", "tol-string", "tol-none", "tol-bool",
+            "floor-string", "floor-none", "shrink-string", "shrink-none"])
     def test_rejects_what_would_not_print_as_json(self, kwargs, message):
         # each of these was accepted, and its report printed NaN, Infinity,
         # a bool, a string, or raised when printed
@@ -247,6 +255,16 @@ class TestGenerators:
     def test_commuting_pair_dimension_gate(self):
         with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
             random_commuting_pair(0, 1)
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (1, 0), (0, 1)])
+    def test_isometry_pair_dimension_gate(self, m, n):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            random_isometry_pair(m, n, 1)
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (1, 0), (0, 1)])
+    def test_contraction_pair_dimension_gate(self, m, n):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            random_contraction_pair(m, n, 1)
 
     def test_positive_matrix_floor(self):
         M = random_positive_matrix(3, 5, floor=0.5)
