@@ -13,8 +13,10 @@ or environment state leak in.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
+import re
 import sys
 from itertools import islice
 
@@ -166,22 +168,54 @@ def _emit_block(E, level: int, out: list) -> None:
     out.append(i2 + "]" + i1 + "]\n" + "  " * level + "]")
 
 
+# How orjson spells the numbers that repr writes in exponent notation:
+# [-]0.0000d... for 1e-5 <= |x| < 1e-4, and [-]d[.ddd]e-d... or
+# [-]d[.ddd]edd... below and above that. Digits end in a nonzero digit, as
+# shortest digits do. In such numbers each preceded by a comma, the search
+# finds the first comma not followed by one of these forms. Each test is a
+# lookahead that ends at the next comma, so no backtracking state builds
+# up over a block: one match of a repeat of the forms keeps some for every
+# number, unless possessive, which needs Python 3.11.
+_OTHER_FORM = re.compile(
+    r",(?!-?(?:0\.0000[1-9](?:\d*[1-9])?|[1-9](?:\.\d*[1-9])?e-?[1-9]\d*)"
+    r"(?:,|\Z))")
+
+
 def _reprs(x) -> list:
     """``float.__repr__`` of each number of the non-empty finite float64
     array ``x``, in flattened order.
 
-    orjson writes the whole array from C, spelling 0 and every
-    1e-4 <= |x| < 1e16 as repr does. Elsewhere repr switches to exponent
-    notation (``1e-05``, ``1e+16``) and orjson does not (``0.00001``,
-    ``1e16``), so those numbers are spelled again by ``float.__repr__``.
+    orjson writes the whole array from C with the shortest digits that
+    round-trip, which are repr's, and spells 0 and every 1e-4 <= |x| < 1e16
+    as repr does. Elsewhere repr writes exponent notation and orjson does
+    not: repr's ``1.5e-05``, ``1.5e-06`` and ``1e+16`` are orjson's
+    ``0.000015``, ``1.5e-6`` and ``1e16``. Those numbers are spelled again
+    from orjson's digits when one ``_OTHER_FORM`` search finds none of
+    them in another form; otherwise all of them are spelled by
+    ``float.__repr__``, so an orjson that writes another form changes no
+    output.
     """
     x = x.ravel()
     strs = orjson.dumps(
         x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     a = np.abs(x)
-    odd = np.flatnonzero((a >= 1e16) | ((a < 1e-4) & (a != 0)))
-    for i, value in zip(odd.tolist(), x[odd].tolist()):
-        strs[i] = float.__repr__(value)
+    odd = np.flatnonzero((a >= 1e16) | ((a < 1e-4) & (a != 0))).tolist()
+    if not odd:
+        return strs
+    if _OTHER_FORM.search("," + ",".join([strs[i] for i in odd])):
+        for i, text in zip(odd, map(float.__repr__, x[odd].tolist())):
+            strs[i] = text
+        return strs
+    for i in odd:  # each old string is freed as its new one is made
+        t = strs[i]
+        strs[i] = (
+            (f"{t[6]}.{t[7:]}e-05" if len(t) > 7 else f"{t[6]}e-05")
+            if t[0] == "0" else  # 0.0000d...
+            (f"-{t[7]}.{t[8:]}e-05" if len(t) > 8 else f"-{t[7]}e-05")
+            if t[1] == "0" else  # -0.0000d...
+            f"{t[:-1]}0{t[-1]}" if t[-2] == "-" else  # ...e-d
+            t if "e-" in t else  # ...e-dd, as repr spells it
+            t.replace("e", "e+"))  # ...edd
     return strs
 
 
@@ -269,7 +303,8 @@ def _read_matrix_file(args, flag: str, needed_by: str = "this functional"):
     goes to ``json.load`` on the same bytes, so its errors are json's.
     orjson makes an integer beyond 64 bits the nearest float, so such a
     dimension goes to ``json.load``, and such an entry comes back as the
-    float that ``matrix_from_json`` makes of json's int.
+    float that ``matrix_from_json`` makes of json's int. ``eval`` reads
+    each file through ``_load_matrix``, with the cyclic collector paused.
     """
     path = getattr(args, flag)
     if path is None:
@@ -291,10 +326,31 @@ def _read_matrix_file(args, flag: str, needed_by: str = "this functional"):
                          f"decode") from None
 
 
+def _load_matrix(args, flag: str, convert,
+                 needed_by: str = "this functional"):
+    """``convert`` (``hermitian_from_json`` or ``matrix_from_json``) of
+    what ``_read_matrix_file`` reads from the ``--{flag}`` file, with the
+    cyclic garbage collector paused.
+
+    A decoded 128x128 file is ~16 500 lists, none in a reference cycle,
+    and every collection that ran while they lived would walk them. They
+    are freed when ``convert`` returns, before the collector resumes, so
+    the pause leaves no collection owed. The collector is left enabled or
+    disabled as the caller had it, also when reading or converting raised.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return convert(_read_matrix_file(args, flag, needed_by))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _cmd_eval(args) -> int:
     if args.functional == "rel-entropy":
-        rho = hermitian_from_json(_read_matrix_file(args, "rho"))
-        sigma = hermitian_from_json(_read_matrix_file(args, "sigma"))
+        rho = _load_matrix(args, "rho", hermitian_from_json)
+        sigma = _load_matrix(args, "sigma", hermitian_from_json)
         value = quantum_relative_entropy_direct(rho, sigma)
         inputs = {"rho": rho.mat, "sigma": sigma.mat}
     else:
@@ -303,9 +359,9 @@ def _cmd_eval(args) -> int:
         if None in exponents.values():
             raise ValueError(f"{'--s is' if lieb_s else '--p and --q are'} "
                              f"required for {args.functional}")
-        A = hermitian_from_json(_read_matrix_file(args, "a"))
-        B = hermitian_from_json(_read_matrix_file(args, "b"))
-        K = matrix_from_json(_read_matrix_file(args, "k", args.functional))
+        A = _load_matrix(args, "a", hermitian_from_json)
+        B = _load_matrix(args, "b", hermitian_from_json)
+        K = _load_matrix(args, "k", matrix_from_json, args.functional)
         functional = lieb_functional if lieb_s else lieb_pq_functional
         value = functional(A, B, K, *exponents.values())
         inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainViolation
 from .linalg import (HermitianMatrix, RowErrors, UNITARY_TOL, _adj, _eigh,
-                     _hermitian_pair, _materialize, as_matrix)
+                     _hermitian_pair, _materialize, _require_dim, as_matrix)
 
 # Default strict-positivity floor for spectra.
 DEFAULT_FLOOR = 1e-8
@@ -39,11 +39,6 @@ def _require_floor(floor) -> None:
     """Reject a floor outside (0, inf): a NaN one passes every spectrum."""
     if not 0.0 < floor < np.inf:
         raise ValueError(f"floor must be in (0, inf), got {floor}")
-
-
-def _require_dim(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -38,6 +38,11 @@ JSON_HERMITICITY_TOL = 1e-8
 UNITARY_TOL = 1e-10
 
 
+def _require_dim(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class HermitianMatrix:
     """An immutable Hermitian matrix.
@@ -54,8 +59,7 @@ class HermitianMatrix:
         M = as_matrix(self.mat)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {M.shape}")
-        if M.shape[0] < 1:
-            raise ValueError("matrix dimension must be at least 1")
+        _require_dim(M.shape[0])
         if not np.isfinite(M).all():
             raise ValueError("matrix entries must be finite")
         H = _sym(M)

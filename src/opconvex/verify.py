@@ -59,11 +59,12 @@ from .checks import (_classical_theorem, _jensen_theorem, _lieb_pq_theorem,
                      _lieb_theorem, _perspective_theorem,
                      _relative_entropy_kernel)
 from .commuting import (CommutingPair, DEFAULT_FLOOR, _pair_gates,
-                        _require_dim, _require_floor)
+                        _require_floor)
 from .errors import DomainViolation, HypothesisViolation
 from .functionals import DensityMatrix, ProbabilityVector, _normalize
 from .linalg import (HermitianMatrix, LoewnerVerdict, RowErrors, _adj,
-                     _materialize, _require_tol, _sym, matrix_wire)
+                     _materialize, _require_dim, _require_tol, _sym,
+                     matrix_wire)
 from .seeding import pcg64_states
 
 # The checkers, and the Loewner test they reduce to, are also looked up
@@ -239,6 +240,7 @@ def random_positive_matrix(n: int, seed,
                            floor: float = DEFAULT_FLOOR) -> HermitianMatrix:
     """Wishart positive matrix G G* + floor I (no normalization)."""
     _require_floor(floor)
+    _require_dim(n)
     return HermitianMatrix(
         _wishart(_complex_gaussian(np.random.default_rng(seed), n, n), floor))
 
@@ -318,6 +320,7 @@ def random_hermitian_in_domain(f: ScalarAtom, n: int, seed) -> HermitianMatrix:
 
 
 def random_probability_vector(n: int, seed) -> ProbabilityVector:
+    _require_dim(n)
     rng = np.random.default_rng(seed)
     v = rng.random(n) + 0.05
     return ProbabilityVector(v / v.sum())

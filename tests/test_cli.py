@@ -1,20 +1,26 @@
 """CLI surface: subcommands, exit codes, JSON reports, matrix file handling."""
 import argparse
 import enum
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import types
 from dataclasses import asdict
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opconvex import THEOREM_TAGS, TrialConfig
 from opconvex.linalg import matrix_from_json, matrix_to_json, matrix_wire
+from opconvex.verify import random_density
 from opconvex import cli
 from opconvex.cli import (_BLOCK, _CAMPAIGN_OPTIONS, _dump, _read_matrix_file,
                           _reprs, main)
@@ -574,6 +580,62 @@ class TestMatrixFileDecoding:
         assert got == expected
 
 
+class TestCollectorPause:
+    """``eval`` decodes its matrix files with the cyclic garbage collector
+    paused, and leaves the collector as its caller had it."""
+
+    @pytest.fixture
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize("rho, code", [
+        (None, 0), (b"{", 2),
+        (b'{"dim": 2, "entries": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}', 2)],
+        ids=["exit-0", "decode-error", "not-hermitian"])
+    def test_keeps_the_callers_collector_state(self, tmp_path, eye2,
+                                               restore_gc, enabled, rho,
+                                               code, capsys):
+        if rho is not None:
+            (tmp_path / "rho.json").write_bytes(rho)
+        (gc.enable if enabled else gc.disable)()
+        assert main(["eval", "--functional", "rel-entropy", "--rho",
+                     eye2 if rho is None else str(tmp_path / "rho.json"),
+                     "--sigma", eye2]) == code
+        assert gc.isenabled() is enabled
+
+    def test_decodes_with_the_collector_off(self, eye2, restore_gc,
+                                            monkeypatch, capsys):
+        seen = []
+        loads = orjson.loads
+
+        def spy(data):
+            seen.append(gc.isenabled())
+            return loads(data)
+
+        monkeypatch.setattr(cli.orjson, "loads", spy)
+        gc.enable()
+        assert main(["eval", "--functional", "lieb-s", "--s", "0.5", "--a",
+                     eye2, "--b", eye2, "--k", eye2]) == 0
+        assert seen == [False, False, False]
+        assert gc.isenabled()
+
+    def test_frees_the_document_before_it_returns(self, tmp_path,
+                                                  restore_gc):
+        # a 64x64 document is ~4 200 tracked lists; with the collector off
+        # none of them is collected, so any still alive would count here
+        path = write_matrix(tmp_path / "m.json", np.eye(64))
+        gc.disable()
+        before = gc.get_count()[0]
+        H = cli._load_matrix(argparse.Namespace(rho=path), "rho",
+                             cli.hermitian_from_json)
+        assert H.dim == 64
+        assert gc.get_count()[0] - before < 100
+
+
 class Color(enum.IntEnum):
     RED = 1
 
@@ -689,6 +751,88 @@ class TestReportPrinter:
                       * 10.0 ** rng.uniform(-330, 308, 8000))
         for x in (edges, -edges, scaled[np.isfinite(scaled)]):
             assert _reprs(x) == list(map(float.__repr__, x.tolist()))
+
+    # magnitude ranges, one for each way orjson spells a number otherwise
+    # than repr: 0.0000d..., e-d, subnormal e-ddd, edd and eddd
+    EXPONENT_RANGES = [(1e-5, 1e-4), (1e-10, 1e-5), (5e-324, 1e-300),
+                       (1e16, 1e22), (1e100, np.finfo(float).max)]
+
+    @pytest.mark.parametrize("low, high", EXPONENT_RANGES,
+                             ids=["0.0000d", "e-d", "subnormal", "edd",
+                                  "eddd"])
+    def test_exponent_notation_sweep(self, low, high):
+        # 10 000 values log-uniform on [low, high), each rounded to 1 to 17
+        # significant digits, with both signs
+        rng = np.random.default_rng(31)
+        with np.errstate(under="ignore"):
+            draws = 10.0 ** rng.uniform(np.log10(low), np.log10(high),
+                                        12000)
+        digits = rng.integers(1, 18, draws.size)
+        x = np.array([float(f"{v:.{d - 1}e}")
+                      for v, d in zip(draws.tolist(), digits.tolist())])
+        x = x[(x >= low) & (x < high)]
+        assert x.size >= 10000
+        for y in (x, -x):
+            assert _reprs(y) == list(map(float.__repr__, y.tolist()))
+
+    @pytest.mark.skipif(orjson.__version__ != "3.8.3",
+                        reason="the forms were read off orjson 3.8.3")
+    def test_sweep_takes_the_respelling_route(self):
+        # every number of the sweep's ranges takes the re-spelling route
+        rng = np.random.default_rng(37)
+        for low, high in self.EXPONENT_RANGES:
+            x = 10.0 ** rng.uniform(np.log10(max(low, 1e-323)),
+                                    np.log10(high), 2000)
+            for y in (x, -x):
+                text = orjson.dumps(y, option=orjson.OPT_SERIALIZE_NUMPY)
+                assert not cli._OTHER_FORM.search(
+                    "," + text[1:-1].decode())
+
+    def test_respelling_keeps_no_state_per_number(self):
+        # one match of a repeat of the forms would keep backtracking state
+        # for each number, ~12 MB for these 20 000 against the ~1.3 MB
+        # their strings hold
+        x = np.array([1.5e-7, -0.000025, 3e17, -2.5e-300] * 5000)
+        _reprs(x[:8])
+        tracemalloc.start()
+        try:
+            strs = _reprs(x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert strs == list(map(float.__repr__, x.tolist()))
+        assert peak < 3 * held
+
+    @pytest.mark.parametrize("respell", [
+        lambda t: t.replace("e", "E"),
+        lambda t: re.sub(r"0\.0000(\d)(\d*)", r"\1.\2E-05", t, count=1),
+        lambda t: t.replace("e-6", "e-06"),
+        lambda t: t.replace("e16", "e016"),
+        lambda t: t.replace("0.00002", "0.000020"),
+        lambda t: t.replace("1.5e-6", "0.0000015"),
+        lambda t: t.replace("1.25e22", "1.250e22")],
+        ids=["upper-e", "one-0.0000d", "padded-exponent",
+             "padded-large-exponent", "trailing-zero", "fixed-below-1e-5",
+             "mantissa-trailing-zero"])
+    def test_unknown_orjson_forms_fall_back_to_repr(self, respell,
+                                                    monkeypatch):
+        def dumps(x, option):
+            return respell(orjson.dumps(x, option=option).decode()).encode()
+
+        monkeypatch.setattr(cli, "orjson", types.SimpleNamespace(
+            dumps=dumps, OPT_SERIALIZE_NUMPY=orjson.OPT_SERIALIZE_NUMPY))
+        x = np.array([1.5e-5, -2e-5, 0.25, 1.5e-6, -3e-7, 1e-12, 1e16,
+                      -1.25e22, 0.0, 1e300])
+        assert _reprs(x) == list(map(float.__repr__, x.tolist()))
+
+    def test_eval_sized_density_block_matches_stdlib(self):
+        # a trace-normalized 128x128 Wishart, the block eval-large prints;
+        # about a sixth of its numbers are below 1e-4
+        M = random_density(128, 41).mat
+        E = matrix_wire(M)["entries"]
+        assert ((np.abs(E) < 1e-4) & (E != 0)).sum() > 3000
+        expected = self.oracle({"m": matrix_to_json(M)})
+        assert _dump({"m": M}) == expected
 
     @given(JSON_TREES)
     def test_matches_stdlib_indented_encoder(self, tree):

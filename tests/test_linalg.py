@@ -46,7 +46,7 @@ class TestHermitianMatrix:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError,
-                           match="^matrix dimension must be at least 1$"):
+                           match="^dimension must be >= 1, got 0$"):
             HermitianMatrix(np.zeros((0, 0)))
 
     def test_rejects_non_finite(self):

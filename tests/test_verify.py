@@ -266,6 +266,15 @@ class TestGenerators:
         with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
             random_contraction_pair(m, n, 1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_positive_matrix_dimension_gate(self, n):
+        with pytest.raises(ValueError, match=f"^dimension must be >= 1, got {n}$"):
+            random_positive_matrix(n, 1)
+
+    def test_probability_vector_dimension_gate(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            random_probability_vector(0, 1)
+
     def test_positive_matrix_floor(self):
         M = random_positive_matrix(3, 5, floor=0.5)
         assert np.linalg.eigvalsh(M.mat)[0] >= 0.5 - 1e-12
