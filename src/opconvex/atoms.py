@@ -221,14 +221,10 @@ def lookup_atom(name: str, parameter: float | None = None) -> ScalarAtom:
     return ScalarAtom(name, parameter, family.domain, *flags, fn=fn)
 
 
-def atom_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
 def list_atoms() -> list[dict]:
     """Metadata rows for every registered family (sample parameters where needed)."""
     rows = []
-    for name in atom_names():
+    for name in sorted(_REGISTRY):
         family = _REGISTRY[name]
         atom = lookup_atom(name, family.sample)
         rows.append({

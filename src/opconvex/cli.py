@@ -294,7 +294,7 @@ def _orjson_safe(data: bytes) -> bool:
     return not steps.size or np.cumsum(steps).max() <= _ORJSON_MAX_DEPTH
 
 
-def _read_matrix_file(args, flag: str, needed_by: str = "this functional"):
+def _read_matrix_file(args, flag: str):
     """The JSON document in the file the ``--{flag}`` option names, as
     ``json.load`` decodes the file opened in text mode.
 
@@ -308,7 +308,7 @@ def _read_matrix_file(args, flag: str, needed_by: str = "this functional"):
     """
     path = getattr(args, flag)
     if path is None:
-        raise ValueError(f"--{flag} is required for {needed_by}")
+        raise ValueError(f"--{flag} is required for {args.functional}")
     with open(path, "rb") as fh:
         data = fh.read()
     if _orjson_safe(data):
@@ -326,8 +326,7 @@ def _read_matrix_file(args, flag: str, needed_by: str = "this functional"):
                          f"decode") from None
 
 
-def _load_matrix(args, flag: str, convert,
-                 needed_by: str = "this functional"):
+def _load_matrix(args, flag: str, convert):
     """``convert`` (``hermitian_from_json`` or ``matrix_from_json``) of
     what ``_read_matrix_file`` reads from the ``--{flag}`` file, with the
     cyclic garbage collector paused.
@@ -341,7 +340,7 @@ def _load_matrix(args, flag: str, convert,
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return convert(_read_matrix_file(args, flag, needed_by))
+        return convert(_read_matrix_file(args, flag))
     finally:
         if enabled:
             gc.enable()
@@ -361,7 +360,7 @@ def _cmd_eval(args) -> int:
                              f"required for {args.functional}")
         A = _load_matrix(args, "a", hermitian_from_json)
         B = _load_matrix(args, "b", hermitian_from_json)
-        K = _load_matrix(args, "k", matrix_from_json, args.functional)
+        K = _load_matrix(args, "k", matrix_from_json)
         functional = lieb_functional if lieb_s else lieb_pq_functional
         value = functional(A, B, K, *exponents.values())
         inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}

@@ -543,18 +543,14 @@ def _prepare(tag: str, cfg: TrialConfig):
 
 
 class _Batch(NamedTuple):
-    """Decided trials: stacked slacks, tolerances and redraw counters, per
-    trial the exception of the first gate it failed (None where it passed
-    them all), and ``witness(k)``, trial k's raw witness."""
+    """Decided trials: stacked slacks and tolerances, per trial the
+    exception of the first gate it failed (None where it passed them all),
+    and ``witness(k)``, trial k's raw witness, which records its redraw."""
 
     slack: np.ndarray
     tolerance_used: np.ndarray
-    redraw: list
     errors: list
     witness: Callable
-
-    def verdict(self, k: int) -> LoewnerVerdict:
-        return LoewnerVerdict.of(self.slack[k], self.tolerance_used[k])
 
 
 def _coordinate(name: str, value) -> int:
@@ -610,32 +606,24 @@ def run_single(theorem: str, cfg: TrialConfig, index, redraw=0):
         return w
 
     if batched:
-        return _Batch(slack, used, [redraw] * len(indices), errs.errors, witness)
+        return _Batch(slack, used, errs.errors, witness)
     if errs.errors[0] is not None:
         raise errs.errors[0]
     return LoewnerVerdict.of(slack[0], used[0]), witness(0)
 
 
-def run_trial(theorem: str, cfg: TrialConfig, index):
-    """One trial with redraws: rejected (out-of-domain) draws advance the
-    redraw counter instead of counting as failures. Returns the verdict and
-    the raw witness.
-
-    A ``range`` of indices runs as one chunk, one batched ``run_single``
-    per draw round over the trials still pending, and the result is a
-    ``_Batch`` of each trial as the round that accepted it decided it: its
-    ``errors`` are all None. A trial ending in any other exception stops
-    the redraws of the trials after it, and the exception of the lowest
-    such trial is raised.
+def run_trial(theorem: str, cfg: TrialConfig, indices) -> _Batch:
+    """A sequence of trials with redraws, run as one chunk: rejected
+    (out-of-domain) draws advance the redraw counter instead of counting
+    as failures. Each draw round is one batched ``run_single`` over the
+    trials still pending, and the result is a ``_Batch`` of each trial as
+    the round that accepted it decided it: its ``errors`` are all None. A
+    trial ending in any other exception stops the redraws of the trials
+    after it, and the exception of the lowest such trial is raised.
     """
-    if isinstance(index, range):
-        indices = index
-    else:
-        index = _coordinate("index", index)
-        indices = range(index, index + 1)
     size = len(indices)
     slack, used = np.empty(size), np.empty(size)
-    redraws, witnesses, failed = [0] * size, [None] * size, {}
+    witnesses, failed = [None] * size, {}
     pending = range(size)
     for redraw in range(MAX_REDRAWS + 1):
         rnd = run_single(theorem, cfg, [indices[k] for k in pending], redraw)
@@ -643,7 +631,7 @@ def run_trial(theorem: str, cfg: TrialConfig, index):
         for row, (k, err) in enumerate(zip(pending, rnd.errors)):
             if err is None:
                 slack[k], used[k] = rnd.slack[row], rnd.tolerance_used[row]
-                redraws[k], witnesses[k] = redraw, partial(rnd.witness, row)
+                witnesses[k] = partial(rnd.witness, row)
             elif isinstance(err, DomainViolation):
                 retry.append(k)
             else:
@@ -657,10 +645,7 @@ def run_trial(theorem: str, cfg: TrialConfig, index):
             f"redraws; the generator cannot satisfy the theorem's domain")
     if failed:
         raise failed[min(failed)]
-    if isinstance(index, range):
-        return _Batch(slack, used, redraws, [None] * size,
-                      lambda k: witnesses[k]())
-    return LoewnerVerdict.of(slack[0], used[0]), witnesses[0]()
+    return _Batch(slack, used, [None] * size, lambda k: witnesses[k]())
 
 
 def run_campaign(cfg: TrialConfig, theorems) -> list:

@@ -285,11 +285,6 @@ class TestEvalCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: p must be positive, got nan\n"
 
-    def test_missing_operand_flag(self, eye2, capsys):
-        code = main(["eval", "--functional", "rel-entropy", "--rho", eye2])
-        assert code == 2
-        assert "--sigma" in capsys.readouterr().err
-
     @pytest.mark.parametrize("functional,exponents,message", [
         ("lieb-s", [], "--s is required for lieb-s"),
         ("lieb-pq", [], "--p and --q are required for lieb-pq"),
@@ -302,11 +297,22 @@ class TestEvalCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_missing_conjugator_flag(self, eye2, capsys):
-        code = main(["eval", "--functional", "lieb-s", "--s", "0.5", "--a",
-                     eye2, "--b", eye2])
-        assert code == 2
-        assert capsys.readouterr().err == "error: --k is required for lieb-s\n"
+    @pytest.mark.parametrize("functional,missing", [
+        ("rel-entropy", "rho"), ("rel-entropy", "sigma"), ("lieb-s", "a"),
+        ("lieb-s", "b"), ("lieb-s", "k"), ("lieb-pq", "a"), ("lieb-pq", "b"),
+        ("lieb-pq", "k")])
+    def test_missing_matrix_file_names_the_functional(self, eye2, capsys,
+                                                      functional, missing):
+        argv = ["eval", "--functional", functional, *{
+            "rel-entropy": [], "lieb-s": ["--s", "0.5"],
+            "lieb-pq": ["--p", "0.3", "--q", "0.4"]}[functional]]
+        for flag in (("rho", "sigma") if functional == "rel-entropy"
+                     else ("a", "b", "k")):
+            if flag != missing:
+                argv += [f"--{flag}", eye2]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --{missing} is required for {functional}\n")
 
     @pytest.mark.parametrize("flag", ["rho", "k"])
     def test_deeply_nested_matrix_file_exits_two(self, tmp_path, eye2, flag,
@@ -399,12 +405,12 @@ def typed(x):
     return (type(x), x.hex() if type(x) is float else x)
 
 
-def text_mode_read(args, flag, needed_by="this functional"):
+def text_mode_read(args, flag):
     """The matrix file reader that ``_read_matrix_file`` must agree with:
     ``json.load`` on the file opened in text mode."""
     path = getattr(args, flag)
     if path is None:
-        raise ValueError(f"--{flag} is required for {needed_by}")
+        raise ValueError(f"--{flag} is required for {args.functional}")
     with open(path) as fh:
         try:
             return json.load(fh)

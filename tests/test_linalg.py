@@ -11,10 +11,10 @@ from opconvex import (DomainViolation, EigendecompositionError,
                       lookup_atom)
 from opconvex.atoms import Interval
 from opconvex.linalg import (JSON_HERMITICITY_TOL, RowErrors, _calculus,
-                             _dot_rows, _loewner, as_hermitian, as_matrix,
-                             hermitian_from_json, hs_inner, matrix_from_json,
-                             matrix_to_json, matrix_wire, op_norm,
-                             spectral_decompose)
+                             _dot_rows, _loewner, _sym, as_hermitian,
+                             as_matrix, hermitian_from_json, hs_inner,
+                             matrix_from_json, matrix_to_json, matrix_wire,
+                             op_norm, spectral_decompose)
 
 
 def rand_hermitian(n, seed):
@@ -62,6 +62,76 @@ class TestHermitianMatrix:
         H = rand_hermitian(3, 2)
         assert as_hermitian(H) is H
         assert np.array_equal(as_hermitian(H.mat).mat, H.mat)
+
+
+def _bits(x):
+    """The uint64 patterns of a complex stack's real and imaginary parts."""
+    x = np.ascontiguousarray(x)
+    assert x.dtype == np.complex128
+    return x.view(np.uint64)
+
+
+def _adjoint(M):
+    return M.conj().swapaxes(-1, -2)
+
+
+def _complex(re, im):
+    """re + i im with both parts' bits kept: 1j * im would turn -0.0 to 0.0."""
+    M = np.empty(np.shape(re), dtype=np.complex128)
+    M.real, M.imag = re, im
+    return M
+
+
+class TestHermitianPart:
+    """``_sym`` and ``HermitianMatrix`` keep the bits, signed zeros
+    included, of (M + M*) / 2.0, or of M / 2.0 plus its own adjoint where
+    that sum overflows: reports print these bits, and equal floats with
+    other zero signs or roundings would print other reports."""
+
+    def _stack(self, kind):
+        rng = np.random.default_rng(17)
+        if kind == "random":
+            return _complex(*rng.standard_normal((2, 64, 4, 4)))
+        if kind == "signed-zeros":
+            M = _complex(*rng.choice([0.0, -0.0, 1.0, -1.0, 0.5],
+                                     (2, 64, 3, 3)))
+            M[0, 0, 0] = complex(-0.0, 1.0)
+            return M
+        # near-max: every real part above half the float64 range, so each
+        # diagonal sum overflows; imaginary parts mix huge and signed zeros
+        re = rng.choice([-1.0, 1.0], (16, 3, 3)) * rng.uniform(
+            0.9e308, 1.7e308, (16, 3, 3))
+        return _complex(re, rng.choice([0.0, -0.0, 1.7e308, -1.7e308],
+                                       (16, 3, 3)))
+
+    @pytest.mark.parametrize("kind", ["random", "signed-zeros"])
+    def test_bits_of_the_halved_sum(self, kind):
+        M = self._stack(kind)
+        expected = (M + _adjoint(M)) / 2.0
+        assert np.isfinite(expected).all()
+        assert np.array_equal(_bits(_sym(M)), _bits(expected))
+        for k in range(len(M)):
+            assert np.array_equal(_bits(HermitianMatrix(M[k]).mat),
+                                  _bits(expected[k]))
+
+    def test_signed_zeros_are_exercised(self):
+        M = self._stack("signed-zeros")
+        H = (M + _adjoint(M)) / 2.0
+        zeros = np.concatenate([H.real[H.real == 0], H.imag[H.imag == 0]])
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    def test_bits_where_the_sum_overflows(self):
+        M = self._stack("near-max")
+        with np.errstate(over="ignore", invalid="ignore"):
+            summed = M + _adjoint(M)
+        half = M / 2.0
+        expected = half + _adjoint(half)
+        assert np.isfinite(expected).all()
+        assert not np.isfinite(summed).all(axis=(-2, -1)).any()
+        assert np.array_equal(_bits(_sym(M)), _bits(expected))
+        for k in range(len(M)):
+            assert np.array_equal(_bits(HermitianMatrix(M[k]).mat),
+                                  _bits(expected[k]))
 
 
 class TestSpectral:

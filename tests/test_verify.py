@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from opconvex import (CheckReport, DomainViolation, HypothesisViolation,
-                      THEOREM_TAGS, TrialConfig,
+                      LoewnerVerdict, THEOREM_TAGS, TrialConfig,
                       check_perspective_joint_convexity, loewner_leq,
                       lookup_atom, random_commuting_pair, random_density,
                       random_positive_matrix, random_unitary, run_campaign,
@@ -45,12 +45,18 @@ def _u(cfg, tag, index, redraw):
         trial_seed(cfg.seed, tag, index, redraw)).random()
 
 
+def _verdict(batch, k):
+    """Row k of a ``_Batch`` as the verdict ``run_single`` returns."""
+    return LoewnerVerdict.of(batch.slack[k], batch.tolerance_used[k])
+
+
 def _serial_report(cfg, tag):
     """The report a trial-by-trial loop over ``run_trial`` gives: failures
     counted one by one, the worst slack kept with ties to the lower index."""
     failures, worst, witness = 0, None, None
     for i in range(cfg.trials):
-        verdict, w = run_trial(tag, cfg, i)
+        batch = run_trial(tag, cfg, [i])
+        verdict, w = _verdict(batch, 0), batch.witness(0)
         failures += not verdict.holds
         if worst is None or (verdict.slack, i) < worst:
             worst, witness = (verdict.slack, i), w
@@ -598,13 +604,14 @@ class TestRunSingle:
     def test_batches_of_both_entry_points_share_one_record(self, tag):
         cfg = TrialConfig(trials=6, seed=4)
         batch = run_single(tag, cfg, range(6), redraw=2)
-        assert list(batch.redraw) == [2] * 6
+        assert [batch.witness(k)["redraw"] for k in range(6)] == [2] * 6
         chunk = run_trial(tag, cfg, range(6))
         assert chunk.errors == [None] * 6
         for k in range(6):
-            assert batch.verdict(k) == run_single(tag, cfg, k, redraw=2)[0]
-            verdict, w = run_single(tag, cfg, k, redraw=chunk.redraw[k])
-            assert chunk.verdict(k) == verdict
+            assert _verdict(batch, k) == run_single(tag, cfg, k, redraw=2)[0]
+            verdict, w = run_single(tag, cfg, k,
+                                    redraw=chunk.witness(k)["redraw"])
+            assert _verdict(chunk, k) == verdict
             assert printed(chunk.witness(k)) == printed(w)
 
 
@@ -661,10 +668,11 @@ class TestReplayCoordinates:
          "index must be an integer >= 0, got 2.0"),
         (run_single, "hp", range(2), [0, 1],
          "redraw must be an integer >= 0, got [0, 1]"),
-        (run_trial, "hp", 1.0, None, "index must be an integer >= 0, got 1.0"),
-        (run_trial, "hp", True, None,
+        (run_trial, "hp", [1.0], None,
+         "index must be an integer >= 0, got 1.0"),
+        (run_trial, "hp", [True], None,
          "index must be an integer >= 0, got True"),
-        (run_trial, "perspective", -1, None,
+        (run_trial, "perspective", [-1], None,
          "index must be an integer >= 0, got -1"),
     ], ids=["single-float", "single-bool", "single-float-redraw",
             "single-negative", "single-float-in-list", "single-float-mixing",
@@ -694,7 +702,7 @@ class TestReplayCoordinates:
         batch = run_single("perspective", cfg, np.arange(3), np.int32(0))
         assert [type(batch.witness(k)["trial_index"]) for k in range(3)] == [
             int] * 3
-        assert type(batch.redraw[0]) is int
+        assert type(batch.witness(0)["redraw"]) is int
 
 
 class TestEveryEntryPrepares:
@@ -719,9 +727,9 @@ class TestEveryEntryPrepares:
         cfg = TrialConfig(**kwargs)
         with pytest.raises(error, match=f"^{re.escape(message)}") as campaign:
             run_campaign(cfg, tag)
-        for entry in (run_single, run_trial):
+        for entry, index in ((run_single, 0), (run_trial, [0])):
             with pytest.raises(error) as caught:
-                entry(tag, cfg, 0)
+                entry(tag, cfg, index)
             assert type(caught.value) is type(campaign.value)
             assert str(caught.value) == str(campaign.value)
 
@@ -776,14 +784,14 @@ class TestRedrawMachinery:
 
     def test_redraws_advance_until_accepted(self, flaky_tag):
         cfg = TrialConfig(trials=1)
-        seen = [run_trial(flaky_tag, cfg, i)[1] for i in range(30)]
+        seen = [run_trial(flaky_tag, cfg, [i]).witness(0) for i in range(30)]
         redraws = [w["redraw"] for w in seen]
         assert max(redraws) >= 1
         assert all(w["u"] >= 0.6 for w in seen)
 
     def test_redrawn_trial_replays_exactly(self, flaky_tag):
         cfg = TrialConfig(trials=1)
-        _, w = run_trial(flaky_tag, cfg, 11)
+        w = run_trial(flaky_tag, cfg, [11]).witness(0)
         _, replayed = run_single(flaky_tag, cfg, 11, redraw=w["redraw"])
         assert replayed == w
 
@@ -792,13 +800,14 @@ class TestRedrawMachinery:
         chunk = run_trial(flaky_tag, cfg, range(40))
         expected = [self._first_accepted(cfg, i) for i in range(40)]
         # the first round accepted some trials and rejected others
-        assert 0 in chunk.redraw and max(chunk.redraw) >= 2
-        assert [int(r) for r in chunk.redraw] == [r for r, _ in expected]
+        redraws = [chunk.witness(i)["redraw"] for i in range(40)]
+        assert 0 in redraws and max(redraws) >= 2
+        assert redraws == [r for r, _ in expected]
         for i, (redraw, u) in enumerate(expected):
             w = chunk.witness(i)
             assert w["u"] == u and w["redraw"] == redraw
             assert run_single(flaky_tag, cfg, i, redraw=redraw)[1] == w
-            assert run_trial(flaky_tag, cfg, i)[1] == w
+            assert run_trial(flaky_tag, cfg, [i]).witness(0) == w
 
     def test_campaign_over_redrawn_trials(self, flaky_tag):
         cfg = TrialConfig(trials=CHUNK + 9, seed=4)
@@ -850,7 +859,7 @@ class TestRedrawMachinery:
     def test_redraw_budget_exhaustion(self, hopeless_tag):
         with pytest.raises(HypothesisViolation,
                            match=f"{MAX_REDRAWS} redraws"):
-            run_trial(hopeless_tag, TrialConfig(trials=1), 0)
+            run_trial(hopeless_tag, TrialConfig(trials=1), [0])
         with pytest.raises(HypothesisViolation, match="trial 0 of"):
             run_campaign(TrialConfig(trials=5), (hopeless_tag,))
 
