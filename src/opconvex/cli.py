@@ -24,7 +24,6 @@ import numpy as np
 import orjson
 
 from .atoms import list_atoms
-from .errors import DomainViolation, HypothesisViolation
 from .functionals import (lieb_functional, lieb_pq_functional,
                           quantum_relative_entropy_direct)
 from .linalg import hermitian_from_json, matrix_from_json, matrix_wire
@@ -236,9 +235,7 @@ def _render(args, payload) -> None:
 
 def _cmd_verify(args) -> int:
     if args.negative_control and args.theorem != "hp":
-        print("error: --negative-control applies only to --theorem hp",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--negative-control applies only to --theorem hp")
     # the parameterized atoms take theirs from the exponent flags
     cfg = TrialConfig(
         **{name: getattr(args, name) for _, name, _ in _CAMPAIGN_OPTIONS},
@@ -303,8 +300,7 @@ def _read_matrix_file(args, flag: str):
     goes to ``json.load`` on the same bytes, so its errors are json's.
     orjson makes an integer beyond 64 bits the nearest float, so such a
     dimension goes to ``json.load``, and such an entry comes back as the
-    float that ``matrix_from_json`` makes of json's int. ``eval`` reads
-    each file through ``_load_matrix``, with the cyclic collector paused.
+    float that ``matrix_from_json`` makes of json's int.
     """
     path = getattr(args, flag)
     if path is None:
@@ -326,50 +322,40 @@ def _read_matrix_file(args, flag: str):
                          f"decode") from None
 
 
-def _load_matrix(args, flag: str, convert):
-    """``convert`` (``hermitian_from_json`` or ``matrix_from_json``) of
-    what ``_read_matrix_file`` reads from the ``--{flag}`` file, with the
-    cyclic garbage collector paused.
-
-    A decoded 128x128 file is ~16 500 lists, none in a reference cycle,
-    and every collection that ran while they lived would walk them. They
-    are freed when ``convert`` returns, before the collector resumes, so
-    the pause leaves no collection owed. The collector is left enabled or
-    disabled as the caller had it, also when reading or converting raised.
-    """
+def _cmd_eval(args) -> int:
+    # A decoded 128x128 file is ~16 500 lists, none in a cycle, which every
+    # cyclic collection run while they lived would walk. Each is freed when
+    # its conversion returns, so pausing the collector leaves none owed;
+    # the caller's collector state comes back also when the command raises.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return convert(_read_matrix_file(args, flag))
+        if args.functional == "rel-entropy":
+            rho = hermitian_from_json(_read_matrix_file(args, "rho"))
+            sigma = hermitian_from_json(_read_matrix_file(args, "sigma"))
+            value = quantum_relative_entropy_direct(rho, sigma)
+            inputs = {"rho": rho.mat, "sigma": sigma.mat}
+        else:
+            lieb_s = args.functional == "lieb-s"
+            exponents = {"s": args.s} if lieb_s else {"p": args.p, "q": args.q}
+            if None in exponents.values():
+                raise ValueError(f"{'--s is' if lieb_s else '--p and --q are'}"
+                                 f" required for {args.functional}")
+            A = hermitian_from_json(_read_matrix_file(args, "a"))
+            B = hermitian_from_json(_read_matrix_file(args, "b"))
+            K = matrix_from_json(_read_matrix_file(args, "k"))
+            functional = lieb_functional if lieb_s else lieb_pq_functional
+            value = functional(A, B, K, *exponents.values())
+            inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}
+
+        _render(args, {"functional": args.functional, "value": value,
+                       "inputs": inputs})
+        if not args.json:
+            print(f"{value:.17g}")
+        return 0
     finally:
         if enabled:
             gc.enable()
-
-
-def _cmd_eval(args) -> int:
-    if args.functional == "rel-entropy":
-        rho = _load_matrix(args, "rho", hermitian_from_json)
-        sigma = _load_matrix(args, "sigma", hermitian_from_json)
-        value = quantum_relative_entropy_direct(rho, sigma)
-        inputs = {"rho": rho.mat, "sigma": sigma.mat}
-    else:
-        lieb_s = args.functional == "lieb-s"
-        exponents = {"s": args.s} if lieb_s else {"p": args.p, "q": args.q}
-        if None in exponents.values():
-            raise ValueError(f"{'--s is' if lieb_s else '--p and --q are'} "
-                             f"required for {args.functional}")
-        A = _load_matrix(args, "a", hermitian_from_json)
-        B = _load_matrix(args, "b", hermitian_from_json)
-        K = _load_matrix(args, "k", matrix_from_json)
-        functional = lieb_functional if lieb_s else lieb_pq_functional
-        value = functional(A, B, K, *exponents.values())
-        inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}
-
-    _render(args, {"functional": args.functional, "value": value,
-                   "inputs": inputs})
-    if not args.json:
-        print(f"{value:.17g}")
-    return 0
 
 
 def _cmd_atoms(args) -> int:
@@ -395,8 +381,7 @@ def main(argv=None) -> int:
         if args.subcommand == "eval":
             return _cmd_eval(args)
         return _cmd_atoms(args)
-    except (HypothesisViolation, DomainViolation, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # the one input-error exit
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

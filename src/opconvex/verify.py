@@ -67,8 +67,8 @@ from .linalg import (HermitianMatrix, LoewnerVerdict, RowErrors, _adj,
                      matrix_wire)
 from .seeding import pcg64_states
 
-# The checkers, and the Loewner test they reduce to, are also looked up
-# under this module's name, the verifier's public face.
+# bench/spans.py traces the checkers under this module's name, the
+# verifier's public face; its tracer test expects loewner_leq here too.
 from .checks import (  # noqa: F401
     check_classical_perspective_convexity,
     check_extended_perspective_joint_convexity, check_jensen_contractive,

@@ -103,6 +103,12 @@ class TestDomains:
         with pytest.raises(DomainViolation, match="nan"):
             eval_atom(f, float("nan"))
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_rejects_an_empty_interval(self, lo, hi):
+        with pytest.raises(ValueError, match=re.escape(
+                f"empty interval [{lo}, {hi}]")):
+            Interval(lo, hi)
+
     def test_clamp_of_a_scalar_is_one_element_array(self):
         out = lookup_atom("xlogx").domain.clamp(np.float64(2.0))
         assert out.shape == (1,) and out[0] == 2.0

@@ -636,8 +636,8 @@ class TestCollectorPause:
         path = write_matrix(tmp_path / "m.json", np.eye(64))
         gc.disable()
         before = gc.get_count()[0]
-        H = cli._load_matrix(argparse.Namespace(rho=path), "rho",
-                             cli.hermitian_from_json)
+        H = cli.hermitian_from_json(
+            cli._read_matrix_file(argparse.Namespace(rho=path), "rho"))
         assert H.dim == 64
         assert gc.get_count()[0] - before < 100
 

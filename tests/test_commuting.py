@@ -127,6 +127,19 @@ class TestMultiplicationPair:
         with pytest.raises(ValueError):
             apply_superop(pair, "left", np.ones((3, 3)))
 
+    def test_superop_rejects_an_unknown_side(self):
+        pair = realize_multiplication_pair(
+            MultiplicationPair(np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError, match=re.escape(
+                "which must be 'left' or 'right', got 'up'")):
+            apply_superop(pair, "up", np.eye(2))
+
+    def test_superop_rejects_a_non_square_pair_dimension(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "pair dimension 3 is not a perfect square")):
+            apply_superop(diag_pair([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
+                          "left", np.eye(2))
+
 
 @pytest.fixture
 def eigh_calls(monkeypatch):

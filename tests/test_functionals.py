@@ -41,6 +41,11 @@ class TestProbabilityVector:
         with pytest.raises((DomainViolation, ValueError)):
             ProbabilityVector(bad)
 
+    @pytest.mark.parametrize("bad", [[0.5, float("nan")], [float("inf"), 0.5]])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            ProbabilityVector(bad)
+
     def test_rejects_sum_off_by_more_than_tol(self):
         with pytest.raises(DomainViolation, match="sum"):
             ProbabilityVector([0.5, 0.5 + 1e-9])

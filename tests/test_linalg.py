@@ -301,6 +301,11 @@ class TestHsInner:
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert hs_inner(X, X) == pytest.approx(30.0)
 
+    def test_rejects_a_shape_mismatch(self):
+        with pytest.raises(ValueError,
+                           match=r"shape mismatch: \(2, 2\) vs \(2, 3\)"):
+            hs_inner(np.eye(2), np.ones((2, 3)))
+
 
 class TestJsonWire:
     def test_square_round_trip_bit_identical(self):

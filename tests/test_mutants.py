@@ -13,7 +13,8 @@ import textwrap
 
 import pytest
 
-from opconvex import THEOREM_TAGS, TrialConfig, checks, linalg, perspective
+from opconvex import (THEOREM_TAGS, TrialConfig, checks, functionals, linalg,
+                      perspective)
 from opconvex import run_campaign
 
 CAMPAIGN = TrialConfig(trials=200)
@@ -69,6 +70,19 @@ MUTANTS = {
     "loewner-slack-from-largest-eigenvalue": (
         linalg, "_loewner", "slack = w[..., 0]", "slack = w[..., -1]",
         set(), False),
+    "trace-form-k-for-k-adjoint": (
+        functionals, "_trace_form", "Af @ _adj(K) @ Bf @ K", "Af @ K @ Bf @ K",
+        {"lieb-s", "lieb-pq"}, True),
+    "scaled-drops-the-base": (
+        perspective, "_scaled", "f(errs.clamp(f.domain, ratio)) * b",
+        "f(errs.clamp(f.domain, ratio))",
+        {"perspective", "marechal", "classical"}, True),
+    "geq-slack-reversed": (
+        checks, "_geq", "return lhs - rhs,", "return rhs - lhs,",
+        {"rel-entropy-convexity", "lieb-s", "lieb-pq", "classical"}, True),
+    "base-ignores-h": (
+        perspective, "_base", "hr = h(errs.clamp(h.domain, r))",
+        "hr = errs.clamp(h.domain, r)", {"marechal"}, True),
 }
 
 
