@@ -243,8 +243,9 @@ def _unit_traces(X1, X2, errs: RowErrors) -> None:
                       f"{name} must have unit trace, got {float(tr[k])!r}"))
 
 
-# the relative entropy's joint convexity, which has no parameters
-_relative_entropy_kernel = _by_weight(_relative_entropy, _unit_traces)
+def _relative_entropy_theorem():
+    """The relative entropy's joint convexity, which has no parameters."""
+    return _by_weight(_relative_entropy, _unit_traces)
 
 
 def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
@@ -255,7 +256,7 @@ def check_relative_entropy_joint_convexity(rho1, sigma1, rho2, sigma2,
     ops = [as_hermitian(x).mat for x in (rho1, sigma1, rho2, sigma2)]
     if len({H.shape for H in ops}) != 1:
         raise ValueError("dimension mismatch among the four operands")
-    return _one(_relative_entropy_kernel, tol,
+    return _one(_relative_entropy_theorem(), tol,
                 {"1": tuple(ops[:2]), "2": tuple(ops[2:])}, c)
 
 

@@ -266,11 +266,7 @@ def apply_scalar_function(f: ScalarAtom, T) -> HermitianMatrix:
 
 def op_norm(M) -> float:
     """Operator (spectral) norm of a matrix."""
-    A = as_matrix(M)
-    if A.shape[0] == A.shape[1] and np.allclose(A, A.conj().T, atol=0, rtol=0):
-        w = np.linalg.eigvalsh(A)
-        return float(max(abs(w[0]), abs(w[-1])))
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.norm(as_matrix(M), 2))
 
 
 def _require_tol(tol) -> None:
@@ -360,8 +356,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if any(isinstance(d, bool) or not isinstance(d, (int, np.integer))
            for d in (rows, cols)):
         raise ValueError("matrix dimensions must be integers")
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be at least 1")
+    _require_dim(rows)
+    _require_dim(cols)
     entries = obj["entries"]
     try:
         shaped = len(entries) == rows and all(len(r) == cols for r in entries)

@@ -30,8 +30,8 @@ steps:
 2. Stack and decide: the draws are stacked along a leading batch axis, and
    every QR, Wishart product, eigendecomposition, functional-calculus map,
    trace and Loewner slack runs once on the (batch, n, n) arrays.
-3. Encode: only the worst trial's operands are built, from its slice of
-   the stacks, as ``matrix_wire`` dicts: float64 arrays until printed.
+3. Witness: only the worst trial's operands are built, copied out of its
+   slice of the stacks: 2-D arrays and scalars until printed.
 
 Stacked LAPACK and matmul calls give bit-identical results to per-matrix
 calls, and ``run_single`` is the same engine on a batch of one, so a
@@ -57,14 +57,13 @@ import numpy as np
 from .atoms import ScalarAtom, lookup_atom
 from .checks import (_classical_theorem, _jensen_theorem, _lieb_pq_theorem,
                      _lieb_theorem, _perspective_theorem,
-                     _relative_entropy_kernel)
+                     _relative_entropy_theorem)
 from .commuting import (CommutingPair, DEFAULT_FLOOR, _pair_gates,
                         _require_floor)
 from .errors import DomainViolation, HypothesisViolation
 from .functionals import DensityMatrix, ProbabilityVector, _normalize
 from .linalg import (HermitianMatrix, LoewnerVerdict, RowErrors, _adj,
-                     _materialize, _require_dim, _require_tol, _sym,
-                     matrix_wire)
+                     _materialize, _require_dim, _require_tol, _sym)
 from .seeding import pcg64_states
 
 # bench/spans.py traces the checkers under this module's name, the
@@ -173,9 +172,9 @@ class TrialConfig:
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
-    """Aggregate of one theorem's campaign. Witness matrices are
-    ``matrix_wire`` dicts, their entries float64 arrays; ``cli._dump``
-    prints them as matrix JSON. ``==`` is identity: compare printed text."""
+    """Aggregate of one theorem's campaign. Witness matrices are 2-D
+    arrays, a commuting pair's as its two factors; ``cli._dump`` prints
+    them as matrix JSON. ``==`` is identity: compare printed text."""
 
     theorem: str
     trials: int
@@ -480,7 +479,7 @@ _THEOREMS = {
         True, _marechal_gate),
     "rel-entropy-convexity": _Theorem(
         _draw_gaussians(4), _build_densities,
-        lambda cfg, f: _relative_entropy_kernel,
+        lambda cfg, f: _relative_entropy_theorem(),
         lambda cfg, f, ops, k: _endpoints(("rho", "sigma"), ops, k), True),
     "lieb-s": _Theorem(
         _draw_gaussians(5), _build_lieb, lambda cfg, f: _lieb_theorem(cfg.s),
@@ -504,19 +503,15 @@ _THEOREMS = {
 THEOREM_TAGS = tuple(_THEOREMS)
 
 
-def _encode_witness(witness: dict) -> dict:
-    """A raw witness with each matrix as its ``matrix_wire`` dict; a
-    CommutingPair under key k becomes its two factors under Lk and Rk."""
+def _report_witness(witness: dict) -> dict:
+    """A raw witness as a report holds it: a CommutingPair under key k
+    becomes its factors Lk and Rk, each array a copy of the trial's slice."""
     doc = {}
     for key, value in witness.items():
         if isinstance(value, CommutingPair):
-            doc["L" + key] = matrix_wire(value.left.mat)
-            doc["R" + key] = matrix_wire(value.right.mat)
-        elif isinstance(value, np.ndarray):
-            # a copy: a trial's slice would keep its batch's stacks alive
-            doc[key] = matrix_wire(np.array(value))
+            doc["L" + key], doc["R" + key] = value.left.mat, value.right.mat
         else:
-            doc[key] = value
+            doc[key] = np.array(value) if isinstance(value, np.ndarray) else value
     return doc
 
 
@@ -653,8 +648,8 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
 
     Trials run ``CHUNK`` at a time through ``run_trial``. The worst witness
     is the trial with the most negative slack, ties broken by the lower
-    trial index. A chunk's worst trial goes into ``matrix_wire`` dicts only
-    when it is the worst so far, copied out of the chunk's stacks.
+    trial index. A chunk's worst trial becomes a report's witness only when
+    it is the worst so far, copied out of the chunk's stacks.
     """
     tags = (theorems,) if isinstance(theorems, str) else tuple(theorems)
     if len(set(tags)) != len(tags):
@@ -673,7 +668,7 @@ def run_campaign(cfg: TrialConfig, theorems) -> list:
             k = int(np.argmin(chunk.slack))  # the first of equal minima
             if worst is None or (chunk.slack[k], lo + k) < worst:
                 worst = (float(chunk.slack[k]), lo + k)
-                witness = _encode_witness(chunk.witness(k))
+                witness = _report_witness(chunk.witness(k))
         reports.append(CheckReport(
             theorem=tag, trials=cfg.trials, failures=failures,
             worst_slack=worst[0], tolerance=cfg.tol,

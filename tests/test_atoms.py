@@ -109,6 +109,13 @@ class TestDomains:
                 f"empty interval [{lo}, {hi}]")):
             Interval(lo, hi)
 
+    @pytest.mark.parametrize("lo, hi, point", [
+        (2.0, 3.0, 2.5), (2.0, np.inf, 3.0), (-np.inf, -1.0, -2.0)])
+    def test_interior_point_away_from_one(self, lo, hi, point):
+        # the stand-in for rejected values of a user-built atom whose
+        # domain leaves out 1
+        assert Interval(lo, hi).interior_point() == point
+
     def test_clamp_of_a_scalar_is_one_element_array(self):
         out = lookup_atom("xlogx").domain.clamp(np.float64(2.0))
         assert out.shape == (1,) and out[0] == 2.0

@@ -374,6 +374,15 @@ class TestEvalCommand:
         assert code == 2
         assert "dimensions must be integers" in capsys.readouterr().err
 
+    def test_dimension_zero_exits_two(self, tmp_path, eye2, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"dim": 0, "entries": []}')
+        code = main(["eval", "--functional", "rel-entropy", "--rho",
+                     str(path), "--sigma", eye2])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: dimension must be >= 1, got 0\n")
+
     def test_integer_beyond_float_range_exits_two(self, tmp_path, eye2,
                                                   capsys):
         path = tmp_path / "huge.json"

@@ -408,6 +408,15 @@ class TestJsonWire:
         with pytest.raises(ValueError):
             matrix_from_json(doc)
 
+    @pytest.mark.parametrize("doc, n", [
+        ({"dim": 0, "entries": []}, 0), ({"dim": -1, "entries": []}, -1),
+        ({"rows": 1, "cols": 0, "entries": [[]]}, 0)])
+    def test_dimension_below_one_rejected_as_everywhere(self, doc, n):
+        # the wording every dimension check of the package uses
+        with pytest.raises(ValueError,
+                           match=f"^dimension must be >= 1, got {n}$"):
+            matrix_from_json(doc)
+
     def test_as_matrix_accepts_nested_lists(self):
         assert np.array_equal(as_matrix([[1.0, 0.0], [0.0, 1.0]]), np.eye(2))
 

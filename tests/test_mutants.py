@@ -83,6 +83,9 @@ MUTANTS = {
     "base-ignores-h": (
         perspective, "_base", "hr = h(errs.clamp(h.domain, r))",
         "hr = errs.clamp(h.domain, r)", {"marechal"}, True),
+    "relative-entropy-adds-the-cross-term": (
+        functionals, "_relative_entropy", "ent - np.trace(r @ log_sigma",
+        "ent + np.trace(r @ log_sigma", {"rel-entropy-convexity"}, True),
 }
 
 

@@ -22,7 +22,7 @@ from opconvex.checks import (_geq, _jensen, check_classical_perspective_convexit
 from opconvex.commuting import CommutingPair
 from opconvex.linalg import RowErrors
 from opconvex.seeding import pcg64_states
-from opconvex.verify import (_THEOREMS, CHUNK, MAX_REDRAWS, _encode_witness,
+from opconvex.verify import (_THEOREMS, CHUNK, MAX_REDRAWS, _report_witness,
                              _Theorem, random_contraction_pair,
                              random_hermitian_in_domain, random_isometry_pair,
                              random_probability_vector, run_trial, trial_seed)
@@ -62,7 +62,7 @@ def _serial_report(cfg, tag):
             worst, witness = (verdict.slack, i), w
     return CheckReport(theorem=tag, trials=cfg.trials, failures=failures,
                        worst_slack=float(worst[0]), tolerance=cfg.tol,
-                       witness=_encode_witness(witness),
+                       witness=_report_witness(witness),
                        config=asdict(cfg))
 
 
@@ -911,16 +911,16 @@ class TestRunCampaign:
         ("rel-entropy-convexity", ("rho1", "sigma1")),
         ("lieb-s", ("A1", "B2", "K"))])
     def test_witness_matrices_are_copied_arrays(self, tag, keys):
-        # float64 entries that own their memory, not views of the batch's
+        # complex matrices that own their memory, not views of the batch's
         # stacks that would keep those alive with the report
         cfg = TrialConfig(trials=5, seed=2, dim_n=4, dim_m=3)
         w = run_campaign(cfg, (tag,))[0].witness
         for key in keys:
-            E = w[key]["entries"]
-            assert E.dtype == np.float64 and E.shape[2] == 2
-            while E.base is not None:
-                E = E.base
-            assert E.nbytes == w[key]["entries"].nbytes, key
+            M = w[key]
+            assert M.dtype == np.complex128 and M.ndim == 2, key
+            while M.base is not None:
+                M = M.base
+            assert M.nbytes == w[key].nbytes, key
 
     def test_each_report_owns_its_config(self):
         cfg = TrialConfig(trials=3, seed=3)
