@@ -26,7 +26,7 @@ import orjson
 from .atoms import list_atoms
 from .functionals import (lieb_functional, lieb_pq_functional,
                           quantum_relative_entropy_direct)
-from .linalg import hermitian_from_json, matrix_from_json, matrix_wire
+from .linalg import _hermitian_operand, matrix_from_json, matrix_wire
 from .verify import (SPECTRUM_HI, SPECTRUM_LO, THEOREM_TAGS, TrialConfig,
                      run_campaign)
 
@@ -291,22 +291,17 @@ def _orjson_safe(data: bytes) -> bool:
     return not steps.size or np.cumsum(steps).max() <= _ORJSON_MAX_DEPTH
 
 
-def _read_matrix_file(args, flag: str):
-    """The JSON document in the file the ``--{flag}`` option names, as
-    ``json.load`` decodes the file opened in text mode.
+def _read_matrix_file(args, flag: str, data: bytes):
+    """The JSON document in the bytes ``data`` of the file the ``--{flag}``
+    option names, as ``json.load`` decodes the file opened in text mode.
 
-    The file is read once. orjson decodes it faster where ``_orjson_safe``
-    allows and it returns a dict whose dimensions are not floats; all else
-    goes to ``json.load`` on the same bytes, so its errors are json's.
-    orjson makes an integer beyond 64 bits the nearest float, so such a
+    orjson decodes them faster where ``_orjson_safe`` allows and it
+    returns a dict whose dimensions are not floats; all else goes to
+    ``json.load`` on the same bytes, so its errors are json's. orjson
+    makes an integer beyond 64 bits the nearest float, so such a
     dimension goes to ``json.load``, and such an entry comes back as the
     float that ``matrix_from_json`` makes of json's int.
     """
-    path = getattr(args, flag)
-    if path is None:
-        raise ValueError(f"--{flag} is required for {args.functional}")
-    with open(path, "rb") as fh:
-        data = fh.read()
     if _orjson_safe(data):
         try:
             doc = orjson.loads(data)
@@ -318,21 +313,65 @@ def _read_matrix_file(args, flag: str):
     try:
         return json.load(io.TextIOWrapper(io.BytesIO(data)))
     except RecursionError:
-        raise ValueError(f"--{flag}: {path} is nested too deeply to "
-                         f"decode") from None
+        raise ValueError(f"--{flag}: {getattr(args, flag)} is nested too "
+                         f"deeply to decode") from None
+
+
+# {"dim": D, "entries": BODY} in JSON whitespace, D of at most 9 digits
+_FLAT_FILE = re.compile(
+    rb'(?s)[ \t\n\r]*\{[ \t\n\r]*"dim"[ \t\n\r]*:[ \t\n\r]*([1-9]\d{0,8})'
+    rb'[ \t\n\r]*,[ \t\n\r]*"entries"[ \t\n\r]*:(.*)\}[ \t\n\r]*')
+_NUMBER_BYTES = b"0123456789+-.eE \t\n\r"  # and JSON whitespace
+
+
+def _flat_square(data: bytes):
+    """``matrix_from_json`` of the document in a ``_FLAT_FILE``'s bytes,
+    decoded as one flat array without building the document. None unless
+    deleting numbers and whitespace from BODY leaves the brackets and
+    commas of D rows of D pairs (its length checked first, so a huge D
+    allocates nothing) and the numbers are finite. Brackets become spaces,
+    not nothing, so that no two numbers they part can join into one."""
+    match = _FLAT_FILE.fullmatch(data)
+    if match is None:
+        return None
+    n, body = int(match[1]), match[2]
+    layout = body.translate(None, _NUMBER_BYTES)
+    if len(layout) != 4 * n * n + 2 * n + 1 or layout != b"[%s]" % b",".join(
+            [b"[%s]" % b",".join([b"[,]"] * n)] * n):
+        return None
+    try:
+        E = np.fromiter(orjson.loads(b"[%s]" % body.translate(
+            bytes.maketrans(b"[]", b"  "))), np.float64, 2 * n * n)
+    except orjson.JSONDecodeError:
+        return None
+    return (E.view(np.complex128).reshape(n, n) if np.isfinite(E).all()
+            else None)
+
+
+def _read_matrix(args, flag: str) -> np.ndarray:
+    """The matrix in the file the ``--{flag}`` option names, read once:
+    ``_flat_square``'s, else ``matrix_from_json`` of its document."""
+    path = getattr(args, flag)
+    if path is None:
+        raise ValueError(f"--{flag} is required for {args.functional}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    M = _flat_square(data)
+    return M if M is not None else matrix_from_json(
+        _read_matrix_file(args, flag, data))
 
 
 def _cmd_eval(args) -> int:
-    # A decoded 128x128 file is ~16 500 lists, none in a cycle, which every
-    # cyclic collection run while they lived would walk. Each is freed when
-    # its conversion returns, so pausing the collector leaves none owed;
-    # the caller's collector state comes back also when the command raises.
+    # A file _flat_square declines decodes to ~16 500 lists at 128x128, none
+    # in a cycle, which every cyclic collection run while they lived would
+    # walk. Each is freed when its conversion returns, so pausing the GC
+    # leaves none owed; the caller's GC state comes back also on a raise.
     enabled = gc.isenabled()
     gc.disable()
     try:
         if args.functional == "rel-entropy":
-            rho = hermitian_from_json(_read_matrix_file(args, "rho"))
-            sigma = hermitian_from_json(_read_matrix_file(args, "sigma"))
+            rho = _hermitian_operand(_read_matrix(args, "rho"))
+            sigma = _hermitian_operand(_read_matrix(args, "sigma"))
             value = quantum_relative_entropy_direct(rho, sigma)
             inputs = {"rho": rho.mat, "sigma": sigma.mat}
         else:
@@ -341,9 +380,9 @@ def _cmd_eval(args) -> int:
             if None in exponents.values():
                 raise ValueError(f"{'--s is' if lieb_s else '--p and --q are'}"
                                  f" required for {args.functional}")
-            A = hermitian_from_json(_read_matrix_file(args, "a"))
-            B = hermitian_from_json(_read_matrix_file(args, "b"))
-            K = matrix_from_json(_read_matrix_file(args, "k"))
+            A = _hermitian_operand(_read_matrix(args, "a"))
+            B = _hermitian_operand(_read_matrix(args, "b"))
+            K = _read_matrix(args, "k")
             functional = lieb_functional if lieb_s else lieb_pq_functional
             value = functional(A, B, K, *exponents.values())
             inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}

@@ -387,12 +387,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def hermitian_from_json(obj: dict) -> HermitianMatrix:
-    """Decode a matrix that is required to be Hermitian.
+    """Decode a matrix that must be Hermitian (``_hermitian_operand``)."""
+    return _hermitian_operand(matrix_from_json(obj))
 
-    Rejects input whose hermiticity defect exceeds ``JSON_HERMITICITY_TOL``,
-    reporting the measured defect.
-    """
-    M = matrix_from_json(obj)
+
+def _hermitian_operand(M) -> HermitianMatrix:
+    """The decoded matrix ``M`` as a Hermitian operand: rejects input whose
+    hermiticity defect exceeds ``JSON_HERMITICITY_TOL``, reporting it."""
     if M.shape[0] != M.shape[1]:
         raise ValueError("Hermitian operand must be square")
     defect = float(np.max(np.abs(M - M.conj().T)))

@@ -3,6 +3,7 @@ import argparse
 import enum
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opconvex import THEOREM_TAGS, TrialConfig
-from opconvex.linalg import matrix_from_json, matrix_to_json, matrix_wire
+from opconvex.linalg import (hermitian_from_json, matrix_from_json,
+                             matrix_to_json, matrix_wire)
 from opconvex.verify import random_density
 from opconvex import cli
 from opconvex.cli import (_BLOCK, _CAMPAIGN_OPTIONS, _dump, _read_matrix_file,
@@ -414,12 +416,11 @@ def typed(x):
     return (type(x), x.hex() if type(x) is float else x)
 
 
-def text_mode_read(args, flag):
+def text_mode_read(args, flag, data=None):
     """The matrix file reader that ``_read_matrix_file`` must agree with:
-    ``json.load`` on the file opened in text mode."""
+    ``json.load`` on the file opened in text mode, which it reads again
+    whatever ``data`` holds."""
     path = getattr(args, flag)
-    if path is None:
-        raise ValueError(f"--{flag} is required for {args.functional}")
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -428,11 +429,17 @@ def text_mode_read(args, flag):
                              f"decode") from None
 
 
+def document_read(args, flag):
+    """``_read_matrix_file`` of the bytes of the file ``--{flag}`` names."""
+    with open(getattr(args, flag), "rb") as fh:
+        return _read_matrix_file(args, flag, fh.read())
+
+
 def read_both(path):
-    """``(text_mode_read, _read_matrix_file)`` of the file, each a typed
+    """``(text_mode_read, document_read)`` of the file, each a typed
     document or the type and text of what it raised."""
     outcomes = []
-    for read in (text_mode_read, _read_matrix_file):
+    for read in (text_mode_read, document_read):
         try:
             outcomes.append(typed(read(argparse.Namespace(rho=str(path)),
                                        "rho")))
@@ -473,42 +480,87 @@ def matrix_documents(draw):
 
 ONE = b'{"dim": 1, "entries": [[[0.5, 0.0]]]}'
 
-# (id, file bytes, whether orjson may decode them); each must give the
-# outcome the text-mode reader gives, through `opconvex eval` too
+
+def one_by_one(entry, dim=b"1"):
+    """A one-line square matrix file whose one pair is ``entry``."""
+    return b'{"dim": %s, "entries": [[[%s]]]}' % (dim, entry)
+
+
+# (id, file bytes, whether orjson may decode them, whether _flat_square
+# takes them); each must give the outcome the text-mode reader gives,
+# through `opconvex eval` too
 DECODE_CORPUS = [
-    ("bom", b"\xef\xbb\xbf" + ONE, False),
-    ("crlf", b'{\r\n"dim": 1,\r\n"entries": [[[0.5, 0.0]]]\r\n}\r\n', True),
+    ("bom", b"\xef\xbb\xbf" + ONE, False, False),
+    ("crlf", b'{\r\n"dim": 1,\r\n"entries": [[[0.5, 0.0]]]\r\n}\r\n', True,
+     True),
     ("non-ascii-key", '{"é": 1, "dim": 1, "entries": [[[0.5, 0.0]]]}'
-     .encode(), False),
-    ("escaped-dim", b'{"\\u0064im": 1, "entries": [[[0.5, 0.0]]]}', False),
+     .encode(), False, False),
+    ("escaped-dim", b'{"\\u0064im": 1, "entries": [[[0.5, 0.0]]]}', False,
+     False),
     ("latin-1-byte", b'{"\xe9": 1, "dim": 1, "entries": [[[0.5, 0.0]]]}',
-     False),
-    ("nan", b'{"dim": 1, "entries": [[[NaN, 0.0]]]}', True),
-    ("infinity", b'{"dim": 1, "entries": [[[0.5, -Infinity]]]}', True),
-    ("1e400", b'{"dim": 1, "entries": [[[1e400, 0.0]]]}', True),
+     False, False),
+    ("nan", one_by_one(b"NaN, 0.0"), True, False),
+    ("infinity", one_by_one(b"0.5, -Infinity"), True, False),
+    ("1e400", one_by_one(b"1e400, 0.0"), True, False),
     ("lone-surrogate",
-     b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note": "\\ud800"}', False),
-    ("dim-2**64", b'{"dim": 18446744073709551616, "entries": [[[0.5, 0.0]]]}',
-     True),
-    ("rows-2**64", b'{"rows": 1, "cols": 18446744073709551616, '
-                   b'"entries": [[[0.5, 0.0]]]}', True),
-    ("dim-2**63-negative",
-     b'{"dim": -9223372036854775809, "entries": [[[0.5, 0.0]]]}', True),
-    ("entry-2**64+1", b'{"dim": 1, "entries": [[[18446744073709551617, 0]]]}',
-     True),
-    ("trailing-comma", b'{"dim": 1, "entries": [[[0.5, 0.0]]],}', True),
-    ("cr-line-ends-then-comma",
-     b'{\r"dim": 1,\r"entries": [[[0.5, 0.0]]],\r}', True),
-    ("closers-in-string", nested(cli._ORJSON_MAX_DEPTH + 1, "]]]]"), False),
-    ("openers-in-string", nested(cli._ORJSON_MAX_DEPTH, "[[[["), True),
-    ("unpaired-quote", b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note: 1}',
+     b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note": "\\ud800"}', False,
      False),
-    ("at-gate", nested(cli._ORJSON_MAX_DEPTH), True),
-    ("past-gate", nested(cli._ORJSON_MAX_DEPTH + 1), False),
-    ("1000-deep", b"[" * 1000 + b"]" * 1000, False),
-    ("200000-deep", b"[" * 200000 + b"]" * 200000, False),
-    ("top-level-list", b"[1.0, 2.0]", True),
-    ("empty", b"", True),
+    ("dim-2**64", one_by_one(b"0.5, 0.0", b"18446744073709551616"), True,
+     False),
+    ("rows-2**64", b'{"rows": 1, "cols": 18446744073709551616, '
+                   b'"entries": [[[0.5, 0.0]]]}', True, False),
+    ("dim-2**63-negative", one_by_one(b"0.5, 0.0", b"-9223372036854775809"),
+     True, False),
+    ("entry-2**64+1", one_by_one(b"18446744073709551617, 0"), True, True),
+    ("trailing-comma", b'{"dim": 1, "entries": [[[0.5, 0.0]]],}', True,
+     False),
+    ("cr-line-ends-then-comma",
+     b'{\r"dim": 1,\r"entries": [[[0.5, 0.0]]],\r}', True, False),
+    ("closers-in-string", nested(cli._ORJSON_MAX_DEPTH + 1, "]]]]"), False,
+     False),
+    ("openers-in-string", nested(cli._ORJSON_MAX_DEPTH, "[[[["), True, False),
+    ("unpaired-quote", b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note: 1}',
+     False, False),
+    ("at-gate", nested(cli._ORJSON_MAX_DEPTH), True, False),
+    ("past-gate", nested(cli._ORJSON_MAX_DEPTH + 1), False, False),
+    ("1000-deep", b"[" * 1000 + b"]" * 1000, False, False),
+    ("200000-deep", b"[" * 200000 + b"]" * 200000, False, False),
+    ("top-level-list", b"[1.0, 2.0]", True, False),
+    ("empty", b"", True, False),
+    # the bracket-and-comma layout _flat_square checks, and what it leaves
+    # to orjson
+    ("one-line", ONE, True, True),
+    ("spaced", b' {"dim" :1 ,\t"entries":\n[ [ [ 5E-1 , -0.0 ] ] ]\r} \n',
+     True, True),
+    ("number-glued-to-bracket",
+     b'{"dim": 2, "entries": [[[1, 2]5, [3, 4]], [[5, 6], [7, 8]]]}', True,
+     False),
+    ("token-split-by-space", one_by_one(b"1 2, 3"), True, False),
+    ("plus-sign", one_by_one(b"+1, 0"), True, False),
+    ("leading-zero", one_by_one(b"01, 0"), True, False),
+    ("bare-point", one_by_one(b"1., 0"), True, False),
+    ("leading-point", one_by_one(b".5, 0"), True, False),
+    ("lone-minus", one_by_one(b"-, 0"), True, False),
+    ("empty-slot", one_by_one(b", 0"), True, False),
+    ("true-entry", one_by_one(b"true, 0"), True, False),
+    ("null-entry", one_by_one(b"0.5, null"), True, False),
+    ("string-entry", one_by_one(b'"1", 0'), True, False),
+    ("three-numbers", one_by_one(b"0.5, 0, 0"), True, False),
+    ("extra-key", b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note": ""}', True,
+     False),
+    ("duplicate-dim", b'{"dim": 2, "dim": 1, "entries": [[[0.5, 0.0]]]}',
+     True, False),
+    ("dim-after-entries", b'{"dim": 1, "entries": [[[0.5, 0.0]]], "dim": 2}',
+     True, False),
+    ("entries-first", b'{"entries": [[[0.5, 0.0]]], "dim": 1}', True, False),
+    ("dim-0", b'{"dim": 0, "entries": []}', True, False),
+    ("dim-01", one_by_one(b"0.5, 0.0", b"01"), True, False),
+    ("dim-10**8", one_by_one(b"0.5, 0.0", b"100000000"), True, False),
+    ("dim-400-digits", one_by_one(b"0.5, 0.0", b"1" + b"0" * 399), True,
+     False),
+    ("dim-float", one_by_one(b"0.5, 0.0", b"1.0"), True, False),
+    ("trailing-bytes", ONE + b" x", True, False),
+    ("non-ascii-digit", one_by_one("0.\u0665, 0".encode()), False, False),
 ]
 
 
@@ -534,11 +586,12 @@ class TestMatrixFileDecoding:
             expected, got = read_both(path)
         assert got == expected
 
-    @pytest.mark.parametrize("name,data,safe", DECODE_CORPUS,
+    @pytest.mark.parametrize("name,data,safe,flat", DECODE_CORPUS,
                              ids=[row[0] for row in DECODE_CORPUS])
     def test_corpus_decodes_as_text_mode(self, tmp_path, name, data, safe,
-                                         monkeypatch, capsys):
+                                         flat, monkeypatch, capsys):
         assert cli._orjson_safe(data) == safe
+        assert (cli._flat_square(data) is not None) == flat
         path = tmp_path / "m.json"
         path.write_bytes(data)
         sigma = tmp_path / "one.json"
@@ -548,11 +601,11 @@ class TestMatrixFileDecoding:
             assert got == expected
         argv = ["eval", "--functional", "rel-entropy", "--rho", str(path),
                 "--sigma", str(sigma), "--json"]
-        runs = []
-        for reader in (text_mode_read, cli._read_matrix_file):
-            monkeypatch.setattr(cli, "_read_matrix_file", reader)
-            runs.append((main(argv), capsys.readouterr()))
-        assert runs[1] == runs[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_matrix_file", text_mode_read)
+            patch.setattr(cli, "_flat_square", lambda data: None)
+            expected = main(argv), capsys.readouterr()
+        assert (main(argv), capsys.readouterr()) == expected
 
     def test_integer_entry_beyond_64_bits_is_its_float(self, tmp_path):
         # orjson's float for the literal, not json's int: matrix_from_json
@@ -566,17 +619,18 @@ class TestMatrixFileDecoding:
         assert got["entries"] == [[[(float, float(2 ** 64 + 1).hex()),
                                      (float, float(-2 ** 63 - 1).hex())]]]
         assert np.array_equal(
-            matrix_from_json(_read_matrix_file(
+            matrix_from_json(document_read(
                 argparse.Namespace(rho=str(path)), "rho")),
             matrix_from_json(text_mode_read(
                 argparse.Namespace(rho=str(path)), "rho")))
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
                         reason="needs /dev/fd")
-    @pytest.mark.parametrize("name", ["crlf", "escaped-dim", "bom"])
+    @pytest.mark.parametrize("name", ["crlf", "extra-key", "escaped-dim",
+                                      "bom"])
     def test_reads_a_pipe_once(self, tmp_path, name, capsys):
-        # orjson decodes the first; json.load the other two, and the last
-        # exits 2 with json's message
+        # _flat_square takes the first, orjson decodes the second, json.load
+        # the other two, and the last exits 2 with json's message
         data = {row[0]: row[1] for row in DECODE_CORPUS}[name]
         sigma = tmp_path / "one.json"
         sigma.write_bytes(ONE)
@@ -593,6 +647,41 @@ class TestMatrixFileDecoding:
         finally:
             os.close(read_end)
         assert got == expected
+
+
+class TestFlatSquare:
+    """``_flat_square`` gives the matrix that ``matrix_from_json`` makes of
+    the document ``json.load`` returns, or declines the file."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=matrix_documents(),
+           indent=st.sampled_from([None, 0, 1, 4, "\t"]),
+           separators=st.sampled_from([None, (",", ":"), (" , ", " : ")]),
+           ascii_only=st.booleans(), crlf=st.booleans())
+    def test_takes_exactly_the_finite_square_documents(
+            self, doc, indent, separators, ascii_only, crlf):
+        text = json.dumps(doc, indent=indent, separators=separators,
+                          ensure_ascii=ascii_only)
+        M = cli._flat_square(
+            text.replace("\n", "\r\n" if crlf else "\n").encode())
+        # matrix_documents() writes "dim" before "entries", and a note last
+        entries = doc["entries"]
+        square = list(doc) == ["dim", "entries"] and (
+            doc["dim"] == len(entries) == len(entries[0]))
+        finite = all(math.isfinite(x)
+                     for row in entries for pair in row for x in pair)
+        assert (M is not None) == (square and finite)
+        if M is not None:
+            assert M.tobytes() == matrix_from_json(json.loads(text)).tobytes()
+
+    @pytest.mark.parametrize("layout", ["one-line", "indented", "printed"])
+    def test_takes_an_eval_sized_density(self, layout):
+        doc = matrix_to_json(random_density(128, 43).mat)
+        text = {"one-line": json.dumps(doc),
+                "indented": json.dumps(doc, indent=1),
+                "printed": _dump(doc)}[layout]
+        M = cli._flat_square(text.encode())
+        assert M.tobytes() == matrix_from_json(json.loads(text)).tobytes()
 
 
 class TestCollectorPause:
@@ -645,8 +734,8 @@ class TestCollectorPause:
         path = write_matrix(tmp_path / "m.json", np.eye(64))
         gc.disable()
         before = gc.get_count()[0]
-        H = cli.hermitian_from_json(
-            cli._read_matrix_file(argparse.Namespace(rho=path), "rho"))
+        H = hermitian_from_json(
+            document_read(argparse.Namespace(rho=path), "rho"))
         assert H.dim == 64
         assert gc.get_count()[0] - before < 100
 

@@ -8,9 +8,10 @@ codec, the report printer or a functional's value changes a hash. The
 cases cover all three functionals, n = 1, complex inputs and a K with
 signed-zero imaginary parts.
 
-The hashes were taken with numpy 2.4.6; other numpy builds may round
-differently in the last bit, so the test skips under them. The `atoms`
-listing does no arithmetic, so its pins hold under any numpy.
+The hashes were taken with numpy 2.4.6 on OpenBLAS's SkylakeX kernel;
+other numpy builds and other kernels may round differently in the last
+bit, so the test skips under them (``pins.py``). The `atoms` listing does
+no arithmetic, so its pins hold under any numpy and kernel.
 """
 import contextlib
 import hashlib
@@ -21,8 +22,10 @@ import numpy as np
 import pytest
 
 from opconvex.cli import main
+from pins import byte_pins
 
 GOLDEN_NUMPY = "2.4.6"
+GOLDEN_CORETYPE = "SkylakeX"
 
 
 def _entries(M):
@@ -163,9 +166,7 @@ def _run(argv):
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
-                    reason=f"golden hashes were taken with numpy "
-                           f"{GOLDEN_NUMPY}")
+@byte_pins(GOLDEN_NUMPY, GOLDEN_CORETYPE)
 @pytest.mark.parametrize("case", list(CASES))
 def test_eval_matches_golden_hash(case, matrix_files):
     argv = ["eval", "--json"] + [matrix_files.get(a, a) for a in CASES[case]]

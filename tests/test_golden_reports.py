@@ -9,19 +9,21 @@ and redrawn, one of them until the redraw budget runs out, and 12-wide
 witnesses, square and rectangular. Any change to a verdict, the seed rule,
 a witness's contents or the spelling of its numbers changes a hash.
 
-The hashes were taken with numpy 2.4.6; other numpy builds may round
-differently in the last bit, so the test skips under them.
+The hashes were taken with numpy 2.4.6 on OpenBLAS's SkylakeX kernel;
+other numpy builds and other kernels may round differently in the last
+bit, so the test skips under them (``pins.py``).
 """
 import contextlib
 import hashlib
 import io
 
-import numpy as np
 import pytest
 
 from opconvex.cli import main
+from pins import byte_pins
 
 GOLDEN_NUMPY = "2.4.6"
+GOLDEN_CORETYPE = "SkylakeX"
 
 
 def _grid():
@@ -198,9 +200,7 @@ def _run(argv):
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
-                    reason=f"golden hashes were taken with numpy "
-                           f"{GOLDEN_NUMPY}")
+@byte_pins(GOLDEN_NUMPY, GOLDEN_CORETYPE)
 @pytest.mark.parametrize("argv", [" ".join(a) for a in _grid()])
 def test_report_matches_golden_hash(argv):
     assert _run(argv.split()) == GOLDEN[argv]

@@ -3,8 +3,10 @@
 A mutant recompiles one kernel with one piece of its source replaced and
 binds it, through ``monkeypatch``, wherever the package binds the original.
 A verdict kills it: a theorem tag whose 200-trial campaign counts failures,
-or the quartic negative control no longer finding its violation. Byte pins
-play no part, so the kills hold under any numpy.
+or the quartic negative control no longer finding its violation. Mutants
+that every campaign passes are killed by a scalar oracle instead
+(``test_oracles.py``): their slacks stray from it. Byte pins play no part,
+so the kills hold under any numpy.
 """
 import __future__
 import inspect
@@ -16,6 +18,7 @@ import pytest
 from opconvex import (THEOREM_TAGS, TrialConfig, checks, functionals, linalg,
                       perspective)
 from opconvex import run_campaign
+from test_oracles import ORACLE_BOUND, ORACLES, oracle_gaps
 
 CAMPAIGN = TrialConfig(trials=200)
 # hp --atom quartic --negative-control --dim 2 --trials 2000 --seed 7
@@ -99,3 +102,29 @@ def test_mutant_is_killed_by_a_verdict(mutant, monkeypatch):
     _mutate(monkeypatch, module, name, old, new)
     assert _verdicts() == (failing, found)
     assert failing or not found
+
+
+# name: (module, kernel, source, mutated source, tags whose oracle kills it);
+# each passes every campaign and the control
+ORACLE_MUTANTS = {
+    "mixture-mixes-endpoint-1-with-itself": (
+        checks, "_mixture", "    avg = mix(",
+        "    Xs = (Xs[0],) * len(Xs)\n    avg = mix(",
+        {"rel-entropy-convexity", "lieb-s"}),
+    "relative-entropy-log-sigma-as-sigma": (
+        functionals, "_relative_entropy", "_materialize(Us, np.log(ws))",
+        "_materialize(Us, ws)", {"rel-entropy-convexity"}),
+    # Tr rho^2 - Tr rho log sigma is still jointly convex
+    "relative-entropy-rho-log-rho-as-rho-squared": (
+        functionals, "_relative_entropy", "_dot_rows(wr, np.log(wr))",
+        "_dot_rows(wr, wr)", {"rel-entropy-convexity"}),
+}
+
+
+@pytest.mark.parametrize("mutant", ORACLE_MUTANTS)
+def test_campaign_survivor_is_killed_by_an_oracle(mutant, monkeypatch):
+    module, name, old, new, killed = ORACLE_MUTANTS[mutant]
+    _mutate(monkeypatch, module, name, old, new)
+    assert _verdicts() == (set(), True)
+    assert {tag for tag in ORACLES
+            if max(oracle_gaps(tag)) > ORACLE_BOUND} == killed
