@@ -13,8 +13,6 @@ or environment state leak in.
 from __future__ import annotations
 
 import argparse
-import gc
-import io
 import json
 import re
 import sys
@@ -26,7 +24,7 @@ import orjson
 from .atoms import list_atoms
 from .functionals import (lieb_functional, lieb_pq_functional,
                           quantum_relative_entropy_direct)
-from .linalg import _hermitian_operand, matrix_from_json, matrix_wire
+from .linalg import hermitian_from_json, matrix_from_json, matrix_wire
 from .verify import (SPECTRUM_HI, SPECTRUM_LO, THEOREM_TAGS, TrialConfig,
                      run_campaign)
 
@@ -266,135 +264,45 @@ def _cmd_verify(args) -> int:
     return int(failed != args.negative_control)
 
 
-# orjson recurses once per bracket level, ~64 bytes of C stack each, and
-# crashes the process past ~10^5 levels on an 8 MiB stack; json.load raises
-# RecursionError near 10^3. A file nested no deeper than this is safe for
-# orjson on any thread's stack.
-_ORJSON_MAX_DEPTH = 256
-# bytes.translate arguments that keep only quotes and brackets, an opening
-# bracket as the int8 step +1 and a closing one as -1
-_DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
-_NOT_MARKS = bytes(set(range(256)) - set(b'"[]{}'))
-
-
-def _orjson_safe(data: bytes) -> bool:
-    """Whether orjson decodes ``data`` as ``json.load`` reads the file:
-    the bytes are ASCII, hold no backslash (so every quote opens or
-    closes a string), their quotes pair up, and brackets outside strings
-    nest at most ``_ORJSON_MAX_DEPTH`` deep."""
-    if not data.isascii() or b"\\" in data:
-        return False
-    parts = data.translate(_DEPTH_STEPS, _NOT_MARKS).split(b'"')
-    if len(parts) % 2 == 0:
-        return False
-    steps = np.frombuffer(b"".join(parts[::2]), np.int8)
-    return not steps.size or np.cumsum(steps).max() <= _ORJSON_MAX_DEPTH
-
-
-def _read_matrix_file(args, flag: str, data: bytes):
-    """The JSON document in the bytes ``data`` of the file the ``--{flag}``
-    option names, as ``json.load`` decodes the file opened in text mode.
-
-    orjson decodes them faster where ``_orjson_safe`` allows and it
-    returns a dict whose dimensions are not floats; all else goes to
-    ``json.load`` on the same bytes, so its errors are json's. orjson
-    makes an integer beyond 64 bits the nearest float, so such a
-    dimension goes to ``json.load``, and such an entry comes back as the
-    float that ``matrix_from_json`` makes of json's int.
-    """
-    if _orjson_safe(data):
-        try:
-            doc = orjson.loads(data)
-        except orjson.JSONDecodeError:
-            doc = None
-        if type(doc) is dict and float not in {
-                type(doc.get(key)) for key in ("dim", "rows", "cols")}:
-            return doc
-    try:
-        return json.load(io.TextIOWrapper(io.BytesIO(data)))
-    except RecursionError:
-        raise ValueError(f"--{flag}: {getattr(args, flag)} is nested too "
-                         f"deeply to decode") from None
-
-
-# {"dim": D, "entries": BODY} in JSON whitespace, D of at most 9 digits
-_FLAT_FILE = re.compile(
-    rb'(?s)[ \t\n\r]*\{[ \t\n\r]*"dim"[ \t\n\r]*:[ \t\n\r]*([1-9]\d{0,8})'
-    rb'[ \t\n\r]*,[ \t\n\r]*"entries"[ \t\n\r]*:(.*)\}[ \t\n\r]*')
-_NUMBER_BYTES = b"0123456789+-.eE \t\n\r"  # and JSON whitespace
-
-
-def _flat_square(data: bytes):
-    """``matrix_from_json`` of the document in a ``_FLAT_FILE``'s bytes,
-    decoded as one flat array without building the document. None unless
-    deleting numbers and whitespace from BODY leaves the brackets and
-    commas of D rows of D pairs (its length checked first, so a huge D
-    allocates nothing) and the numbers are finite. Brackets become spaces,
-    not nothing, so that no two numbers they part can join into one."""
-    match = _FLAT_FILE.fullmatch(data)
-    if match is None:
-        return None
-    n, body = int(match[1]), match[2]
-    layout = body.translate(None, _NUMBER_BYTES)
-    if len(layout) != 4 * n * n + 2 * n + 1 or layout != b"[%s]" % b",".join(
-            [b"[%s]" % b",".join([b"[,]"] * n)] * n):
-        return None
-    try:
-        E = np.fromiter(orjson.loads(b"[%s]" % body.translate(
-            bytes.maketrans(b"[]", b"  "))), np.float64, 2 * n * n)
-    except orjson.JSONDecodeError:
-        return None
-    return (E.view(np.complex128).reshape(n, n) if np.isfinite(E).all()
-            else None)
-
-
-def _read_matrix(args, flag: str) -> np.ndarray:
-    """The matrix in the file the ``--{flag}`` option names, read once:
-    ``_flat_square``'s, else ``matrix_from_json`` of its document."""
+def _read_matrix(args, flag: str, decode):
+    """``decode`` (``matrix_from_json`` or ``hermitian_from_json``) of the
+    bytes of the file the ``--{flag}`` option names, read once."""
     path = getattr(args, flag)
     if path is None:
         raise ValueError(f"--{flag} is required for {args.functional}")
     with open(path, "rb") as fh:
         data = fh.read()
-    M = _flat_square(data)
-    return M if M is not None else matrix_from_json(
-        _read_matrix_file(args, flag, data))
+    try:
+        return decode(data)
+    except RecursionError:  # json.load raises it near 10^3 bracket levels
+        raise ValueError(f"--{flag}: {path} is nested too deeply to "
+                         f"decode") from None
 
 
 def _cmd_eval(args) -> int:
-    # A file _flat_square declines decodes to ~16 500 lists at 128x128, none
-    # in a cycle, which every cyclic collection run while they lived would
-    # walk. Each is freed when its conversion returns, so pausing the GC
-    # leaves none owed; the caller's GC state comes back also on a raise.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        if args.functional == "rel-entropy":
-            rho = _hermitian_operand(_read_matrix(args, "rho"))
-            sigma = _hermitian_operand(_read_matrix(args, "sigma"))
-            value = quantum_relative_entropy_direct(rho, sigma)
-            inputs = {"rho": rho.mat, "sigma": sigma.mat}
-        else:
-            lieb_s = args.functional == "lieb-s"
-            exponents = {"s": args.s} if lieb_s else {"p": args.p, "q": args.q}
-            if None in exponents.values():
-                raise ValueError(f"{'--s is' if lieb_s else '--p and --q are'}"
-                                 f" required for {args.functional}")
-            A = _hermitian_operand(_read_matrix(args, "a"))
-            B = _hermitian_operand(_read_matrix(args, "b"))
-            K = _read_matrix(args, "k")
-            functional = lieb_functional if lieb_s else lieb_pq_functional
-            value = functional(A, B, K, *exponents.values())
-            inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}
+    if args.functional == "rel-entropy":
+        rho = _read_matrix(args, "rho", hermitian_from_json)
+        sigma = _read_matrix(args, "sigma", hermitian_from_json)
+        value = quantum_relative_entropy_direct(rho, sigma)
+        inputs = {"rho": rho.mat, "sigma": sigma.mat}
+    else:
+        lieb_s = args.functional == "lieb-s"
+        exponents = {"s": args.s} if lieb_s else {"p": args.p, "q": args.q}
+        if None in exponents.values():
+            raise ValueError(f"{'--s is' if lieb_s else '--p and --q are'}"
+                             f" required for {args.functional}")
+        A = _read_matrix(args, "a", hermitian_from_json)
+        B = _read_matrix(args, "b", hermitian_from_json)
+        K = _read_matrix(args, "k", matrix_from_json)
+        functional = lieb_functional if lieb_s else lieb_pq_functional
+        value = functional(A, B, K, *exponents.values())
+        inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}
 
-        _render(args, {"functional": args.functional, "value": value,
-                       "inputs": inputs})
-        if not args.json:
-            print(f"{value:.17g}")
-        return 0
-    finally:
-        if enabled:
-            gc.enable()
+    _render(args, {"functional": args.functional, "value": value,
+                   "inputs": inputs})
+    if not args.json:
+        print(f"{value:.17g}")
+    return 0
 
 
 def _cmd_atoms(args) -> int:

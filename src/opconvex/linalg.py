@@ -22,10 +22,14 @@ agree exactly.
 """
 from __future__ import annotations
 
+import io
+import json
+import re
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .atoms import Interval, ScalarAtom
 from .errors import DomainViolation, EigendecompositionError
@@ -339,12 +343,51 @@ def matrix_to_json(M) -> dict:
     return doc
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+# {"dim": D, "entries": BODY} in JSON whitespace, D of at most 9 digits
+_FLAT_FILE = re.compile(
+    rb'(?s)[ \t\n\r]*\{[ \t\n\r]*"dim"[ \t\n\r]*:[ \t\n\r]*([1-9]\d{0,8})'
+    rb'[ \t\n\r]*,[ \t\n\r]*"entries"[ \t\n\r]*:(.*)\}[ \t\n\r]*')
+_NUMBER_BYTES = b"0123456789+-.eE \t\n\r"  # and JSON whitespace
+
+
+def _flat_square(data: bytes):
+    """``matrix_from_json`` of the document in a ``_FLAT_FILE``'s bytes,
+    decoded as one flat array without building the document. None unless
+    deleting numbers and whitespace from BODY leaves the brackets and
+    commas of D rows of D pairs (its length checked first, so a huge D
+    allocates nothing) and the numbers are finite. Brackets become spaces,
+    not nothing, so that no two numbers they part can join into one."""
+    match = _FLAT_FILE.fullmatch(data)
+    if match is None:
+        return None
+    n, body = int(match[1]), match[2]
+    layout = body.translate(None, _NUMBER_BYTES)
+    if len(layout) != 4 * n * n + 2 * n + 1 or layout != b"[%s]" % b",".join(
+            [b"[%s]" % b",".join([b"[,]"] * n)] * n):
+        return None
+    try:
+        E = np.fromiter(orjson.loads(b"[%s]" % body.translate(
+            bytes.maketrans(b"[]", b"  "))), np.float64, 2 * n * n)
+    except orjson.JSONDecodeError:
+        return None
+    return (E.view(np.complex128).reshape(n, n) if np.isfinite(E).all()
+            else None)
+
+
+def matrix_from_json(obj: dict | bytes) -> np.ndarray:
     """Decode the wire format back into a complex ndarray (no hermiticity gate).
 
+    ``obj`` is the document, or the bytes of a JSON file: ``_flat_square``'s
+    matrix where it takes them, else that of the document ``json.load``
+    reads from the file opened in text mode, with json's errors.
     Dimensions must be JSON integers and entries JSON numbers: nothing else
     (``null``, booleans, strings, objects, float dimensions) is coerced.
     """
+    if isinstance(obj, bytes):
+        M = _flat_square(obj)
+        if M is not None:
+            return M
+        obj = json.load(io.TextIOWrapper(io.BytesIO(obj)))
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")
     if "dim" in obj:
@@ -386,14 +429,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return E.view(np.complex128).reshape(rows, cols)
 
 
-def hermitian_from_json(obj: dict) -> HermitianMatrix:
-    """Decode a matrix that must be Hermitian (``_hermitian_operand``)."""
-    return _hermitian_operand(matrix_from_json(obj))
+def hermitian_from_json(obj: dict | bytes) -> HermitianMatrix:
+    """Decode a matrix that is required to be Hermitian.
 
-
-def _hermitian_operand(M) -> HermitianMatrix:
-    """The decoded matrix ``M`` as a Hermitian operand: rejects input whose
-    hermiticity defect exceeds ``JSON_HERMITICITY_TOL``, reporting it."""
+    ``obj`` is as for ``matrix_from_json``. Rejects input whose hermiticity
+    defect exceeds ``JSON_HERMITICITY_TOL``, reporting the measured defect.
+    """
+    M = matrix_from_json(obj)
     if M.shape[0] != M.shape[1]:
         raise ValueError("Hermitian operand must be square")
     defect = float(np.max(np.abs(M - M.conj().T)))

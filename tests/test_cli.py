@@ -1,7 +1,5 @@
 """CLI surface: subcommands, exit codes, JSON reports, matrix file handling."""
-import argparse
 import enum
-import gc
 import json
 import math
 import os
@@ -20,12 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opconvex import THEOREM_TAGS, TrialConfig
-from opconvex.linalg import (hermitian_from_json, matrix_from_json,
-                             matrix_to_json, matrix_wire)
+from opconvex.linalg import matrix_from_json, matrix_to_json, matrix_wire
 from opconvex.verify import random_density
-from opconvex import cli
-from opconvex.cli import (_BLOCK, _CAMPAIGN_OPTIONS, _dump, _read_matrix_file,
-                          _reprs, main)
+from opconvex import cli, linalg
+from opconvex.cli import _BLOCK, _CAMPAIGN_OPTIONS, _dump, _reprs, main
 
 
 def write_matrix(path, M):
@@ -406,54 +402,21 @@ class TestEvalCommand:
         assert "numbers" in captured.err
 
 
-def typed(x):
-    """``x`` with each leaf tagged by its type, a float spelled by
-    ``float.hex`` so that NaN equals NaN and -0.0 differs from 0.0."""
-    if isinstance(x, dict):
-        return {key: typed(value) for key, value in x.items()}
-    if isinstance(x, list):
-        return [typed(value) for value in x]
-    return (type(x), x.hex() if type(x) is float else x)
-
-
-def text_mode_read(args, flag, data=None):
-    """The matrix file reader that ``_read_matrix_file`` must agree with:
-    ``json.load`` on the file opened in text mode, which it reads again
-    whatever ``data`` holds."""
-    path = getattr(args, flag)
+def text_mode_matrix(path):
+    """The reference matrix file reader: ``matrix_from_json`` of the
+    document ``json.load`` reads from the file opened in text mode."""
     with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"--{flag}: {path} is nested too deeply to "
-                             f"decode") from None
+        return matrix_from_json(json.load(fh))
 
 
-def document_read(args, flag):
-    """``_read_matrix_file`` of the bytes of the file ``--{flag}`` names."""
-    with open(getattr(args, flag), "rb") as fh:
-        return _read_matrix_file(args, flag, fh.read())
-
-
-def read_both(path):
-    """``(text_mode_read, document_read)`` of the file, each a typed
-    document or the type and text of what it raised."""
-    outcomes = []
-    for read in (text_mode_read, document_read):
-        try:
-            outcomes.append(typed(read(argparse.Namespace(rho=str(path)),
-                                       "rho")))
-        except (ValueError, RecursionError) as exc:
-            outcomes.append((type(exc), str(exc)))
-    return outcomes
-
-
-def nested(depth, note=""):
-    """A one-by-one matrix document with a ``note`` string, whose brackets
-    outside strings nest ``depth`` deep."""
-    pad = "[" * (depth - 1) + "]" * (depth - 1)
-    return ('{"note": "%s", "dim": 1, "entries": [[[0.5, 0.0]]], "pad": %s}'
-            % (note, pad)).encode()
+def outcome(read, arg):
+    """What ``read(arg)`` gives: the matrix's shape and bytes, or the type
+    and text of what it raised."""
+    try:
+        M = read(arg)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+    return M.shape, M.tobytes()
 
 
 @st.composite
@@ -486,151 +449,121 @@ def one_by_one(entry, dim=b"1"):
     return b'{"dim": %s, "entries": [[[%s]]]}' % (dim, entry)
 
 
-# (id, file bytes, whether orjson may decode them, whether _flat_square
-# takes them); each must give the outcome the text-mode reader gives,
-# through `opconvex eval` too
+# (id, file bytes, whether _flat_square takes them); each must give the
+# outcome the text-mode reader gives, through `opconvex eval` too
 DECODE_CORPUS = [
-    ("bom", b"\xef\xbb\xbf" + ONE, False, False),
-    ("crlf", b'{\r\n"dim": 1,\r\n"entries": [[[0.5, 0.0]]]\r\n}\r\n', True,
-     True),
+    ("bom", b"\xef\xbb\xbf" + ONE, False),
+    ("crlf", b'{\r\n"dim": 1,\r\n"entries": [[[0.5, 0.0]]]\r\n}\r\n', True),
     ("non-ascii-key", '{"é": 1, "dim": 1, "entries": [[[0.5, 0.0]]]}'
-     .encode(), False, False),
-    ("escaped-dim", b'{"\\u0064im": 1, "entries": [[[0.5, 0.0]]]}', False,
-     False),
+     .encode(), False),
+    ("escaped-dim", b'{"\\u0064im": 1, "entries": [[[0.5, 0.0]]]}', False),
     ("latin-1-byte", b'{"\xe9": 1, "dim": 1, "entries": [[[0.5, 0.0]]]}',
-     False, False),
-    ("nan", one_by_one(b"NaN, 0.0"), True, False),
-    ("infinity", one_by_one(b"0.5, -Infinity"), True, False),
-    ("1e400", one_by_one(b"1e400, 0.0"), True, False),
+     False),
+    ("nan", one_by_one(b"NaN, 0.0"), False),
+    ("infinity", one_by_one(b"0.5, -Infinity"), False),
+    ("1e400", one_by_one(b"1e400, 0.0"), False),
     ("lone-surrogate",
-     b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note": "\\ud800"}', False,
-     False),
-    ("dim-2**64", one_by_one(b"0.5, 0.0", b"18446744073709551616"), True,
-     False),
+     b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note": "\\ud800"}', False),
+    ("dim-2**64", one_by_one(b"0.5, 0.0", b"18446744073709551616"), False),
     ("rows-2**64", b'{"rows": 1, "cols": 18446744073709551616, '
-                   b'"entries": [[[0.5, 0.0]]]}', True, False),
+                   b'"entries": [[[0.5, 0.0]]]}', False),
     ("dim-2**63-negative", one_by_one(b"0.5, 0.0", b"-9223372036854775809"),
-     True, False),
-    ("entry-2**64+1", one_by_one(b"18446744073709551617, 0"), True, True),
-    ("trailing-comma", b'{"dim": 1, "entries": [[[0.5, 0.0]]],}', True,
      False),
+    # orjson makes an integer beyond 64 bits the nearest float, the float64
+    # matrix_from_json makes of json's int
+    ("entry-2**64+1", one_by_one(b"18446744073709551617, 0"), True),
+    ("entry-minus-2**63-1", one_by_one(b"-9223372036854775809, 0"), True),
+    ("trailing-comma", b'{"dim": 1, "entries": [[[0.5, 0.0]]],}', False),
     ("cr-line-ends-then-comma",
-     b'{\r"dim": 1,\r"entries": [[[0.5, 0.0]]],\r}', True, False),
-    ("closers-in-string", nested(cli._ORJSON_MAX_DEPTH + 1, "]]]]"), False,
-     False),
-    ("openers-in-string", nested(cli._ORJSON_MAX_DEPTH, "[[[["), True, False),
+     b'{\r"dim": 1,\r"entries": [[[0.5, 0.0]]],\r}', False),
     ("unpaired-quote", b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note: 1}',
-     False, False),
-    ("at-gate", nested(cli._ORJSON_MAX_DEPTH), True, False),
-    ("past-gate", nested(cli._ORJSON_MAX_DEPTH + 1), False, False),
-    ("1000-deep", b"[" * 1000 + b"]" * 1000, False, False),
-    ("200000-deep", b"[" * 200000 + b"]" * 200000, False, False),
-    ("top-level-list", b"[1.0, 2.0]", True, False),
-    ("empty", b"", True, False),
+     False),
+    ("1000-deep", b"[" * 1000 + b"]" * 1000, False),
+    ("200000-deep", b"[" * 200000 + b"]" * 200000, False),
+    ("top-level-list", b"[1.0, 2.0]", False),
+    ("empty", b"", False),
     # the bracket-and-comma layout _flat_square checks, and what it leaves
     # to orjson
-    ("one-line", ONE, True, True),
+    ("one-line", ONE, True),
     ("spaced", b' {"dim" :1 ,\t"entries":\n[ [ [ 5E-1 , -0.0 ] ] ]\r} \n',
-     True, True),
+     True),
     ("number-glued-to-bracket",
-     b'{"dim": 2, "entries": [[[1, 2]5, [3, 4]], [[5, 6], [7, 8]]]}', True,
-     False),
-    ("token-split-by-space", one_by_one(b"1 2, 3"), True, False),
-    ("plus-sign", one_by_one(b"+1, 0"), True, False),
-    ("leading-zero", one_by_one(b"01, 0"), True, False),
-    ("bare-point", one_by_one(b"1., 0"), True, False),
-    ("leading-point", one_by_one(b".5, 0"), True, False),
-    ("lone-minus", one_by_one(b"-, 0"), True, False),
-    ("empty-slot", one_by_one(b", 0"), True, False),
-    ("true-entry", one_by_one(b"true, 0"), True, False),
-    ("null-entry", one_by_one(b"0.5, null"), True, False),
-    ("string-entry", one_by_one(b'"1", 0'), True, False),
-    ("three-numbers", one_by_one(b"0.5, 0, 0"), True, False),
-    ("extra-key", b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note": ""}', True,
+     b'{"dim": 2, "entries": [[[1, 2]5, [3, 4]], [[5, 6], [7, 8]]]}', False),
+    ("token-split-by-space", one_by_one(b"1 2, 3"), False),
+    ("plus-sign", one_by_one(b"+1, 0"), False),
+    ("leading-zero", one_by_one(b"01, 0"), False),
+    ("bare-point", one_by_one(b"1., 0"), False),
+    ("leading-point", one_by_one(b".5, 0"), False),
+    ("lone-minus", one_by_one(b"-, 0"), False),
+    ("empty-slot", one_by_one(b", 0"), False),
+    ("true-entry", one_by_one(b"true, 0"), False),
+    ("null-entry", one_by_one(b"0.5, null"), False),
+    ("string-entry", one_by_one(b'"1", 0'), False),
+    ("three-numbers", one_by_one(b"0.5, 0, 0"), False),
+    ("extra-key", b'{"dim": 1, "entries": [[[0.5, 0.0]]], "note": ""}',
      False),
     ("duplicate-dim", b'{"dim": 2, "dim": 1, "entries": [[[0.5, 0.0]]]}',
-     True, False),
-    ("dim-after-entries", b'{"dim": 1, "entries": [[[0.5, 0.0]]], "dim": 2}',
-     True, False),
-    ("entries-first", b'{"entries": [[[0.5, 0.0]]], "dim": 1}', True, False),
-    ("dim-0", b'{"dim": 0, "entries": []}', True, False),
-    ("dim-01", one_by_one(b"0.5, 0.0", b"01"), True, False),
-    ("dim-10**8", one_by_one(b"0.5, 0.0", b"100000000"), True, False),
-    ("dim-400-digits", one_by_one(b"0.5, 0.0", b"1" + b"0" * 399), True,
      False),
-    ("dim-float", one_by_one(b"0.5, 0.0", b"1.0"), True, False),
-    ("trailing-bytes", ONE + b" x", True, False),
-    ("non-ascii-digit", one_by_one("0.\u0665, 0".encode()), False, False),
+    ("dim-after-entries", b'{"dim": 1, "entries": [[[0.5, 0.0]]], "dim": 2}',
+     False),
+    ("entries-first", b'{"entries": [[[0.5, 0.0]]], "dim": 1}', False),
+    ("dim-0", b'{"dim": 0, "entries": []}', False),
+    ("dim-01", one_by_one(b"0.5, 0.0", b"01"), False),
+    ("dim-10**8", one_by_one(b"0.5, 0.0", b"100000000"), False),
+    ("dim-400-digits", one_by_one(b"0.5, 0.0", b"1" + b"0" * 399), False),
+    ("dim-float", one_by_one(b"0.5, 0.0", b"1.0"), False),
+    ("trailing-bytes", ONE + b" x", False),
+    ("non-ascii-digit", one_by_one("0.\u0665, 0".encode()), False),
 ]
 
 
 class TestMatrixFileDecoding:
-    """``_read_matrix_file`` decodes a file as ``json.load`` does on the
-    file opened in text mode, taking orjson's faster route only where that
-    gives the same document."""
+    """``matrix_from_json`` of a file's bytes gives what it gives of the
+    document ``json.load`` reads from the file opened in text mode: the
+    same matrix, bit for bit, or the same error."""
 
     @settings(max_examples=200, deadline=None)
     @given(doc=matrix_documents(),
            indent=st.sampled_from([None, 0, 1, 4, "\t"]),
            separators=st.sampled_from([None, (",", ":"), (" , ", " : ")]),
            ascii_only=st.booleans(), crlf=st.booleans())
-    def test_returns_what_json_load_returns(self, doc, indent, separators,
-                                            ascii_only, crlf):
-        text = json.dumps(doc, indent=indent, separators=separators,
-                          ensure_ascii=ascii_only)
+    def test_decodes_as_text_mode(self, doc, indent, separators, ascii_only,
+                                  crlf):
+        data = json.dumps(doc, indent=indent, separators=separators,
+                          ensure_ascii=ascii_only).replace(
+            "\n", "\r\n" if crlf else "\n").encode()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "m.json")
             with open(path, "wb") as fh:
-                fh.write(text.replace("\n", "\r\n" if crlf else "\n")
-                         .encode())
-            expected, got = read_both(path)
-        assert got == expected
+                fh.write(data)
+            expected = outcome(text_mode_matrix, path)
+        assert outcome(matrix_from_json, data) == expected
 
-    @pytest.mark.parametrize("name,data,safe,flat", DECODE_CORPUS,
+    @pytest.mark.parametrize("name,data,flat", DECODE_CORPUS,
                              ids=[row[0] for row in DECODE_CORPUS])
-    def test_corpus_decodes_as_text_mode(self, tmp_path, name, data, safe,
-                                         flat, monkeypatch, capsys):
-        assert cli._orjson_safe(data) == safe
-        assert (cli._flat_square(data) is not None) == flat
+    def test_corpus_decodes_as_text_mode(self, tmp_path, name, data, flat,
+                                         monkeypatch, capsys):
+        assert (linalg._flat_square(data) is not None) == flat
         path = tmp_path / "m.json"
         path.write_bytes(data)
+        assert outcome(matrix_from_json, data) == outcome(text_mode_matrix,
+                                                          path)
         sigma = tmp_path / "one.json"
         sigma.write_bytes(ONE)
-        expected, got = read_both(path)
-        if name != "entry-2**64+1":  # see the test below
-            assert got == expected
         argv = ["eval", "--functional", "rel-entropy", "--rho", str(path),
                 "--sigma", str(sigma), "--json"]
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_read_matrix_file", text_mode_read)
-            patch.setattr(cli, "_flat_square", lambda data: None)
+            patch.setattr(linalg, "_flat_square", lambda data: None)
             expected = main(argv), capsys.readouterr()
         assert (main(argv), capsys.readouterr()) == expected
-
-    def test_integer_entry_beyond_64_bits_is_its_float(self, tmp_path):
-        # orjson's float for the literal, not json's int: matrix_from_json
-        # makes the same float64 of both
-        path = tmp_path / "m.json"
-        path.write_bytes(b'{"dim": 1, "entries": [[[18446744073709551617, '
-                         b'-9223372036854775809]]]}')
-        expected, got = read_both(path)
-        assert expected["entries"] == [[[(int, 2 ** 64 + 1),
-                                          (int, -2 ** 63 - 1)]]]
-        assert got["entries"] == [[[(float, float(2 ** 64 + 1).hex()),
-                                     (float, float(-2 ** 63 - 1).hex())]]]
-        assert np.array_equal(
-            matrix_from_json(document_read(
-                argparse.Namespace(rho=str(path)), "rho")),
-            matrix_from_json(text_mode_read(
-                argparse.Namespace(rho=str(path)), "rho")))
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
                         reason="needs /dev/fd")
     @pytest.mark.parametrize("name", ["crlf", "extra-key", "escaped-dim",
                                       "bom"])
     def test_reads_a_pipe_once(self, tmp_path, name, capsys):
-        # _flat_square takes the first, orjson decodes the second, json.load
-        # the other two, and the last exits 2 with json's message
+        # _flat_square takes the first, json.load decodes the next two, and
+        # the last exits 2 with json's message
         data = {row[0]: row[1] for row in DECODE_CORPUS}[name]
         sigma = tmp_path / "one.json"
         sigma.write_bytes(ONE)
@@ -662,7 +595,7 @@ class TestFlatSquare:
             self, doc, indent, separators, ascii_only, crlf):
         text = json.dumps(doc, indent=indent, separators=separators,
                           ensure_ascii=ascii_only)
-        M = cli._flat_square(
+        M = linalg._flat_square(
             text.replace("\n", "\r\n" if crlf else "\n").encode())
         # matrix_documents() writes "dim" before "entries", and a note last
         entries = doc["entries"]
@@ -680,64 +613,8 @@ class TestFlatSquare:
         text = {"one-line": json.dumps(doc),
                 "indented": json.dumps(doc, indent=1),
                 "printed": _dump(doc)}[layout]
-        M = cli._flat_square(text.encode())
+        M = linalg._flat_square(text.encode())
         assert M.tobytes() == matrix_from_json(json.loads(text)).tobytes()
-
-
-class TestCollectorPause:
-    """``eval`` decodes its matrix files with the cyclic garbage collector
-    paused, and leaves the collector as its caller had it."""
-
-    @pytest.fixture
-    def restore_gc(self):
-        enabled = gc.isenabled()
-        yield
-        (gc.enable if enabled else gc.disable)()
-
-    @pytest.mark.parametrize("enabled", [True, False],
-                             ids=["collector-on", "collector-off"])
-    @pytest.mark.parametrize("rho, code", [
-        (None, 0), (b"{", 2),
-        (b'{"dim": 2, "entries": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}', 2)],
-        ids=["exit-0", "decode-error", "not-hermitian"])
-    def test_keeps_the_callers_collector_state(self, tmp_path, eye2,
-                                               restore_gc, enabled, rho,
-                                               code, capsys):
-        if rho is not None:
-            (tmp_path / "rho.json").write_bytes(rho)
-        (gc.enable if enabled else gc.disable)()
-        assert main(["eval", "--functional", "rel-entropy", "--rho",
-                     eye2 if rho is None else str(tmp_path / "rho.json"),
-                     "--sigma", eye2]) == code
-        assert gc.isenabled() is enabled
-
-    def test_decodes_with_the_collector_off(self, eye2, restore_gc,
-                                            monkeypatch, capsys):
-        seen = []
-        loads = orjson.loads
-
-        def spy(data):
-            seen.append(gc.isenabled())
-            return loads(data)
-
-        monkeypatch.setattr(cli.orjson, "loads", spy)
-        gc.enable()
-        assert main(["eval", "--functional", "lieb-s", "--s", "0.5", "--a",
-                     eye2, "--b", eye2, "--k", eye2]) == 0
-        assert seen == [False, False, False]
-        assert gc.isenabled()
-
-    def test_frees_the_document_before_it_returns(self, tmp_path,
-                                                  restore_gc):
-        # a 64x64 document is ~4 200 tracked lists; with the collector off
-        # none of them is collected, so any still alive would count here
-        path = write_matrix(tmp_path / "m.json", np.eye(64))
-        gc.disable()
-        before = gc.get_count()[0]
-        H = hermitian_from_json(
-            document_read(argparse.Namespace(rho=path), "rho"))
-        assert H.dim == 64
-        assert gc.get_count()[0] - before < 100
 
 
 class Color(enum.IntEnum):
