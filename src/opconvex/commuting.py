@@ -10,9 +10,10 @@ by sigma and right multiplication by rho on the Hilbert-Schmidt space of
 n x n matrices always commute. ``MultiplicationPair`` keeps them as the
 spectral factors of sigma and rho, whose rank-one products u_i v_j* are a
 joint eigenbasis; the perspective module evaluates quadratic forms from
-those factors in O(n^3). A pair whose sigma and rho are bitwise equal to
-those the last pair built was given, while that pair is still alive,
-shares its factors instead of eigendecomposing again.
+those factors in O(n^3). A pair whose sigma and rho have the same bytes
+as those of the last pair built, while that pair is alive, shares its
+factors instead of eigendecomposing again: operands and factors are
+read-only for good (``linalg._frozen``), so the two pairs stay equal.
 ``realize_multiplication_pair`` builds the same pair as an explicit
 n^2 x n^2 ``CommutingPair``, the reference realization that tests compare
 the factored evaluation against.
@@ -27,7 +28,8 @@ import numpy as np
 
 from .errors import DomainViolation
 from .linalg import (HermitianMatrix, RowErrors, UNITARY_TOL, _adj, _eigh,
-                     _hermitian_pair, _materialize, _require_dim, as_matrix)
+                     _frozen, _hermitian_pair, _materialize, _require_dim,
+                     as_matrix)
 
 # Default strict-positivity floor for spectra.
 DEFAULT_FLOOR = 1e-8
@@ -71,9 +73,7 @@ class CommutingPair:
         RowErrors.one(lambda errs: _pair_gates(U[None], lam[None], mu[None],
                                                floor, errs))
         for name, a in (("basis", U), ("lam", lam), ("mu", mu)):
-            a = a.copy()
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(a.copy()))
 
     @property
     def dim(self) -> int:
@@ -115,13 +115,6 @@ def _last_pair():
     """The last ``MultiplicationPair`` built, while alive (a weakref.ref)."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only view of ``a`` whose flag cannot be set back: its base is
-    read-only too."""
-    a.flags.writeable = False
-    return a.view()
-
-
 @dataclass(frozen=True, eq=False)
 class MultiplicationPair:
     """Strictly positive sigma and rho defining L(X) = sigma X, R(X) = X rho.
@@ -130,10 +123,11 @@ class MultiplicationPair:
     eigendecomposed at construction: ``factors`` is
     ``(U_sigma, s, U_rho, r)`` with ``sigma = U_sigma diag(s) U_sigma*`` and
     ``rho = U_rho diag(r) U_rho*``, eigenvalues ascending, all read-only.
-    When the last pair built is still alive and its sigma and rho were, when
-    it was built, bitwise equal to these, its factors are shared instead of
-    computed a second time; nothing keeps a pair alive for this. The
-    positivity floor is checked on the least entries of ``s`` and ``r``
+    When the last pair built is still alive and its ``sigma.mat`` and
+    ``rho.mat`` have the same bytes as these (not ``==``, which takes -0.0
+    for 0.0), its factors are shared instead of computed a second time;
+    nothing keeps a pair alive for this, and without one nothing is compared.
+    The positivity floor is checked on the least entries of ``s`` and ``r``
     either way.
     """
 
@@ -141,17 +135,15 @@ class MultiplicationPair:
     rho: HermitianMatrix
     floor: InitVar[float] = DEFAULT_FLOOR
     factors: tuple = field(init=False, repr=False)
-    _operand_bytes: tuple = field(init=False, repr=False)
 
     def __post_init__(self, floor):
         global _last_pair
         _require_floor(floor)
         s, r = _hermitian_pair(self.sigma, self.rho)
-        # Bytes taken now, so a later write to an operand cannot match;
-        # not ==, which takes -0.0 for 0.0.
-        key = (s.mat.tobytes(), r.mat.tobytes())
         last = _last_pair()
-        shared = last is not None and last._operand_bytes == key
+        shared = (last is not None
+                  and last.sigma.mat.tobytes() == s.mat.tobytes()
+                  and last.rho.mat.tobytes() == r.mat.tobytes())
         factors = []
         for k, (name, H) in enumerate((("sigma", s), ("rho", r))):
             U, w = (last.factors[2 * k:2 * k + 2] if shared
@@ -164,7 +156,6 @@ class MultiplicationPair:
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "rho", r)
         object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "_operand_bytes", key)
         _last_pair = weakref.ref(self)
 
     def __reduce__(self):

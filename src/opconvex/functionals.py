@@ -14,8 +14,8 @@ from .commuting import (DEFAULT_FLOOR, LEAST_FLOOR, MultiplicationPair,
                         _require_floor)
 from .errors import DomainViolation, HypothesisViolation
 from .linalg import (HermitianMatrix, RowErrors, _adj, _calculus, _dot_rows,
-                     _eigh, _hermitian_pair, _materialize, _square_operand,
-                     _sym)
+                     _eigh, _frozen, _hermitian_pair, _materialize,
+                     _square_operand, _sym)
 from .perspective import _quasi_entropy, _scaled
 
 _XLOGX = lookup_atom("xlogx")
@@ -44,15 +44,17 @@ class ProbabilityVector:
         total = float(np.sum(v))
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise DomainViolation(f"weights must sum to 1, got {total!r}")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "weights", v)
+        object.__setattr__(self, "weights", _frozen(v.copy()))
 
     def __len__(self) -> int:
         return self.weights.size
 
     def __repr__(self):
         return f"ProbabilityVector({np.array2string(self.weights)})"
+
+    def __reduce__(self):
+        # Rebuilt, so a copy's weights are read-only too.
+        return type(self), (self.weights,)
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)

@@ -66,9 +66,7 @@ class HermitianMatrix:
         _require_dim(M.shape[0])
         if not np.isfinite(M).all():
             raise ValueError("matrix entries must be finite")
-        H = _sym(M)
-        H.flags.writeable = False
-        object.__setattr__(self, "mat", H)
+        object.__setattr__(self, "mat", _frozen(_sym(M)))
 
     @property
     def dim(self) -> int:
@@ -85,10 +83,16 @@ def _restored(cls, mat) -> HermitianMatrix:
     """A ``cls`` holding a read-only copy of ``mat`` as it is, for pickle
     and copy: a subclass's constructor would normalize it again."""
     H = object.__new__(cls)
-    mat = np.array(mat)
-    mat.flags.writeable = False
-    object.__setattr__(H, "mat", mat)
+    object.__setattr__(H, "mat", _frozen(np.array(mat)))
     return H
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, an array that owns its data and that
+    nothing else holds: the one way a value type stores an array. The
+    view's flag cannot be set back, because its base is read-only too."""
+    a.flags.writeable = False
+    return a.view()
 
 
 def _adj(M) -> np.ndarray:

@@ -616,6 +616,20 @@ class TestFlatSquare:
         M = linalg._flat_square(text.encode())
         assert M.tobytes() == matrix_from_json(json.loads(text)).tobytes()
 
+    def test_declines_a_number_orjson_overflows(self, monkeypatch):
+        # orjson 3.8.3 raises on 1e400 and 1.8e308; one that reads a number
+        # as inf instead must leave the file to json.load
+        def loads(data):
+            numbers = orjson.loads(data)
+            numbers[0] = math.inf
+            return numbers
+
+        monkeypatch.setattr(linalg, "orjson", types.SimpleNamespace(
+            loads=loads, JSONDecodeError=orjson.JSONDecodeError))
+        assert linalg._flat_square(ONE) is None
+        assert (matrix_from_json(ONE).tobytes()
+                == matrix_from_json(json.loads(ONE)).tobytes())
+
 
 class Color(enum.IntEnum):
     RED = 1

@@ -1,9 +1,11 @@
 """Commuting pairs, joint diagonalization, multiplication-operator realization."""
+import ast
 import copy
 import gc
 import math
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from opconvex import (CommutingPair, DensityMatrix, DomainViolation,
 from opconvex import commuting
 from opconvex.commuting import apply_superop, realize_multiplication_pair
 from opconvex.perspective import extended_perspective_symmetrized
+from opconvex.verify import random_probability_vector
 
 
 def diag_pair(lam, mu):
@@ -253,18 +256,17 @@ class TestSharedFactors:
             H.mat[:] = np.diag([3.0, 4.0])
         assert kept.factors[1].tolist() == [1.0, 2.0]
 
-    def test_an_operand_written_behind_a_live_pair_recomputes(self,
-                                                              eigh_calls):
+    def test_an_operand_behind_a_live_pair_refuses_a_write(self,
+                                                           eigh_calls):
         H, R = HermitianMatrix(np.diag([1.0, 2.0])), np.diag([0.5, 0.5])
         kept = MultiplicationPair(H, R)
-        H.mat.flags.writeable = True
-        H.mat[:] = np.diag([3.0, 4.0])
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            H.mat.flags.writeable = True
         eigh_calls.clear()
-        assert MultiplicationPair(H, R).factors[1].tolist() == [3.0, 4.0]
-        assert len(eigh_calls) == 2
-        S = quantum_relative_entropy_perspective(H, R)
-        assert S == pytest.approx(3 * math.log(6) + 4 * math.log(8))
-        del kept
+        again = MultiplicationPair(H, R)
+        assert not eigh_calls
+        assert all(a is b for a, b in zip(again.factors, kept.factors))
+        assert again.factors[1].tolist() == [1.0, 2.0]
 
     def test_shared_factors_cannot_be_made_writeable(self):
         mp = MultiplicationPair(random_density(3, 52), random_density(3, 53))
@@ -273,11 +275,20 @@ class TestSharedFactors:
                 a.flags.writeable = True
 
 
+def _stored_arrays(value) -> list:
+    """Every array ``value`` stores, a pair's operands included."""
+    if isinstance(value, MultiplicationPair):
+        return [value.sigma.mat, value.rho.mat, *value.factors]
+    return [getattr(value, f) for f in ("mat", "basis", "lam", "mu", "weights")
+            if hasattr(value, f)]
+
+
 @pytest.mark.parametrize("make", [
     lambda: HermitianMatrix(np.array([[1.0, 2j], [-2j, 3.0]])),
     lambda: random_density(3, 54),
-    lambda: random_commuting_pair(3, 55, floor=0.5)],
-    ids=["hermitian", "density", "commuting-pair"])
+    lambda: random_commuting_pair(3, 55, floor=0.5),
+    lambda: random_probability_vector(3, 56)],
+    ids=["hermitian", "density", "commuting-pair", "probability-vector"])
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                    lambda x: pickle.loads(pickle.dumps(x))],
                          ids=["copy", "deepcopy", "pickle"])
@@ -285,11 +296,65 @@ def test_copies_keep_type_bits_and_read_only_arrays(make, clone):
     value = make()
     got = clone(value)
     assert type(got) is type(value)
-    names = [f for f in ("mat", "basis", "lam", "mu") if hasattr(value, f)]
-    for name in names:
-        a, b = getattr(got, name), getattr(value, name)
+    pairs = list(zip(_stored_arrays(got), _stored_arrays(value)))
+    assert pairs
+    for a, b in pairs:
         assert a.tobytes() == b.tobytes()
         assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("make,count", [
+    (lambda: HermitianMatrix(np.array([[1.0, 2j], [-2j, 3.0]])), 1),
+    (lambda: random_density(3, 57), 1),
+    (lambda: random_commuting_pair(3, 58, floor=0.5), 3),
+    (lambda: random_probability_vector(3, 59), 1),
+    (lambda: MultiplicationPair(random_density(3, 60), np.eye(3)), 6)],
+    ids=["hermitian", "density", "commuting-pair", "probability-vector",
+         "multiplication-pair"])
+@pytest.mark.parametrize("clone", [lambda x: x, copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["original", "copy", "deepcopy", "pickle"])
+def test_no_stored_array_can_be_made_writeable(make, count, clone):
+    arrays = _stored_arrays(clone(make()))
+    assert len(arrays) == count
+    for a in arrays:
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            a.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
+
+
+def _flag_setters(path: Path) -> list:
+    """Where the module at ``path`` sets an array flag, as
+    ``module.qualified.name``: a ``flags.writeable`` or ``flags[...]``
+    assignment, or a ``setflags`` call."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        store = isinstance(getattr(node, "ctx", None), ast.Store)
+        if (isinstance(node, ast.Attribute)
+                and (node.attr == "setflags"
+                     or store and node.attr == "writeable")
+                or isinstance(node, ast.Subscript) and store
+                and getattr(node.value, "attr", None) == "flags"):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_arrays_are_frozen_only_by_linalg_frozen():
+    """A value type stores an array one way, so no second way to freeze
+    one can be weaker than ``linalg._frozen``."""
+    package = Path(commuting.__file__).parent
+    setters = [w for path in sorted(package.glob("*.py"))
+               for w in _flag_setters(path)]
+    assert setters == ["linalg._frozen"]
 
 
 @pytest.mark.parametrize("make", [
