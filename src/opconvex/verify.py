@@ -24,9 +24,10 @@ The engine decides a tag's trials together, ``CHUNK`` at a time, in three
 steps:
 
 1. Draw: the start states of the batch's streams are derived together,
-   and each trial makes its RNG calls in the tag's fixed order on one
-   generator set to its own state. The draws are random numbers only,
-   with no linear algebra.
+   and each trial makes the RNG calls its tag declares, in their fixed
+   order, on one generator set to its own state. The draws are raw
+   numbers; their maps (exp, bands, the contraction factor) run once per
+   batch, in the build.
 2. Stack and decide: the draws are stacked along a leading batch axis, and
    every QR, Wishart product, eigendecomposition, functional-calculus map,
    trace and Loewner slack runs once on the (batch, n, n) arrays.
@@ -276,6 +277,12 @@ def random_contraction_pair(m: int, n: int, seed, shrink: float = 1.0):
 _LOG_SPECTRUM = (np.log(SPECTRUM_LO), np.log(SPECTRUM_HI))
 
 
+def _uniform(band, u):
+    """``Generator.uniform(*band)``'s numbers from ``Generator.random``'s u,
+    element for element and bit for bit."""
+    return band[0] + (band[1] - band[0]) * u
+
+
 def _log_pair_band(floor: float) -> tuple:
     """Log bounds of generated pair spectra: the band, raised to ``floor``."""
     if floor > SPECTRUM_HI:
@@ -296,26 +303,21 @@ def random_commuting_pair(n: int, seed,
     return CommutingPair(U, lam, mu, floor=floor)
 
 
-def _log_uniform(rng, size=None):
-    return np.exp(rng.uniform(*_LOG_SPECTRUM, size))
-
-
-def _in_domain(f: ScalarAtom, rng, size=None):
+def _in_domain(f: ScalarAtom, u):
+    """Uniforms u on [0, 1) mapped into f's domain: log-uniform on
+    [SPECTRUM_LO, SPECTRUM_HI] for positive-domain atoms, uniform on
+    [-REAL_BOUND, REAL_BOUND] for real-line atoms."""
     if f.domain.lo >= 0.0:
-        return _log_uniform(rng, size)
-    return rng.uniform(-REAL_BOUND, REAL_BOUND, size)
+        return np.exp(_uniform(_LOG_SPECTRUM, u))
+    return _uniform((-REAL_BOUND, REAL_BOUND), u)
 
 
 def random_hermitian_in_domain(f: ScalarAtom, n: int, seed) -> HermitianMatrix:
-    """Hermitian matrix whose spectrum lies inside f's domain.
-
-    Positive-domain atoms get log-uniform spectra on [SPECTRUM_LO,
-    SPECTRUM_HI]; real-line atoms get uniform spectra on
-    [-REAL_BOUND, REAL_BOUND].
-    """
+    """Hermitian matrix whose spectrum lies inside f's domain (see
+    ``_in_domain``)."""
     rng = np.random.default_rng(seed)
     U = random_unitary(n, rng)
-    return HermitianMatrix(_materialize(U, _in_domain(f, rng, n)))
+    return HermitianMatrix(_materialize(U, _in_domain(f, rng.random(n))))
 
 
 def random_probability_vector(n: int, seed) -> ProbabilityVector:
@@ -329,23 +331,21 @@ def random_probability_vector(n: int, seed) -> ProbabilityVector:
 # the theorem table: per family, one trial's draws, the stacked operands
 # built from a batch of them, and one trial's witness operands
 
-def _draw_jensen(cfg: TrialConfig, f: ScalarAtom, rng,
-                 contractive: bool) -> dict:
-    d = {"AB": rng.standard_normal((2, 2 * cfg.dim_m, cfg.dim_n))}
-    if contractive:
-        d["gamma"] = cfg.shrink * (1.0 - rng.random())
-    d["U"] = rng.standard_normal((2, cfg.dim_m, cfg.dim_m))
-    d["w"] = _in_domain(f, rng, cfg.dim_m)
-    return d
+def _jensen_draws(cfg: TrialConfig, contractive: bool) -> tuple:
+    """A, B's Gaussians, gamma if contractive, then T's basis and spectrum."""
+    m = cfg.dim_m
+    return (("AB", "standard_normal", (2, 2 * m, cfg.dim_n)),
+            *((("gamma", "random"),) if contractive else ()),
+            ("U", "standard_normal", (2, m, m)), ("w", "random", m))
 
 
 def _build_jensen(cfg: TrialConfig, f: ScalarAtom, S: dict,
                   errs: RowErrors) -> dict:
     A, B = _isometry_pair(_complex(S["AB"]), cfg.dim_m)
-    if "gamma" in S:
-        gamma = S["gamma"][:, None, None]
+    if "gamma" in S:  # the contraction factor, in (0, shrink]
+        gamma = cfg.shrink * (1.0 - S["gamma"][:, None, None])
         A, B = A * gamma, B * gamma
-    T = _sym(_materialize(_haar(_complex(S["U"])), S["w"]))
+    T = _sym(_materialize(_haar(_complex(S["U"])), _in_domain(f, S["w"])))
     return {"A": A, "B": B, "T": T}
 
 
@@ -361,22 +361,18 @@ def _endpoints(names, ops: dict, k: int) -> dict:
             for i in "12" for name, x in zip(names, ops[i])}
 
 
-def _draw_pairs(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
-    n = cfg.dim_n
-    band = _log_pair_band(cfg.floor)
-    d = {}
-    for i in "12":
-        d["U" + i] = rng.standard_normal((2, n, n))
-        # log lam then log mu, as two draws of n would give them
-        d["spec" + i] = rng.uniform(*band, 2 * n)
-    return d
+def _pair_draws(cfg: TrialConfig) -> tuple:
+    """Per endpoint a basis, then log lam and log mu as one draw of 2n."""
+    U = ("standard_normal", (2, cfg.dim_n, cfg.dim_n))
+    spec = ("random", 2 * cfg.dim_n)
+    return (("U1", *U), ("spec1", *spec), ("U2", *U), ("spec2", *spec))
 
 
 def _build_pairs(cfg: TrialConfig, f: ScalarAtom, S: dict,
                  errs: RowErrors) -> dict:
-    n, pairs = cfg.dim_n, {}
+    n, band, pairs = cfg.dim_n, _log_pair_band(cfg.floor), {}
     for i in "12":
-        spec = np.exp(S["spec" + i])
+        spec = np.exp(_uniform(band, S["spec" + i]))
         pairs[i] = _pair_gates(_haar(_complex(S["U" + i])), spec[:, :n],
                                spec[:, n:], cfg.floor, errs)
     return pairs
@@ -388,10 +384,10 @@ def _pairs_witness(cfg: TrialConfig, f: ScalarAtom, ops: dict, k: int):
     return {"atom": f.label, **w}
 
 
-def _draw_gaussians(count: int) -> Callable:
+def _gaussian_draws(count: int) -> Callable:
     """The draw of ``count`` complex n x n Gaussians, as real pairs."""
-    return lambda cfg, f, rng: {"G": rng.standard_normal(
-        (count, 2, cfg.dim_n, cfg.dim_n))}
+    return lambda cfg: (("G", "standard_normal",
+                         (count, 2, cfg.dim_n, cfg.dim_n)),)
 
 
 def _build_densities(cfg: TrialConfig, f: ScalarAtom, S: dict,
@@ -413,21 +409,23 @@ def _build_lieb(cfg: TrialConfig, f: ScalarAtom, S: dict,
     return {"1": tuple(W[:2]), "2": tuple(W[2:]), "K": _complex(S["G"][:, 4])}
 
 
-def _draw_classical(cfg: TrialConfig, f: ScalarAtom, rng) -> dict:
-    d = {}
-    for i in "12":
-        d["x" + i] = float(_in_domain(f, rng))
-        d["t" + i] = float(_log_uniform(rng))
-    return d
+def _build_classical(cfg: TrialConfig, f: ScalarAtom, S: dict,
+                     errs: RowErrors) -> dict:
+    """The endpoints (x_i, t_i) from the uniforms x1, t1, x2, t2."""
+    x = _in_domain(f, S["xt"][:, ::2])
+    t = np.exp(_uniform(_LOG_SPECTRUM, S["xt"][:, 1::2]))
+    return {"1": (x[:, 0], t[:, 0]), "2": (x[:, 1], t[:, 1])}
 
 
 class _Theorem(NamedTuple):
     """One theorem tag.
 
-    ``draw(cfg, f, rng)`` makes one trial's RNG calls in the tag's fixed
-    order and returns its raw draws, with f the configured atom.
-    ``build(cfg, f, S, errs)`` takes a batch's draws stacked along a
-    leading axis and returns the stacked operands (a mixing tag's are the
+    ``draw(cfg)`` declares one trial's RNG calls in the tag's fixed order,
+    as ``(key, Generator method name, *args)`` tuples; the engine makes
+    them, and the trial's draws are their results by key.
+    ``build(cfg, f, S, errs)``, with f the configured atom, takes a batch's
+    draws stacked along a leading axis, maps them into place (exp, bands,
+    scaling) and returns the stacked operands (a mixing tag's are the
     endpoint tuples ``ops["1"]``, ``ops["2"]``). ``theorem(cfg, f)`` checks
     the theorem's hypotheses on the configured parameters and returns its
     ``checks`` kernel ``(ops, c, tol, errs) -> (slack, tolerance_used)``,
@@ -448,7 +446,7 @@ class _Theorem(NamedTuple):
 def _jensen_tag(contractive: bool) -> _Theorem:
     """hp, or hp-contractive when ``contractive``."""
     return _Theorem(
-        lambda cfg, f, rng: _draw_jensen(cfg, f, rng, contractive),
+        lambda cfg: _jensen_draws(cfg, contractive),
         _build_jensen, lambda cfg, f: _jensen_theorem(f, contractive),
         _jensen_witness, False,
         lambda cfg: _require_isometry_dims(cfg.dim_m, cfg.dim_n))
@@ -467,33 +465,32 @@ _THEOREMS = {
     "hp": _jensen_tag(False),
     "hp-contractive": _jensen_tag(True),
     "perspective": _Theorem(
-        _draw_pairs, _build_pairs,
+        _pair_draws, _build_pairs,
         lambda cfg, f: _perspective_theorem(f, None, cfg.floor),
         _pairs_witness, True, lambda cfg: _log_pair_band(cfg.floor)),
     "marechal": _Theorem(
-        _draw_pairs, _build_pairs,
+        _pair_draws, _build_pairs,
         lambda cfg, f: _perspective_theorem(f, lookup_atom("power", cfg.t),
                                             cfg.floor),
         lambda cfg, f, ops, k: {"h": lookup_atom("power", cfg.t).label,
                                 **_pairs_witness(cfg, f, ops, k)},
         True, _marechal_gate),
     "rel-entropy-convexity": _Theorem(
-        _draw_gaussians(4), _build_densities,
+        _gaussian_draws(4), _build_densities,
         lambda cfg, f: _relative_entropy_theorem(),
         lambda cfg, f, ops, k: _endpoints(("rho", "sigma"), ops, k), True),
     "lieb-s": _Theorem(
-        _draw_gaussians(5), _build_lieb, lambda cfg, f: _lieb_theorem(cfg.s),
+        _gaussian_draws(5), _build_lieb, lambda cfg, f: _lieb_theorem(cfg.s),
         lambda cfg, f, ops, k: {"s": cfg.s, **_endpoints("AB", ops, k),
                                 "K": ops["K"][k]}, True),
     "lieb-pq": _Theorem(
-        _draw_gaussians(5), _build_lieb,
+        _gaussian_draws(5), _build_lieb,
         lambda cfg, f: _lieb_pq_theorem(cfg.p, cfg.q),
         lambda cfg, f, ops, k: {"p": cfg.p, "q": cfg.q,
                                 **_endpoints("AB", ops, k), "X": ops["K"][k]},
         True),
     "classical": _Theorem(
-        _draw_classical,
-        lambda cfg, f, S, errs: {i: (S["x" + i], S["t" + i]) for i in "12"},
+        lambda cfg: (("xt", "random", 4),), _build_classical,
         lambda cfg, f: _classical_theorem(f),
         lambda cfg, f, ops, k: {"atom": f.label, **_endpoints("xt", ops, k)},
         True),
@@ -580,14 +577,16 @@ def run_single(theorem: str, cfg: TrialConfig, index, redraw=0):
     seeds = [trial_seed(cfg.seed, theorem, i, redraw) for i in indices]
     bitgen = np.random.PCG64(0)  # every trial sets its own state below
     rng = np.random.Generator(bitgen)
+    calls = [(key, getattr(rng, method), args)
+             for key, method, *args in entry.draw(cfg)]
     cs, draws = [], []
     for i, state in zip(indices, pcg64_states(seeds)):
         bitgen.state = state  # rng is now default_rng(the trial's seed)
         if entry.uses_c:
             cs.append((0.0, 0.5, 1.0)[i] if cfg.force_endpoints and i < 3
                       else float(rng.random()))
-        draws.append(entry.draw(cfg, f, rng))
-    S = {key: np.array([d[key] for d in draws]) for key in draws[0]}
+        draws.append([call(*args) for _, call, args in calls])
+    S = {key: np.array(col) for (key, _, _), col in zip(calls, zip(*draws))}
     errs = RowErrors(len(draws))
     ops = entry.build(cfg, f, S, errs)
     slack, used = kernel(ops, np.array(cs), cfg.tol, errs)

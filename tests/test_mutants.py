@@ -110,7 +110,12 @@ ORACLE_MUTANTS = {
     "mixture-mixes-endpoint-1-with-itself": (
         checks, "_mixture", "    avg = mix(",
         "    Xs = (Xs[0],) * len(Xs)\n    avg = mix(",
-        {"rel-entropy-convexity", "lieb-s"}),
+        {"rel-entropy-convexity", "lieb-s", "lieb-pq", "perspective",
+         "marechal"}),
+    # Tr(A^p X* B^q X) is still jointly concave for p + q <= 1
+    "lieb-pq-swaps-its-exponents": (
+        checks, "_lieb_pq_theorem", "_power_atoms(q, p)",
+        "_power_atoms(p, q)", {"lieb-pq"}),
     "relative-entropy-log-sigma-as-sigma": (
         functionals, "_relative_entropy", "_materialize(Us, np.log(ws))",
         "_materialize(Us, ws)", {"rel-entropy-convexity"}),

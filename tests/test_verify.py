@@ -22,8 +22,10 @@ from opconvex.checks import (_geq, _jensen, check_classical_perspective_convexit
 from opconvex.commuting import CommutingPair
 from opconvex.linalg import RowErrors
 from opconvex.seeding import pcg64_states
-from opconvex.verify import (_THEOREMS, CHUNK, MAX_REDRAWS, _report_witness,
-                             _Theorem, random_contraction_pair,
+from opconvex.verify import (_LOG_SPECTRUM, _THEOREMS, CHUNK, MAX_REDRAWS,
+                             REAL_BOUND, SPECTRUM_HI, SPECTRUM_LO, _in_domain,
+                             _log_pair_band, _report_witness, _Theorem,
+                             _uniform, random_contraction_pair,
                              random_hermitian_in_domain, random_isometry_pair,
                              random_probability_vector, run_trial, trial_seed)
 from reports import printed
@@ -33,7 +35,7 @@ def _register(tag, build, check=None):
     """A test theorem: one uniform draw u per trial, the given per-row
     gates in ``build``, and slack ``check(u)`` (u itself by default)."""
     _THEOREMS[tag] = _Theorem(
-        lambda cfg, f, rng: {"u": float(rng.random())}, build,
+        lambda cfg: (("u", "random"),), build,
         lambda cfg, f: lambda ops, c, tol, errs: _geq(
             ops["u"] if check is None else check(ops["u"]), 0.0, tol),
         lambda cfg, f, ops, k: {"u": float(ops["u"][k])}, False)
@@ -106,7 +108,7 @@ class TestTrialStreams:
         # three float32 draws use one and a half 64-bit outputs, leaving a
         # 32-bit half buffered in the generator after every trial
         _THEOREMS["float32"] = _Theorem(
-            lambda cfg, f, rng: {"x": rng.random(3, dtype=np.float32)},
+            lambda cfg: (("x", "random", 3, np.float32),),
             lambda cfg, f, S, errs: S,
             lambda cfg, f: lambda ops, c, tol, errs: _geq(ops["x"][:, 0],
                                                           0.0, tol),
@@ -123,6 +125,60 @@ class TestTrialStreams:
                 trial_seed(cfg.seed, float32_theorem, k, 0))
             assert np.array_equal(rnd.witness(k)["x"],
                                   rng.random(3, dtype=np.float32)), k
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestUniformFromRandom:
+    """Trials draw ``Generator.random``'s uniforms u, and the builds map them
+    into a band [lo, hi) as ``lo + (hi - lo) * u``, where the draws once
+    called ``Generator.uniform(lo, hi)``. The two agree bit for bit, so
+    every campaign, pin and replay keeps its numbers; a numpy that breaks
+    the identity fails here first."""
+
+    SEEDS = range(500)
+    BANDS = {"log-spectrum": _LOG_SPECTRUM,
+             "log-pair-band-at-floor-0.5": _log_pair_band(0.5),
+             "real-line": (-REAL_BOUND, REAL_BOUND)}
+
+    @pytest.mark.parametrize("size", [None, 1, 6], ids=str)
+    @pytest.mark.parametrize("band", BANDS.values(), ids=BANDS)
+    def test_uniform_is_the_mapped_random(self, band, size):
+        for seed in self.SEEDS:
+            drawn = np.random.default_rng(seed).uniform(*band, size)
+            u = np.random.default_rng(seed).random(size)
+            assert _bits(_uniform(band, u)) == _bits(drawn), seed
+
+    # the draws of an atom's domain before they became uniforms u
+    OLD_DRAWS = {
+        "xlogx": lambda rng, size: np.exp(rng.uniform(
+            np.log(SPECTRUM_LO), np.log(SPECTRUM_HI), size)),
+        "quartic": lambda rng, size: rng.uniform(-REAL_BOUND, REAL_BOUND,
+                                                 size)}
+
+    @pytest.mark.parametrize("size", [None, 5], ids=str)
+    @pytest.mark.parametrize("atom", OLD_DRAWS)
+    def test_in_domain_is_the_old_draw(self, atom, size):
+        for seed in self.SEEDS:
+            old = self.OLD_DRAWS[atom](np.random.default_rng(seed), size)
+            u = np.random.default_rng(seed).random(size)
+            assert _bits(_in_domain(lookup_atom(atom), u)) == _bits(old), seed
+
+    @pytest.mark.parametrize("atom", OLD_DRAWS)
+    def test_in_domain_of_stacked_columns_is_the_old_scalar_draws(self,
+                                                                    atom):
+        # the classical tag's x1, t1, x2, t2: once four scalar draws per
+        # trial, now the columns of a batch's stacked random(4)
+        u = np.array([np.random.default_rng(s).random(4) for s in self.SEEDS])
+        x = _in_domain(lookup_atom(atom), u[:, ::2])
+        t = np.exp(_uniform(_LOG_SPECTRUM, u[:, 1::2]))
+        for k, seed in enumerate(self.SEEDS):
+            rng = np.random.default_rng(seed)
+            old = [draw(rng, None) for _ in "12" for draw in (
+                self.OLD_DRAWS[atom], self.OLD_DRAWS["xlogx"])]
+            assert _bits(old) == _bits([x[k, 0], t[k, 0], x[k, 1], t[k, 1]])
 
 
 class TestTrialConfig:
