@@ -39,11 +39,6 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def _inside(self, x: np.ndarray) -> bool:
-        """Whether the nonempty array x lies strictly inside: then it has
-        nothing to clamp and nothing to reject."""
-        return x.size > 0 and self.lo < x.min() and x.max() < self.hi
-
     def admit(self, values):
         """Elementwise domain check for arrays of any shape.
 
@@ -52,7 +47,7 @@ class Interval:
         the mask of values beyond that, at/past an open endpoint, or NaN.
         """
         x = np.asarray(values, dtype=float)
-        if self._inside(x):
+        if x.size and self.lo < x.min() and x.max() < self.hi:
             return x, np.zeros(x.shape, dtype=bool)
         ok = x >= self.lo - ENDPOINT_TOL if self.lo_closed else x > self.lo
         ok &= x <= self.hi + ENDPOINT_TOL if self.hi_closed else x < self.hi
@@ -70,11 +65,7 @@ class Interval:
         it; values beyond that, at/past an open endpoint, or NaN raise
         ``DomainViolation`` naming the offending value.
         """
-        x = np.asarray(values, dtype=float)
-        if x.ndim == 0:
-            x = x.reshape(1)
-        if self._inside(x):
-            return x.copy()
+        x = np.atleast_1d(np.asarray(values, dtype=float))
         out, bad = self.admit(x)
         if bad.any():
             raise self.violation(x[bad][0])

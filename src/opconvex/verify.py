@@ -254,7 +254,7 @@ def _require_isometry_dims(m: int, n: int) -> None:
 
 
 def random_isometry_pair(m: int, n: int, seed):
-    """(A, B), both m x n, with A*A + B*B = I_n.
+    """(A, B), both m x n, with A*A + B*B = I_n: an hp trial's at its seed.
 
     Stacks them as the orthonormalization of a 2m x n complex Gaussian,
     so the pair exists exactly when 2m >= n.
@@ -264,14 +264,19 @@ def random_isometry_pair(m: int, n: int, seed):
     return _isometry_pair(_complex_gaussian(rng, 2 * m, n), m)
 
 
+def _contract(A, B, shrink: float, u):
+    """A and B times shrink (1 - u), in (0, shrink] for u in [0, 1)."""
+    gamma = shrink * (1.0 - u)
+    return A * gamma, B * gamma
+
+
 def random_contraction_pair(m: int, n: int, seed, shrink: float = 1.0):
-    """Isometry pair scaled by a uniform factor in (0, shrink]."""
+    """Isometry pair scaled by a uniform factor in (0, shrink]: an
+    hp-contractive trial's at its seed and shrink."""
     if not 0.0 < shrink <= 1.0:
         raise ValueError(f"shrink must be in (0, 1], got {shrink}")
     rng = np.random.default_rng(seed)
-    A, B = random_isometry_pair(m, n, rng)
-    gamma = shrink * (1.0 - rng.random())
-    return A * gamma, B * gamma
+    return _contract(*random_isometry_pair(m, n, rng), shrink, rng.random())
 
 
 _LOG_SPECTRUM = (np.log(SPECTRUM_LO), np.log(SPECTRUM_HI))
@@ -291,16 +296,22 @@ def _log_pair_band(floor: float) -> tuple:
     return np.log(max(SPECTRUM_LO, floor)), _LOG_SPECTRUM[1]
 
 
+def _pair_spectra(band, u):
+    """lam and mu, log-uniform on the log ``band``, from 2n uniforms u."""
+    return np.split(np.exp(_uniform(band, u)), 2, axis=-1)
+
+
 def random_commuting_pair(n: int, seed,
                           floor: float = DEFAULT_FLOOR) -> CommutingPair:
-    """Random basis and two log-uniform spectra, drawn as the campaign's."""
+    """Random basis and two log-uniform spectra. At a trial's seed and floor,
+    a forced perspective trial's first pair if its index is < 3 (later ones
+    draw c first)."""
     _require_floor(floor)
     band = _log_pair_band(floor)
     rng = np.random.default_rng(seed)
     U = random_unitary(n, rng)
-    lam = np.exp(rng.uniform(*band, size=n))
-    mu = np.exp(rng.uniform(*band, size=n))
-    return CommutingPair(U, lam, mu, floor=floor)
+    return CommutingPair(U, *_pair_spectra(band, rng.random(2 * n)),
+                         floor=floor)
 
 
 def _in_domain(f: ScalarAtom, u):
@@ -342,9 +353,8 @@ def _jensen_draws(cfg: TrialConfig, contractive: bool) -> tuple:
 def _build_jensen(cfg: TrialConfig, f: ScalarAtom, S: dict,
                   errs: RowErrors) -> dict:
     A, B = _isometry_pair(_complex(S["AB"]), cfg.dim_m)
-    if "gamma" in S:  # the contraction factor, in (0, shrink]
-        gamma = cfg.shrink * (1.0 - S["gamma"][:, None, None])
-        A, B = A * gamma, B * gamma
+    if "gamma" in S:
+        A, B = _contract(A, B, cfg.shrink, S["gamma"][:, None, None])
     T = _sym(_materialize(_haar(_complex(S["U"])), _in_domain(f, S["w"])))
     return {"A": A, "B": B, "T": T}
 
@@ -370,12 +380,10 @@ def _pair_draws(cfg: TrialConfig) -> tuple:
 
 def _build_pairs(cfg: TrialConfig, f: ScalarAtom, S: dict,
                  errs: RowErrors) -> dict:
-    n, band, pairs = cfg.dim_n, _log_pair_band(cfg.floor), {}
-    for i in "12":
-        spec = np.exp(_uniform(band, S["spec" + i]))
-        pairs[i] = _pair_gates(_haar(_complex(S["U" + i])), spec[:, :n],
-                               spec[:, n:], cfg.floor, errs)
-    return pairs
+    band = _log_pair_band(cfg.floor)
+    return {i: _pair_gates(_haar(_complex(S["U" + i])),
+                           *_pair_spectra(band, S["spec" + i]),
+                           cfg.floor, errs) for i in "12"}
 
 
 def _pairs_witness(cfg: TrialConfig, f: ScalarAtom, ops: dict, k: int):

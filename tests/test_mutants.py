@@ -1,12 +1,14 @@
-"""Mutants of the private kernels, each killed by a verdict, never by a hash.
+"""Mutants of the private kernels, killed by verdicts, never by a hash.
 
 A mutant recompiles one kernel with one piece of its source replaced and
 binds it, through ``monkeypatch``, wherever the package binds the original.
 A verdict kills it: a theorem tag whose 200-trial campaign counts failures,
 or the quartic negative control no longer finding its violation. Mutants
 that every campaign passes are killed by a scalar oracle instead
-(``test_oracles.py``): their slacks stray from it. Byte pins play no part,
-so the kills hold under any numpy.
+(``test_oracles.py``): their slacks stray from it. Mutants that break a
+theorem's hypotheses are killed by the ``HypothesisViolation`` their
+campaign stops with. Byte pins play no part, so the kills hold under any
+numpy.
 """
 import __future__
 import inspect
@@ -15,8 +17,8 @@ import textwrap
 
 import pytest
 
-from opconvex import (THEOREM_TAGS, TrialConfig, checks, functionals, linalg,
-                      perspective)
+from opconvex import (THEOREM_TAGS, HypothesisViolation, TrialConfig, checks,
+                      functionals, linalg, perspective)
 from opconvex import run_campaign
 from test_oracles import ORACLE_BOUND, ORACLES, oracle_gaps
 
@@ -89,6 +91,15 @@ MUTANTS = {
     "relative-entropy-adds-the-cross-term": (
         functionals, "_relative_entropy", "ent - np.trace(r @ log_sigma",
         "ent + np.trace(r @ log_sigma", {"rel-entropy-convexity"}, True),
+    # (U diag(w)) U* becomes diag(w) U U* = diag(w)
+    "materialize-scales-rows": (
+        linalg, "_materialize", "spectrum[..., None, :]",
+        "spectrum[..., :, None]",
+        {"hp", "hp-contractive", "perspective", "marechal", "lieb-s",
+         "lieb-pq"}, True),
+    "classical-squares-the-base": (
+        functionals, "_classical", "t[:, None]", "t[:, None] ** 2",
+        {"classical"}, True),
 }
 
 
@@ -102,6 +113,26 @@ def test_mutant_is_killed_by_a_verdict(mutant, monkeypatch):
     _mutate(monkeypatch, module, name, old, new)
     assert _verdicts() == (failing, found)
     assert failing or not found
+
+
+# name: (module, kernel, source, mutated source); each stops a campaign
+# with a HypothesisViolation before any verdict
+RAISING_MUTANTS = {
+    # at c = 0 every pair mixes to 0: no redraw gets out of the domain
+    "mix-weights-both-endpoints-by-c": (
+        checks, "_mix", "_sym(c * a + (1.0 - c) * b)", "_sym(c * a + c * b)"),
+    # the densities lose their unit trace
+    "normalize-multiplies-by-the-trace": (
+        functionals, "_normalize", "_sym(H / errs", "_sym(H * errs"),
+}
+
+
+@pytest.mark.parametrize("mutant", RAISING_MUTANTS)
+def test_mutant_is_killed_by_a_hypothesis_violation(mutant, monkeypatch):
+    module, name, old, new = RAISING_MUTANTS[mutant]
+    _mutate(monkeypatch, module, name, old, new)
+    with pytest.raises(HypothesisViolation):
+        _verdicts()
 
 
 # name: (module, kernel, source, mutated source, tags whose oracle kills it);

@@ -342,6 +342,60 @@ class TestGenerators:
         assert np.linalg.eigvalsh(M.mat)[0] >= 0.5 - 1e-12
 
 
+def _same_array(a, b) -> bool:
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, and complex
+    arrays compare both parts."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestGeneratorsAreCampaignDraws:
+    """The public generators make a trial's draws and map them through the
+    builds' own helpers, so at a trial's seed they return its operands bit
+    for bit: ``random_commuting_pair`` a forced perspective trial's first
+    pair (indices below 3 draw no weight c before it), and
+    ``random_isometry_pair`` and ``random_contraction_pair`` every hp and
+    hp-contractive trial's A and B."""
+
+    SEEDS = (0, 7, 2 ** 64 - 1)
+
+    @pytest.mark.parametrize("floor", [1e-8, 2.0], ids=str)
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_commuting_pair_is_a_forced_perspective_trials_first_pair(
+            self, index, n, floor):
+        for seed in self.SEEDS:
+            cfg = TrialConfig(dim_n=n, seed=seed, floor=floor)
+            _, w = run_single("perspective", cfg, index)
+            pair = random_commuting_pair(
+                n, trial_seed(seed, "perspective", index, 0), floor)
+            for name in ("basis", "lam", "mu"):
+                assert _same_array(getattr(pair, name),
+                                   getattr(w["1"], name)), (seed, name)
+
+    def test_a_trial_that_draws_c_first_does_not_match(self):
+        cfg = TrialConfig(seed=7)
+        _, w = run_single("perspective", cfg, 3)
+        pair = random_commuting_pair(3, trial_seed(7, "perspective", 3, 0))
+        assert not _same_array(pair.lam, w["1"].lam)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (2, 3), (4, 2)])
+    @pytest.mark.parametrize("tag,shrink", [("hp", 1.0),
+                                            ("hp-contractive", 1.0),
+                                            ("hp-contractive", 0.5)])
+    def test_isometry_and_contraction_pairs_are_jensen_trials_pairs(
+            self, tag, m, n, shrink):
+        for seed in self.SEEDS:
+            cfg = TrialConfig(dim_m=m, dim_n=n, seed=seed, shrink=shrink)
+            for index in (0, 1, 5, 64):
+                _, w = run_single(tag, cfg, index)
+                sub = trial_seed(seed, tag, index, 0)
+                A, B = (random_isometry_pair(m, n, sub) if tag == "hp" else
+                        random_contraction_pair(m, n, sub, shrink))
+                assert _same_array(A, w["A"]), (seed, index)
+                assert _same_array(B, w["B"]), (seed, index)
+
+
 class TestScalarGeq:
     def test_holds_and_slack(self):
         v = scalar_geq(2.0, 1.0, 1e-8)
