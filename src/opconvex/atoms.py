@@ -44,19 +44,19 @@ class Interval:
 
         Returns ``(clamped, bad)``: the values with endpoint noise (within
         ``ENDPOINT_TOL`` of a closed endpoint) moved onto the endpoint, and
-        the mask of values beyond that, at/past an open endpoint, or NaN.
+        the mask of values beyond that, at/past an open endpoint, or NaN;
+        ``bad`` is None, and ``clamped`` the input, where all are interior.
         """
         x = np.asarray(values, dtype=float)
         if x.size and self.lo < x.min() and x.max() < self.hi:
-            return x, np.zeros(x.shape, dtype=bool)
+            return x, None
         ok = x >= self.lo - ENDPOINT_TOL if self.lo_closed else x > self.lo
         ok &= x <= self.hi + ENDPOINT_TOL if self.hi_closed else x < self.hi
-        bad = ~ok
         if self.lo_closed and math.isfinite(self.lo):
             x = np.where(x < self.lo, self.lo, x)
         if self.hi_closed and math.isfinite(self.hi):
             x = np.where(x > self.hi, self.hi, x)
-        return x, bad
+        return x, ~ok
 
     def clamp(self, values) -> np.ndarray:
         """Validate ``values`` against the interval and clamp endpoint noise.
@@ -67,7 +67,7 @@ class Interval:
         """
         x = np.atleast_1d(np.asarray(values, dtype=float))
         out, bad = self.admit(x)
-        if bad.any():
+        if bad is not None and bad.any():
             raise self.violation(x[bad][0])
         return x.copy() if out is x else out
 

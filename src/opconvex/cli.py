@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from io import BytesIO, TextIOWrapper
 from itertools import islice
 
 import numpy as np
@@ -264,16 +265,48 @@ def _cmd_verify(args) -> int:
     return int(failed != args.negative_control)
 
 
-def _read_matrix(args, flag: str, decode):
-    """``decode`` (``matrix_from_json`` or ``hermitian_from_json``) of the
-    bytes of the file the ``--{flag}`` option names, read once."""
+# {"dim": D, "entries": BODY} in JSON whitespace, D of at most 9 digits
+_FLAT_FILE = re.compile(
+    rb'(?s)[ \t\n\r]*\{[ \t\n\r]*"dim"[ \t\n\r]*:[ \t\n\r]*([1-9]\d{0,8})'
+    rb'[ \t\n\r]*,[ \t\n\r]*"entries"[ \t\n\r]*:(.*)\}[ \t\n\r]*')
+_NUMBER_BYTES = b"0123456789+-.eE \t\n\r"  # and JSON whitespace
+
+
+def _flat_square(data: bytes):
+    """The document in a ``_FLAT_FILE``'s bytes as ``matrix_wire`` gives it,
+    decoded as one flat array without building the nested lists. None
+    unless deleting numbers and whitespace from BODY leaves the brackets
+    and commas of D rows of D pairs (its length checked first, so a huge D
+    allocates nothing) and the numbers are finite. Brackets become spaces,
+    not nothing, so that no two numbers they part can join into one."""
+    match = _FLAT_FILE.fullmatch(data)
+    if match is None:
+        return None
+    n, body = int(match[1]), match[2]
+    layout = body.translate(None, _NUMBER_BYTES)
+    if len(layout) != 4 * n * n + 2 * n + 1 or layout != b"[%s]" % b",".join(
+            [b"[%s]" % b",".join([b"[,]"] * n)] * n):
+        return None
+    try:
+        E = np.fromiter(orjson.loads(b"[%s]" % body.translate(
+            bytes.maketrans(b"[]", b"  "))), np.float64, 2 * n * n)
+    except orjson.JSONDecodeError:
+        return None
+    return ({"dim": n, "entries": E.reshape(n, n, 2)}
+            if np.isfinite(E).all() else None)
+
+
+def _read_document(args, flag: str):
+    """The matrix document in the file the ``--{flag}`` option names, read
+    once: ``_flat_square``'s where it takes the bytes, else what
+    ``json.load`` reads from the file opened in text mode."""
     path = getattr(args, flag)
     if path is None:
         raise ValueError(f"--{flag} is required for {args.functional}")
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return decode(data)
+        return _flat_square(data) or json.load(TextIOWrapper(BytesIO(data)))
     except RecursionError:  # json.load raises it near 10^3 bracket levels
         raise ValueError(f"--{flag}: {path} is nested too deeply to "
                          f"decode") from None
@@ -281,8 +314,8 @@ def _read_matrix(args, flag: str, decode):
 
 def _cmd_eval(args) -> int:
     if args.functional == "rel-entropy":
-        rho = _read_matrix(args, "rho", hermitian_from_json)
-        sigma = _read_matrix(args, "sigma", hermitian_from_json)
+        rho = hermitian_from_json(_read_document(args, "rho"))
+        sigma = hermitian_from_json(_read_document(args, "sigma"))
         value = quantum_relative_entropy_direct(rho, sigma)
         inputs = {"rho": rho.mat, "sigma": sigma.mat}
     else:
@@ -291,9 +324,9 @@ def _cmd_eval(args) -> int:
         if None in exponents.values():
             raise ValueError(f"{'--s is' if lieb_s else '--p and --q are'}"
                              f" required for {args.functional}")
-        A = _read_matrix(args, "a", hermitian_from_json)
-        B = _read_matrix(args, "b", hermitian_from_json)
-        K = _read_matrix(args, "k", matrix_from_json)
+        A = hermitian_from_json(_read_document(args, "a"))
+        B = hermitian_from_json(_read_document(args, "b"))
+        K = matrix_from_json(_read_document(args, "k"))
         functional = lieb_functional if lieb_s else lieb_pq_functional
         value = functional(A, B, K, *exponents.values())
         inputs = {"a": A.mat, "b": B.mat, "k": K, **exponents}

@@ -97,15 +97,18 @@ def _normalize(H, floor, errs: RowErrors) -> np.ndarray:
 
 def _relative_entropy(r, s, errs: RowErrors) -> np.ndarray:
     """Tr r (log r - log s) for stacks of Hermitian r and s; a row fails
-    unless both are strictly positive."""
+    unless both are strictly positive, and where a term overflows float64."""
     wr, _ = _eigh(r)
     ws, Us = _eigh(s)
     wr, ws = (errs.drop(w[..., 0] <= 0.0, lambda k: DomainViolation(
         f"{name} must be strictly positive, found eigenvalue {w[k, 0]:.3e}"),
         w, 1.0) for name, w in (("rho", wr), ("sigma", ws)))
-    ent = _dot_rows(wr, np.log(wr))
-    log_sigma = _materialize(Us, np.log(ws))
-    return ent - np.trace(r @ log_sigma, axis1=-2, axis2=-1).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        ent = _dot_rows(wr, np.log(wr))
+        log_sigma = _materialize(Us, np.log(ws))
+        value = ent - np.trace(r @ log_sigma, axis1=-2, axis2=-1).real
+    return errs.finite(value, lambda k: DomainViolation(
+        "Tr rho log rho or Tr rho log sigma overflows float64"))
 
 
 def quantum_relative_entropy_direct(rho, sigma) -> float:

@@ -3,8 +3,8 @@
 Everything downstream reduces to three primitives: eigendecompose a
 Hermitian matrix, push a scalar function through its spectrum, and decide
 A <= B in the positive semidefinite order with an explicit, relative
-tolerance. This module owns those primitives plus the JSON wire format for
-matrices used by the command line and by verification witness records.
+tolerance. This module owns those primitives and the matrix JSON wire
+format: the document schema, not file bytes, which the command line reads.
 
 The primitives come as kernels on stacks of matrices, shape (batch, n, n),
 which the verifier uses to decide many trials at once. The kernel contract:
@@ -22,14 +22,10 @@ agree exactly.
 """
 from __future__ import annotations
 
-import io
-import json
-import re
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-import orjson
 
 from .atoms import Interval, ScalarAtom
 from .errors import DomainViolation, EigendecompositionError
@@ -163,9 +159,10 @@ class RowErrors:
         value outside the domain fails with the ``DomainViolation`` naming
         its first such value and stands in an interior point."""
         out, bad = domain.admit(x)
-        return self.drop(bad.reshape(len(bad), -1).any(axis=1),
-                         lambda k: domain.violation(x[k][bad[k]][0]),
-                         out, domain.interior_point())
+        return out if bad is None else self.drop(
+            bad.reshape(len(bad), -1).any(axis=1),
+            lambda k: domain.violation(x[k][bad[k]][0]),
+            out, domain.interior_point())
 
     def finite(self, x, make) -> np.ndarray:
         """``x`` with every row that holds a non-finite entry failed with
@@ -347,51 +344,14 @@ def matrix_to_json(M) -> dict:
     return doc
 
 
-# {"dim": D, "entries": BODY} in JSON whitespace, D of at most 9 digits
-_FLAT_FILE = re.compile(
-    rb'(?s)[ \t\n\r]*\{[ \t\n\r]*"dim"[ \t\n\r]*:[ \t\n\r]*([1-9]\d{0,8})'
-    rb'[ \t\n\r]*,[ \t\n\r]*"entries"[ \t\n\r]*:(.*)\}[ \t\n\r]*')
-_NUMBER_BYTES = b"0123456789+-.eE \t\n\r"  # and JSON whitespace
-
-
-def _flat_square(data: bytes):
-    """``matrix_from_json`` of the document in a ``_FLAT_FILE``'s bytes,
-    decoded as one flat array without building the document. None unless
-    deleting numbers and whitespace from BODY leaves the brackets and
-    commas of D rows of D pairs (its length checked first, so a huge D
-    allocates nothing) and the numbers are finite. Brackets become spaces,
-    not nothing, so that no two numbers they part can join into one."""
-    match = _FLAT_FILE.fullmatch(data)
-    if match is None:
-        return None
-    n, body = int(match[1]), match[2]
-    layout = body.translate(None, _NUMBER_BYTES)
-    if len(layout) != 4 * n * n + 2 * n + 1 or layout != b"[%s]" % b",".join(
-            [b"[%s]" % b",".join([b"[,]"] * n)] * n):
-        return None
-    try:
-        E = np.fromiter(orjson.loads(b"[%s]" % body.translate(
-            bytes.maketrans(b"[]", b"  "))), np.float64, 2 * n * n)
-    except orjson.JSONDecodeError:
-        return None
-    return (E.view(np.complex128).reshape(n, n) if np.isfinite(E).all()
-            else None)
-
-
-def matrix_from_json(obj: dict | bytes) -> np.ndarray:
+def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the wire format back into a complex ndarray (no hermiticity gate).
 
-    ``obj`` is the document, or the bytes of a JSON file: ``_flat_square``'s
-    matrix where it takes them, else that of the document ``json.load``
-    reads from the file opened in text mode, with json's errors.
+    ``obj`` is a document whose entries are nested lists, as JSON gives
+    them, or the float64 array ``matrix_wire`` gives, which is copied.
     Dimensions must be JSON integers and entries JSON numbers: nothing else
     (``null``, booleans, strings, objects, float dimensions) is coerced.
     """
-    if isinstance(obj, bytes):
-        M = _flat_square(obj)
-        if M is not None:
-            return M
-        obj = json.load(io.TextIOWrapper(io.BytesIO(obj)))
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")
     if "dim" in obj:
@@ -406,34 +366,38 @@ def matrix_from_json(obj: dict | bytes) -> np.ndarray:
     _require_dim(rows)
     _require_dim(cols)
     entries = obj["entries"]
-    try:
-        shaped = len(entries) == rows and all(len(r) == cols for r in entries)
-    except TypeError:
-        shaped = False
-    if not shaped:
-        raise ValueError(f"entries shape does not match {rows}x{cols}")
-    pairs = list(chain.from_iterable(entries))
-    try:
-        paired = set(map(len, pairs)) == {2}
-    except TypeError:
-        paired = False
-    if not paired:
-        raise ValueError("each entry must be a [re, im] pair")
-    numbers = list(chain.from_iterable(pairs))
-    if not all(issubclass(kind, (int, float, np.integer, np.floating))
-               and kind is not bool for kind in set(map(type, numbers))):
-        raise ValueError("matrix entries must be numbers")
-    try:
-        E = np.fromiter(numbers, np.float64, len(numbers))
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError("matrix entries must be finite") from None
+    if (type(entries) is np.ndarray and entries.dtype == np.float64
+            and entries.shape == (rows, cols, 2)):
+        E = entries.flatten()
+    else:
+        try:
+            shaped = len(entries) == rows and set(map(len, entries)) == {cols}
+        except TypeError:
+            shaped = False
+        if not shaped:
+            raise ValueError(f"entries shape does not match {rows}x{cols}")
+        pairs = list(chain.from_iterable(entries))
+        try:
+            paired = set(map(len, pairs)) == {2}
+        except TypeError:
+            paired = False
+        if not paired:
+            raise ValueError("each entry must be a [re, im] pair")
+        numbers = list(chain.from_iterable(pairs))
+        if not all(issubclass(kind, (int, float, np.integer, np.floating))
+                   and kind is not bool for kind in set(map(type, numbers))):
+            raise ValueError("matrix entries must be numbers")
+        try:
+            E = np.fromiter(numbers, np.float64, len(numbers))
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("matrix entries must be finite") from None
     if not np.all(np.isfinite(E)):
         raise ValueError("matrix entries must be finite")
     # a view, not re + 1j*im, which would turn an imaginary -0.0 into +0.0
     return E.view(np.complex128).reshape(rows, cols)
 
 
-def hermitian_from_json(obj: dict | bytes) -> HermitianMatrix:
+def hermitian_from_json(obj: dict) -> HermitianMatrix:
     """Decode a matrix that is required to be Hermitian.
 
     ``obj`` is as for ``matrix_from_json``. Rejects input whose hermiticity
@@ -442,9 +406,9 @@ def hermitian_from_json(obj: dict | bytes) -> HermitianMatrix:
     M = matrix_from_json(obj)
     if M.shape[0] != M.shape[1]:
         raise ValueError("Hermitian operand must be square")
-    defect = float(np.max(np.abs(M - M.conj().T)))
+    with np.errstate(over="ignore"):  # entries near the float64 range
+        defect = float(np.max(np.abs(M - M.conj().T)))
     if defect > JSON_HERMITICITY_TOL:
-        raise ValueError(
-            f"input is not Hermitian: defect {defect:.3e} exceeds "
-            f"{JSON_HERMITICITY_TOL:g}")
+        raise ValueError(f"input is not Hermitian: defect {defect:.3e} "
+                         f"exceeds {JSON_HERMITICITY_TOL:g}")
     return HermitianMatrix(M)

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, exit codes, JSON reports, matrix file handling."""
+import argparse
 import enum
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from opconvex import THEOREM_TAGS, TrialConfig
 from opconvex.linalg import matrix_from_json, matrix_to_json, matrix_wire
 from opconvex.verify import random_density
-from opconvex import cli, linalg
+from opconvex import cli
 from opconvex.cli import _BLOCK, _CAMPAIGN_OPTIONS, _dump, _reprs, main
 
 
@@ -270,6 +271,25 @@ class TestEvalCommand:
         assert code == 2
         assert "defect" in capsys.readouterr().err
 
+    def test_overflowing_relative_entropy_exits_two(self, tmp_path, capsys):
+        # Tr rho log rho overflows: no NaN value, exit 0 or RuntimeWarning
+        big = write_matrix(tmp_path / "big.json", np.diag([1e308, 1e308]))
+        code = main(["eval", "--functional", "rel-entropy", "--rho", big,
+                     "--sigma", big, "--json"])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            "error: Tr rho log rho or Tr rho log sigma overflows float64\n"))
+
+    def test_overflowing_hermiticity_defect_exits_two(self, tmp_path, eye2,
+                                                       capsys):
+        bad = write_matrix(tmp_path / "bad.json",
+                           np.array([[1.0, 1e308], [-1e308, 1.0]]))
+        code = main(["eval", "--functional", "rel-entropy", "--rho", bad,
+                     "--sigma", eye2])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            "error: input is not Hermitian: defect inf exceeds 1e-08\n"))
+
     def test_non_positive_rejected(self, tmp_path, eye2, capsys):
         neg = write_matrix(tmp_path / "neg.json", np.diag([1.0, -1.0]))
         code = main(["eval", "--functional", "rel-entropy", "--rho", neg,
@@ -402,6 +422,13 @@ class TestEvalCommand:
         assert "numbers" in captured.err
 
 
+def file_matrix(path):
+    """The CLI's matrix file reader: ``matrix_from_json`` of the document
+    ``cli._read_document`` reads from the file, as ``eval --k`` runs it."""
+    return matrix_from_json(cli._read_document(
+        argparse.Namespace(k=str(path)), "k"))
+
+
 def text_mode_matrix(path):
     """The reference matrix file reader: ``matrix_from_json`` of the
     document ``json.load`` reads from the file opened in text mode."""
@@ -449,7 +476,7 @@ def one_by_one(entry, dim=b"1"):
     return b'{"dim": %s, "entries": [[[%s]]]}' % (dim, entry)
 
 
-# (id, file bytes, whether _flat_square takes them); each must give the
+# (id, file bytes, whether cli._flat_square takes them); each must give the
 # outcome the text-mode reader gives, through `opconvex eval` too
 DECODE_CORPUS = [
     ("bom", b"\xef\xbb\xbf" + ONE, False),
@@ -512,15 +539,19 @@ DECODE_CORPUS = [
     ("dim-10**8", one_by_one(b"0.5, 0.0", b"100000000"), False),
     ("dim-400-digits", one_by_one(b"0.5, 0.0", b"1" + b"0" * 399), False),
     ("dim-float", one_by_one(b"0.5, 0.0", b"1.0"), False),
+    # the Hermiticity gate's defect overflows: eval exits 2, with no warning
+    ("non-hermitian-1e308",
+     b'{"dim": 2, "entries": [[[1, 0], [1e308, 0]], [[-1e308, 0], [1, 0]]]}',
+     True),
     ("trailing-bytes", ONE + b" x", False),
     ("non-ascii-digit", one_by_one("0.\u0665, 0".encode()), False),
 ]
 
 
 class TestMatrixFileDecoding:
-    """``matrix_from_json`` of a file's bytes gives what it gives of the
-    document ``json.load`` reads from the file opened in text mode: the
-    same matrix, bit for bit, or the same error."""
+    """The CLI's reader gives of a file's bytes what ``matrix_from_json``
+    gives of the document ``json.load`` reads from the file opened in text
+    mode: the same matrix, bit for bit, or the same error."""
 
     @settings(max_examples=200, deadline=None)
     @given(doc=matrix_documents(),
@@ -537,23 +568,26 @@ class TestMatrixFileDecoding:
             with open(path, "wb") as fh:
                 fh.write(data)
             expected = outcome(text_mode_matrix, path)
-        assert outcome(matrix_from_json, data) == expected
+            assert outcome(file_matrix, path) == expected
 
     @pytest.mark.parametrize("name,data,flat", DECODE_CORPUS,
                              ids=[row[0] for row in DECODE_CORPUS])
     def test_corpus_decodes_as_text_mode(self, tmp_path, name, data, flat,
                                          monkeypatch, capsys):
-        assert (linalg._flat_square(data) is not None) == flat
+        assert (cli._flat_square(data) is not None) == flat
         path = tmp_path / "m.json"
         path.write_bytes(data)
-        assert outcome(matrix_from_json, data) == outcome(text_mode_matrix,
-                                                          path)
+        expected = outcome(text_mode_matrix, path)
+        if expected[0] is RecursionError:  # the CLI names the file instead
+            expected = (ValueError,
+                        f"--k: {path} is nested too deeply to decode")
+        assert outcome(file_matrix, path) == expected
         sigma = tmp_path / "one.json"
         sigma.write_bytes(ONE)
         argv = ["eval", "--functional", "rel-entropy", "--rho", str(path),
                 "--sigma", str(sigma), "--json"]
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "_flat_square", lambda data: None)
+            patch.setattr(cli, "_flat_square", lambda data: None)
             expected = main(argv), capsys.readouterr()
         assert (main(argv), capsys.readouterr()) == expected
 
@@ -583,8 +617,9 @@ class TestMatrixFileDecoding:
 
 
 class TestFlatSquare:
-    """``_flat_square`` gives the matrix that ``matrix_from_json`` makes of
-    the document ``json.load`` returns, or declines the file."""
+    """``cli._flat_square`` gives the wire document, its entries a float64
+    array, of which ``matrix_from_json`` makes the matrix it makes of the
+    document ``json.load`` returns, or declines the file."""
 
     @settings(max_examples=300, deadline=None)
     @given(doc=matrix_documents(),
@@ -595,7 +630,7 @@ class TestFlatSquare:
             self, doc, indent, separators, ascii_only, crlf):
         text = json.dumps(doc, indent=indent, separators=separators,
                           ensure_ascii=ascii_only)
-        M = linalg._flat_square(
+        flat = cli._flat_square(
             text.replace("\n", "\r\n" if crlf else "\n").encode())
         # matrix_documents() writes "dim" before "entries", and a note last
         entries = doc["entries"]
@@ -603,9 +638,14 @@ class TestFlatSquare:
             doc["dim"] == len(entries) == len(entries[0]))
         finite = all(math.isfinite(x)
                      for row in entries for pair in row for x in pair)
-        assert (M is not None) == (square and finite)
-        if M is not None:
-            assert M.tobytes() == matrix_from_json(json.loads(text)).tobytes()
+        assert (flat is not None) == (square and finite)
+        if flat is not None:
+            n = doc["dim"]
+            assert list(flat) == ["dim", "entries"] and flat["dim"] == n
+            E = flat["entries"]
+            assert E.dtype == np.float64 and E.shape == (n, n, 2)
+            assert (matrix_from_json(flat).tobytes()
+                    == matrix_from_json(json.loads(text)).tobytes())
 
     @pytest.mark.parametrize("layout", ["one-line", "indented", "printed"])
     def test_takes_an_eval_sized_density(self, layout):
@@ -613,10 +653,10 @@ class TestFlatSquare:
         text = {"one-line": json.dumps(doc),
                 "indented": json.dumps(doc, indent=1),
                 "printed": _dump(doc)}[layout]
-        M = linalg._flat_square(text.encode())
+        M = matrix_from_json(cli._flat_square(text.encode()))
         assert M.tobytes() == matrix_from_json(json.loads(text)).tobytes()
 
-    def test_declines_a_number_orjson_overflows(self, monkeypatch):
+    def test_declines_a_number_orjson_overflows(self, tmp_path, monkeypatch):
         # orjson 3.8.3 raises on 1e400 and 1.8e308; one that reads a number
         # as inf instead must leave the file to json.load
         def loads(data):
@@ -624,10 +664,12 @@ class TestFlatSquare:
             numbers[0] = math.inf
             return numbers
 
-        monkeypatch.setattr(linalg, "orjson", types.SimpleNamespace(
+        monkeypatch.setattr(cli, "orjson", types.SimpleNamespace(
             loads=loads, JSONDecodeError=orjson.JSONDecodeError))
-        assert linalg._flat_square(ONE) is None
-        assert (matrix_from_json(ONE).tobytes()
+        assert cli._flat_square(ONE) is None
+        path = tmp_path / "m.json"
+        path.write_bytes(ONE)
+        assert (file_matrix(path).tobytes()
                 == matrix_from_json(json.loads(ONE)).tobytes())
 
 
@@ -998,6 +1040,22 @@ class TestAtomsCommand:
         assert main(["atoms", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert {r["name"] for r in rows} >= {"xlogx", "square", "power"}
+
+
+class TestImports:
+    # each in a fresh process: this one has loaded the CLI
+    @pytest.mark.parametrize("module,parsers", [
+        ("opconvex", []), ("opconvex.verify", []),
+        ("opconvex.cli", ["json", "orjson"])],
+        ids=["opconvex", "opconvex.verify", "opconvex.cli"])
+    def test_only_the_cli_loads_a_json_parser(self, module, parsers):
+        code = (f"import sys; before = set(sys.modules); import {module}; "
+                f"print(sorted(({{'json', 'orjson'}} - before) "
+                f"& set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{parsers}\n"
 
 
 class TestConsoleScript:

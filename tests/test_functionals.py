@@ -184,6 +184,14 @@ class TestRelativeEntropy:
         assert quantum_relative_entropy_perspective(rho, sigma) == (
             pytest.approx(direct, rel=1e-15))
 
+    def test_overflowing_value_is_a_domain_violation(self):
+        # Tr rho log rho overflows; the warning filters make a
+        # RuntimeWarning fail this test
+        big = np.diag([1e308, 1e308])
+        with pytest.raises(DomainViolation, match=(
+                "^Tr rho log rho or Tr rho log sigma overflows float64$")):
+            quantum_relative_entropy_direct(big, big)
+
     def test_accepts_plain_positive_matrices(self):
         # the formula itself does not require unit trace
         val = quantum_relative_entropy_direct(np.eye(2), np.eye(2))

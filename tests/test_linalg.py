@@ -369,6 +369,32 @@ class TestJsonWire:
         with pytest.raises(ValueError, match="2.000e\\+00"):
             hermitian_from_json(doc)
 
+    def test_hermitian_gate_reports_an_overflowing_defect(self):
+        # M - M* overflows; the warning filters make a RuntimeWarning fail
+        # this test
+        doc = matrix_to_json(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+        with pytest.raises(ValueError, match="^input is not Hermitian: "
+                                             "defect inf exceeds 1e-08$"):
+            hermitian_from_json(doc)
+
+    def test_wire_array_decodes_as_its_lists(self):
+        M = np.array([[complex(-0.0, 1.5), 2e-310 - 3j],
+                      [complex(1e308, -0.0), complex(0.0, 0.0)]])
+        doc = matrix_wire(M)
+        back = matrix_from_json(doc)
+        assert back.tobytes() == M.tobytes()
+        assert back.tobytes() == matrix_from_json(matrix_to_json(M)).tobytes()
+        assert not np.shares_memory(back, doc["entries"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_wire_array_must_be_finite(self, bad):
+        doc = matrix_wire(np.eye(2))
+        doc["entries"] = doc["entries"].copy()
+        doc["entries"][1, 0, 1] = bad
+        with pytest.raises(ValueError,
+                           match="^matrix entries must be finite$"):
+            matrix_from_json(doc)
+
     def test_hermitian_gate_accepts_small_defect(self):
         eps = JSON_HERMITICITY_TOL / 10.0
         doc = matrix_to_json(np.array([[1.0, eps], [0.0, 1.0]]))

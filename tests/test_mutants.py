@@ -154,6 +154,9 @@ ORACLE_MUTANTS = {
     "relative-entropy-rho-log-rho-as-rho-squared": (
         functionals, "_relative_entropy", "_dot_rows(wr, np.log(wr))",
         "_dot_rows(wr, wr)", {"rel-entropy-convexity"}),
+    # the kernel under Tr rho log rho: it becomes Tr rho^2, as above
+    "dot-rows-squares-its-first-operand": (
+        linalg, "_dot_rows", "@ y[", "@ x[", {"rel-entropy-convexity"}),
 }
 
 
